@@ -21,11 +21,9 @@ from .mesh import TriMesh, build_unit_square, delaunay_check, uniform_refine
 from .optimal_control import ProblemSpec, SolutionPair, recover_control, solve
 from .sparse_linalg import (
     BlockSaddleSystem,
-    SparseMatrix,
     from_triplets,
     inverse_nonneg_check,
     solve_direct,
-    transpose,
 )
 from .verify_norms import (
     ConvergenceTable,
@@ -44,7 +42,6 @@ __all__ = [
     "ConvergenceTable",
     "ProblemSpec",
     "SolutionPair",
-    "SparseMatrix",
     "TriMesh",
     "assemble_eafe_stiffness",
     "assemble_galerkin_stiffness",
@@ -65,6 +62,5 @@ __all__ = [
     "recover_control",
     "solve",
     "solve_direct",
-    "transpose",
     "uniform_refine",
 ]

@@ -27,11 +27,11 @@ from .fem_core import (
     DataError,
     as_scalar_field,
     barycentric_gradient_table,
-    barycentric_gradients,
     default_quadrature,
     lumped_mass_diagonal,
+    quadrature_points,
 )
-from .mesh import LOCAL_EDGES, signed_areas
+from .mesh import LOCAL_EDGES, delaunay_report, signed_areas
 from .sparse_linalg import from_triplets
 
 #: switch-over into the overflow-safe evaluation branch
@@ -90,17 +90,6 @@ def triangle_edge_weights(mesh):
     return w
 
 
-def edge_weight(mesh, t, local_edge):
-    """Weight of one local edge of triangle ``t`` (LOCAL_EDGES indexing)."""
-    a, b = LOCAL_EDGES[local_edge]
-    grads = barycentric_gradients(mesh, t)
-    p = mesh.vertices[mesh.triangles[t]]
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    return float(-area * np.dot(grads[a], grads[b]))
-
-
 def edge_flux_coefficients(eps_e, zeta_e, x_i, x_j):
     """
     Exponentially fitted two-point flux coefficients of one edge.
@@ -125,23 +114,38 @@ def edge_flux_coefficients(eps_e, zeta_e, x_i, x_j):
 class EdgeData:
     """
     Per-edge quantities of a mesh/coefficient pair, canonical orientation
-    i < j with tau = x_j - x_i.
+    i < j with tau = x_j - x_i; what the edge-averaged assembly is built
+    from.
 
     Attributes
     ----------
     eps_e, zeta_e : midpoint-averaged diffusion / convection per edge
     tau : (E, 2) scaled tangent vectors
+    tri_weights : (M, 3) edge weights per triangle, LOCAL_EDGES order
     weights : (E,) edge weights summed over adjacent triangles
+    delaunay : DelaunayReport of the summed weights
     c_ij, c_ji : flux coefficients (c_ij multiplies the head value)
+
+    Raises
+    ------
+    CoefficientError
+        If the diffusion sampled at the vertices violates its declared
+        bounds or is not positive.
     """
 
     def __init__(self, mesh, coeff):
         xv = mesh.vertices[:, 0]
         yv = mesh.vertices[:, 1]
-        eps_v = np.broadcast_to(coeff.eps(xv, yv), xv.shape)
-        zx_v, zy_v = (np.broadcast_to(c, xv.shape) for c in coeff.zeta(xv, yv))
-        if np.any(eps_v <= 0.0):
-            raise ValueError("diffusion must be positive at every vertex")
+        eps_v = np.broadcast_to(np.asarray(coeff.eps(xv, yv), dtype=float),
+                                xv.shape)
+        coeff.check_samples(xv, yv, eps_values=eps_v)
+        if np.min(eps_v) <= 0.0:
+            # the exponential fitting divides by the edge-averaged diffusion
+            raise CoefficientError("edge-averaged assembly needs positive diffusion")
+        zx_v, zy_v = (
+            np.broadcast_to(np.asarray(c, dtype=float), xv.shape)
+            for c in coeff.zeta(xv, yv)
+        )
         i = mesh.edges[:, 0]
         j = mesh.edges[:, 1]
         self.eps_e = 0.5 * (eps_v[i] + eps_v[j])
@@ -149,9 +153,8 @@ class EdgeData:
             [0.5 * (zx_v[i] + zx_v[j]), 0.5 * (zy_v[i] + zy_v[j])]
         )
         self.tau = mesh.vertices[j] - mesh.vertices[i]
-        w = triangle_edge_weights(mesh)
-        self.weights = np.zeros(mesh.num_edges)
-        np.add.at(self.weights, mesh.tri_edges.ravel(), w.ravel())
+        self.tri_weights = triangle_edge_weights(mesh)
+        self.weights, self.delaunay = delaunay_report(mesh, self.tri_weights)
         self.c_ij, self.c_ji = edge_flux_coefficients(
             self.eps_e, self.zeta_e, mesh.vertices[i], mesh.vertices[j]
         )
@@ -159,51 +162,41 @@ class EdgeData:
 
 def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True, quad=None):
     """
-    Edge-averaged stiffness matrix over all dofs.
+    Edge-averaged stiffness matrix over all dofs, as a canonical scipy
+    CSR matrix.
 
-    The flux part is assembled per triangle edge with weights
-    -area * grad(lambda_i) . grad(lambda_j) and the Bernoulli flux pair of
-    :func:`edge_flux_coefficients`.  The reaction term enters as a lumped
-    diagonal gamma(x_i) * patch_area / 3 by default (preserving the
-    M-matrix sign pattern); ``lump_reaction=False`` uses the consistent
-    mass weighted by gamma instead.
+    The Bernoulli flux pair of :func:`edge_flux_coefficients` is evaluated
+    once per mesh edge (:class:`EdgeData`) and scattered with the weights
+    -area * grad(lambda_i) . grad(lambda_j) of each adjacent triangle.
+    The reaction term enters as a lumped diagonal gamma(x_i) *
+    patch_area / 3 by default (preserving the M-matrix sign pattern);
+    ``lump_reaction=False`` uses the consistent mass weighted by gamma
+    instead.
 
-    A failed edge-weight (Delaunay) check does not abort assembly; it is
-    recorded in ``meta['delaunay_ok']`` and raised as a
-    MonotonicityLossWarning so the verification layer can decide.
+    A failed edge-weight (Delaunay) check of the summed weights does not
+    abort assembly; it is raised as a MonotonicityLossWarning so the
+    verification layer can decide.
     """
-    from .mesh import delaunay_check
-
-    xv = mesh.vertices[:, 0]
-    yv = mesh.vertices[:, 1]
-    eps_v = np.broadcast_to(np.asarray(coeff.eps(xv, yv), dtype=float), xv.shape)
-    coeff.check_samples(xv, yv, eps_values=eps_v)
-    if np.min(eps_v) <= 0.0:
-        # the exponential fitting divides by the edge-averaged diffusion
-        raise CoefficientError("edge-averaged assembly needs positive diffusion")
-    zx_v, zy_v = (
-        np.broadcast_to(np.asarray(c, dtype=float), xv.shape)
-        for c in coeff.zeta(xv, yv)
-    )
-
-    grads = barycentric_gradient_table(mesh)
-    areas = signed_areas(mesh)
+    data = EdgeData(mesh, coeff)
     t = mesh.triangles
     rows, cols, vals = [], [], []
-    for a, b in LOCAL_EDGES:
+    for k, (a, b) in enumerate(LOCAL_EDGES):
         i = t[:, a]
         j = t[:, b]
-        omega = -areas * np.einsum("md,md->m", grads[:, a, :], grads[:, b, :])
-        eps_e = 0.5 * (eps_v[i] + eps_v[j])
-        zex = 0.5 * (zx_v[i] + zx_v[j])
-        zey = 0.5 * (zy_v[i] + zy_v[j])
-        s = (zex * (xv[j] - xv[i]) + zey * (yv[j] - yv[i])) / eps_e
-        c_ij = eps_e * bernoulli(-s)
-        c_ji = eps_e * bernoulli(s)
+        # per-edge coefficients are stored for the orientation i < j
+        e = mesh.tri_edges[:, k]
+        forward = i < j
+        c_ij = np.where(forward, data.c_ij[e], data.c_ji[e])
+        c_ji = np.where(forward, data.c_ji[e], data.c_ij[e])
+        omega = data.tri_weights[:, k]
+        # per-triangle triplets, not per-edge sums: scipy's duplicate
+        # summation order, and so the last bit of each entry, follows them
         rows += [j, j, i, i]
         cols += [j, i, j, i]
         vals += [omega * c_ij, -omega * c_ji, -omega * c_ij, omega * c_ji]
 
+    xv = mesh.vertices[:, 0]
+    yv = mesh.vertices[:, 1]
     gam_v = np.broadcast_to(np.asarray(coeff.gamma(xv, yv), dtype=float), xv.shape)
     if lump_reaction:
         diag = gam_v * lumped_mass_diagonal(mesh)
@@ -214,14 +207,13 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True, quad=None):
     else:
         quad = quad or default_quadrature()
         gamma = as_scalar_field(coeff.gamma)
-        p = mesh.vertices[t]
+        areas = signed_areas(mesh)
+        x, y = quadrature_points(mesh, quad)
         local = np.zeros((mesh.num_triangles, 3, 3))
-        for q in range(len(quad)):
-            lam = quad.points[q]
-            xq = lam @ p[:, :, 0].swapaxes(0, 1)
-            yq = lam @ p[:, :, 1].swapaxes(0, 1)
+        for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+            xq, yq = x[q], y[q]
             gq = np.broadcast_to(np.asarray(gamma(xq, yq), dtype=float), xq.shape)
-            scale = quad.weights[q] * areas * gq
+            scale = w * areas * gq
             for a in range(3):
                 for b in range(3):
                     local[:, a, b] += scale * lam[a] * lam[b]
@@ -235,14 +227,11 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True, quad=None):
     mat = from_triplets(
         n, n, (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
     )
-    report = delaunay_check(mesh)
-    mat.meta["delaunay_ok"] = report.ok
-    mat.meta["lump_reaction"] = bool(lump_reaction)
-    if not report.ok:
+    if not data.delaunay.ok:
         warnings.warn(
             "edge-weight condition violated on %d edge(s); the assembled "
             "matrix may lose the M-matrix sign pattern"
-            % len(report.violating_edges),
+            % len(data.delaunay.violating_edges),
             MonotonicityLossWarning,
             stacklevel=2,
         )

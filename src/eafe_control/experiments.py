@@ -311,11 +311,7 @@ def run_stability(config):
             bounds = verify_norms.check_desired_state_bounds(
                 mesh, sol, problem.y_d, sign
             )
-            interior = mesh.interior_vertices
-            a_int = optimal_control.assemble_stiffness(
-                mesh, problem.coeff, scheme, lump_reaction=config.lump_reaction
-            ).submatrix(interior, interior)
-            mreport = certify_m_matrix(a_int)
+            mreport = certify_m_matrix(sol.stiffness)
             if mreport.ok and not bounds.ok:
                 raise RuntimeError(
                     "bound check failed although the stiffness certified as "

@@ -197,26 +197,18 @@ def barycentric_gradient_table(mesh):
     return grads
 
 
-def barycentric_gradients(mesh, t):
-    """Gradients of the barycentric coordinates of triangle ``t``, (3, 2)."""
-    p = mesh.vertices[mesh.triangles[t]]
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if area <= DEGENERATE_AREA:
-        raise GeometryError("triangle %d is degenerate (area %g)" % (t, area))
-    grads = np.empty((3, 2))
-    for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        opp = p[k] - p[j]
-        grads[c] = (-opp[1], opp[0])
-    return grads / (2.0 * area)
-
-
 def quadrature_points(mesh, quad):
-    """Physical coordinates of all quadrature points, two (nq, M) arrays."""
+    """
+    Physical coordinates of all quadrature points, two (nq, M) arrays;
+    row q holds point q of every triangle.
+    """
     p = mesh.vertices[mesh.triangles]  # (M, 3, 2)
-    x = quad.points @ p[:, :, 0].T  # (nq, M)
-    y = quad.points @ p[:, :, 1].T
+    px = p[:, :, 0].T
+    py = p[:, :, 1].T
+    # one product per point: the batched quad.points @ px rounds the last
+    # bit differently on some coordinates
+    x = np.array([lam @ px for lam in quad.points])
+    y = np.array([lam @ py for lam in quad.points])
     return x, y
 
 
@@ -260,15 +252,11 @@ def assemble_galerkin_stiffness(mesh, coeff, quad=None):
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
     t = mesh.triangles
-    m = mesh.num_triangles
-    p = mesh.vertices[t]
+    x, y = quadrature_points(mesh, quad)
 
-    local = np.zeros((m, 3, 3))
-    for q in range(len(quad)):
-        lam = quad.points[q]
-        w = quad.weights[q]
-        xq = lam @ p[:, :, 0].swapaxes(0, 1)
-        yq = lam @ p[:, :, 1].swapaxes(0, 1)
+    local = np.zeros((mesh.num_triangles, 3, 3))
+    for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+        xq, yq = x[q], y[q]
         eps_q = np.broadcast_to(coeff.eps(xq, yq), xq.shape)
         coeff.check_samples(xq, yq, eps_values=eps_q)
         zx, zy = coeff.zeta(xq, yq)
@@ -304,12 +292,9 @@ def assemble_load(mesh, f, quad=None):
     t = mesh.triangles
     n = mesh.num_vertices
     b = np.zeros(n)
-    p = mesh.vertices[t]
-    for q in range(len(quad)):
-        lam = quad.points[q]
-        w = quad.weights[q]
-        xq = lam @ p[:, :, 0].swapaxes(0, 1)
-        yq = lam @ p[:, :, 1].swapaxes(0, 1)
+    x, y = quadrature_points(mesh, quad)
+    for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+        xq, yq = x[q], y[q]
         fq = np.broadcast_to(np.asarray(f(xq, yq), dtype=float), xq.shape)
         if not np.all(np.isfinite(fq)):
             raise DataError("load integrand produced a non-finite sample")

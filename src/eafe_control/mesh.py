@@ -250,9 +250,11 @@ class DelaunayReport:
         )
 
 
-def delaunay_check(mesh):
+def delaunay_report(mesh, w):
     """
-    Check nonnegativity of the summed edge weights.
+    Sum per-triangle edge weights ``w`` ((M, 3), LOCAL_EDGES order) over
+    the mesh edges and check their nonnegativity; returns the (E,) sums
+    and a :class:`DelaunayReport`.
 
     For every interior edge shared by triangles T and T' the combined
     weight w_E^T + w_E^T' must be >= -tol, and for boundary edges the
@@ -260,14 +262,18 @@ def delaunay_check(mesh):
     weight magnitude.  This is exactly the condition under which the
     edge-averaged stiffness matrix keeps nonpositive off-diagonal entries.
     """
-    from .eafe import triangle_edge_weights
-
-    w = triangle_edge_weights(mesh)  # (M, 3), LOCAL_EDGES order
     sums = np.zeros(mesh.num_edges)
     np.add.at(sums, mesh.tri_edges.ravel(), w.ravel())
     tol = 1e-12 * max(np.abs(w).max(), 1e-300)
     bad = np.flatnonzero(sums < -tol)
-    return DelaunayReport(bad.size == 0, bad.tolist(), tol)
+    return sums, DelaunayReport(bad.size == 0, bad.tolist(), tol)
+
+
+def delaunay_check(mesh):
+    """Edge-weight (Delaunay) check of a mesh; see :func:`delaunay_report`."""
+    from .eafe import triangle_edge_weights
+
+    return delaunay_report(mesh, triangle_edge_weights(mesh))[1]
 
 
 def write_node_ele(mesh, path):

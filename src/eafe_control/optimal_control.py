@@ -67,15 +67,17 @@ class SolutionPair:
     ``p_bar`` (adjoint), ``y_bar`` (state) and the recovered control
     ``u_bar = -p_bar / beta`` over all vertices; boundary nodes carry the
     interpolated Dirichlet data.  ``residual`` is the certified relative
-    residual of the interior linear solve.
+    residual of the interior linear solve, and ``stiffness`` the interior
+    stiffness block A of the system that was factored (CSR).
     """
 
-    def __init__(self, p_bar, y_bar, u_bar, residual, scheme):
+    def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness):
         self.p_bar = np.asarray(p_bar, dtype=float)
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.u_bar = np.asarray(u_bar, dtype=float)
         self.residual = float(residual)
         self.scheme = scheme
+        self.stiffness = stiffness
 
 
 def recover_control(p_bar, beta):
@@ -121,14 +123,11 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True, quad=None):
 
     interior = mesh.interior_vertices
     beta = spec.coeff.beta
-    asp = a_full.to_scipy()
-    msp = m_full.to_scipy()
-    rhs_top = (f_full - asp.T @ p_lift + msp @ y_lift)[interior]
-    rhs_bottom = (g_full + msp @ p_lift + beta * (asp @ y_lift))[interior]
+    rhs_top = (f_full - a_full.T @ p_lift + m_full @ y_lift)[interior]
+    rhs_bottom = (g_full + m_full @ p_lift + beta * (a_full @ y_lift))[interior]
 
-    a_int = a_full.submatrix(interior, interior)
-    a_int.meta.update(a_full.meta)
-    m_int = m_full.submatrix(interior, interior)
+    a_int = a_full[interior][:, interior]
+    m_int = m_full[interior][:, interior]
     system = BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom, beta=beta)
     return system, a_full, m_full, p_lift, y_lift, interior
 
@@ -154,7 +153,7 @@ def solve(mesh, spec, scheme, lump_reaction=True, quad=None, rtol=None):
     p[interior] = p_int
     y[interior] = y_int
     u = recover_control(p, spec.coeff.beta)
-    return SolutionPair(p, y, u, res, scheme)
+    return SolutionPair(p, y, u, res, scheme, system.A)
 
 
 def write_solution_csv(mesh, sol, path):

@@ -1,11 +1,12 @@
 """
-CSR sparse matrices, the 2x2 saddle-point block system, and a certified
-direct solver.
+Triplet assembly into scipy CSR matrices, the 2x2 saddle-point block
+system, and a certified direct solver.
 
-Storage and factorization are delegated to scipy.sparse / SuperLU; this
-module pins down the exact contracts the rest of the package relies on:
-duplicate-summing triplet assembly, strictly increasing column indices,
-and a residual certificate on every returned solution.
+Storage and factorization are delegated to scipy.sparse / SuperLU, and
+the rest of the package uses the scipy matrices directly; this module
+pins down the contracts it relies on: duplicate-summing triplet assembly
+into canonical CSR (strictly increasing column indices), and a residual
+certificate on every returned solution.
 """
 
 import numpy as np
@@ -28,72 +29,15 @@ class ResidualCertificationError(RuntimeError):
     """Computed solution failed the relative-residual certificate."""
 
 
-class SparseMatrix:
-    """
-    CSR matrix with canonical structure: column indices strictly
-    increasing within each row, duplicates summed at assembly.
-
-    ``meta`` carries assembly-side annotations (e.g. a monotonicity-loss
-    flag from the edge-averaged assembly); it never affects the values.
-    """
-
-    def __init__(self, nrows, ncols, indptr, indices, data, meta=None):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=float)
-        self.meta = dict(meta) if meta else {}
-        if self.indptr.shape != (self.nrows + 1,):
-            raise ValueError("row offset array has inconsistent length")
-
-    @classmethod
-    def from_scipy(cls, mat, meta=None):
-        csr = sp.csr_matrix(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(csr.shape[0], csr.shape[1], csr.indptr, csr.indices, csr.data,
-                   meta=meta)
-
-    def to_scipy(self):
-        return sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.nrows, self.ncols)
-        )
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    @property
-    def nnz(self):
-        return self.data.size
-
-    def matvec(self, x):
-        return self.to_scipy() @ np.asarray(x, dtype=float)
-
-    def __matmul__(self, x):
-        return self.matvec(x)
-
-    def diagonal(self):
-        return self.to_scipy().diagonal()
-
-    def toarray(self):
-        return self.to_scipy().toarray()
-
-    def submatrix(self, row_idx, col_idx):
-        """Row/column extraction (used for interior-dof elimination)."""
-        return SparseMatrix.from_scipy(self.to_scipy()[np.ix_(row_idx, col_idx)])
-
-    def __repr__(self):
-        return "SparseMatrix(%d x %d, nnz=%d)" % (self.nrows, self.ncols, self.nnz)
-
-
 def from_triplets(nrows, ncols, triplets):
     """
-    Assemble a SparseMatrix from (row, col, value) contributions.
+    Assemble a canonical ``scipy.sparse.csr_matrix`` from (row, col,
+    value) contributions.
 
     ``triplets`` is either an iterable of (row, col, value) triples or a
-    (rows, cols, values) tuple of arrays.  Duplicate positions are summed.
+    (rows, cols, values) tuple of arrays.  Duplicate positions are summed
+    and column indices are sorted within each row.  Explicit zeros are
+    kept: they hold the structural pattern the sparse LU ordering sees.
 
     Raises
     ------
@@ -115,17 +59,13 @@ def from_triplets(nrows, ncols, triplets):
         raise IndexError("row index out of range")
     if cols.size and (cols.min() < 0 or cols.max() >= ncols):
         raise IndexError("column index out of range")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    return SparseMatrix.from_scipy(coo)
-
-
-def transpose(a):
-    """Transpose, preserving canonical CSR structure."""
-    return SparseMatrix.from_scipy(a.to_scipy().T)
+    csr = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    csr.sum_duplicates()
+    return csr
 
 
 def _factorize(mat):
-    csc = mat.to_scipy().tocsc()
+    csc = mat.tocsc()
     try:
         lu = spla.splu(csc)
     except RuntimeError as exc:  # SuperLU signals exact singularity this way
@@ -154,25 +94,25 @@ def solve_direct(mat, b, rtol=DEFAULT_SOLVE_RTOL, return_residual=False,
     ResidualCertificationError
         If the residual certificate cannot be met.
     """
-    if mat.nrows != mat.ncols:
+    n, ncols = mat.shape
+    if n != ncols:
         raise ValueError("solve_direct needs a square matrix")
     b = np.asarray(b, dtype=float)
-    if b.shape != (mat.nrows,):
+    if b.shape != (n,):
         raise ValueError("right-hand side has wrong length")
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         x = np.zeros_like(b)
         return (x, 0.0) if return_residual else x
 
-    csr = mat.to_scipy()
     lu = _factorize(mat)
     x = lu.solve(b)
-    res = np.linalg.norm(csr @ x - b) / bnorm
+    res = np.linalg.norm(mat @ x - b) / bnorm
     for _ in range(max_refine):
         if res <= rtol:
             break
-        x = x + lu.solve(b - csr @ x)
-        res = np.linalg.norm(csr @ x - b) / bnorm
+        x = x + lu.solve(b - mat @ x)
+        res = np.linalg.norm(mat @ x - b) / bnorm
     if res > rtol:
         raise ResidualCertificationError(
             "relative residual %.3g exceeds certificate %.3g" % (res, rtol)
@@ -203,8 +143,8 @@ def inverse_nonneg_check(a, tol=1e-12, cap=DEFAULT_INVERSE_CAP, block=512):
     A x = e_i for every unit vector.  Column i passes when every entry of
     x satisfies x >= -tol * max|x|.  Desk-scale tool: refuses n > cap.
     """
-    n = a.nrows
-    if a.ncols != n:
+    n, ncols = a.shape
+    if ncols != n:
         raise ValueError("inverse check needs a square matrix")
     if n > cap:
         raise ValueError("matrix order %d exceeds inverse-check cap %d" % (n, cap))
@@ -243,8 +183,8 @@ class BlockSaddleSystem:
     """
 
     def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, sym_rtol=1e-14):
-        n = a.nrows
-        if a.ncols != n or m.shape != (n, n):
+        n = a.shape[0]
+        if a.shape != (n, n) or m.shape != (n, n):
             raise ValueError("block system needs square A, M of equal order")
         self.A = a
         self.M = m
@@ -253,23 +193,19 @@ class BlockSaddleSystem:
         self.beta = float(beta)
         if self.rhs_top.shape != (n,) or self.rhs_bottom.shape != (n,):
             raise ValueError("right-hand side blocks have wrong length")
-        msp = m.to_scipy()
-        asym = sp.linalg.norm(msp - msp.T) if msp.nnz else 0.0
+        asym = sp.linalg.norm(m - m.T) if m.nnz else 0.0
         scale = max(np.abs(m.data).max() if m.nnz else 0.0, 1e-300)
         if asym > sym_rtol * scale * np.sqrt(max(m.nnz, 1)):
             raise ValueError("mass matrix is not symmetric to working precision")
 
     @property
     def n(self):
-        return self.A.nrows
+        return self.A.shape[0]
 
     def operator(self):
         """Monolithic 2n x 2n block operator [[A^T, -M], [-M, -beta*A]]."""
-        at = self.A.to_scipy().T
-        m = self.M.to_scipy()
-        a = self.A.to_scipy()
-        k = sp.bmat([[at, -m], [-m, -self.beta * a]], format="csr")
-        return SparseMatrix.from_scipy(k)
+        a, m = self.A, self.M
+        return sp.bmat([[a.T, -m], [-m, -self.beta * a]], format="csr")
 
     def rhs(self):
         return np.concatenate([self.rhs_top, self.rhs_bottom])
@@ -279,10 +215,3 @@ class BlockSaddleSystem:
         x, res = solve_direct(self.operator(), self.rhs(), rtol=rtol,
                               return_residual=True)
         return x[: self.n], x[self.n:], res
-
-
-def write_matrix_market(a, path, comment=""):
-    """Dump in MatrixMarket coordinate format for external cross-checks."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), a.to_scipy(), comment=comment)

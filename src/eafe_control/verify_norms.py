@@ -114,7 +114,7 @@ def check_desired_state_bounds(mesh, solution, y_d, sign, quad=None):
             "desired state is not %s on the mesh" % sign
         )
 
-    m = fem_core.assemble_mass(mesh).to_scipy()
+    m = fem_core.assemble_mass(mesh)
     fd = fem_core.assemble_load(mesh, y_d, quad=quad)
     m1 = m @ solution.y_bar
     tol = 1e-10 * np.abs(fd).max()
@@ -166,7 +166,8 @@ def error_norms(mesh, numeric, exact, exact_grad, region=None, quad=None):
 
     areas = signed_areas(mesh)[sel]
     grads = fem_core.barycentric_gradient_table(mesh)[sel]
-    p = mesh.vertices[tri]
+    x, y = fem_core.quadrature_points(mesh, quad)
+    x, y = x[:, sel], y[:, sel]
     nodal = numeric[tri]  # (m, 3)
 
     gx_h = np.einsum("mc,mc->m", nodal, grads[:, :, 0])
@@ -174,11 +175,8 @@ def error_norms(mesh, numeric, exact, exact_grad, region=None, quad=None):
 
     l2_sq = 0.0
     h1_semi_sq = 0.0
-    for q in range(len(quad)):
-        lam = quad.points[q]
-        w = quad.weights[q]
-        xq = lam @ p[:, :, 0].swapaxes(0, 1)
-        yq = lam @ p[:, :, 1].swapaxes(0, 1)
+    for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+        xq, yq = x[q], y[q]
         uh = nodal @ lam
         diff = uh - np.asarray(exact(xq, yq), dtype=float)
         gx, gy = exact_grad(xq, yq)
@@ -225,11 +223,12 @@ class MMatrixReport:
 
 def certify_m_matrix(a, cap=5000, offdiag_rtol=1e-14):
     """
-    Certify the M-matrix structure of a square sparse matrix: positive
+    Certify the M-matrix structure of a square CSR matrix: positive
     diagonal, off-diagonal entries below offdiag_rtol * max|diag|, and
     (for orders up to ``cap``) entrywise nonnegativity of the inverse.
     """
-    if a.nrows != a.ncols:
+    n, ncols = a.shape
+    if n != ncols:
         raise ValueError("M-matrix check needs a square matrix")
     diag = a.diagonal()
     min_diag = diag.min() if diag.size else 0.0
@@ -237,20 +236,14 @@ def certify_m_matrix(a, cap=5000, offdiag_rtol=1e-14):
 
     scale = np.abs(diag).max() if diag.size else 0.0
     offdiag_tol = offdiag_rtol * scale
-    worst = -np.inf
-    for i in range(a.nrows):
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        cols = a.indices[lo:hi]
-        vals = a.data[lo:hi]
-        off = vals[cols != i]
-        if off.size:
-            worst = max(worst, off.max())
-    if worst == -np.inf:
-        worst = 0.0
+    # stored entries count, explicit zeros included
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    off = a.data[a.indices != row]
+    worst = off.max() if off.size else 0.0
     offdiag_ok = worst <= offdiag_tol
 
     inverse_report = None
-    if diag_ok and offdiag_ok and a.nrows <= cap:
+    if diag_ok and offdiag_ok and n <= cap:
         inverse_report = inverse_nonneg_check(a, cap=cap)
     return MMatrixReport(diag_ok, offdiag_ok, inverse_report, min_diag, worst,
                          offdiag_tol)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from eafe_control.eafe import (
     assemble_eafe_stiffness,
     bernoulli,
     edge_flux_coefficients,
-    edge_weight,
     triangle_edge_weights,
 )
 from eafe_control.fem_core import (
@@ -15,9 +16,15 @@ from eafe_control.fem_core import (
     DataError,
     assemble_galerkin_stiffness,
     assemble_mass,
-    barycentric_gradients,
+    barycentric_gradient_table,
 )
-from eafe_control.mesh import LOCAL_EDGES, TriMesh, build_unit_square
+from eafe_control.mesh import (
+    LOCAL_EDGES,
+    TriMesh,
+    build_unit_square,
+    delaunay_check,
+)
+from eafe_control.verify_norms import certify_m_matrix
 
 
 def diffusion_only(eps=1.0):
@@ -74,16 +81,16 @@ def test_edge_weights_right_isoceles():
     mesh = TriMesh([[0.0, 0.0], [h, 0.0], [0.0, h]], [[0, 1, 2]])
     # LOCAL_EDGES: (0,1) opposite the 45-deg vertex 2, (1,2) opposite the
     # right angle at 0, (2,0) opposite the 45-deg vertex 1
-    assert edge_weight(mesh, 0, 0) == pytest.approx(0.5, rel=1e-13)
-    assert edge_weight(mesh, 0, 1) == pytest.approx(0.0, abs=1e-14)
-    assert edge_weight(mesh, 0, 2) == pytest.approx(0.5, rel=1e-13)
+    assert triangle_edge_weights(mesh)[0, 0] == pytest.approx(0.5, rel=1e-13)
+    assert triangle_edge_weights(mesh)[0, 1] == pytest.approx(0.0, abs=1e-14)
+    assert triangle_edge_weights(mesh)[0, 2] == pytest.approx(0.5, rel=1e-13)
 
 
 def test_edge_weights_equilateral():
     mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]],
                    [[0, 1, 2]])
     for k in range(3):
-        assert edge_weight(mesh, 0, k) == pytest.approx(
+        assert triangle_edge_weights(mesh)[0, k] == pytest.approx(
             1.0 / (2.0 * np.sqrt(3.0)), rel=1e-13
         )
 
@@ -102,7 +109,8 @@ def test_edge_weights_match_cotangent_formula():
             u = p[a] - p[c]
             v = p[b] - p[c]
             cot = (u @ v) / abs(u[0] * v[1] - u[1] * v[0])
-            assert edge_weight(mesh, 0, k) == pytest.approx(0.5 * cot, rel=1e-12)
+            assert triangle_edge_weights(mesh)[0, k] == pytest.approx(
+                0.5 * cot, rel=1e-12)
 
 
 def test_edge_weights_reproduce_gradient_products():
@@ -125,7 +133,7 @@ def test_edge_weights_reproduce_gradient_products():
             w[k] * (u[b] - u[a]) * (v[b] - v[a])
             for k, (a, b) in enumerate(LOCAL_EDGES)
         )
-        g = barycentric_gradients(mesh, 0)
+        g = barycentric_gradient_table(mesh)[0]
         grad_u = u @ g
         grad_v = v @ g
         exact = 0.5 * area2 * (grad_u @ grad_v)
@@ -211,8 +219,8 @@ def test_edge_data_structured_mesh():
 def test_reduces_to_galerkin_for_pure_diffusion(level):
     mesh = build_unit_square(level)
     coeff = diffusion_only()
-    a_edge = assemble_eafe_stiffness(mesh, coeff).to_scipy()
-    a_std = assemble_galerkin_stiffness(mesh, coeff).to_scipy()
+    a_edge = assemble_eafe_stiffness(mesh, coeff)
+    a_std = assemble_galerkin_stiffness(mesh, coeff)
     diff = abs(a_edge - a_std)
     assert (diff.max() if diff.nnz else 0.0) <= 1e-13
 
@@ -232,7 +240,7 @@ def test_interior_row_is_scharfetter_gummel_stencil():
     mesh = build_unit_square(2)
     h = 0.25
     coeff = CoefficientField(eps=eps, zeta=(-1.0, 0.0), gamma=0.0, div_zeta=0.0)
-    a = assemble_eafe_stiffness(mesh, coeff).to_scipy().toarray()
+    a = assemble_eafe_stiffness(mesh, coeff).toarray()
     center = np.flatnonzero(
         (mesh.vertices[:, 0] == 0.5) & (mesh.vertices[:, 1] == 0.5)
     )[0]
@@ -256,16 +264,56 @@ def test_interior_row_is_scharfetter_gummel_stencil():
     assert a[center, down - 1] == pytest.approx(0.0, abs=1e-15)
 
 
-def _offdiag_max(a):
-    worst = -np.inf
-    for i in range(a.nrows):
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        cols = a.indices[lo:hi]
-        vals = a.data[lo:hi]
-        off = vals[cols != i]
-        if off.size:
-            worst = max(worst, off.max())
-    return worst
+def _per_triangle_reference(mesh, coeff):
+    """Dense EAFE flux matrix, one flux pair per triangle edge."""
+    xv, yv = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    eps_v = coeff.eps(xv, yv)
+    zx_v, zy_v = coeff.zeta(xv, yv)
+    w = triangle_edge_weights(mesh)
+    ref = np.zeros((mesh.num_vertices, mesh.num_vertices))
+    for t, tri in enumerate(mesh.triangles):
+        for k, (a, b) in enumerate(LOCAL_EDGES):
+            i, j = tri[a], tri[b]
+            c_ij, c_ji = edge_flux_coefficients(
+                0.5 * (eps_v[i] + eps_v[j]),
+                (0.5 * (zx_v[i] + zx_v[j]), 0.5 * (zy_v[i] + zy_v[j])),
+                mesh.vertices[i], mesh.vertices[j],
+            )
+            ref[j, j] += w[t, k] * c_ij
+            ref[j, i] -= w[t, k] * c_ji
+            ref[i, j] -= w[t, k] * c_ij
+            ref[i, i] += w[t, k] * c_ji
+    return ref
+
+
+def test_edge_path_matches_per_triangle_reference_on_renumbered_mesh():
+    # shrinking the structured mesh along its diagonals gives every
+    # diagonal edge a positive weight, so a small jitter stays Delaunay;
+    # the renumbering flips the i < j orientation of many local edges
+    rng = np.random.default_rng(41)
+    base = build_unit_square(3)
+    n = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    shrink = np.eye(2) - 0.2 * np.outer(n, n)
+    verts = base.vertices @ shrink + rng.uniform(-0.005, 0.005,
+                                                 base.vertices.shape)
+    mesh = TriMesh(verts, base.triangles, level=3)
+    assert delaunay_check(mesh).ok
+    perm = rng.permutation(mesh.num_vertices)
+    inv = np.argsort(perm)
+    renumbered = TriMesh(mesh.vertices[perm], inv[mesh.triangles], level=3)
+    coeff = CoefficientField(
+        eps=lambda x, y: 1e-2 * (1.0 + x + y * y),
+        zeta=lambda x, y: (np.sin(2.0 * np.pi * y) - 0.5, np.cos(3.0 * x)),
+        gamma=0.0, eps_floor=1e-2,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = assemble_eafe_stiffness(renumbered, coeff).toarray()
+        a_orig = assemble_eafe_stiffness(mesh, coeff).toarray()
+    ref = _per_triangle_reference(renumbered, coeff)
+    scale = np.abs(ref).max()
+    assert np.abs(a - ref).max() <= 1e-14 * scale
+    assert np.abs(a[np.ix_(inv, inv)] - a_orig).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize(
@@ -283,7 +331,7 @@ def test_m_matrix_sign_pattern(eps, zeta, gamma):
     a = assemble_eafe_stiffness(mesh, coeff)
     diag = a.diagonal()
     assert diag.min() > 0.0
-    assert _offdiag_max(a) <= 1e-14 * np.abs(diag).max()
+    assert certify_m_matrix(a, cap=0).worst_offdiag <= 1e-14 * np.abs(diag).max()
 
 
 def test_lumped_reaction_only_touches_diagonal():
@@ -319,11 +367,14 @@ def test_delaunay_violation_flagged_not_fatal():
     coeff = diffusion_only()
     with pytest.warns(MonotonicityLossWarning):
         a = assemble_eafe_stiffness(mesh, coeff)
-    assert a.meta["delaunay_ok"] is False
+    assert not delaunay_check(mesh).ok
     # the sign pattern indeed degrades on this mesh
-    assert _offdiag_max(a) > 0.0
+    assert certify_m_matrix(a, cap=0).worst_offdiag > 0.0
 
 
 def test_structured_assembly_marks_delaunay_ok():
-    a = assemble_eafe_stiffness(build_unit_square(2), diffusion_only())
-    assert a.meta["delaunay_ok"] is True
+    mesh = build_unit_square(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assemble_eafe_stiffness(mesh, diffusion_only())
+    assert delaunay_check(mesh).ok

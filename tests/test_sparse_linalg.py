@@ -6,12 +6,9 @@ from eafe_control.sparse_linalg import (
     BlockSaddleSystem,
     ResidualCertificationError,
     SingularMatrixError,
-    SparseMatrix,
     from_triplets,
     inverse_nonneg_check,
     solve_direct,
-    transpose,
-    write_matrix_market,
 )
 
 
@@ -41,7 +38,8 @@ def test_shuffled_triplets_match_sorted():
 
 def test_csr_canonical_structure():
     a = from_triplets(2, 4, [(0, 3, 1.0), (0, 1, 2.0), (1, 0, 3.0), (0, 1, 4.0)])
-    for i in range(a.nrows):
+    assert isinstance(a, sp.csr_matrix) and a.has_canonical_format
+    for i in range(a.shape[0]):
         cols = a.indices[a.indptr[i]: a.indptr[i + 1]]
         assert np.all(np.diff(cols) > 0)
     assert a.toarray()[0, 1] == 6.0
@@ -52,23 +50,6 @@ def test_out_of_range_indices():
         from_triplets(2, 2, [(2, 0, 1.0)])
     with pytest.raises(IndexError):
         from_triplets(2, 2, [(0, -1, 1.0)])
-
-
-def test_transpose_examples():
-    eye = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
-    assert np.array_equal(transpose(eye).toarray(), np.eye(3))
-    a = from_triplets(2, 3, [(0, 2, 5.0)])
-    at = transpose(a)
-    assert at.shape == (3, 2)
-    assert at.toarray()[2, 0] == 5.0
-
-
-def test_double_transpose_round_trip():
-    rng = np.random.default_rng(3)
-    dense = rng.standard_normal((10, 10))
-    dense[rng.random((10, 10)) < 0.6] = 0.0
-    a = SparseMatrix.from_scipy(sp.csr_matrix(dense))
-    assert np.array_equal(transpose(transpose(a)).toarray(), a.toarray())
 
 
 def test_solve_identity():
@@ -87,7 +68,7 @@ def test_solve_against_dense_lu():
     rng = np.random.default_rng(11)
     dense = rng.standard_normal((50, 50))
     dense += np.diag(60.0 + np.abs(dense).sum(axis=1))
-    a = SparseMatrix.from_scipy(sp.csr_matrix(dense))
+    a = sp.csr_matrix(dense)
     b = rng.standard_normal(50)
     x, res = solve_direct(a, b, return_residual=True)
     assert res <= 1e-10
@@ -142,10 +123,10 @@ def _small_system():
 
 def test_block_operator_reconstruction_exact():
     system = _small_system()
-    k = system.operator().to_scipy()
-    at = system.A.to_scipy().T
-    msp = system.M.to_scipy()
-    ref = sp.bmat([[at, -msp], [-msp, -system.A.to_scipy()]], format="csr")
+    k = system.operator()
+    at = system.A.T
+    msp = system.M
+    ref = sp.bmat([[at, -msp], [-msp, -system.A]], format="csr")
     assert (k != ref).nnz == 0  # identical CSR values
 
 
@@ -153,7 +134,7 @@ def test_block_solve_certified():
     system = _small_system()
     p, y, res = system.solve()
     assert res <= 1e-10
-    k = system.operator().to_scipy()
+    k = system.operator()
     x = np.concatenate([p, y])
     assert np.linalg.norm(k @ x - system.rhs()) <= 1e-9
 
@@ -163,13 +144,3 @@ def test_block_rejects_asymmetric_mass():
     m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.5), (1, 1, 1.0)])
     with pytest.raises(ValueError):
         BlockSaddleSystem(a, m, np.zeros(2), np.zeros(2))
-
-
-def test_matrix_market_round_trip(tmp_path):
-    from scipy.io import mmread
-
-    a = from_triplets(3, 3, [(0, 0, 1.5), (2, 1, -2.0)])
-    path = tmp_path / "matrix.mtx"
-    write_matrix_market(a, path)
-    back = mmread(path).tocsr()
-    assert np.array_equal(back.toarray(), a.toarray())
