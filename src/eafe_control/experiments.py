@@ -324,9 +324,9 @@ def run_stability(config):
             }
             writer.log(
                 "stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
-                "elapsed=%.2fs"
+                "iterations=%d elapsed=%.2fs"
                 % (scheme, level, bounds.ok, bounds.worst_violation,
-                   mreport.ok, time.perf_counter() - t0)
+                   mreport.ok, sol.iterations, time.perf_counter() - t0)
             )
             if writer.dir is not None:
                 stem = "%s_%s_k%d" % (config.example, scheme, level)

@@ -123,7 +123,11 @@ def _edge_connectivity(triangles):
         [triangles[:, (a, b)] for a, b in LOCAL_EDGES], axis=0
     )
     pairs_sorted = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(pairs_sorted, axis=0, return_inverse=True)
+    # one int64 key per (i<j) pair; key order is lexicographic pair order
+    nv = int(pairs_sorted.max()) + 1
+    keys, inverse = np.unique(pairs_sorted[:, 0] * nv + pairs_sorted[:, 1],
+                              return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
     tri_edges = inverse.reshape(3, m).T.copy()
 
     counts = np.bincount(inverse, minlength=edges.shape[0])

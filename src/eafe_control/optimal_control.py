@@ -67,17 +67,21 @@ class SolutionPair:
     ``p_bar`` (adjoint), ``y_bar`` (state) and the recovered control
     ``u_bar = -p_bar / beta`` over all vertices; boundary nodes carry the
     interpolated Dirichlet data.  ``residual`` is the certified relative
-    residual of the interior linear solve, and ``stiffness`` the interior
-    stiffness block A of the system that was factored (CSR).
+    residual of the interior linear solve, ``iterations`` its GMRES
+    iteration count, ``stiffness`` the interior stiffness block A of the
+    solved system and ``mass`` the mass matrix over all vertices (CSR).
     """
 
-    def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness):
+    def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
+                 mass, iterations):
         self.p_bar = np.asarray(p_bar, dtype=float)
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.u_bar = np.asarray(u_bar, dtype=float)
         self.residual = float(residual)
         self.scheme = scheme
         self.stiffness = stiffness
+        self.mass = mass
+        self.iterations = int(iterations)
 
 
 def recover_control(p_bar, beta):
@@ -143,7 +147,7 @@ def solve(mesh, spec, scheme, lump_reaction=True, quad=None, rtol=None):
     Solve the optimality system; returns a :class:`SolutionPair` whose
     boundary nodes carry the interpolated Dirichlet traces.
     """
-    system, _, _, p_lift, y_lift, interior = _assemble_parts(
+    system, _, m_full, p_lift, y_lift, interior = _assemble_parts(
         mesh, spec, scheme, lump_reaction, quad
     )
     kwargs = {} if rtol is None else {"rtol": rtol}
@@ -153,7 +157,8 @@ def solve(mesh, spec, scheme, lump_reaction=True, quad=None, rtol=None):
     p[interior] = p_int
     y[interior] = y_int
     u = recover_control(p, spec.coeff.beta)
-    return SolutionPair(p, y, u, res, scheme, system.A)
+    return SolutionPair(p, y, u, res, scheme, system.A, m_full,
+                        system.iterations)
 
 
 def write_solution_csv(mesh, sol, path):

@@ -100,7 +100,8 @@ def check_desired_state_bounds(mesh, solution, y_d, sign, quad=None):
     ``sign`` is "nonneg" or "nonpos" and must hold for y_d at all
     quadrature points; violations of that precondition raise
     DesiredStateSignError, since the bounds are only meaningful for
-    one-signed data.
+    one-signed data.  The mass matrix is the one the solve assembled,
+    ``solution.mass``.
     """
     if sign not in ("nonneg", "nonpos"):
         raise ValueError("sign must be 'nonneg' or 'nonpos'")
@@ -114,9 +115,8 @@ def check_desired_state_bounds(mesh, solution, y_d, sign, quad=None):
             "desired state is not %s on the mesh" % sign
         )
 
-    m = fem_core.assemble_mass(mesh)
     fd = fem_core.assemble_load(mesh, y_d, quad=quad)
-    m1 = m @ solution.y_bar
+    m1 = solution.mass @ solution.y_bar
     tol = 1e-10 * np.abs(fd).max()
     return BoundReport(
         sign,

@@ -132,7 +132,11 @@ def test_stability_run_separates_schemes(tmp_path):
     config_echo = json.loads((tmp_path / "config.json").read_text())
     assert config_echo["example"] == "stability"
     assert config_echo["mesh_diagonal"] == "lowerleft-upperright"
-    assert (tmp_path / "run.log").exists()
+    (line,) = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
+               if "scheme=eafe level=4 " in ln]
+    iterations = results["eafe"][4]["solution"].iterations
+    assert iterations > 0
+    assert " iterations=%d " % iterations in line
     assert (tmp_path / "stability_eafe_k3.vtk").exists()
     assert (tmp_path / "stability_galerkin_k4_bounds.json").exists()
     assert (tmp_path / "stability_eafe_k4.csv").exists()

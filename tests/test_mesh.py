@@ -167,3 +167,28 @@ def test_vtk_export(tmp_path):
     assert "SCALARS field double" in text
     with pytest.raises(ValueError):
         write_vtk(mesh, path, point_data={"bad": np.zeros(3)})
+
+
+def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():
+    base = build_unit_square(4)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(base.num_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
+    mesh = TriMesh(vertices, triangles, level=4)
+
+    # reference: lexicographic unique over the sorted (i, j) rows
+    m = mesh.num_triangles
+    pairs = np.concatenate([triangles[:, (0, 1)], triangles[:, (1, 2)],
+                            triangles[:, (2, 0)]])
+    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0,
+                               return_inverse=True)
+    inverse = inverse.ravel()
+    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    for k, e in enumerate(inverse):
+        slot = 0 if edge_tris[e, 0] < 0 else 1
+        edge_tris[e, slot] = k % m
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tri_edges, inverse.reshape(3, m).T)
+    assert np.array_equal(mesh.edge_tris, edge_tris)

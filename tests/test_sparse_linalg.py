@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from eafe_control.experiments import stability_problem
+from eafe_control.mesh import build_unit_square
+from eafe_control import sparse_linalg
+from eafe_control.optimal_control import assemble_system
 from eafe_control.sparse_linalg import (
     BlockSaddleSystem,
     ResidualCertificationError,
@@ -144,3 +148,79 @@ def test_block_rejects_asymmetric_mass():
     m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.5), (1, 1, 1.0)])
     with pytest.raises(ValueError):
         BlockSaddleSystem(a, m, np.zeros(2), np.zeros(2))
+
+
+def _stability_system(scheme, level, beta):
+    mesh = build_unit_square(level)
+    base = assemble_system(mesh, stability_problem(1e-9), scheme)
+    return BlockSaddleSystem(base.A, base.M, base.rhs_top, base.rhs_bottom,
+                             beta=beta)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1.0, 1e3])
+@pytest.mark.parametrize("level", [4, 6])
+@pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
+def test_krylov_solve_matches_direct_reference(scheme, level, beta):
+    system = _stability_system(scheme, level, beta)
+    p, y, res = system.solve()
+    assert res <= 1e-10
+    x_ref = solve_direct(system.operator(), system.rhs())
+    x = np.concatenate([p, y])
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_krylov_solve_factors_one_n_by_n_matrix(monkeypatch):
+    system = _stability_system("eafe", 3, 2.0)
+    factored = []
+    factorize = sparse_linalg._factorize
+
+    def recording(mat):
+        factored.append(mat)
+        return factorize(mat)
+
+    monkeypatch.setattr(sparse_linalg, "_factorize", recording)
+    system.solve()
+    (f,) = factored
+    ref = (system.M + np.sqrt(2.0) * system.A).tocsc()
+    assert f.shape == (system.n, system.n)
+    assert abs(f - ref).max() == 0.0
+
+
+def test_krylov_solve_zero_rhs():
+    system = _stability_system("eafe", 3, 1.0)
+    system.rhs_top[:] = 0.0
+    system.rhs_bottom[:] = 0.0
+    p, y, res = system.solve()
+    assert not p.any() and not y.any() and res == 0.0
+    assert system.iterations == 0
+
+
+def test_krylov_solve_unattainable_certificate_raises():
+    system = _stability_system("eafe", 3, 1.0)
+    with pytest.raises(ResidualCertificationError):
+        system.solve(rtol=1e-30)
+
+
+def test_krylov_solve_singular_preconditioner_factor_raises():
+    # M + sqrt(beta) A = 0 for A = -M and beta = 1
+    m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.25), (1, 0, 0.25), (1, 1, 1.0)])
+    system = BlockSaddleSystem(-m, m, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
+    with pytest.raises(SingularMatrixError):
+        system.solve()
+
+
+def test_krylov_iterations_do_not_grow_with_level():
+    counts = {}
+    for level in (4, 7):
+        system = _stability_system("eafe", level, 1.0)
+        system.solve()
+        counts[level] = system.iterations
+    assert counts[7] <= 20
+    assert abs(counts[7] - counts[4]) <= 3
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+def test_block_rejects_nonpositive_beta(beta):
+    a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+    with pytest.raises(ValueError):
+        BlockSaddleSystem(a, a, np.zeros(2), np.zeros(2), beta=beta)
