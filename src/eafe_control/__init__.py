@@ -23,6 +23,7 @@ from .sparse_linalg import (
     BlockSaddleSystem,
     from_triplets,
     inverse_nonneg_check,
+    semipositivity_check,
     solve_direct,
 )
 from .verify_norms import (
@@ -60,6 +61,7 @@ __all__ = [
     "interpolant_error_norms",
     "inverse_nonneg_check",
     "recover_control",
+    "semipositivity_check",
     "solve",
     "solve_direct",
     "uniform_refine",

@@ -322,11 +322,14 @@ def run_stability(config):
                 "bounds": bounds,
                 "m_matrix": mreport,
             }
+            inverse = mreport.inverse_report
+            margin = "none" if inverse is None else "%.3e" % inverse.margin
             writer.log(
                 "stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
-                "iterations=%d elapsed=%.2fs"
+                "m_margin=%s iterations=%d elapsed=%.2fs"
                 % (scheme, level, bounds.ok, bounds.worst_violation,
-                   mreport.ok, sol.iterations, time.perf_counter() - t0)
+                   mreport.ok, margin, sol.iterations,
+                   time.perf_counter() - t0)
             )
             if writer.dir is not None:
                 stem = "%s_%s_k%d" % (config.example, scheme, level)

@@ -280,17 +280,26 @@ def delaunay_check(mesh):
     return delaunay_report(mesh, triangle_edge_weights(mesh))[1]
 
 
+def text_block(fmt, *columns):
+    """
+    One text section: ``fmt`` applied to every row of the given equal-length
+    columns, converted to Python scalars first (``%r`` of a float is its
+    shortest round-trip repr).
+    """
+    return "".join(fmt % row for row in zip(*(c.tolist() for c in columns)))
+
+
 def write_node_ele(mesh, path):
     """
     Dump the mesh as plain text: one "x y bflag" line per vertex, then one
     "i j k" line per triangle.
     """
+    v, t = mesh.vertices, mesh.triangles
     with open(path, "w") as fh:
         fh.write("%d %d\n" % (mesh.num_vertices, mesh.num_triangles))
-        for (x, y), b in zip(mesh.vertices, mesh.boundary_vertex):
-            fh.write("%r %r %d\n" % (float(x), float(y), int(b)))
-        for i, j, k in mesh.triangles:
-            fh.write("%d %d %d\n" % (i, j, k))
+        fh.write(text_block("%r %r %d\n", v[:, 0], v[:, 1],
+                            mesh.boundary_vertex.astype(int)))
+        fh.write(text_block("%d %d %d\n", t[:, 0], t[:, 1], t[:, 2]))
 
 
 def read_node_ele(path):
@@ -319,17 +328,16 @@ def write_vtk(mesh, path, point_data=None, title="unstructured grid"):
     """
     nv = mesh.num_vertices
     nt = mesh.num_triangles
+    v, t = mesh.vertices, mesh.triangles
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\n")
         fh.write("%s\n" % title)
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % nv)
-        for x, y in mesh.vertices:
-            fh.write("%r %r 0.0\n" % (float(x), float(y)))
+        fh.write(text_block("%r %r 0.0\n", v[:, 0], v[:, 1]))
         fh.write("CELLS %d %d\n" % (nt, 4 * nt))
-        for i, j, k in mesh.triangles:
-            fh.write("3 %d %d %d\n" % (i, j, k))
+        fh.write(text_block("3 %d %d %d\n", t[:, 0], t[:, 1], t[:, 2]))
         fh.write("CELL_TYPES %d\n" % nt)
         fh.write("5\n" * nt)
         if point_data:
@@ -343,5 +351,4 @@ def write_vtk(mesh, path, point_data=None, title="unstructured grid"):
                     )
                 fh.write("SCALARS %s double\n" % name)
                 fh.write("LOOKUP_TABLE default\n")
-                for v in values:
-                    fh.write("%r\n" % float(v))
+                fh.write(text_block("%r\n", values))

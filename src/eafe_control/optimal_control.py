@@ -20,6 +20,7 @@ import numpy as np
 from . import fem_core
 from .eafe import assemble_eafe_stiffness
 from .fem_core import as_scalar_field, assemble_load, interpolate_nodal
+from .mesh import text_block, write_vtk
 from .sparse_linalg import BlockSaddleSystem
 
 SCHEMES = ("eafe", "galerkin")
@@ -69,11 +70,13 @@ class SolutionPair:
     interpolated Dirichlet data.  ``residual`` is the certified relative
     residual of the interior linear solve, ``iterations`` its GMRES
     iteration count, ``stiffness`` the interior stiffness block A of the
-    solved system and ``mass`` the mass matrix over all vertices (CSR).
+    solved system, ``mass`` the mass matrix over all vertices (CSR) and
+    ``tracking_load`` the load vector (y_d, phi_i) over all vertices in
+    tracking mode (None in general mode).
     """
 
     def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
-                 mass, iterations):
+                 mass, iterations, tracking_load=None):
         self.p_bar = np.asarray(p_bar, dtype=float)
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.u_bar = np.asarray(u_bar, dtype=float)
@@ -82,6 +85,7 @@ class SolutionPair:
         self.stiffness = stiffness
         self.mass = mass
         self.iterations = int(iterations)
+        self.tracking_load = tracking_load
 
 
 def recover_control(p_bar, beta):
@@ -115,8 +119,10 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True, quad=None):
                                 lump_reaction=lump_reaction, quad=quad)
     m_full = fem_core.assemble_mass(mesh)
 
+    tracking_load = None
     if spec.mode == "tracking":
-        f_full = -assemble_load(mesh, spec.y_d, quad=quad)
+        tracking_load = assemble_load(mesh, spec.y_d, quad=quad)
+        f_full = -tracking_load
         g_full = np.zeros(mesh.num_vertices)
     else:
         f_full = assemble_load(mesh, spec.f, quad=quad)
@@ -133,7 +139,7 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True, quad=None):
     a_int = a_full[interior][:, interior]
     m_int = m_full[interior][:, interior]
     system = BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom, beta=beta)
-    return system, a_full, m_full, p_lift, y_lift, interior
+    return system, m_full, tracking_load, p_lift, y_lift, interior
 
 
 def assemble_system(mesh, spec, scheme, lump_reaction=True, quad=None):
@@ -147,7 +153,7 @@ def solve(mesh, spec, scheme, lump_reaction=True, quad=None, rtol=None):
     Solve the optimality system; returns a :class:`SolutionPair` whose
     boundary nodes carry the interpolated Dirichlet traces.
     """
-    system, _, m_full, p_lift, y_lift, interior = _assemble_parts(
+    system, m_full, tracking_load, p_lift, y_lift, interior = _assemble_parts(
         mesh, spec, scheme, lump_reaction, quad
     )
     kwargs = {} if rtol is None else {"rtol": rtol}
@@ -158,24 +164,20 @@ def solve(mesh, spec, scheme, lump_reaction=True, quad=None, rtol=None):
     y[interior] = y_int
     u = recover_control(p, spec.coeff.beta)
     return SolutionPair(p, y, u, res, scheme, system.A, m_full,
-                        system.iterations)
+                        system.iterations, tracking_load)
 
 
 def write_solution_csv(mesh, sol, path):
     """Per-vertex dump: x, y, adjoint, state, control."""
+    v = mesh.vertices
     with open(path, "w") as fh:
         fh.write("x,y,p_h,y_h,u_h\n")
-        for (x, y), pv, yv, uv in zip(
-            mesh.vertices, sol.p_bar, sol.y_bar, sol.u_bar
-        ):
-            fh.write("%r,%r,%r,%r,%r\n"
-                     % (float(x), float(y), float(pv), float(yv), float(uv)))
+        fh.write(text_block("%r,%r,%r,%r,%r\n", v[:, 0], v[:, 1],
+                            sol.p_bar, sol.y_bar, sol.u_bar))
 
 
 def write_solution_vtk(mesh, sol, path, title="optimality system solution"):
     """Legacy-VTK dump of the nodal adjoint, state, and control."""
-    from .mesh import write_vtk
-
     write_vtk(
         mesh,
         path,

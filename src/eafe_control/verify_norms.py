@@ -2,6 +2,10 @@
 Verification layer: M-matrix certification, desired-state bound checks,
 L2/H1 error norms (global and on sub-boxes), and convergence tables.
 
+The M-matrix certificate checks the sign pattern and then proves the
+inverse nonnegative with one sparse LU and one solve: a Z-matrix A
+with some x > 0 and A x > 0 (semipositive) is a nonsingular M-matrix.
+
 The desired-state bound check mirrors the monotonicity argument for the
 saddle system: with an M-matrix stiffness and one-signed desired state
 y_d, the discrete state satisfies 0 <= (y_h, phi_i) <= (y_d, phi_i) at
@@ -18,7 +22,7 @@ import numpy as np
 from . import fem_core, optimal_control
 from .fem_core import as_scalar_field, as_vector_field, default_quadrature
 from .mesh import build_unit_square, signed_areas
-from .sparse_linalg import inverse_nonneg_check
+from .sparse_linalg import semipositivity_check
 
 CSV_HEADER = "k,ey_l2,ey_order,ey_h1,ey_h1_order,ep_l2,ep_order,ep_h1,ep_h1_order"
 
@@ -100,11 +104,15 @@ def check_desired_state_bounds(mesh, solution, y_d, sign, quad=None):
     ``sign`` is "nonneg" or "nonpos" and must hold for y_d at all
     quadrature points; violations of that precondition raise
     DesiredStateSignError, since the bounds are only meaningful for
-    one-signed data.  The mass matrix is the one the solve assembled,
-    ``solution.mass``.
+    one-signed data.  ``y_d`` must be the desired state the solution
+    was computed for: the mass matrix and the load (y_d, phi_i) are the
+    ones the solve assembled, ``solution.mass`` and
+    ``solution.tracking_load``.
     """
     if sign not in ("nonneg", "nonpos"):
         raise ValueError("sign must be 'nonneg' or 'nonpos'")
+    if solution.tracking_load is None:
+        raise ValueError("desired-state bounds need a tracking-mode solution")
     sigma = 1.0 if sign == "nonneg" else -1.0
     quad = quad or default_quadrature()
     y_d = as_scalar_field(y_d)
@@ -115,7 +123,7 @@ def check_desired_state_bounds(mesh, solution, y_d, sign, quad=None):
             "desired state is not %s on the mesh" % sign
         )
 
-    fd = fem_core.assemble_load(mesh, y_d, quad=quad)
+    fd = solution.tracking_load
     m1 = solution.mass @ solution.y_bar
     tol = 1e-10 * np.abs(fd).max()
     return BoundReport(
@@ -207,7 +215,7 @@ class MMatrixReport:
                  worst_offdiag, offdiag_tol):
         self.diag_ok = bool(diag_ok)
         self.offdiag_ok = bool(offdiag_ok)
-        self.inverse_report = inverse_report  # None when skipped (too large)
+        self.inverse_report = inverse_report  # None when skipped
         self.min_diag = float(min_diag)
         self.worst_offdiag = float(worst_offdiag)
         self.offdiag_tol = float(offdiag_tol)
@@ -226,6 +234,17 @@ def certify_m_matrix(a, cap=5000, offdiag_rtol=1e-14):
     Certify the M-matrix structure of a square CSR matrix: positive
     diagonal, off-diagonal entries below offdiag_rtol * max|diag|, and
     (for orders up to ``cap``) entrywise nonnegativity of the inverse.
+
+    The inverse is certified by :func:`semipositivity_check`: one sparse
+    LU of ``a`` and one solve x = A^{-1} 1, accepted when x > 0 and A x > 0
+    beyond the rounding bound of the product.  Its report, with the
+    margin, is ``inverse_report``; it is None when the sign pattern fails
+    or the order exceeds ``cap`` (``cap=0`` checks the sign pattern only).
+
+    Raises
+    ------
+    SingularMatrixError
+        If the sign pattern holds but ``a`` is singular.
     """
     n, ncols = a.shape
     if n != ncols:
@@ -244,7 +263,7 @@ def certify_m_matrix(a, cap=5000, offdiag_rtol=1e-14):
 
     inverse_report = None
     if diag_ok and offdiag_ok and n <= cap:
-        inverse_report = inverse_nonneg_check(a, cap=cap)
+        inverse_report = semipositivity_check(a, offdiag_tol=offdiag_tol)
     return MMatrixReport(diag_ok, offdiag_ok, inverse_report, min_diag, worst,
                          offdiag_tol)
 

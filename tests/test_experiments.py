@@ -142,6 +142,31 @@ def test_stability_run_separates_schemes(tmp_path):
     assert (tmp_path / "stability_eafe_k4.csv").exists()
 
 
+def test_stability_run_assembles_load_once_and_logs_margin(tmp_path,
+                                                          monkeypatch):
+    from eafe_control import fem_core, optimal_control
+
+    calls = []
+    assemble_load = fem_core.assemble_load
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble_load(*args, **kwargs)
+
+    monkeypatch.setattr(fem_core, "assemble_load", counting)
+    monkeypatch.setattr(optimal_control, "assemble_load", counting)
+    config = ExperimentConfig("stability", levels=[3, 4], out_dir=str(tmp_path))
+    results = run_stability(config)
+    assert len(calls) == 4  # one per scheme and level
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    margin = results["eafe"][4]["m_matrix"].inverse_report.margin
+    assert margin > 0.0
+    (eafe,) = [ln for ln in lines if "scheme=eafe level=4 " in ln]
+    assert " m_matrix=True m_margin=%.3e " % margin in eafe
+    (galerkin,) = [ln for ln in lines if "scheme=galerkin level=4 " in ln]
+    assert " m_matrix=False m_margin=none " in galerkin
+
+
 def test_stability_diffusion_dominated_both_schemes_clean():
     config = ExperimentConfig("stability", eps=1.0, levels=[3, 4],
                               scheme="both")

@@ -169,6 +169,38 @@ def test_vtk_export(tmp_path):
         write_vtk(mesh, path, point_data={"bad": np.zeros(3)})
 
 
+def test_block_writers_match_per_line_reference(tmp_path):
+    base = build_unit_square(3)
+    rng = np.random.default_rng(5)
+    # coordinates that need all 17 significant digits to round-trip
+    vertices = base.vertices + 1e-3 * rng.random(base.vertices.shape) * (
+        ~base.boundary_vertex[:, None])
+    mesh = TriMesh(vertices, base.triangles, level=3)
+    field = rng.standard_normal(mesh.num_vertices)
+
+    node_path = tmp_path / "mesh.txt"
+    write_node_ele(mesh, node_path)
+    ref = ["%d %d\n" % (mesh.num_vertices, mesh.num_triangles)]
+    for (x, y), b in zip(mesh.vertices, mesh.boundary_vertex):
+        ref.append("%r %r %d\n" % (float(x), float(y), int(b)))
+    for i, j, k in mesh.triangles:
+        ref.append("%d %d %d\n" % (i, j, k))
+    assert node_path.read_text() == "".join(ref)
+
+    vtk_path = tmp_path / "mesh.vtk"
+    write_vtk(mesh, vtk_path, point_data={"f": field}, title="t")
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    ref = ["# vtk DataFile Version 2.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+           "POINTS %d double\n" % nv]
+    ref += ["%r %r 0.0\n" % (float(x), float(y)) for x, y in mesh.vertices]
+    ref.append("CELLS %d %d\n" % (nt, 4 * nt))
+    ref += ["3 %d %d %d\n" % (i, j, k) for i, j, k in mesh.triangles]
+    ref.append("CELL_TYPES %d\n" % nt + "5\n" * nt)
+    ref.append("POINT_DATA %d\nSCALARS f double\nLOOKUP_TABLE default\n" % nv)
+    ref += ["%r\n" % float(v) for v in field]
+    assert vtk_path.read_text() == "".join(ref)
+
+
 def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():
     base = build_unit_square(4)
     rng = np.random.default_rng(3)

@@ -188,6 +188,11 @@ def test_solution_export(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x,y,p_h,y_h,u_h"
     assert len(lines) == mesh.num_vertices + 1
+    ref = ["%r,%r,%r,%r,%r" % (float(x), float(y), float(pv), float(yv),
+                               float(uv))
+           for (x, y), pv, yv, uv in zip(mesh.vertices, sol.p_bar, sol.y_bar,
+                                         sol.u_bar)]
+    assert lines[1:] == ref
     vtk_path = tmp_path / "solution.vtk"
     write_solution_vtk(mesh, sol, vtk_path)
     text = vtk_path.read_text()

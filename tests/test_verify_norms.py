@@ -7,11 +7,17 @@ from eafe_control.eafe import assemble_eafe_stiffness
 from eafe_control.fem_core import (
     CoefficientField,
     assemble_galerkin_stiffness,
+    assemble_load,
     interpolate_nodal,
 )
 from eafe_control.mesh import build_unit_square
 from eafe_control.optimal_control import ProblemSpec, solve
-from eafe_control.sparse_linalg import from_triplets
+from eafe_control import sparse_linalg
+from eafe_control.sparse_linalg import (
+    SingularMatrixError,
+    from_triplets,
+    inverse_nonneg_check,
+)
 from eafe_control.verify_norms import (
     CSV_HEADER,
     ConvergenceTable,
@@ -23,6 +29,7 @@ from eafe_control.verify_norms import (
     error_norms,
     interpolant_error_norms,
 )
+from test_acceptance import benchmark_coefficient_sets
 
 
 def test_error_norms_interpolated_affine_is_exact():
@@ -165,6 +172,72 @@ def test_certify_eafe_passes_for_benchmark_coefficients():
         assert report.inverse_ok, name
 
 
+def _interior_eafe_block(coeff, level):
+    mesh = build_unit_square(level)
+    interior = mesh.interior_vertices
+    return assemble_eafe_stiffness(mesh, coeff)[interior][:, interior]
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_coefficient_sets()))
+def test_certificate_agrees_with_inverse_scan(name):
+    coeff = benchmark_coefficient_sets()[name]
+    for level in range(1, 6):
+        a = _interior_eafe_block(coeff, level)
+        report = certify_m_matrix(a)
+        assert report.inverse_ok == inverse_nonneg_check(a).ok, level
+        assert report.inverse_ok, level
+        assert report.inverse_report.min_x > 0.0
+        assert report.inverse_report.margin > report.inverse_report.tol
+
+
+def test_certificate_rejects_z_matrix_with_negative_inverse():
+    a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, -2.0), (1, 0, -2.0),
+                             (1, 1, 1.0)])
+    report = certify_m_matrix(a)
+    assert report.diag_ok and report.offdiag_ok
+    assert report.inverse_ok is False
+    assert not report.ok
+    assert report.inverse_ok == inverse_nonneg_check(a).ok
+
+
+def test_certificate_singular_z_matrix_raises():
+    a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0),
+                             (1, 1, 1.0)])
+    with pytest.raises(SingularMatrixError):
+        certify_m_matrix(a)
+
+
+def test_certificate_accepts_reducible_m_matrix():
+    # under pure convection the inverse has exact zeros (no upwind path)
+    a = _interior_eafe_block(stability_coefficients(), 5)
+    assert inverse_nonneg_check(a).min_entry == 0.0
+    assert certify_m_matrix(a).inverse_ok
+
+
+def test_certificate_factors_once_and_solves_one_rhs(monkeypatch):
+    a = _interior_eafe_block(stability_coefficients(), 6)
+    factored, solved = [], []
+    factorize = sparse_linalg._factorize
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, trans="N"):
+            solved.append(np.shape(rhs))
+            return self.lu.solve(rhs, trans)
+
+    def recording(mat):
+        factored.append(mat)
+        return CountingLU(factorize(mat))
+
+    monkeypatch.setattr(sparse_linalg, "_factorize", recording)
+    report = certify_m_matrix(a)
+    assert report.inverse_ok
+    assert len(factored) == 1
+    assert solved == [(a.shape[0],)]
+
+
 def test_bound_check_zero_desired_state():
     mesh = build_unit_square(3)
     spec = ProblemSpec(stability_coefficients(), y_d=0.0)
@@ -185,6 +258,18 @@ def test_bound_check_mirrored_sign():
     assert sol.y_bar.max() <= 1e-12
     assert sol.y_bar.min() >= -1.0 - 1e-12
     assert sol.p_bar.min() >= -1e-12
+
+
+def test_bound_check_uses_the_solved_tracking_load():
+    mesh = build_unit_square(3)
+    y_d = lambda x, y: 1.0 + x * y
+    sol = solve(mesh, ProblemSpec(stability_coefficients(), y_d=y_d), "eafe")
+    assert np.array_equal(sol.tracking_load, assemble_load(mesh, y_d))
+    general = solve(mesh, ProblemSpec(stability_coefficients(), f=1.0, g=0.0),
+                    "eafe")
+    assert general.tracking_load is None
+    with pytest.raises(ValueError):
+        check_desired_state_bounds(mesh, general, y_d, "nonneg")
 
 
 def test_bound_check_sign_precondition():
