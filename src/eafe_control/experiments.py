@@ -326,9 +326,9 @@ def run_stability(config):
             margin = "none" if inverse is None else "%.3e" % inverse.margin
             writer.log(
                 "stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
-                "m_margin=%s iterations=%d elapsed=%.2fs"
+                "m_margin=%s iterations=%d fill=%d elapsed=%.2fs"
                 % (scheme, level, bounds.ok, bounds.worst_violation,
-                   mreport.ok, margin, sol.iterations,
+                   mreport.ok, margin, sol.iterations, sol.fill,
                    time.perf_counter() - t0)
             )
             if writer.dir is not None:
@@ -346,9 +346,11 @@ def _run_convergence(config, case, default_region):
     region = config.region if config.region is not None else default_region
     results = {}
     for scheme in config.schemes:
-        hook = None
-        if writer.dir is not None:
-            def hook(level, mesh, sol, _scheme=scheme):
+        solves = {}
+
+        def hook(level, mesh, sol, _scheme=scheme, _solves=solves):
+            _solves[level] = (sol.iterations, sol.fill)
+            if writer.dir is not None:
                 stem = "%s_%s_k%d" % (config.example, _scheme, level)
                 write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
                                    title=stem)
@@ -367,10 +369,13 @@ def _run_convergence(config, case, default_region):
         )
         for k in config.levels:
             row = glob.row(k)
+            iterations, fill = solves[k]
             writer.log(
-                "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s"
+                "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
+                "iterations=%d fill=%d"
                 % (config.example, scheme, k, row["ey_l2"][0],
-                   row["ey_h1"][0], row["ep_l2"][0], row["ep_h1"][0])
+                   row["ey_h1"][0], row["ep_l2"][0], row["ep_h1"][0],
+                   iterations, fill)
             )
         if writer.dir is not None:
             glob.to_csv(writer.path("%s_%s_global.csv" % (config.example, scheme)))

@@ -302,18 +302,35 @@ def write_node_ele(mesh, path):
         fh.write(text_block("%d %d %d\n", t[:, 0], t[:, 1], t[:, 2]))
 
 
+def _text_section(lines, rows, dtype):
+    """``rows`` lines of three whitespace-separated numbers as one array."""
+    table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    if table.shape != (rows, 3):
+        raise ValueError("expected %d lines of 3 numbers, read a %s table"
+                         % (rows, "x".join(map(str, table.shape))))
+    return table
+
+
 def read_node_ele(path):
-    """Read a mesh written by :func:`write_node_ele`."""
+    """
+    Read a mesh written by :func:`write_node_ele`.
+
+    Each section is parsed in one ``np.loadtxt`` call; the boundary flags
+    must be numbers and are otherwise ignored (the mesh derives its own).
+
+    Raises
+    ------
+    ValueError
+        If the header does not hold two integers, a vertex or triangle
+        line does not hold three numbers (triangles: integers), a line is
+        blank, or the file ends early.
+    """
     with open(path) as fh:
         nv, nt = (int(s) for s in fh.readline().split())
-        vertices = np.empty((nv, 2))
-        for i in range(nv):
-            x, y, _ = fh.readline().split()
-            vertices[i] = (float(x), float(y))
-        triangles = np.empty((nt, 3), dtype=np.int64)
-        for i in range(nt):
-            triangles[i] = [int(s) for s in fh.readline().split()]
-    return TriMesh(vertices, triangles)
+        lines = fh.read().splitlines()
+    vertices = _text_section(lines[:nv], nv, float)
+    triangles = _text_section(lines[nv:nv + nt], nt, np.int64)
+    return TriMesh(vertices[:, :2], triangles)
 
 
 def write_vtk(mesh, path, point_data=None, title="unstructured grid"):

@@ -69,14 +69,15 @@ class SolutionPair:
     ``u_bar = -p_bar / beta`` over all vertices; boundary nodes carry the
     interpolated Dirichlet data.  ``residual`` is the certified relative
     residual of the interior linear solve, ``iterations`` its GMRES
-    iteration count, ``stiffness`` the interior stiffness block A of the
+    iteration count, ``fill`` the entries nnz(L) + nnz(U) of the sparse
+    LU factor it used, ``stiffness`` the interior stiffness block A of the
     solved system, ``mass`` the mass matrix over all vertices (CSR) and
     ``tracking_load`` the load vector (y_d, phi_i) over all vertices in
     tracking mode (None in general mode).
     """
 
     def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
-                 mass, iterations, tracking_load=None):
+                 mass, iterations, fill, tracking_load=None):
         self.p_bar = np.asarray(p_bar, dtype=float)
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.u_bar = np.asarray(u_bar, dtype=float)
@@ -85,6 +86,7 @@ class SolutionPair:
         self.stiffness = stiffness
         self.mass = mass
         self.iterations = int(iterations)
+        self.fill = int(fill)
         self.tracking_load = tracking_load
 
 
@@ -164,7 +166,7 @@ def solve(mesh, spec, scheme, lump_reaction=True, quad=None, rtol=None):
     y[interior] = y_int
     u = recover_control(p, spec.coeff.beta)
     return SolutionPair(p, y, u, res, scheme, system.A, m_full,
-                        system.iterations, tracking_load)
+                        system.iterations, system.fill, tracking_load)
 
 
 def write_solution_csv(mesh, sol, path):

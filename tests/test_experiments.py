@@ -137,6 +137,9 @@ def test_stability_run_separates_schemes(tmp_path):
     iterations = results["eafe"][4]["solution"].iterations
     assert iterations > 0
     assert " iterations=%d " % iterations in line
+    fill = results["eafe"][4]["solution"].fill
+    assert fill > 0
+    assert " fill=%d " % fill in line
     assert (tmp_path / "stability_eafe_k3.vtk").exists()
     assert (tmp_path / "stability_galerkin_k4_bounds.json").exists()
     assert (tmp_path / "stability_eafe_k4.csv").exists()
@@ -201,6 +204,12 @@ def test_boundary_layer_run_writes_deterministic_tables(tmp_path):
     assert tables["local"].errors["ey_l2"][:2] == [None, None]
     assert tables["local"].errors["ey_l2"][2] is not None
     assert (dir_a / "boundary-layer_eafe_k3.vtk").exists()
+    # the solve's counts go to run.log, one line per level, not to the CSVs
+    lines = (dir_a / "run.log").read_text().splitlines()
+    fills = [int(ln.rsplit(" fill=", 1)[1]) for ln in lines if " level=" in ln]
+    assert len(fills) == 3 and fills == sorted(fills) and fills[0] > 0
+    assert all(" iterations=" in ln for ln in lines if " level=" in ln)
+    assert "fill" not in (dir_a / "boundary-layer_eafe_global.csv").read_text()
 
 
 def test_interior_layer_run_smoke(tmp_path):

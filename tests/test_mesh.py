@@ -155,6 +155,51 @@ def test_node_ele_round_trip(tmp_path):
     assert np.array_equal(back.boundary_vertex, mesh.boundary_vertex)
 
 
+def test_node_ele_round_trip_of_renumbered_mesh(tmp_path):
+    base = build_unit_square(4)
+    rng = np.random.default_rng(11)
+    # coordinates that need all 17 significant digits to round-trip
+    jittered = base.vertices + 1e-3 * rng.random(base.vertices.shape) * (
+        ~base.boundary_vertex[:, None])
+    perm = rng.permutation(base.num_vertices)
+    vertices = np.empty_like(jittered)
+    vertices[perm] = jittered
+    triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
+    mesh = TriMesh(vertices, triangles, level=4)
+    path = tmp_path / "mesh.txt"
+    write_node_ele(mesh, path)
+    back = read_node_ele(path)
+    assert back.vertices.dtype == np.float64
+    assert back.triangles.dtype == np.int64
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.array_equal(back.edges, mesh.edges)
+    assert np.array_equal(back.boundary_vertex, mesh.boundary_vertex)
+
+
+NODE_ELE = "4 2\n0.0 0.0 1\n1.0 0.0 1\n1.0 1.0 1\n0.0 1.0 1\n0 1 2\n0 2 3\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("1.0 0.0 1\n", "1.0 0.0\n"),  # vertex line: 2 tokens
+    ("1.0 0.0 1\n", "1.0 0.0 1 7\n"),  # vertex line: 4 tokens
+    ("1.0 0.0 1\n", "\n1.0 0.0 1\n"),  # blank line among the vertices
+    ("0 2 3\n", "0 2\n"),  # triangle line: 2 tokens
+    ("0 2 3\n", "0 2 3 1\n"),  # triangle line: 4 tokens
+    ("0 2 3\n", "0 2.5 3\n"),  # non-integer vertex index
+    ("0 2 3\n", ""),  # file ends early
+    ("4 2\n", "4\n"),  # header: 1 token
+], ids=["vertex-2", "vertex-4", "vertex-blank", "triangle-2", "triangle-4",
+        "triangle-float", "truncated", "header"])
+def test_read_node_ele_rejects_malformed_input(tmp_path, old, new):
+    path = tmp_path / "mesh.txt"
+    path.write_text(NODE_ELE)
+    assert read_node_ele(path).num_triangles == 2
+    path.write_text(NODE_ELE.replace(old, new, 1))
+    with pytest.raises(ValueError):
+        read_node_ele(path)
+
+
 def test_vtk_export(tmp_path):
     mesh = build_unit_square(1)
     path = tmp_path / "mesh.vtk"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from eafe_control.experiments import stability_problem
 from eafe_control.mesh import build_unit_square
@@ -164,6 +165,7 @@ def test_krylov_solve_matches_direct_reference(scheme, level, beta):
     system = _stability_system(scheme, level, beta)
     p, y, res = system.solve()
     assert res <= 1e-10
+    assert system.iterations <= 20
     x_ref = solve_direct(system.operator(), system.rhs())
     x = np.concatenate([p, y])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
@@ -174,25 +176,37 @@ def test_krylov_solve_factors_one_n_by_n_matrix(monkeypatch):
     factored = []
     factorize = sparse_linalg._factorize
 
-    def recording(mat):
-        factored.append(mat)
-        return factorize(mat)
+    def recording(mat, **kwargs):
+        factored.append((mat, kwargs))
+        return factorize(mat, **kwargs)
 
     monkeypatch.setattr(sparse_linalg, "_factorize", recording)
     system.solve()
-    (f,) = factored
+    ((f, kwargs),) = factored
     ref = (system.M + np.sqrt(2.0) * system.A).tocsc()
     assert f.shape == (system.n, system.n)
     assert abs(f - ref).max() == 0.0
+    assert kwargs == {"diagonal_pivots": True}
 
 
 def test_krylov_solve_zero_rhs():
     system = _stability_system("eafe", 3, 1.0)
+    system.solve()
+    assert system.fill > 0
     system.rhs_top[:] = 0.0
     system.rhs_bottom[:] = 0.0
     p, y, res = system.solve()
     assert not p.any() and not y.any() and res == 0.0
     assert system.iterations == 0
+    assert system.fill == 0
+
+
+def test_presb_factor_fill_stays_below_colamd():
+    # threshold partial pivoting in a symmetric ordering took 50 M fill here
+    system = _stability_system("galerkin", 7, 1.0)
+    system.solve()
+    colamd = spla.splu((system.M + system.A).tocsc())
+    assert 0 < system.fill <= colamd.L.nnz + colamd.U.nnz
 
 
 def test_krylov_solve_unattainable_certificate_raises():

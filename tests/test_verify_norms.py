@@ -227,15 +227,16 @@ def test_certificate_factors_once_and_solves_one_rhs(monkeypatch):
             solved.append(np.shape(rhs))
             return self.lu.solve(rhs, trans)
 
-    def recording(mat):
-        factored.append(mat)
-        return CountingLU(factorize(mat))
+    def recording(mat, **kwargs):
+        factored.append(kwargs)
+        return CountingLU(factorize(mat, **kwargs))
 
     monkeypatch.setattr(sparse_linalg, "_factorize", recording)
     report = certify_m_matrix(a)
     assert report.inverse_ok
     assert len(factored) == 1
     assert solved == [(a.shape[0],)]
+    assert factored == [{"diagonal_pivots": True}]
 
 
 def test_bound_check_zero_desired_state():
