@@ -180,9 +180,19 @@ def default_quadrature():
 def barycentric_gradient_table(mesh):
     """
     Gradients of the three barycentric coordinates on every triangle,
-    shape (M, 3, 2).  Gradient of coordinate c is perpendicular to the
-    opposite edge, scaled by 1 / (2 area).
+    shape (M, 3, 2), read-only and computed once per mesh.  Gradient of
+    coordinate c is perpendicular to the opposite edge, scaled by
+    1 / (2 area).
+
+    Raises
+    ------
+    GeometryError
+        On every call, if a triangle's area is at most DEGENERATE_AREA.
     """
+    return mesh.cached("gradients", lambda: _barycentric_gradients(mesh))
+
+
+def _barycentric_gradients(mesh):
     p = mesh.vertices[mesh.triangles]
     areas = signed_areas(mesh)
     if np.any(areas <= DEGENERATE_AREA):
@@ -199,17 +209,20 @@ def barycentric_gradient_table(mesh):
 
 def quadrature_points(mesh, quad):
     """
-    Physical coordinates of all quadrature points, two (nq, M) arrays;
-    row q holds point q of every triangle.
+    Physical coordinates of all quadrature points, two read-only (nq, M)
+    arrays; row q holds point q of every triangle.  They are computed once
+    per mesh and rule, where rules with equal points are the same rule.
     """
+    xy = mesh.cached(("quadrature", quad.points.tobytes()),
+                     lambda: _quadrature_points(mesh, quad.points))
+    return xy[0], xy[1]
+
+
+def _quadrature_points(mesh, points):
     p = mesh.vertices[mesh.triangles]  # (M, 3, 2)
-    px = p[:, :, 0].T
-    py = p[:, :, 1].T
-    # one product per point: the batched quad.points @ px rounds the last
-    # bit differently on some coordinates
-    x = np.array([lam @ px for lam in quad.points])
-    y = np.array([lam @ py for lam in quad.points])
-    return x, y
+    # one product per point: the batched points @ p[:, :, 0].T rounds the
+    # last bit differently on some coordinates
+    return np.array([[lam @ p[:, :, c].T for lam in points] for c in (0, 1)])
 
 
 def assemble_mass(mesh):

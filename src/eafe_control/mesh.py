@@ -8,8 +8,10 @@ again.  All cells of the structured family are split along the
 lower-left-to-upper-right diagonal; the convention is recorded on the mesh
 (``diagonal`` attribute) because layer-resolution behavior depends on it.
 
-A built mesh is immutable by convention: no function in this package
-mutates a TriMesh after construction.
+A built mesh is immutable, and this is enforced: its vertex and triangle
+arrays are private read-only copies, so the geometry a mesh caches
+(signed areas here, gradient tables and quadrature points in
+``fem_core``) can never go stale.
 """
 
 import numpy as np
@@ -58,13 +60,16 @@ class TriMesh:
         Mesh size, max over triangles of their diameter.
     diagonal : str
         Cell-splitting convention tag.
+
+    ``vertices`` and ``triangles`` are read-only copies of the inputs.
     """
 
     def __init__(self, vertices, triangles, level=1, diagonal=DIAGONAL_CONVENTION):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        self.vertices = _readonly(np.array(vertices, dtype=float, order="C"))
+        self.triangles = _readonly(np.array(triangles, dtype=np.int64, order="C"))
         self.level = int(level)
         self.diagonal = diagonal
+        self._geometry = {}
 
         areas = signed_areas(self)
         if np.any(areas <= 0.0):
@@ -89,6 +94,12 @@ class TriMesh:
             axis=1,
         )
         self.h = float(side.max())
+
+    def cached(self, key, build):
+        """Read-only geometry under ``key``, from the first ``build()`` that returns."""
+        if key not in self._geometry:
+            self._geometry[key] = _readonly(build())
+        return self._geometry[key]
 
     @property
     def num_vertices(self):
@@ -147,8 +158,17 @@ def _edge_connectivity(triangles):
     return edges, edge_tris, tri_edges
 
 
+def _readonly(array):
+    array.flags.writeable = False
+    return array
+
+
 def signed_areas(mesh):
-    """Signed area of every triangle (positive for counterclockwise)."""
+    """Signed area of every triangle (positive for counterclockwise), read-only."""
+    return mesh.cached("areas", lambda: _signed_areas(mesh))
+
+
+def _signed_areas(mesh):
     p = mesh.vertices[mesh.triangles]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
@@ -336,36 +356,49 @@ def read_node_ele(path):
 def write_vtk(mesh, path, point_data=None, title="unstructured grid"):
     """
     Write the mesh (and optional per-vertex scalar fields) as a legacy
-    ASCII VTK unstructured grid.
+    binary VTK unstructured grid.
+
+    The header and section lines are ASCII text.  Each section's values
+    follow as one big-endian block and a newline: points as float64
+    (x, y, 0), cells as int32 rows (3, i, j, k), cell types as int32 5
+    (triangle), point fields as float64.
 
     Parameters
     ----------
     point_data : dict of name -> (N,) array, optional
         Nodal scalar fields attached as POINT_DATA.
+
+    Raises
+    ------
+    ValueError
+        If a field does not hold one value per vertex; nothing is written.
     """
     nv = mesh.num_vertices
     nt = mesh.num_triangles
-    v, t = mesh.vertices, mesh.triangles
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write("%s\n" % title)
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write("POINTS %d double\n" % nv)
-        fh.write(text_block("%r %r 0.0\n", v[:, 0], v[:, 1]))
-        fh.write("CELLS %d %d\n" % (nt, 4 * nt))
-        fh.write(text_block("3 %d %d %d\n", t[:, 0], t[:, 1], t[:, 2]))
-        fh.write("CELL_TYPES %d\n" % nt)
-        fh.write("5\n" * nt)
-        if point_data:
-            fh.write("POINT_DATA %d\n" % nv)
-            for name, values in point_data.items():
-                values = np.asarray(values, dtype=float)
-                if values.shape != (nv,):
-                    raise ValueError(
-                        "point data %r has shape %s, expected (%d,)"
-                        % (name, values.shape, nv)
-                    )
-                fh.write("SCALARS %s double\n" % name)
-                fh.write("LOOKUP_TABLE default\n")
-                fh.write(text_block("%r\n", values))
+    fields = {name: np.asarray(values, dtype=">f8")
+              for name, values in (point_data or {}).items()}
+    for name, values in fields.items():
+        if values.shape != (nv,):
+            raise ValueError("point data %r has shape %s, expected (%d,)"
+                             % (name, values.shape, nv))
+    points = np.zeros((nv, 3), dtype=">f8")
+    points[:, :2] = mesh.vertices
+    cells = np.full((nt, 4), 3, dtype=">i4")
+    cells[:, 1:] = mesh.triangles
+    with open(path, "wb") as fh:
+        fh.write(("# vtk DataFile Version 2.0\n%s\nBINARY\n"
+                  "DATASET UNSTRUCTURED_GRID\n" % title).encode())
+        _binary_section(fh, "POINTS %d double" % nv, points)
+        _binary_section(fh, "CELLS %d %d" % (nt, 4 * nt), cells)
+        _binary_section(fh, "CELL_TYPES %d" % nt, np.full(nt, 5, dtype=">i4"))
+        if fields:
+            fh.write(b"POINT_DATA %d\n" % nv)
+        for name, values in fields.items():
+            _binary_section(fh, "SCALARS %s double\nLOOKUP_TABLE default" % name,
+                            values)
+
+
+def _binary_section(fh, header, block):
+    fh.write(header.encode() + b"\n")
+    fh.write(block.tobytes())
+    fh.write(b"\n")

@@ -69,8 +69,8 @@ class SolutionPair:
     ``u_bar = -p_bar / beta`` over all vertices; boundary nodes carry the
     interpolated Dirichlet data.  ``residual`` is the certified relative
     residual of the interior linear solve, ``iterations`` its GMRES
-    iteration count, ``fill`` the entries nnz(L) + nnz(U) of the sparse
-    LU factor it used, ``stiffness`` the interior stiffness block A of the
+    iteration count, ``fill`` the entries SuperLU stores for the sparse
+    LU factor it used (``SuperLU.nnz``), ``stiffness`` the interior stiffness block A of the
     solved system, ``mass`` the mass matrix over all vertices (CSR) and
     ``tracking_load`` the load vector (y_d, phi_i) over all vertices in
     tracking mode (None in general mode).
@@ -179,7 +179,7 @@ def write_solution_csv(mesh, sol, path):
 
 
 def write_solution_vtk(mesh, sol, path, title="optimality system solution"):
-    """Legacy-VTK dump of the nodal adjoint, state, and control."""
+    """Legacy binary VTK dump of the nodal adjoint, state, and control."""
     write_vtk(
         mesh,
         path,

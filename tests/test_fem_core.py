@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from eafe_control import fem_core, mesh as mesh_module
 from eafe_control.fem_core import (
     CoefficientError,
     CoefficientField,
@@ -14,11 +16,55 @@ from eafe_control.fem_core import (
     centroid_rule,
     interpolate_nodal,
     lumped_mass_diagonal,
+    quadrature_points,
     seven_point_rule,
     three_point_rule,
 )
 from eafe_control.eafe import assemble_eafe_stiffness
-from eafe_control.mesh import GeometryError, TriMesh, build_unit_square
+from eafe_control.experiments import BOUNDARY_LAYER_REGION, boundary_layer_case
+from eafe_control.mesh import (
+    GeometryError,
+    TriMesh,
+    build_unit_square,
+    signed_areas,
+)
+from eafe_control.optimal_control import solve
+from eafe_control.verify_norms import solution_errors
+
+
+def count_builders(monkeypatch):
+    """
+    Count the calls of the private geometry builders behind the mesh
+    cache; quadrature points are counted per rule, keyed by its points.
+    """
+    counts = collections.Counter()
+
+    def counting(module, name, key):
+        build = getattr(module, name)
+
+        def counted(*args):
+            counts[key(*args)] += 1
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(mesh_module, "_signed_areas", lambda mesh: "areas")
+    counting(fem_core, "_barycentric_gradients", lambda mesh: "gradients")
+    counting(fem_core, "_quadrature_points",
+             lambda mesh, points: points.tobytes())
+    return counts
+
+
+def jittered_renumbered_mesh(level, seed):
+    base = build_unit_square(level)
+    rng = np.random.default_rng(seed)
+    jittered = base.vertices + 1e-3 * rng.random(base.vertices.shape) * (
+        ~base.boundary_vertex[:, None])
+    perm = rng.permutation(base.num_vertices)
+    vertices = np.empty_like(jittered)
+    vertices[perm] = jittered
+    triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
+    return TriMesh(vertices, triangles, level=level)
 
 
 def reference_triangle():
@@ -86,13 +132,17 @@ def test_gradient_magnitude_right_isoceles():
     assert np.linalg.norm(g[0]) == pytest.approx(np.sqrt(2.0) / h, rel=1e-13)
 
 
-def test_degenerate_triangle_raises():
+def test_degenerate_triangle_raises(monkeypatch):
     with pytest.raises(GeometryError):
         TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]])
     # positively oriented but below the degeneracy floor
     squashed = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-18]], [[0, 1, 2]])
-    with pytest.raises(GeometryError):
-        barycentric_gradient_table(squashed)
+    counts = count_builders(monkeypatch)
+    # a failed check caches nothing: every call checks again
+    for calls in (1, 2):
+        with pytest.raises(GeometryError):
+            barycentric_gradient_table(squashed)
+        assert counts["gradients"] == calls
 
 
 def test_local_mass_reference_triangle():
@@ -263,3 +313,47 @@ def test_divergence_by_central_differences():
     x = np.array([0.3, 0.7])
     y = np.array([0.2, 0.9])
     assert coeff.div_zeta_at(x, y) == pytest.approx(np.zeros(2), abs=1e-8)
+
+
+@pytest.mark.parametrize("metric", ["quadrature", "interpolant"])
+def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
+    counts = count_builders(monkeypatch)
+    case = boundary_layer_case(1e-2)
+    mesh = build_unit_square(4)
+    sol = solve(mesh, case.problem, "eafe")
+    for region in (None, BOUNDARY_LAYER_REGION):
+        solution_errors(mesh, case, sol, region=region, metric=metric)
+    assert counts == {"areas": 1, "gradients": 1,
+                      seven_point_rule().points.tobytes(): 1}
+
+
+def test_cached_geometry_equals_fresh_computation():
+    mesh = jittered_renumbered_mesh(4, seed=7)
+    solve(mesh, boundary_layer_case(1e-2).problem, "galerkin")
+    assert np.array_equal(signed_areas(mesh), mesh_module._signed_areas(mesh))
+    assert np.array_equal(barycentric_gradient_table(mesh),
+                          fem_core._barycentric_gradients(mesh))
+    for make_rule in (centroid_rule, three_point_rule, seven_point_rule):
+        rule = make_rule()
+        x, y = quadrature_points(mesh, rule)
+        fresh = fem_core._quadrature_points(mesh, rule.points)
+        assert x.shape == (len(rule), mesh.num_triangles)
+        assert np.array_equal(x, fresh[0]) and np.array_equal(y, fresh[1])
+        # a new rule object with the same points shares the cached points
+        assert np.shares_memory(quadrature_points(mesh, make_rule())[0], x)
+
+
+def test_mesh_arrays_and_cached_geometry_are_read_only():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    triangles = np.array([[0, 1, 2], [1, 3, 2]])
+    mesh = TriMesh(vertices, triangles)
+    # the mesh keeps copies: the caller's arrays stay writable and detached
+    vertices[0] = 5.0
+    triangles[0] = 0
+    assert mesh.vertices[0].tolist() == [0.0, 0.0]
+    assert mesh.triangles[0].tolist() == [0, 1, 2]
+    for array in (mesh.vertices, mesh.triangles, signed_areas(mesh),
+                  barycentric_gradient_table(mesh),
+                  *quadrature_points(mesh, seven_point_rule())):
+        with pytest.raises(ValueError):
+            array[0] = 1

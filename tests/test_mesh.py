@@ -13,6 +13,7 @@ from eafe_control.mesh import (
     write_node_ele,
     write_vtk,
 )
+from legacy_vtk import read_legacy_vtk, same_bits
 
 
 def test_level1_counts():
@@ -204,14 +205,40 @@ def test_vtk_export(tmp_path):
     mesh = build_unit_square(1)
     path = tmp_path / "mesh.vtk"
     write_vtk(mesh, path, point_data={"field": np.arange(9.0)})
-    text = path.read_text().splitlines()
-    assert text[0] == "# vtk DataFile Version 2.0"
-    assert "DATASET UNSTRUCTURED_GRID" in text
-    assert "POINTS 9 double" in text
-    assert "CELLS 8 32" in text
-    assert "SCALARS field double" in text
+    vtk = read_legacy_vtk(path)
+    assert vtk.lines == [
+        "# vtk DataFile Version 2.0", "unstructured grid", "BINARY",
+        "DATASET UNSTRUCTURED_GRID", "POINTS 9 double", "CELLS 8 32",
+        "CELL_TYPES 8", "POINT_DATA 9", "SCALARS field double",
+        "LOOKUP_TABLE default"]
+    assert same_bits(vtk.points[:, :2], mesh.vertices)
+    assert not vtk.points[:, 2].any()
+    assert np.array_equal(vtk.cells[:, 1:], mesh.triangles)
+    assert (vtk.cells[:, 0] == 3).all() and (vtk.cell_types == 5).all()
+    assert same_bits(vtk.fields["field"], np.arange(9.0))
     with pytest.raises(ValueError):
         write_vtk(mesh, path, point_data={"bad": np.zeros(3)})
+
+
+def test_vtk_without_point_data_ends_after_cell_types(tmp_path):
+    mesh = build_unit_square(1)
+    path = tmp_path / "mesh.vtk"
+    write_vtk(mesh, path, title="bare")
+    vtk = read_legacy_vtk(path)
+    assert vtk.lines[1] == "bare" and vtk.lines[-1] == "CELL_TYPES 8"
+    assert vtk.fields == {}
+
+
+@pytest.mark.parametrize("fields", [
+    {"bad": np.zeros(3)},
+    {"bad": np.zeros((9, 1))},
+    {"good": np.arange(9.0), "bad": np.zeros(10)},
+], ids=["short", "column", "second-field"])
+def test_vtk_bad_point_data_writes_nothing(tmp_path, fields):
+    path = tmp_path / "mesh.vtk"
+    with pytest.raises(ValueError, match="bad"):
+        write_vtk(build_unit_square(1), path, point_data=fields)
+    assert not path.exists()
 
 
 def test_block_writers_match_per_line_reference(tmp_path):
@@ -235,15 +262,20 @@ def test_block_writers_match_per_line_reference(tmp_path):
     vtk_path = tmp_path / "mesh.vtk"
     write_vtk(mesh, vtk_path, point_data={"f": field}, title="t")
     nv, nt = mesh.num_vertices, mesh.num_triangles
-    ref = ["# vtk DataFile Version 2.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-           "POINTS %d double\n" % nv]
-    ref += ["%r %r 0.0\n" % (float(x), float(y)) for x, y in mesh.vertices]
-    ref.append("CELLS %d %d\n" % (nt, 4 * nt))
-    ref += ["3 %d %d %d\n" % (i, j, k) for i, j, k in mesh.triangles]
-    ref.append("CELL_TYPES %d\n" % nt + "5\n" * nt)
-    ref.append("POINT_DATA %d\nSCALARS f double\nLOOKUP_TABLE default\n" % nv)
-    ref += ["%r\n" % float(v) for v in field]
-    assert vtk_path.read_text() == "".join(ref)
+    vtk = read_legacy_vtk(vtk_path)
+    assert vtk.lines == [
+        "# vtk DataFile Version 2.0", "t", "BINARY", "DATASET UNSTRUCTURED_GRID",
+        "POINTS %d double" % nv, "CELLS %d %d" % (nt, 4 * nt),
+        "CELL_TYPES %d" % nt, "POINT_DATA %d" % nv, "SCALARS f double",
+        "LOOKUP_TABLE default"]
+    ref = np.array([[x, y, 0.0] for x, y in mesh.vertices.tolist()])
+    assert same_bits(vtk.points, ref)
+    ref = np.array([[3, i, j, k] for i, j, k in mesh.triangles.tolist()],
+                   dtype=np.int32)
+    assert same_bits(vtk.cells, ref)
+    assert same_bits(vtk.cell_types, np.full(nt, 5, dtype=np.int32))
+    assert list(vtk.fields) == ["f"]
+    assert same_bits(vtk.fields["f"], np.array(field.tolist()))
 
 
 def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():

@@ -16,6 +16,7 @@ from eafe_control.optimal_control import (
     write_solution_csv,
     write_solution_vtk,
 )
+from legacy_vtk import read_legacy_vtk, same_bits
 
 
 def plain_coefficients(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, beta=1.0):
@@ -195,9 +196,21 @@ def test_solution_export(tmp_path):
     assert lines[1:] == ref
     vtk_path = tmp_path / "solution.vtk"
     write_solution_vtk(mesh, sol, vtk_path)
-    text = vtk_path.read_text()
-    for name in ("p_h", "y_h", "u_h"):
-        assert "SCALARS %s double" % name in text
+    vtk = read_legacy_vtk(vtk_path)
+    assert vtk.lines[1] == "optimality system solution"
+    assert vtk.lines[4:] == [
+        "POINTS %d double" % mesh.num_vertices,
+        "CELLS %d %d" % (mesh.num_triangles, 4 * mesh.num_triangles),
+        "CELL_TYPES %d" % mesh.num_triangles,
+        "POINT_DATA %d" % mesh.num_vertices,
+        "SCALARS p_h double", "LOOKUP_TABLE default",
+        "SCALARS y_h double", "LOOKUP_TABLE default",
+        "SCALARS u_h double", "LOOKUP_TABLE default"]
+    assert same_bits(vtk.points[:, :2], mesh.vertices)
+    assert np.array_equal(vtk.cells[:, 1:], mesh.triangles)
+    for name, values in (("p_h", sol.p_bar), ("y_h", sol.y_bar),
+                         ("u_h", sol.u_bar)):
+        assert same_bits(vtk.fields[name], values)
 
 
 def test_unknown_scheme_rejected():
