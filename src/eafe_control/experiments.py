@@ -161,27 +161,29 @@ def boundary_layer_case(eps):
     def grad_y(x1, x2):
         return d1(x1) * eta(x2), eta(x1) * d1(x2)
 
-    def lap_y(x1, x2):
-        return d2(x1) * eta(x2) + eta(x1) * d2(x2)
-
     def p(x1, x2):
         return eta(1.0 - x1) * eta(1.0 - x2)
 
     def grad_p(x1, x2):
         return (-d1(1.0 - x1) * eta(1.0 - x2), -eta(1.0 - x1) * d1(1.0 - x2))
 
-    def lap_p(x1, x2):
-        return d2(1.0 - x1) * eta(1.0 - x2) + eta(1.0 - x1) * d2(1.0 - x2)
-
+    # f and g evaluate eta once at each of x1, x2, 1 - x1 and 1 - x2 and
+    # apply the expressions of p, y and their derivatives to those values
     def f(x1, x2):
-        gx, gy = grad_p(x1, x2)
-        return (-eps * lap_p(x1, x2) + zeta[0] * gx + zeta[1] * gy
-                + gamma * p(x1, x2) - y(x1, x2))
+        e1, e2 = eta(x1), eta(x2)
+        m1, m2 = eta(1.0 - x1), eta(1.0 - x2)
+        gx, gy = -d1(1.0 - x1) * m2, -m1 * d1(1.0 - x2)
+        lap = d2(1.0 - x1) * m2 + m1 * d2(1.0 - x2)
+        return (-eps * lap + zeta[0] * gx + zeta[1] * gy
+                + gamma * (m1 * m2) - e1 * e2)
 
     def g(x1, x2):
-        gx, gy = grad_y(x1, x2)
-        return (-p(x1, x2) + eps * lap_y(x1, x2) + zeta[0] * gx + zeta[1] * gy
-                - gamma * y(x1, x2))
+        e1, e2 = eta(x1), eta(x2)
+        m1, m2 = eta(1.0 - x1), eta(1.0 - x2)
+        gx, gy = d1(x1) * e2, e1 * d1(x2)
+        lap = d2(x1) * e2 + e1 * d2(x2)
+        return (-(m1 * m2) + eps * lap + zeta[0] * gx + zeta[1] * gy
+                - gamma * (e1 * e2))
 
     coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
                              gamma_assumption=gamma, div_zeta=0.0)

@@ -20,7 +20,7 @@ import numpy as np
 from . import fem_core
 from .eafe import assemble_eafe_stiffness
 from .fem_core import as_scalar_field, assemble_load, interpolate_nodal
-from .mesh import text_block, write_vtk
+from .mesh import nested_dissection_order, text_block, write_vtk
 from .sparse_linalg import BlockSaddleSystem
 
 SCHEMES = ("eafe", "galerkin")
@@ -140,7 +140,11 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True, quad=None):
 
     a_int = a_full[interior][:, interior]
     m_int = m_full[interior][:, interior]
-    system = BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom, beta=beta)
+    # the mesh order without its boundary vertices, renumbered to interior dofs
+    order = nested_dissection_order(mesh)
+    dof = np.cumsum(~mesh.boundary_vertex) - 1
+    system = BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom, beta=beta,
+                               order=dof[order[~mesh.boundary_vertex[order]]])
     return system, m_full, tracking_load, p_lift, y_lift, interior
 
 

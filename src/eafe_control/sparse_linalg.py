@@ -31,6 +31,10 @@ class SingularMatrixError(RuntimeError):
     """Factorization hit an exactly zero pivot."""
 
 
+class ResourceLimitError(MemoryError):
+    """Factorization ran out of memory."""
+
+
 class ResidualCertificationError(RuntimeError):
     """Computed solution failed the relative-residual certificate."""
 
@@ -70,26 +74,28 @@ def from_triplets(nrows, ncols, triplets):
     return csr
 
 
-def _factorize(mat, diagonal_pivots=False):
+def _factorize(mat, diagonal_pivots=False, order=None):
     """
     SuperLU factor of a square sparse matrix.
 
     By default the columns are ordered by COLAMD and the rows by threshold
     partial pivoting: the general factor, for any nonsingular matrix.
     With ``diagonal_pivots`` the columns are ordered by minimum degree on
-    the pattern of A^T + A (``MMD_AT_PLUS_A``) and ``diag_pivot_thresh``
-    is 0, so SuperLU takes the diagonal entry as pivot unless it is
-    exactly zero.  The rows then follow the column order and the fill is
-    that of the symmetric ordering.  Threshold pivoting would permute the
-    rows away from it: on the level-7 Galerkin system at eps = 1e-9 that
-    gave 50 M fill, against 1.05 M with diagonal pivots.  This mode is
-    for matrices that need no pivoting: nonsingular M-matrices, whose LU
-    without pivoting is stable with positive pivots (Funderlic &
-    Plemmons, LAA 41, 1981), and matrices with a positive definite
-    symmetric part, for which it exists, such as the PRESB matrix
-    M + sqrt(beta) A of the benchmark problems.  Its callers check their
-    results on the computed solution, so no certificate rests on the
-    pivots.
+    the pattern of A^T + A (``MMD_AT_PLUS_A``); with ``order``, a
+    permutation the caller computed, ``mat[order][:, order]`` is factored
+    in SuperLU's ``NATURAL`` order.  Both set ``diag_pivot_thresh`` to 0,
+    so SuperLU takes the diagonal entry as pivot unless it is exactly
+    zero; the rows then follow the column order and the fill is that of
+    the symmetric ordering.  Threshold pivoting would permute the rows
+    away from it: on the level-7 Galerkin system at eps = 1e-9 that gave
+    50 M fill, against 1.05 M with diagonal pivots.
+    Both modes are for matrices that need no pivoting: nonsingular
+    M-matrices, whose LU without pivoting is stable with positive pivots
+    (Funderlic & Plemmons, LAA 41, 1981), and matrices with a positive
+    definite symmetric part, for which it exists, such as the PRESB
+    matrix M + sqrt(beta) A of the benchmark problems.  Its callers
+    check their results on the computed solution, so no certificate
+    rests on the pivots.
 
     SuperLU itself raises on an exactly zero pivot.  The factor's ``L``
     and ``U`` attributes are not read here: scipy builds CSC copies of
@@ -100,14 +106,26 @@ def _factorize(mat, diagonal_pivots=False):
     ------
     SingularMatrixError
         If the factorization encounters a zero pivot.
+    ResourceLimitError
+        On a ``MemoryError``, or a SuperLU ``RuntimeError`` that names a
+        failed malloc or missing memory (``SUPERLU_MALLOC fails ...``).
     """
-    csc = mat.tocsc()
-    options = ({"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0}
-               if diagonal_pivots else {})
+    options = {}
+    if order is not None:
+        options = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+    elif diagonal_pivots:
+        options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0}
     try:
-        return spla.splu(csc, **options)
-    except RuntimeError as exc:  # SuperLU signals exact singularity this way
-        raise SingularMatrixError(str(exc)) from exc
+        if order is not None:
+            mat = mat[order][:, order]
+        return spla.splu(mat.tocsc(), **options)
+    except MemoryError as exc:
+        raise ResourceLimitError(str(exc)) from exc
+    except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs
+        message = str(exc)
+        if "malloc" in message.lower() or "memory" in message.lower():
+            raise ResourceLimitError(message) from exc
+        raise SingularMatrixError(message) from exc
 
 
 def solve_direct(mat, b, rtol=DEFAULT_SOLVE_RTOL, return_residual=False,
@@ -295,17 +313,20 @@ class BlockSaddleSystem:
     depends on neither h nor eps (Axelsson, Farouq & Neytcheva, Numer.
     Algorithms 2016).  F has a symmetric pattern and, on the benchmark
     problems, a positive definite symmetric part, so it is factored with
-    diagonal pivots in a symmetric minimum-degree ordering (see
-    :func:`_factorize`): at level 8, 5.6 M entries in L and U, against
-    9.6 M for COLAMD with partial pivoting.  ``fill`` records SuperLU's
-    stored count of the factor (``nnz``: 5.67 M at level 8, slightly
-    more than nnz(L) + nnz(U) of its CSC form).
+    diagonal pivots in a symmetric ordering (see :func:`_factorize`):
+    ``order`` when given (:func:`optimal_control.solve` passes the
+    interior part of the mesh's nested-dissection order, 4.94 M stored
+    entries at level 8), else minimum degree (5.67 M), against 9.6 M for
+    COLAMD with partial pivoting.  ``fill`` records SuperLU's stored count
+    of the factor (``nnz``, slightly more than nnz(L) + nnz(U) of its CSC
+    form).
     The 2n x 2n operator itself is never factored;
     ``solve_direct(system.operator(), system.rhs())`` is the direct
     reference, factored with COLAMD and partial pivoting.
     """
 
-    def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, sym_rtol=1e-14):
+    def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, sym_rtol=1e-14,
+                 order=None):
         n = a.shape[0]
         if a.shape != (n, n) or m.shape != (n, n):
             raise ValueError("block system needs square A, M of equal order")
@@ -322,6 +343,8 @@ class BlockSaddleSystem:
         scale = max(np.abs(m.data).max() if m.nnz else 0.0, 1e-300)
         if asym > sym_rtol * scale * np.sqrt(max(m.nnz, 1)):
             raise ValueError("mass matrix is not symmetric to working precision")
+        #: symmetric ordering of the PRESB factor, or None for minimum degree
+        self.order = order
         #: GMRES iterations of the last :meth:`solve`, summed over restarts
         self.iterations = 0
         #: entries SuperLU stores for the factor of F in the last
@@ -352,6 +375,8 @@ class BlockSaddleSystem:
         ------
         SingularMatrixError
             If ``M + sqrt(beta) A`` has a zero pivot.
+        ResourceLimitError
+            If its factor does not fit in memory.
         ResidualCertificationError
             If the residual certificate cannot be met.
         """
@@ -365,13 +390,19 @@ class BlockSaddleSystem:
 
         k = self.operator()
         s = np.sqrt(self.beta)
-        lu = _factorize(self.M + s * self.A, diagonal_pivots=True)
+        presb_matrix = self.M + s * self.A
+        if self.order is None:
+            o, lu = slice(None), _factorize(presb_matrix, diagonal_pivots=True)
+        else:
+            o, lu = self.order, _factorize(presb_matrix, order=self.order)
         self.fill = lu.nnz
 
         def presb(r):
             f = -r[:n]
-            z = lu.solve(f - r[n:] / s)
-            v = lu.solve(self.M @ z - f, trans="T")
+            z = np.empty(n)
+            z[o] = lu.solve((f - r[n:] / s)[o])
+            v = np.empty(n)
+            v[o] = lu.solve((self.M @ z - f)[o], trans="T")
             return np.concatenate([s * v, z - v])
 
         def count(_):

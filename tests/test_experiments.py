@@ -11,6 +11,7 @@ from eafe_control.experiments import (
     coefficient_sets,
     interior_layer_case,
     layer_profile,
+    layer_profile_d2,
     run_boundary_layer,
     run_interior_layer,
     run_stability,
@@ -72,6 +73,29 @@ def grad_check(case, zeta, gamma, eps, pts, h=1e-5):
         assert abs(g_fd - case.problem.g(x, y)) <= 1e-4 * max(
             1.0, abs(case.problem.g(x, y))
         )
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-9])
+def test_boundary_layer_forcing_equals_composed_definitions(eps):
+    # f and g composed from the exact pair and its derivatives, as the
+    # strong operators define them; the forcing must agree bit for bit
+    case = boundary_layer_case(eps)
+    rng = np.random.default_rng(19)
+    x1, x2 = rng.random((2, 4096))
+    x1[:4] = x2[-4:] = [0.0, 1.0, 1.0 - eps, 1.0 - 1e-3 * eps]
+    eta = lambda z: layer_profile(z, eps)
+    d2 = lambda z: layer_profile_d2(z, eps)
+    zeta = (-np.sqrt(2.0) / 2.0, -np.sqrt(2.0) / 2.0)
+    gamma = 1.0
+    y, p = case.exact_y(x1, x2), case.exact_p(x1, x2)
+    lap_y = d2(x1) * eta(x2) + eta(x1) * d2(x2)
+    lap_p = d2(1.0 - x1) * eta(1.0 - x2) + eta(1.0 - x1) * d2(1.0 - x2)
+    gx, gy = case.exact_grad_p(x1, x2)
+    f = -eps * lap_p + zeta[0] * gx + zeta[1] * gy + gamma * p - y
+    gx, gy = case.exact_grad_y(x1, x2)
+    g = -p + eps * lap_y + zeta[0] * gx + zeta[1] * gy - gamma * y
+    assert np.array_equal(case.problem.f(x1, x2), f)
+    assert np.array_equal(case.problem.g(x1, x2), g)
 
 
 def test_interior_layer_forcing_matches_finite_differences():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from eafe_control import mesh as mesh_module
 from eafe_control.mesh import (
     DIAGONAL_CONVENTIONS,
     MeshCapacityError,
     TriMesh,
     build_unit_square,
     delaunay_check,
+    nested_dissection_order,
     read_node_ele,
     signed_areas,
     uniform_refine,
@@ -301,3 +303,39 @@ def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():
     assert np.array_equal(mesh.edges, edges)
     assert np.array_equal(mesh.tri_edges, inverse.reshape(3, m).T)
     assert np.array_equal(mesh.edge_tris, edge_tris)
+
+
+def test_nested_dissection_order_is_a_cached_permutation(monkeypatch):
+    built = []
+    build = mesh_module._nested_dissection_order
+    monkeypatch.setattr(mesh_module, "_nested_dissection_order",
+                        lambda mesh: built.append(mesh) or build(mesh))
+    meshes = [build_unit_square(1), build_unit_square(5),
+              uniform_refine(build_unit_square(3, diagonal=DIAGONAL_CONVENTIONS[1]))]
+    for mesh in meshes:
+        order = nested_dissection_order(mesh)
+        assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
+        assert nested_dissection_order(mesh) is order
+        with pytest.raises(ValueError):
+            order[0] = 1
+    assert built == meshes
+    # 9 vertices fit in one leaf: the order keeps the numbering
+    assert nested_dissection_order(meshes[0]).tolist() == list(range(9))
+
+
+def test_nested_dissection_numbers_each_separator_after_its_halves():
+    # level 3: 81 vertices, 3 cuts deep; the first cut bisects the box at
+    # x = 1/2, and its separator, the left ends of the edges across it,
+    # is the column x = 3/8, numbered after the 27 vertices left of it
+    # and the 45 right of the cut
+    mesh = build_unit_square(3)
+    order = nested_dissection_order(mesh)
+    x = mesh.vertices[order, 0]
+    assert np.all(x[:27] < 0.375) and np.all(x[27:72] >= 0.5)
+    assert np.all(x[72:] == 0.375)
+    # once the separator is removed, no edge joins the two halves
+    rank = np.empty(81, dtype=int)
+    rank[order] = np.arange(81)
+    ends = rank[mesh.edges]
+    assert not np.any((ends.min(axis=1) < 27) & (ends.max(axis=1) >= 27)
+                      & (ends.max(axis=1) < 72))

@@ -6,8 +6,16 @@ from eafe_control.fem_core import (
     interpolate_nodal,
     lumped_mass_diagonal,
 )
-from eafe_control.mesh import build_unit_square
+from eafe_control import mesh as mesh_module
+from eafe_control.experiments import boundary_layer_case
+from eafe_control.mesh import (
+    TriMesh,
+    build_unit_square,
+    delaunay_check,
+    uniform_refine,
+)
 from eafe_control.optimal_control import (
+    SCHEMES,
     AssemblyError,
     ProblemSpec,
     assemble_system,
@@ -16,6 +24,7 @@ from eafe_control.optimal_control import (
     write_solution_csv,
     write_solution_vtk,
 )
+from eafe_control.sparse_linalg import BlockSaddleSystem
 from legacy_vtk import read_legacy_vtk, same_bits
 
 
@@ -218,3 +227,59 @@ def test_unknown_scheme_rejected():
     spec = ProblemSpec(plain_coefficients(), y_d=1.0)
     with pytest.raises(ValueError):
         solve(mesh, spec, "supg")
+
+
+def renumbered(mesh, rng):
+    """The mesh with vertex i moved to index perm[i]; returns (mesh, perm)."""
+    perm = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    return TriMesh(vertices, perm[mesh.triangles], level=mesh.level), perm
+
+
+def test_mesh_order_solve_matches_minimum_degree_solve_on_refined_jittered_mesh():
+    # shrunk along its diagonals, the structured mesh stays Delaunay under
+    # a small jitter (see test_eafe); refinement keeps the angles
+    rng = np.random.default_rng(31)
+    base = build_unit_square(3)
+    n = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    vertices = base.vertices @ (np.eye(2) - 0.2 * np.outer(n, n))
+    coarse = TriMesh(vertices + rng.uniform(-0.005, 0.005, vertices.shape),
+                     base.triangles, level=3)
+    mesh = uniform_refine(uniform_refine(renumbered(coarse, rng)[0]))
+    assert delaunay_check(mesh).ok
+    problem = boundary_layer_case(1e-2).problem
+    sol = solve(mesh, problem, "eafe")
+    assert sol.residual <= 1e-10 and sol.fill > 0
+    system = assemble_system(mesh, problem, "eafe")
+    mmd = BlockSaddleSystem(system.A, system.M, system.rhs_top,
+                            system.rhs_bottom)
+    p, y, res = mmd.solve()
+    assert res <= 1e-10
+    interior = mesh.interior_vertices
+    x = np.concatenate([sol.p_bar[interior], sol.y_bar[interior]])
+    ref = np.concatenate([p, y])
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_solution_invariant_under_vertex_renumbering(scheme):
+    mesh = build_unit_square(5)
+    other, perm = renumbered(mesh, np.random.default_rng(37))
+    problem = boundary_layer_case(1e-2).problem
+    sol = solve(mesh, problem, scheme)
+    moved = solve(other, problem, scheme)
+    for a, b in ((sol.p_bar, moved.p_bar), (sol.y_bar, moved.y_bar)):
+        assert np.linalg.norm(b[perm] - a) <= 1e-10 * np.linalg.norm(a)
+
+
+def test_solves_on_one_mesh_compute_its_order_once(monkeypatch):
+    built = []
+    build = mesh_module._nested_dissection_order
+    monkeypatch.setattr(mesh_module, "_nested_dissection_order",
+                        lambda mesh: built.append(mesh) or build(mesh))
+    mesh = build_unit_square(4)
+    problem = boundary_layer_case(1e-2).problem
+    for scheme in SCHEMES:
+        solve(mesh, problem, scheme)
+    assert built == [mesh]

@@ -10,6 +10,7 @@ from eafe_control.optimal_control import assemble_system
 from eafe_control.sparse_linalg import (
     BlockSaddleSystem,
     ResidualCertificationError,
+    ResourceLimitError,
     SingularMatrixError,
     from_triplets,
     inverse_nonneg_check,
@@ -207,6 +208,55 @@ def test_presb_factor_fill_stays_below_colamd():
     system.solve()
     colamd = spla.splu((system.M + system.A).tocsc())
     assert 0 < system.fill <= colamd.nnz
+
+
+@pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
+def test_mesh_order_fill_at_most_minimum_degree(scheme):
+    for level in (5, 6, 7):
+        system = assemble_system(build_unit_square(level),
+                                 stability_problem(1e-9), scheme)
+        assert system.order is not None
+        system.solve()
+        mmd = sparse_linalg._factorize(system.M + system.A, diagonal_pivots=True)
+        assert 0 < system.fill < mmd.nnz
+
+
+FACTOR_MODES = [{}, {"diagonal_pivots": True}, {"order": np.array([1, 0])}]
+
+
+@pytest.mark.parametrize("mode", FACTOR_MODES)
+@pytest.mark.parametrize("failure", [
+    RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()"),
+    RuntimeError("Not enough memory to perform factorization."),
+    MemoryError(),
+])
+def test_factor_allocation_failure_raises_resource_limit_error(monkeypatch,
+                                                               mode, failure):
+    def failing(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(sparse_linalg.spla, "splu", failing)
+    a = from_triplets(2, 2, [(0, 0, 2.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 2.0)])
+    with pytest.raises(ResourceLimitError):
+        sparse_linalg._factorize(a, **mode)
+
+
+@pytest.mark.parametrize("mode", FACTOR_MODES)
+def test_singular_factor_still_raises_singular_matrix_error(mode):
+    a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+    with pytest.raises(SingularMatrixError):
+        sparse_linalg._factorize(a, **mode)
+
+
+def test_krylov_solve_out_of_memory_raises_resource_limit_error(monkeypatch):
+    system = assemble_system(build_unit_square(3), stability_problem(1e-9), "eafe")
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+    monkeypatch.setattr(sparse_linalg.spla, "splu", failing)
+    with pytest.raises(ResourceLimitError):
+        system.solve()
 
 
 def test_krylov_solve_unattainable_certificate_raises():
