@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eafe_control.experiments import stability_problem
+from eafe_control.fem_core import CoefficientField
 from eafe_control.mesh import build_unit_square
 from eafe_control import sparse_linalg
-from eafe_control.optimal_control import assemble_system
+from eafe_control.optimal_control import ProblemSpec, assemble_system
 from eafe_control.sparse_linalg import (
     BlockSaddleSystem,
     ResidualCertificationError,
@@ -170,6 +173,82 @@ def test_krylov_solve_matches_direct_reference(scheme, level, beta):
     x_ref = solve_direct(system.operator(), system.rhs())
     x = np.concatenate([p, y])
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def _general_system(beta):
+    # nonzero f, g and Dirichlet traces: both right-hand side blocks are
+    # nonzero, unlike the tracking problems, whose bottom block is zero
+    coeff = CoefficientField(eps=1e-2, zeta=(-1.0, 0.5), gamma=1.0,
+                             beta=beta, div_zeta=0.0)
+    problem = ProblemSpec(
+        coeff, f=lambda x, y: np.sin(3.0 * x) + y,
+        g=lambda x, y: np.cos(2.0 * y) - x,
+        dirichlet_y=lambda x, y: 1.0 + x * y,
+        dirichlet_p=lambda x, y: x - 2.0 * y)
+    return assemble_system(build_unit_square(5), problem, "eafe")
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e3])
+def test_krylov_certificate_holds_for_both_blocks_across_beta(beta):
+    system = _general_system(beta)
+    assert system.beta == beta
+    assert system.rhs_top.any() and system.rhs_bottom.any()
+    p, y, res = system.solve()
+    assert res <= 1e-10
+    k, b = system.operator(), system.rhs()
+    x = np.concatenate([p, y])
+    # the block-computed certificate agrees with the monolithic operator
+    assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
+    x_ref = solve_direct(k, b)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_krylov_solve_applies_presb_once_per_iteration(monkeypatch):
+    system = assemble_system(build_unit_square(5), stability_problem(1e-9),
+                             "eafe")
+    solves = []
+    factorize = sparse_linalg._factorize
+
+    class CountingFactor:
+        def __init__(self, lu):
+            self.lu = lu
+            self.nnz = lu.nnz
+
+        def solve(self, rhs, trans="N"):
+            solves.append(trans)
+            return self.lu.solve(rhs, trans=trans)
+
+    def no_operator(self):
+        raise AssertionError("solve built the 2n x 2n operator")
+
+    monkeypatch.setattr(sparse_linalg, "_factorize",
+                        lambda mat, **kwargs: CountingFactor(
+                            factorize(mat, **kwargs)))
+    monkeypatch.setattr(BlockSaddleSystem, "operator", no_operator)
+    p, y, res = system.solve()
+    assert res <= 1e-10
+    assert system.iterations > 0
+    assert len(solves) == 2 * system.iterations
+    assert solves.count("T") == system.iterations
+
+
+@pytest.mark.parametrize("top, bottom", [([0.0, 3.0], [0.0, 0.0]),
+                                         ([0.0, 0.0], [4.0, 0.0])])
+def test_krylov_exact_preconditioner_breaks_down_after_one_iteration(top,
+                                                                    bottom):
+    # A = 0 makes PRESB the operator itself; with a diagonal M of powers of
+    # two and a right-hand side along a unit vector every operation is
+    # exact, so the first Arnoldi step leaves exactly zero (h[1, 0] == 0)
+    a = from_triplets(2, 2, [])
+    m = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 4.0)])
+    system = BlockSaddleSystem(a, m, np.array(top), np.array(bottom))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, y, res = system.solve()
+    assert system.iterations == 1
+    assert res == 0.0
+    assert np.array_equal(y, -np.array(top) / [2.0, 4.0])
+    assert np.array_equal(p, -np.array(bottom) / [2.0, 4.0])
 
 
 def test_krylov_solve_factors_one_n_by_n_matrix(monkeypatch):
