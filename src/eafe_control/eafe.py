@@ -23,11 +23,11 @@ import warnings
 import numpy as np
 
 from .fem_core import (
+    QUADRATURE,
     CoefficientError,
     DataError,
-    as_scalar_field,
     barycentric_gradient_table,
-    default_quadrature,
+    finite_samples,
     lumped_mass_diagonal,
     quadrature_points,
 )
@@ -128,6 +128,8 @@ class EdgeData:
 
     Raises
     ------
+    DataError
+        If a diffusion or convection sample is not finite.
     CoefficientError
         If the diffusion sampled at the vertices violates its declared
         bounds or is not positive.
@@ -136,16 +138,13 @@ class EdgeData:
     def __init__(self, mesh, coeff):
         xv = mesh.vertices[:, 0]
         yv = mesh.vertices[:, 1]
-        eps_v = np.broadcast_to(np.asarray(coeff.eps(xv, yv), dtype=float),
-                                xv.shape)
-        coeff.check_samples(xv, yv, eps_values=eps_v)
+        eps_v = finite_samples("diffusion", coeff.eps(xv, yv), xv.shape)
+        zx_v, zy_v = (finite_samples("convection", c, xv.shape)
+                      for c in coeff.zeta(xv, yv))
+        coeff.check_samples(xv, yv, eps_v)
         if np.min(eps_v) <= 0.0:
             # the exponential fitting divides by the edge-averaged diffusion
             raise CoefficientError("edge-averaged assembly needs positive diffusion")
-        zx_v, zy_v = (
-            np.broadcast_to(np.asarray(c, dtype=float), xv.shape)
-            for c in coeff.zeta(xv, yv)
-        )
         i = mesh.edges[:, 0]
         j = mesh.edges[:, 1]
         self.eps_e = 0.5 * (eps_v[i] + eps_v[j])
@@ -160,7 +159,7 @@ class EdgeData:
         )
 
 
-def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True, quad=None):
+def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     """
     Edge-averaged stiffness matrix over all dofs, as a canonical scipy
     CSR matrix.
@@ -170,12 +169,13 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True, quad=None):
     -area * grad(lambda_i) . grad(lambda_j) of each adjacent triangle.
     The reaction term enters as a lumped diagonal gamma(x_i) *
     patch_area / 3 by default (preserving the M-matrix sign pattern);
-    ``lump_reaction=False`` uses the consistent mass weighted by gamma
-    instead.
+    ``lump_reaction=False`` uses the consistent mass weighted by gamma,
+    integrated with :data:`QUADRATURE`, instead.
 
     A failed edge-weight (Delaunay) check of the summed weights does not
     abort assembly; it is raised as a MonotonicityLossWarning so the
-    verification layer can decide.
+    verification layer can decide.  A non-finite coefficient sample raises
+    DataError.
     """
     data = EdgeData(mesh, coeff)
     t = mesh.triangles
@@ -195,24 +195,22 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True, quad=None):
         cols += [j, i, j, i]
         vals += [omega * c_ij, -omega * c_ji, -omega * c_ij, omega * c_ji]
 
-    xv = mesh.vertices[:, 0]
-    yv = mesh.vertices[:, 1]
-    gam_v = np.broadcast_to(np.asarray(coeff.gamma(xv, yv), dtype=float), xv.shape)
     if lump_reaction:
+        xv = mesh.vertices[:, 0]
+        yv = mesh.vertices[:, 1]
+        gam_v = finite_samples("reaction", coeff.gamma(xv, yv), xv.shape)
         diag = gam_v * lumped_mass_diagonal(mesh)
         idx = np.arange(mesh.num_vertices)
         rows.append(idx)
         cols.append(idx)
         vals.append(diag)
     else:
-        quad = quad or default_quadrature()
-        gamma = as_scalar_field(coeff.gamma)
         areas = signed_areas(mesh)
-        x, y = quadrature_points(mesh, quad)
+        x, y = quadrature_points(mesh)
         local = np.zeros((mesh.num_triangles, 3, 3))
-        for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+        for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
             xq, yq = x[q], y[q]
-            gq = np.broadcast_to(np.asarray(gamma(xq, yq), dtype=float), xq.shape)
+            gq = finite_samples("reaction", coeff.gamma(xq, yq), xq.shape)
             scale = w * areas * gq
             for a in range(3):
                 for b in range(3):

@@ -52,8 +52,8 @@ class ExperimentConfig:
         defaults = DEFAULTS[example]
         self.example = example
         self.eps = float(defaults["eps"] if eps is None else eps)
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         self.levels = [int(k) for k in (defaults["levels"] if levels is None
                                         else levels)]
         if not self.levels or self.levels != sorted(self.levels):

@@ -1,7 +1,7 @@
 """
 P1 Lagrange ingredients shared by the standard Galerkin and the
-edge-averaged paths: barycentric gradients, triangle quadrature, mass and
-stiffness assembly, load vectors, and nodal interpolation.
+edge-averaged paths: barycentric gradients, the quadrature rule QUADRATURE,
+mass and stiffness assembly, load vectors, and nodal interpolation.
 
 Scalar fields are callables ``f(x, y) -> array`` accepting numpy arrays;
 vector fields return a pair ``(fx, fy)``.  Plain numbers / pairs are
@@ -97,10 +97,9 @@ class CoefficientField:
         _, zym = self.zeta(x, y - h)
         return (zxp - zxm + zyp - zym) / (2.0 * h)
 
-    def check_samples(self, x, y, eps_values=None):
-        """Enforce the declared bounds at the given sample points."""
-        e = eps_values if eps_values is not None else self.eps(x, y)
-        emin = np.min(e)
+    def check_samples(self, x, y, eps_values):
+        """Enforce the declared bounds at samples where eps is ``eps_values``."""
+        emin = np.min(eps_values)
         if self.eps_floor is None:
             # no declared bound: still insist on positive diffusion
             if emin <= 0.0:
@@ -114,18 +113,20 @@ class CoefficientField:
             )
         if self.gamma_assumption > 0.0:
             eff = self.gamma(x, y) - 0.5 * self.div_zeta_at(x, y)
-            worst = np.min(eff)
+            worst = np.min(finite_samples("gamma - div(zeta)/2", eff, np.shape(x)))
             if worst < self.gamma_assumption * (1.0 - 1e-8):
                 raise CoefficientError(
                     "gamma - div(zeta)/2 reaches %.3g, below the declared "
                     "bound %.3g" % (worst, self.gamma_assumption)
                 )
 
-    def validate_on(self, mesh, quad=None):
-        """Sample the coefficient bounds at all quadrature points of a mesh."""
-        quad = quad or default_quadrature()
-        x, y = quadrature_points(mesh, quad)
-        self.check_samples(x.ravel(), y.ravel())
+
+def finite_samples(what, values, shape):
+    """Samples as floats broadcast to ``shape``; DataError unless all finite."""
+    values = np.broadcast_to(np.asarray(values, dtype=float), shape)
+    if not np.all(np.isfinite(values)):
+        raise DataError("%s produced a non-finite sample" % what)
+    return values
 
 
 class QuadratureRule:
@@ -134,27 +135,17 @@ class QuadratureRule:
 
     ``points`` has shape (nq, 3) of barycentric coordinates, ``weights``
     sums to one, and the rule is exact for polynomials up to ``degree``.
+    Both arrays are read-only.
     """
 
     def __init__(self, points, weights, degree):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
+        self.points = np.array(points, dtype=float)
+        self.weights = np.array(weights, dtype=float)
+        self.points.flags.writeable = self.weights.flags.writeable = False
         self.degree = int(degree)
 
-    def __len__(self):
-        return self.weights.size
 
-
-def centroid_rule():
-    return QuadratureRule([[1 / 3, 1 / 3, 1 / 3]], [1.0], degree=1)
-
-
-def three_point_rule():
-    p = [[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]
-    return QuadratureRule(p, [1 / 3] * 3, degree=2)
-
-
-def seven_point_rule():
+def _seven_point_rule():
     s15 = np.sqrt(15.0)
     a = (6.0 + s15) / 21.0
     b = (6.0 - s15) / 21.0
@@ -173,8 +164,8 @@ def seven_point_rule():
     return QuadratureRule(pts, w, degree=5)
 
 
-def default_quadrature():
-    return seven_point_rule()
+#: the 7-point rule of degree 5, used by every integral not computed exactly
+QUADRATURE = _seven_point_rule()
 
 
 def barycentric_gradient_table(mesh):
@@ -207,22 +198,21 @@ def _barycentric_gradients(mesh):
     return grads
 
 
-def quadrature_points(mesh, quad):
+def quadrature_points(mesh):
     """
-    Physical coordinates of all quadrature points, two read-only (nq, M)
-    arrays; row q holds point q of every triangle.  They are computed once
-    per mesh and rule, where rules with equal points are the same rule.
+    Physical coordinates of the :data:`QUADRATURE` points, two read-only
+    (nq, M) arrays; row q holds point q of every triangle.  They are
+    computed once per mesh.
     """
-    xy = mesh.cached(("quadrature", quad.points.tobytes()),
-                     lambda: _quadrature_points(mesh, quad.points))
+    xy = mesh.cached("quadrature", lambda: _quadrature_points(mesh))
     return xy[0], xy[1]
 
 
-def _quadrature_points(mesh, points):
+def _quadrature_points(mesh):
     p = mesh.vertices[mesh.triangles]  # (M, 3, 2)
     # one product per point: the batched points @ p[:, :, 0].T rounds the
     # last bit differently on some coordinates
-    return np.array([[lam @ p[:, :, c].T for lam in points] for c in (0, 1)])
+    return np.array([[lam @ p[:, :, c].T for lam in QUADRATURE.points] for c in (0, 1)])
 
 
 def assemble_mass(mesh):
@@ -255,25 +245,26 @@ def lumped_mass_diagonal(mesh):
     return diag
 
 
-def assemble_galerkin_stiffness(mesh, coeff, quad=None):
+def assemble_galerkin_stiffness(mesh, coeff):
     """
     Standard (unstabilized) P1 stiffness of the convection-diffusion-
     reaction form over all dofs: entry (i, j) is the bilinear form applied
-    to (trial phi_j, test phi_i), integrated with the given quadrature.
+    to (trial phi_j, test phi_i), integrated with :data:`QUADRATURE`.
+    A non-finite coefficient sample raises DataError.
     """
-    quad = quad or default_quadrature()
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
     t = mesh.triangles
-    x, y = quadrature_points(mesh, quad)
+    x, y = quadrature_points(mesh)
 
     local = np.zeros((mesh.num_triangles, 3, 3))
-    for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+    for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
         xq, yq = x[q], y[q]
-        eps_q = np.broadcast_to(coeff.eps(xq, yq), xq.shape)
-        coeff.check_samples(xq, yq, eps_values=eps_q)
-        zx, zy = coeff.zeta(xq, yq)
-        gam = coeff.gamma(xq, yq)
+        eps_q = finite_samples("diffusion", coeff.eps(xq, yq), xq.shape)
+        zx, zy = (finite_samples("convection", c, xq.shape)
+                  for c in coeff.zeta(xq, yq))
+        gam = finite_samples("reaction", coeff.gamma(xq, yq), xq.shape)
+        coeff.check_samples(xq, yq, eps_q)
         scale = w * areas
         for i in range(3):
             conv_i = zx * grads[:, i, 0] + zy * grads[:, i, 1]
@@ -297,20 +288,17 @@ def assemble_galerkin_stiffness(mesh, coeff, quad=None):
     )
 
 
-def assemble_load(mesh, f, quad=None):
-    """Load vector (f, phi_i) over all dofs by quadrature."""
-    quad = quad or default_quadrature()
+def assemble_load(mesh, f):
+    """Load vector (f, phi_i) over all dofs by :data:`QUADRATURE`."""
     f = as_scalar_field(f)
     areas = signed_areas(mesh)
     t = mesh.triangles
     n = mesh.num_vertices
     b = np.zeros(n)
-    x, y = quadrature_points(mesh, quad)
-    for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+    x, y = quadrature_points(mesh)
+    for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
         xq, yq = x[q], y[q]
-        fq = np.broadcast_to(np.asarray(f(xq, yq), dtype=float), xq.shape)
-        if not np.all(np.isfinite(fq)):
-            raise DataError("load integrand produced a non-finite sample")
+        fq = finite_samples("load integrand", f(xq, yq), xq.shape)
         contrib = w * areas * fq
         for c in range(3):
             b += np.bincount(t[:, c], weights=contrib * lam[c], minlength=n)
@@ -320,10 +308,5 @@ def assemble_load(mesh, f, quad=None):
 def interpolate_nodal(mesh, u):
     """Nodal interpolant: coefficient i equals the field at vertex i."""
     u = as_scalar_field(u)
-    vals = np.asarray(
-        u(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float
-    )
-    vals = np.broadcast_to(vals, (mesh.num_vertices,)).copy()
-    if not np.all(np.isfinite(vals)):
-        raise DataError("field produced a non-finite vertex sample")
-    return vals
+    vals = u(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    return finite_samples("field", vals, (mesh.num_vertices,)).copy()

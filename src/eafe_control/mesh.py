@@ -35,7 +35,7 @@ class MeshCapacityError(ValueError):
 
 
 class GeometryError(ValueError):
-    """Degenerate or inverted element encountered."""
+    """Degenerate or inverted element, or a vertex index out of range."""
 
 
 class TriMesh:
@@ -73,6 +73,10 @@ class TriMesh:
         self.level = int(level)
         self.diagonal = diagonal
         self._geometry = {}
+        t = self.triangles
+        if t.size and (t.min() < 0 or t.max() >= self.num_vertices):
+            raise GeometryError("triangle vertex indices must lie in [0, %d)"
+                                % self.num_vertices)
 
         areas = signed_areas(self)
         if np.any(areas <= 0.0):
@@ -385,7 +389,8 @@ def read_node_ele(path):
     ValueError
         If the header does not hold two integers, a vertex or triangle
         line does not hold three numbers (triangles: integers), a line is
-        blank, or the file ends early.
+        blank, or the file ends early; GeometryError (a ValueError) if a
+        triangle names a vertex outside [0, N) or is degenerate.
     """
     with open(path) as fh:
         nv, nt = (int(s) for s in fh.readline().split())

@@ -97,13 +97,12 @@ def recover_control(p_bar, beta):
     return -np.asarray(p_bar, dtype=float) / float(beta)
 
 
-def assemble_stiffness(mesh, coeff, scheme, lump_reaction=True, quad=None):
+def assemble_stiffness(mesh, coeff, scheme, lump_reaction=True):
     """Stiffness matrix over all dofs for the requested scheme."""
     if scheme == "eafe":
-        return assemble_eafe_stiffness(mesh, coeff, lump_reaction=lump_reaction,
-                                       quad=quad)
+        return assemble_eafe_stiffness(mesh, coeff, lump_reaction=lump_reaction)
     if scheme == "galerkin":
-        return fem_core.assemble_galerkin_stiffness(mesh, coeff, quad=quad)
+        return fem_core.assemble_galerkin_stiffness(mesh, coeff)
     raise ValueError("unknown scheme %r (expected one of %s)" % (scheme, SCHEMES))
 
 
@@ -116,19 +115,19 @@ def _lift_vector(mesh, field):
     return lift
 
 
-def _assemble_parts(mesh, spec, scheme, lump_reaction=True, quad=None):
+def _assemble_parts(mesh, spec, scheme, lump_reaction=True):
     a_full = assemble_stiffness(mesh, spec.coeff, scheme,
-                                lump_reaction=lump_reaction, quad=quad)
+                                lump_reaction=lump_reaction)
     m_full = fem_core.assemble_mass(mesh)
 
     tracking_load = None
     if spec.mode == "tracking":
-        tracking_load = assemble_load(mesh, spec.y_d, quad=quad)
+        tracking_load = assemble_load(mesh, spec.y_d)
         f_full = -tracking_load
         g_full = np.zeros(mesh.num_vertices)
     else:
-        f_full = assemble_load(mesh, spec.f, quad=quad)
-        g_full = assemble_load(mesh, spec.g, quad=quad)
+        f_full = assemble_load(mesh, spec.f)
+        g_full = assemble_load(mesh, spec.g)
 
     p_lift = _lift_vector(mesh, spec.dirichlet_p)
     y_lift = _lift_vector(mesh, spec.dirichlet_y)
@@ -148,22 +147,21 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True, quad=None):
     return system, m_full, tracking_load, p_lift, y_lift, interior
 
 
-def assemble_system(mesh, spec, scheme, lump_reaction=True, quad=None):
+def assemble_system(mesh, spec, scheme, lump_reaction=True):
     """Interior-dof saddle system with Dirichlet lifts on the right-hand side."""
-    system = _assemble_parts(mesh, spec, scheme, lump_reaction, quad)[0]
+    system = _assemble_parts(mesh, spec, scheme, lump_reaction)[0]
     return system
 
 
-def solve(mesh, spec, scheme, lump_reaction=True, quad=None, rtol=None):
+def solve(mesh, spec, scheme, lump_reaction=True):
     """
     Solve the optimality system; returns a :class:`SolutionPair` whose
     boundary nodes carry the interpolated Dirichlet traces.
     """
     system, m_full, tracking_load, p_lift, y_lift, interior = _assemble_parts(
-        mesh, spec, scheme, lump_reaction, quad
+        mesh, spec, scheme, lump_reaction
     )
-    kwargs = {} if rtol is None else {"rtol": rtol}
-    p_int, y_int, res = system.solve(**kwargs)
+    p_int, y_int, res = system.solve()
     p = p_lift.copy()
     y = y_lift.copy()
     p[interior] = p_int

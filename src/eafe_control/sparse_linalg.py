@@ -21,6 +21,8 @@ from scipy.linalg.lapack import dlartg
 
 DEFAULT_SOLVE_RTOL = 1e-10
 DEFAULT_INVERSE_CAP = 5000
+#: bound on ||M - M^T||_F / (max|M_ij| sqrt(nnz M)) of a symmetric mass block
+SYM_RTOL = 1e-14
 
 #: Krylov dimension per GMRES cycle, and the cycles allowed per solve
 GMRES_RESTART = 40
@@ -358,7 +360,8 @@ class BlockSaddleSystem:
 
     A is the (convection-diffusion-reaction) stiffness matrix, M the
     consistent mass matrix; beta > 0 defaults to 1, matching the
-    normalized control-cost weight used throughout.
+    normalized control-cost weight used throughout.  M must be symmetric
+    to within ``SYM_RTOL`` (ValueError otherwise).
 
     :meth:`solve` scales the adjoint, ``p = sqrt(beta) q``, and with
     ``K = sqrt(beta) A`` solves the balanced form
@@ -387,8 +390,7 @@ class BlockSaddleSystem:
     solution, factored with COLAMD and partial pivoting.
     """
 
-    def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, sym_rtol=1e-14,
-                 order=None):
+    def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, order=None):
         n = a.shape[0]
         if a.shape != (n, n) or m.shape != (n, n):
             raise ValueError("block system needs square A, M of equal order")
@@ -403,7 +405,7 @@ class BlockSaddleSystem:
             raise ValueError("right-hand side blocks have wrong length")
         asym = sp.linalg.norm(m - m.T) if m.nnz else 0.0
         scale = max(np.abs(m.data).max() if m.nnz else 0.0, 1e-300)
-        if asym > sym_rtol * scale * np.sqrt(max(m.nnz, 1)):
+        if asym > SYM_RTOL * scale * np.sqrt(max(m.nnz, 1)):
             raise ValueError("mass matrix is not symmetric to working precision")
         #: symmetric ordering of the PRESB factor, or None for minimum degree
         self.order = order

@@ -20,11 +20,14 @@ import math
 import numpy as np
 
 from . import fem_core, optimal_control
-from .fem_core import as_scalar_field, as_vector_field, default_quadrature
+from .fem_core import QUADRATURE, as_scalar_field, as_vector_field
 from .mesh import build_unit_square, signed_areas
 from .sparse_linalg import semipositivity_check
 
 CSV_HEADER = "k,ey_l2,ey_order,ey_h1,ey_h1_order,ep_l2,ep_order,ep_h1,ep_h1_order"
+
+#: off-diagonal entries up to OFFDIAG_RTOL * max|diag| count as rounding zeros
+OFFDIAG_RTOL = 1e-14
 
 
 class DesiredStateSignError(ValueError):
@@ -96,13 +99,13 @@ class BoundReport:
         )
 
 
-def check_desired_state_bounds(mesh, solution, y_d, sign, quad=None):
+def check_desired_state_bounds(mesh, solution, y_d, sign):
     """
     Check the desired-state bounds of a computed optimality-system
     solution at every vertex (boundary included).
 
     ``sign`` is "nonneg" or "nonpos" and must hold for y_d at all
-    quadrature points; violations of that precondition raise
+    QUADRATURE points; violations of that precondition raise
     DesiredStateSignError, since the bounds are only meaningful for
     one-signed data.  ``y_d`` must be the desired state the solution
     was computed for: the mass matrix and the load (y_d, phi_i) are the
@@ -114,9 +117,8 @@ def check_desired_state_bounds(mesh, solution, y_d, sign, quad=None):
     if solution.tracking_load is None:
         raise ValueError("desired-state bounds need a tracking-mode solution")
     sigma = 1.0 if sign == "nonneg" else -1.0
-    quad = quad or default_quadrature()
     y_d = as_scalar_field(y_d)
-    xq, yq = fem_core.quadrature_points(mesh, quad)
+    xq, yq = fem_core.quadrature_points(mesh)
     samples = sigma * np.asarray(y_d(xq, yq), dtype=float)
     if samples.min() < 0.0:
         raise DesiredStateSignError(
@@ -144,9 +146,10 @@ def _region_mask(mesh, region):
     return inside[mesh.triangles].all(axis=1)
 
 
-def error_norms(mesh, numeric, exact, exact_grad, region=None, quad=None):
+def error_norms(mesh, numeric, exact, exact_grad, region=None):
     """
-    L2 and full H1 errors of a nodal field against an exact solution.
+    L2 and full H1 errors of a nodal field against an exact solution,
+    integrated with QUADRATURE.
 
     The H1 value is the full norm sqrt(L2^2 + |grad error|^2).  With a
     ``region`` box (x0, x1, y0, y1) only elements whose three vertices lie
@@ -157,7 +160,6 @@ def error_norms(mesh, numeric, exact, exact_grad, region=None, quad=None):
     EmptyRegionError
         If the region excludes every element.
     """
-    quad = quad or default_quadrature()
     numeric = np.asarray(numeric, dtype=float)
     exact = as_scalar_field(exact)
     exact_grad = as_vector_field(exact_grad)
@@ -174,7 +176,7 @@ def error_norms(mesh, numeric, exact, exact_grad, region=None, quad=None):
 
     areas = signed_areas(mesh)[sel]
     grads = fem_core.barycentric_gradient_table(mesh)[sel]
-    x, y = fem_core.quadrature_points(mesh, quad)
+    x, y = fem_core.quadrature_points(mesh)
     x, y = x[:, sel], y[:, sel]
     nodal = numeric[tri]  # (m, 3)
 
@@ -183,7 +185,7 @@ def error_norms(mesh, numeric, exact, exact_grad, region=None, quad=None):
 
     l2_sq = 0.0
     h1_semi_sq = 0.0
-    for q, (lam, w) in enumerate(zip(quad.points, quad.weights)):
+    for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
         xq, yq = x[q], y[q]
         uh = nodal @ lam
         diff = uh - np.asarray(exact(xq, yq), dtype=float)
@@ -194,7 +196,7 @@ def error_norms(mesh, numeric, exact, exact_grad, region=None, quad=None):
     return l2, math.sqrt(l2_sq + h1_semi_sq)
 
 
-def interpolant_error_norms(mesh, numeric, exact, region=None, quad=None):
+def interpolant_error_norms(mesh, numeric, exact, region=None):
     """
     Nodal-interpolant error metric: L2 and full H1 norms of the piecewise
     linear difference u_h - I_h(u), where I_h is nodal interpolation.
@@ -205,7 +207,7 @@ def interpolant_error_norms(mesh, numeric, exact, region=None, quad=None):
     benchmarks are conventionally reported in this metric.
     """
     diff = np.asarray(numeric, dtype=float) - fem_core.interpolate_nodal(mesh, exact)
-    return error_norms(mesh, diff, 0.0, (0.0, 0.0), region=region, quad=quad)
+    return error_norms(mesh, diff, 0.0, (0.0, 0.0), region=region)
 
 
 class MMatrixReport:
@@ -229,10 +231,10 @@ class MMatrixReport:
         )
 
 
-def certify_m_matrix(a, cap=5000, offdiag_rtol=1e-14):
+def certify_m_matrix(a, cap=5000):
     """
     Certify the M-matrix structure of a square CSR matrix: positive
-    diagonal, off-diagonal entries below offdiag_rtol * max|diag|, and
+    diagonal, off-diagonal entries at most ``OFFDIAG_RTOL * max|diag|``, and
     (for orders up to ``cap``) entrywise nonnegativity of the inverse.
 
     The inverse is certified by :func:`semipositivity_check`: one sparse
@@ -254,7 +256,7 @@ def certify_m_matrix(a, cap=5000, offdiag_rtol=1e-14):
     diag_ok = min_diag > 0.0
 
     scale = np.abs(diag).max() if diag.size else 0.0
-    offdiag_tol = offdiag_rtol * scale
+    offdiag_tol = OFFDIAG_RTOL * scale
     # stored entries count, explicit zeros included
     row = np.repeat(np.arange(n), np.diff(a.indptr))
     off = a.data[a.indices != row]
@@ -360,20 +362,19 @@ class ConvergenceTable:
 METRICS = ("quadrature", "interpolant")
 
 
-def solution_errors(mesh, case, sol, region=None, quad=None,
-                    metric="quadrature"):
+def solution_errors(mesh, case, sol, region=None, metric="quadrature"):
     """(ey_l2, ey_h1, ep_l2, ep_h1) of a solution pair; None on empty region."""
     try:
         if metric == "quadrature":
             ey = error_norms(mesh, sol.y_bar, case.exact_y, case.exact_grad_y,
-                             region=region, quad=quad)
+                             region=region)
             ep = error_norms(mesh, sol.p_bar, case.exact_p, case.exact_grad_p,
-                             region=region, quad=quad)
+                             region=region)
         elif metric == "interpolant":
             ey = interpolant_error_norms(mesh, sol.y_bar, case.exact_y,
-                                         region=region, quad=quad)
+                                         region=region)
             ep = interpolant_error_norms(mesh, sol.p_bar, case.exact_p,
-                                         region=region, quad=quad)
+                                         region=region)
         else:
             raise ValueError("unknown metric %r (expected one of %s)"
                              % (metric, METRICS))
@@ -383,8 +384,8 @@ def solution_errors(mesh, case, sol, region=None, quad=None,
 
 
 def convergence_tables(case, scheme, levels, regions, lump_reaction=True,
-                       quad=None, mesh_factory=build_unit_square,
-                       solution_hook=None, metric="quadrature"):
+                       mesh_factory=build_unit_square, solution_hook=None,
+                       metric="quadrature"):
     """
     Solve once per level and measure errors on several regions at once
     (None denotes the whole domain).  Returns one table per region.
@@ -398,12 +399,12 @@ def convergence_tables(case, scheme, levels, regions, lump_reaction=True,
     for k in levels:
         mesh = mesh_factory(k)
         sol = optimal_control.solve(
-            mesh, case.problem, scheme, lump_reaction=lump_reaction, quad=quad
+            mesh, case.problem, scheme, lump_reaction=lump_reaction
         )
         if solution_hook is not None:
             solution_hook(k, mesh, sol)
         for region, store in zip(regions, per_region):
-            vals = solution_errors(mesh, case, sol, region=region, quad=quad,
+            vals = solution_errors(mesh, case, sol, region=region,
                                    metric=metric)
             for c, v in zip(ConvergenceTable.COLUMNS, vals):
                 store[c].append(v)
@@ -414,9 +415,9 @@ def convergence_tables(case, scheme, levels, regions, lump_reaction=True,
 
 
 def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
-                      quad=None, metric="quadrature"):
+                      metric="quadrature"):
     """Convergence table over ascending levels (optionally on a sub-box)."""
     return convergence_tables(
-        case, scheme, levels, [region], lump_reaction=lump_reaction, quad=quad,
+        case, scheme, levels, [region], lump_reaction=lump_reaction,
         metric=metric,
     )[0]

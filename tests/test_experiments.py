@@ -134,8 +134,9 @@ def test_config_defaults_and_validation():
     assert config.schemes == ("eafe", "galerkin")
     with pytest.raises(ValueError):
         ExperimentConfig("unknown-example")
-    with pytest.raises(ValueError):
-        ExperimentConfig("stability", eps=-1.0)
+    for eps in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentConfig("stability", eps=eps)
     with pytest.raises(ValueError):
         ExperimentConfig("stability", levels=[4, 3])
     with pytest.raises(ValueError):

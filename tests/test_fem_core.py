@@ -6,6 +6,7 @@ import pytest
 
 from eafe_control import fem_core, mesh as mesh_module
 from eafe_control.fem_core import (
+    QUADRATURE,
     CoefficientError,
     CoefficientField,
     DataError,
@@ -13,12 +14,9 @@ from eafe_control.fem_core import (
     assemble_load,
     assemble_mass,
     barycentric_gradient_table,
-    centroid_rule,
     interpolate_nodal,
     lumped_mass_diagonal,
     quadrature_points,
-    seven_point_rule,
-    three_point_rule,
 )
 from eafe_control.eafe import assemble_eafe_stiffness
 from eafe_control.experiments import BOUNDARY_LAYER_REGION, boundary_layer_case
@@ -35,7 +33,7 @@ from eafe_control.verify_norms import solution_errors
 def count_builders(monkeypatch):
     """
     Count the calls of the private geometry builders behind the mesh
-    cache; quadrature points are counted per rule, keyed by its points.
+    cache.
     """
     counts = collections.Counter()
 
@@ -50,8 +48,7 @@ def count_builders(monkeypatch):
 
     counting(mesh_module, "_signed_areas", lambda mesh: "areas")
     counting(fem_core, "_barycentric_gradients", lambda mesh: "gradients")
-    counting(fem_core, "_quadrature_points",
-             lambda mesh, points: points.tobytes())
+    counting(fem_core, "_quadrature_points", lambda mesh: "quadrature")
     return counts
 
 
@@ -78,9 +75,9 @@ def exact_monomial_integral(a, b):
     )
 
 
-@pytest.mark.parametrize("rule", [centroid_rule(), three_point_rule(),
-                                  seven_point_rule()])
-def test_quadrature_exactness(rule):
+def test_quadrature_exactness():
+    rule = QUADRATURE
+    assert rule.degree == 5
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
     area = 0.5
     # barycentric points on the reference triangle: x = lambda_2, y = lambda_3
@@ -243,7 +240,6 @@ def test_interpolate_constant_and_affine():
     )
     vals = interpolate_nodal(mesh, lambda x, y: x + 2.0 * y)
     # P1 reproduces affine fields: reconstruct at quadrature points
-    rule = seven_point_rule()
     grads = barycentric_gradient_table(mesh)
     nodal = vals[mesh.triangles]
     gx = np.einsum("mc,mc->m", nodal, grads[:, :, 0])
@@ -251,8 +247,7 @@ def test_interpolate_constant_and_affine():
     assert gx == pytest.approx(np.ones(mesh.num_triangles), abs=1e-13)
     assert gy == pytest.approx(np.full(mesh.num_triangles, 2.0), abs=1e-13)
     p = mesh.vertices[mesh.triangles]
-    for q in range(len(rule)):
-        lam = rule.points[q]
+    for lam in QUADRATURE.points:
         xq = lam @ p[:, :, 0].swapaxes(0, 1)
         yq = lam @ p[:, :, 1].swapaxes(0, 1)
         assert nodal @ lam == pytest.approx(xq + 2.0 * yq, abs=1e-13)
@@ -295,7 +290,11 @@ def test_coefficient_floor_violation(assemble):
         assemble(mesh, coeff)
 
 
-def test_gamma_assumption_violation():
+@pytest.mark.parametrize(
+    "assemble", [assemble_galerkin_stiffness, assemble_eafe_stiffness],
+    ids=["galerkin", "eafe"],
+)
+def test_gamma_assumption_violation(assemble):
     mesh = build_unit_square(2)
     # gamma - div(zeta)/2 = -1 < claimed bound 0.5
     coeff = CoefficientField(
@@ -303,7 +302,19 @@ def test_gamma_assumption_violation():
         gamma_assumption=0.5,
     )
     with pytest.raises(CoefficientError):
-        coeff.validate_on(mesh)
+        assemble(mesh, coeff)
+
+
+@pytest.mark.parametrize(
+    "assemble", [assemble_galerkin_stiffness, assemble_eafe_stiffness],
+    ids=["galerkin", "eafe"],
+)
+def test_gamma_assumption_with_nonfinite_divergence(assemble):
+    # a NaN divergence must not make the declared bound vacuous
+    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0,
+                             gamma_assumption=0.5, div_zeta=np.nan)
+    with pytest.raises(DataError):
+        assemble(build_unit_square(2), coeff)
 
 
 def test_divergence_by_central_differences():
@@ -323,8 +334,7 @@ def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
     sol = solve(mesh, case.problem, "eafe")
     for region in (None, BOUNDARY_LAYER_REGION):
         solution_errors(mesh, case, sol, region=region, metric=metric)
-    assert counts == {"areas": 1, "gradients": 1,
-                      seven_point_rule().points.tobytes(): 1}
+    assert counts == {"areas": 1, "gradients": 1, "quadrature": 1}
 
 
 def test_cached_geometry_equals_fresh_computation():
@@ -333,14 +343,12 @@ def test_cached_geometry_equals_fresh_computation():
     assert np.array_equal(signed_areas(mesh), mesh_module._signed_areas(mesh))
     assert np.array_equal(barycentric_gradient_table(mesh),
                           fem_core._barycentric_gradients(mesh))
-    for make_rule in (centroid_rule, three_point_rule, seven_point_rule):
-        rule = make_rule()
-        x, y = quadrature_points(mesh, rule)
-        fresh = fem_core._quadrature_points(mesh, rule.points)
-        assert x.shape == (len(rule), mesh.num_triangles)
-        assert np.array_equal(x, fresh[0]) and np.array_equal(y, fresh[1])
-        # a new rule object with the same points shares the cached points
-        assert np.shares_memory(quadrature_points(mesh, make_rule())[0], x)
+    x, y = quadrature_points(mesh)
+    fresh = fem_core._quadrature_points(mesh)
+    assert x.shape == (QUADRATURE.weights.size, mesh.num_triangles)
+    assert np.array_equal(x, fresh[0]) and np.array_equal(y, fresh[1])
+    # a second call returns the cached points
+    assert np.shares_memory(quadrature_points(mesh)[0], x)
 
 
 def test_mesh_arrays_and_cached_geometry_are_read_only():
@@ -354,6 +362,7 @@ def test_mesh_arrays_and_cached_geometry_are_read_only():
     assert mesh.triangles[0].tolist() == [0, 1, 2]
     for array in (mesh.vertices, mesh.triangles, signed_areas(mesh),
                   barycentric_gradient_table(mesh),
-                  *quadrature_points(mesh, seven_point_rule())):
+                  *quadrature_points(mesh), QUADRATURE.points,
+                  QUADRATURE.weights):
         with pytest.raises(ValueError):
             array[0] = 1

@@ -191,9 +191,12 @@ NODE_ELE = "4 2\n0.0 0.0 1\n1.0 0.0 1\n1.0 1.0 1\n0.0 1.0 1\n0 1 2\n0 2 3\n"
     ("0 2 3\n", "0 2 3 1\n"),  # triangle line: 4 tokens
     ("0 2 3\n", "0 2.5 3\n"),  # non-integer vertex index
     ("0 2 3\n", ""),  # file ends early
+    ("0 2 3\n", "0 2 -1\n"),  # vertex index below 0
+    ("0 2 3\n", "0 2 4\n"),  # vertex index past the last vertex
     ("4 2\n", "4\n"),  # header: 1 token
 ], ids=["vertex-2", "vertex-4", "vertex-blank", "triangle-2", "triangle-4",
-        "triangle-float", "truncated", "header"])
+        "triangle-float", "truncated", "triangle-negative",
+        "triangle-out-of-range", "header"])
 def test_read_node_ele_rejects_malformed_input(tmp_path, old, new):
     path = tmp_path / "mesh.txt"
     path.write_text(NODE_ELE)

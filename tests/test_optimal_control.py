@@ -3,10 +3,11 @@ import pytest
 
 from eafe_control.fem_core import (
     CoefficientField,
+    DataError,
     interpolate_nodal,
     lumped_mass_diagonal,
 )
-from eafe_control import mesh as mesh_module
+from eafe_control import eafe, fem_core, mesh as mesh_module
 from eafe_control.experiments import boundary_layer_case
 from eafe_control.mesh import (
     TriMesh,
@@ -51,6 +52,24 @@ def test_problem_spec_needs_exactly_one_mode():
         ProblemSpec(coeff, y_d=1.0, f=lambda x, y: x, g=lambda x, y: y)
     with pytest.raises(AssemblyError):
         ProblemSpec(coeff, f=lambda x, y: x)  # missing g
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("coefficients", [
+    {"eps": np.nan}, {"eps": np.inf}, {"gamma": np.nan},
+    {"zeta": (np.nan, 0.0)},
+], ids=["eps-nan", "eps-inf", "gamma-nan", "zeta-nan"])
+def test_nonfinite_coefficients_raise_before_assembly(monkeypatch, scheme,
+                                                      coefficients):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built from non-finite samples")
+
+    for module in (fem_core, eafe):
+        monkeypatch.setattr(module, "from_triplets", no_matrix)
+    data = {"eps": 1e-2, "zeta": (-1.0, 0.0), "gamma": 0.0, **coefficients}
+    spec = ProblemSpec(plain_coefficients(**data), y_d=1.0)
+    with pytest.raises(DataError):
+        solve(build_unit_square(3), spec, scheme)
 
 
 def test_tracking_rhs_is_negative_load():
@@ -177,7 +196,7 @@ def test_interpolant_residual_decreases_under_refinement():
     for level in (2, 3, 4):
         mesh = build_unit_square(level)
         system, _, _, _, _, interior = _assemble_parts(
-            mesh, case.problem, "eafe", True, None
+            mesh, case.problem, "eafe", True
         )
         xi = np.concatenate([
             interpolate_nodal(mesh, case.exact_p)[interior],
