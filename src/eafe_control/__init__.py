@@ -21,7 +21,6 @@ from .mesh import TriMesh, build_unit_square, delaunay_check, uniform_refine
 from .optimal_control import ProblemSpec, SolutionPair, recover_control, solve
 from .sparse_linalg import (
     BlockSaddleSystem,
-    from_triplets,
     inverse_nonneg_check,
     semipositivity_check,
     solve_direct,
@@ -56,7 +55,6 @@ __all__ = [
     "delaunay_check",
     "edge_flux_coefficients",
     "error_norms",
-    "from_triplets",
     "interpolate_nodal",
     "interpolant_error_norms",
     "inverse_nonneg_check",

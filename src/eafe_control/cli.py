@@ -59,19 +59,24 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        example=args.example,
-        eps=args.eps,
-        levels=args.levels,
-        scheme=args.scheme,
-        out_dir=args.out,
-        region=args.region,
-        lump_reaction=args.lump_reaction == "on",
-        yd_const=args.yd_const,
-        seed=args.seed,
-        metric=args.metric,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = ExperimentConfig(
+            example=args.example,
+            eps=args.eps,
+            levels=args.levels,
+            scheme=args.scheme,
+            out_dir=args.out,
+            region=args.region,
+            lump_reaction=args.lump_reaction == "on",
+            yd_const=args.yd_const,
+            seed=args.seed,
+            metric=args.metric,
+        )
+    except ValueError as exc:
+        # rejected settings end like any other bad argument: usage, exit 2
+        parser.error(str(exc))
     results = run(config)
 
     if config.example in ("stability", "custom"):

@@ -28,11 +28,12 @@ from .fem_core import (
     DataError,
     barycentric_gradient_table,
     finite_samples,
+    fold_blocks,
     lumped_mass_diagonal,
     quadrature_points,
+    scatter_edges,
 )
 from .mesh import LOCAL_EDGES, delaunay_report, signed_areas
-from .sparse_linalg import from_triplets
 
 #: switch-over into the overflow-safe evaluation branch
 _BIG_ARG = 700.0
@@ -161,16 +162,20 @@ class EdgeData:
 
 def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     """
-    Edge-averaged stiffness matrix over all dofs, as a canonical scipy
-    CSR matrix.
+    Edge-averaged stiffness matrix over all dofs, as a CSR matrix on
+    :func:`fem_core.edge_pattern`.
 
     The Bernoulli flux pair of :func:`edge_flux_coefficients` is evaluated
-    once per mesh edge (:class:`EdgeData`) and scattered with the weights
-    -area * grad(lambda_i) . grad(lambda_j) of each adjacent triangle.
-    The reaction term enters as a lumped diagonal gamma(x_i) *
-    patch_area / 3 by default (preserving the M-matrix sign pattern);
-    ``lump_reaction=False`` uses the consistent mass weighted by gamma,
-    integrated with :data:`QUADRATURE`, instead.
+    once per mesh edge (:class:`EdgeData`) and weighted by the summed edge
+    weight omega_E = sum over adjacent triangles of -area * grad(lambda_i)
+    . grad(lambda_j): edge (i, j), i < j, gives entries -omega_E c_ij at
+    (i, j) and -omega_E c_ji at (j, i), and their negatives on the
+    diagonals (j, j) and (i, i), summed by ``np.bincount``.  The reaction
+    term enters as a lumped diagonal gamma(x_i) * patch_area / 3 by default
+    (preserving the M-matrix sign pattern); ``lump_reaction=False`` uses
+    the consistent mass weighted by gamma instead, integrated with
+    :data:`QUADRATURE` and folded onto the edges
+    (:func:`fem_core.fold_blocks`).
 
     A failed edge-weight (Delaunay) check of the summed weights does not
     abort assembly; it is raised as a MonotonicityLossWarning so the
@@ -178,32 +183,17 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     DataError.
     """
     data = EdgeData(mesh, coeff)
-    t = mesh.triangles
-    rows, cols, vals = [], [], []
-    for k, (a, b) in enumerate(LOCAL_EDGES):
-        i = t[:, a]
-        j = t[:, b]
-        # per-edge coefficients are stored for the orientation i < j
-        e = mesh.tri_edges[:, k]
-        forward = i < j
-        c_ij = np.where(forward, data.c_ij[e], data.c_ji[e])
-        c_ji = np.where(forward, data.c_ji[e], data.c_ij[e])
-        omega = data.tri_weights[:, k]
-        # per-triangle triplets, not per-edge sums: scipy's duplicate
-        # summation order, and so the last bit of each entry, follows them
-        rows += [j, j, i, i]
-        cols += [j, i, j, i]
-        vals += [omega * c_ij, -omega * c_ji, -omega * c_ij, omega * c_ji]
+    n = mesh.num_vertices
+    ij = -data.weights * data.c_ij
+    ji = -data.weights * data.c_ji
+    diag = -(np.bincount(mesh.edges[:, 0], weights=ji, minlength=n)
+             + np.bincount(mesh.edges[:, 1], weights=ij, minlength=n))
 
     if lump_reaction:
         xv = mesh.vertices[:, 0]
         yv = mesh.vertices[:, 1]
         gam_v = finite_samples("reaction", coeff.gamma(xv, yv), xv.shape)
-        diag = gam_v * lumped_mass_diagonal(mesh)
-        idx = np.arange(mesh.num_vertices)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(diag)
+        diag += gam_v * lumped_mass_diagonal(mesh)
     else:
         areas = signed_areas(mesh)
         x, y = quadrature_points(mesh)
@@ -215,16 +205,10 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
             for a in range(3):
                 for b in range(3):
                     local[:, a, b] += scale * lam[a] * lam[b]
-        for a in range(3):
-            for b in range(3):
-                rows.append(t[:, a])
-                cols.append(t[:, b])
-                vals.append(local[:, a, b])
+        for total, part in zip((diag, ij, ji), fold_blocks(mesh, local)):
+            total += part
 
-    n = mesh.num_vertices
-    mat = from_triplets(
-        n, n, (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    )
+    mat = scatter_edges(mesh, diag, ij, ji)
     if not data.delaunay.ok:
         warnings.warn(
             "edge-weight condition violated on %d edge(s); the assembled "

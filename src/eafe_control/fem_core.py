@@ -1,17 +1,20 @@
 """
 P1 Lagrange ingredients shared by the standard Galerkin and the
 edge-averaged paths: barycentric gradients, the quadrature rule QUADRATURE,
-mass and stiffness assembly, load vectors, and nodal interpolation.
+the edge-graph CSR pattern every matrix is assembled on, mass and
+stiffness assembly, load vectors, and nodal interpolation.
 
 Scalar fields are callables ``f(x, y) -> array`` accepting numpy arrays;
 vector fields return a pair ``(fx, fy)``.  Plain numbers / pairs are
 accepted everywhere and wrapped into constant fields.
 """
 
-import numpy as np
+from collections import namedtuple
 
-from .mesh import GeometryError, signed_areas
-from .sparse_linalg import from_triplets
+import numpy as np
+import scipy.sparse as sp
+
+from .mesh import LOCAL_EDGES, GeometryError, signed_areas
 
 DEGENERATE_AREA = 1e-16
 DIV_FD_STEP = 1e-6
@@ -201,10 +204,14 @@ def _barycentric_gradients(mesh):
 def quadrature_points(mesh):
     """
     Physical coordinates of the :data:`QUADRATURE` points, two read-only
-    (nq, M) arrays; row q holds point q of every triangle.  They are
-    computed once per mesh.
+    (nq, M) arrays; row q holds point q of every triangle.
+
+    They are computed on each call and not kept on the mesh: the table
+    takes 14 MB at level 8 and 225 MB at level 10, and each caller loops
+    over it once.
     """
-    xy = mesh.cached("quadrature", lambda: _quadrature_points(mesh))
+    xy = _quadrature_points(mesh)
+    xy.flags.writeable = False
     return xy[0], xy[1]
 
 
@@ -215,34 +222,107 @@ def _quadrature_points(mesh):
     return np.array([[lam @ p[:, :, c].T for lam in QUADRATURE.points] for c in (0, 1)])
 
 
+#: the edge-graph CSR pattern of a mesh and where each entry lives in it
+EdgePattern = namedtuple("EdgePattern", "indptr indices diag ij ji")
+
+
+def edge_pattern(mesh):
+    """
+    Read-only CSR pattern of every matrix assembled on ``mesh``, built
+    once per mesh: the diagonal and both directions (i, j), (j, i) of
+    every edge, column indices sorted within each row.
+
+    A P1 or edge-averaged matrix couples exactly the two ends of an edge,
+    so this is the canonical CSR of all of them, explicit zeros included;
+    the sparse LU ordering sees this pattern.  Besides ``indptr`` and
+    ``indices`` the :class:`EdgePattern` holds slot maps into the data
+    array: ``diag`` (N,) of entry (i, i), and ``ij``, ``ji`` (E,) of
+    entries (i, j) and (j, i) of edge (i, j), i < j.  Index arrays are
+    int32 while the entry count allows.
+    """
+    return mesh.cached("pattern", lambda: _edge_pattern(mesh))
+
+
+def _edge_pattern(mesh):
+    n = mesh.num_vertices
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    order = np.argsort(rows * n + cols)
+    index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
+    slot = np.empty(order.size, dtype=index)
+    slot[order] = np.arange(order.size, dtype=index)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    ne = mesh.num_edges
+    return EdgePattern(indptr, cols[order].astype(index), slot[:n],
+                       slot[n:n + ne], slot[n + ne:])
+
+
+def scatter_edges(mesh, diag, ij, ji):
+    """
+    CSR matrix on :func:`edge_pattern` with ``diag`` (N,) on the diagonal
+    and ``ij``, ``ji`` (E,) at entries (i, j) and (j, i) of every edge
+    (i, j), i < j.  Every matrix of the package is built here; the
+    result owns copies of the pattern's index arrays.
+    """
+    pattern = edge_pattern(mesh)
+    data = np.empty(pattern.indices.size)
+    data[pattern.diag] = diag
+    data[pattern.ij] = ij
+    data[pattern.ji] = ji
+    n = mesh.num_vertices
+    return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                         shape=(n, n))
+
+
+def fold_blocks(mesh, local):
+    """
+    Sum element blocks ``local`` (M, 3, 3), entry (a, b) coupling test
+    vertex a with trial vertex b, onto the mesh: returns the (diag, ij,
+    ji) arguments of :func:`scatter_edges`.  Local edge k of a triangle
+    is mesh edge ``tri_edges[:, k]``; its (a, b) and (b, a) entries land
+    on (i, j) and (j, i) as its orientation says.
+    """
+    t = mesh.triangles
+    n, ne = mesh.num_vertices, mesh.num_edges
+    diag = np.zeros(n)
+    ij = np.zeros(ne)
+    ji = np.zeros(ne)
+    for a in range(3):
+        diag += np.bincount(t[:, a], weights=local[:, a, a], minlength=n)
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        e = mesh.tri_edges[:, k]
+        forward = t[:, a] < t[:, b]
+        ij += np.bincount(e, weights=np.where(forward, local[:, a, b],
+                                              local[:, b, a]), minlength=ne)
+        ji += np.bincount(e, weights=np.where(forward, local[:, b, a],
+                                              local[:, a, b]), minlength=ne)
+    return diag, ij, ji
+
+
 def assemble_mass(mesh):
     """
-    Consistent P1 mass matrix over all dofs (exact integration).
+    Consistent P1 mass matrix over all dofs (exact integration), as a CSR
+    matrix on :func:`edge_pattern`.
 
-    The local block is area/12 * [[2,1,1],[1,2,1],[1,1,2]]; entries are
-    nonnegative and row sums equal a third of the vertex patch area.
+    The local block is area/12 * [[2,1,1],[1,2,1],[1,1,2]], so entry
+    (i, j) of an edge is a twelfth of the area of its one or two
+    triangles (``edge_tris``), and the diagonal is half the lumped one.
+    Entries are nonnegative and row sums equal a third of the vertex
+    patch area.
     """
     areas = signed_areas(mesh)
-    t = mesh.triangles
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(areas * ((2.0 if i == j else 1.0) / 12.0))
-    n = mesh.num_vertices
-    return from_triplets(
-        n, n, (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    )
+    first, second = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    off = (areas[first] + np.where(second >= 0, areas[second], 0.0)) / 12.0
+    return scatter_edges(mesh, 0.5 * lumped_mass_diagonal(mesh), off, off)
 
 
 def lumped_mass_diagonal(mesh):
     """Row-sum (patch-area / 3) lumping of the P1 mass matrix."""
     areas = signed_areas(mesh)
-    diag = np.zeros(mesh.num_vertices)
-    for c in range(3):
-        np.add.at(diag, mesh.triangles[:, c], areas / 3.0)
-    return diag
+    return np.bincount(mesh.triangles.T.ravel(), weights=np.tile(areas / 3.0, 3),
+                       minlength=mesh.num_vertices)
 
 
 def assemble_galerkin_stiffness(mesh, coeff):
@@ -250,11 +330,13 @@ def assemble_galerkin_stiffness(mesh, coeff):
     Standard (unstabilized) P1 stiffness of the convection-diffusion-
     reaction form over all dofs: entry (i, j) is the bilinear form applied
     to (trial phi_j, test phi_i), integrated with :data:`QUADRATURE`.
-    A non-finite coefficient sample raises DataError.
+    The (M, 3, 3) element blocks are folded onto the mesh edges
+    (:func:`fold_blocks`) and returned as a CSR matrix on
+    :func:`edge_pattern`.  A non-finite coefficient sample raises
+    DataError.
     """
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
-    t = mesh.triangles
     x, y = quadrature_points(mesh)
 
     local = np.zeros((mesh.num_triangles, 3, 3))
@@ -275,17 +357,7 @@ def assemble_galerkin_stiffness(mesh, coeff):
                 local[:, i, j] += scale * (
                     diff + lam[j] * conv_i + gam * lam[i] * lam[j]
                 )
-
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(local[:, i, j])
-    n = mesh.num_vertices
-    return from_triplets(
-        n, n, (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    )
+    return scatter_edges(mesh, *fold_blocks(mesh, local))
 
 
 def assemble_load(mesh, f):

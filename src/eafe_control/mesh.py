@@ -10,8 +10,8 @@ lower-left-to-upper-right diagonal; the convention is recorded on the mesh
 
 A built mesh is immutable, and this is enforced: its vertex and triangle
 arrays are private read-only copies, so what a mesh caches (signed areas
-and the nested-dissection vertex order here, gradient tables and
-quadrature points in ``fem_core``) can never go stale.
+and the nested-dissection vertex order here, the gradient table and the
+edge-graph CSR pattern in ``fem_core``) can never go stale.
 """
 
 import numpy as np
@@ -103,9 +103,15 @@ class TriMesh:
         self.h = float(side.max())
 
     def cached(self, key, build):
-        """Read-only geometry under ``key``, from the first ``build()`` that returns."""
+        """
+        Read-only geometry under ``key``, from the first ``build()`` that
+        returns: an array, or a tuple of arrays.
+        """
         if key not in self._geometry:
-            self._geometry[key] = _readonly(build())
+            value = build()
+            for array in value if isinstance(value, tuple) else (value,):
+                _readonly(array)
+            self._geometry[key] = value
         return self._geometry[key]
 
     @property
@@ -332,8 +338,8 @@ def delaunay_report(mesh, w):
     weight magnitude.  This is exactly the condition under which the
     edge-averaged stiffness matrix keeps nonpositive off-diagonal entries.
     """
-    sums = np.zeros(mesh.num_edges)
-    np.add.at(sums, mesh.tri_edges.ravel(), w.ravel())
+    sums = np.bincount(mesh.tri_edges.ravel(), weights=w.ravel(),
+                       minlength=mesh.num_edges)
     tol = 1e-12 * max(np.abs(w).max(), 1e-300)
     bad = np.flatnonzero(sums < -tol)
     return sums, DelaunayReport(bad.size == 0, bad.tolist(), tol)

@@ -1,16 +1,14 @@
 """
-Triplet assembly into scipy CSR matrices, a certified direct solver, the
-one-solve M-matrix (semipositivity) certificate with its column-by-column
-reference, and the 2x2 saddle-point block system with its certified
-PRESB-preconditioned flexible GMRES solver.
+A certified direct solver, the one-solve M-matrix (semipositivity)
+certificate with its column-by-column reference, and the 2x2 saddle-point
+block system with its certified PRESB-preconditioned flexible GMRES
+solver.
 
 Storage and factorization are delegated to scipy.sparse / SuperLU, and
 the rest of the package uses the scipy matrices directly; the flexible
 GMRES is written here, since scipy has none, and applies the saddle
-operator by its blocks.  This module pins down the contracts it relies
-on: duplicate-summing triplet assembly into canonical CSR (strictly
-increasing column indices), and a residual certificate on every returned
-solution, direct or iterative.
+operator by its blocks.  Every returned solution, direct or iterative,
+carries a residual certificate.
 """
 
 import numpy as np
@@ -45,41 +43,6 @@ class ResidualCertificationError(RuntimeError):
     """Computed solution failed the relative-residual certificate."""
 
 
-def from_triplets(nrows, ncols, triplets):
-    """
-    Assemble a canonical ``scipy.sparse.csr_matrix`` from (row, col,
-    value) contributions.
-
-    ``triplets`` is either an iterable of (row, col, value) triples or a
-    (rows, cols, values) tuple of arrays.  Duplicate positions are summed
-    and column indices are sorted within each row.  Explicit zeros are
-    kept: they hold the structural pattern the sparse LU ordering sees.
-
-    Raises
-    ------
-    IndexError
-        If any index lies outside [0, nrows) x [0, ncols).
-    """
-    if isinstance(triplets, tuple) and len(triplets) == 3:
-        rows, cols, vals = triplets
-    else:
-        triplets = list(triplets)
-        if triplets:
-            rows, cols, vals = zip(*triplets)
-        else:
-            rows, cols, vals = (), (), ()
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=float)
-    if rows.size and (rows.min() < 0 or rows.max() >= nrows):
-        raise IndexError("row index out of range")
-    if cols.size and (cols.min() < 0 or cols.max() >= ncols):
-        raise IndexError("column index out of range")
-    csr = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
-    csr.sum_duplicates()
-    return csr
-
-
 def _factorize(mat, diagonal_pivots=False, order=None):
     """
     SuperLU factor of a square sparse matrix.
@@ -108,6 +71,12 @@ def _factorize(mat, diagonal_pivots=False, order=None):
     both on first access and keeps them on the factor, which would carry
     a second copy of it through every later solve.
 
+    The CSC matrix SuperLU reads, ``mat[order]`` converted and then
+    column-permuted, is built in one expression and rebound to ``mat``.
+    A caller that passes a temporary, as :meth:`BlockSaddleSystem.solve`
+    passes ``M + sqrt(beta) A``, thereby leaves that CSC as the only copy
+    of the matrix alive during the factorization.
+
     Raises
     ------
     SingularMatrixError
@@ -122,9 +91,8 @@ def _factorize(mat, diagonal_pivots=False, order=None):
     elif diagonal_pivots:
         options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0}
     try:
-        if order is not None:
-            mat = mat[order][:, order]
-        return spla.splu(mat.tocsc(), **options)
+        mat = mat.tocsc() if order is None else mat[order].tocsc()[:, order]
+        return spla.splu(mat, **options)
     except MemoryError as exc:
         raise ResourceLimitError(str(exc)) from exc
     except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs
@@ -441,6 +409,10 @@ class BlockSaddleSystem:
         application each.  A zero right-hand side returns zeros without
         factoring anything (``fill`` 0).
 
+        ``F = M + sqrt(beta) A`` is passed to :func:`_factorize` as a
+        temporary, so the CSC of ``F`` in its symmetric order is the only
+        copy of F alive while SuperLU factors it.
+
         Raises
         ------
         SingularMatrixError
@@ -459,7 +431,7 @@ class BlockSaddleSystem:
             return np.zeros(n), np.zeros(n), 0.0
 
         s = np.sqrt(self.beta)
-        # F = M + K lives only until it is factored
+        # F = M + K is a temporary: _factorize drops it once its CSC is built
         if self.order is None:
             o, lu = slice(None), _factorize(m + s * a, diagonal_pivots=True)
         else:

@@ -309,3 +309,20 @@ def test_cli_boundary_layer_run(tmp_path, capsys):
 def test_cli_rejects_unknown_example():
     with pytest.raises(SystemExit):
         main(["--example", "vortex"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--eps", "nan", "--levels", "3..3"], "eps must be positive and finite"),
+    (["--eps", "-1", "--levels", "3..3"], "eps must be positive and finite"),
+    (["--levels", "8,7"], "levels must be a nonempty ascending sequence"),
+], ids=["eps-nan", "eps-negative", "levels-descending"])
+def test_cli_rejected_config_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--example", "stability", "--out", str(out), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: eafe-control")
+    assert "error: " + message in err
+    assert "Traceback" not in err
+    assert not out.exists()

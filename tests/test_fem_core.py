@@ -1,5 +1,7 @@
 import collections
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from eafe_control.fem_core import (
     assemble_load,
     assemble_mass,
     barycentric_gradient_table,
+    edge_pattern,
     interpolate_nodal,
     lumped_mass_diagonal,
     quadrature_points,
+    scatter_edges,
 )
-from eafe_control.eafe import assemble_eafe_stiffness
+from eafe_control.eafe import MonotonicityLossWarning, assemble_eafe_stiffness
 from eafe_control.experiments import BOUNDARY_LAYER_REGION, boundary_layer_case
 from eafe_control.mesh import (
     GeometryError,
@@ -28,6 +32,7 @@ from eafe_control.mesh import (
 )
 from eafe_control.optimal_control import solve
 from eafe_control.verify_norms import solution_errors
+from reference import coo_eafe, coo_galerkin, coo_mass, from_triplets
 
 
 def count_builders(monkeypatch):
@@ -332,9 +337,15 @@ def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
     case = boundary_layer_case(1e-2)
     mesh = build_unit_square(4)
     sol = solve(mesh, case.problem, "eafe")
+    solved = counts.copy()
     for region in (None, BOUNDARY_LAYER_REGION):
         solution_errors(mesh, case, sol, region=region, metric=metric)
-    assert counts == {"areas": 1, "gradients": 1, "quadrature": 1}
+    assert counts["areas"] == 1 and counts["gradients"] == 1
+    # quadrature points are not cached: the quadrature metric maps them once
+    # per error_norms call (state and adjoint, two regions), the
+    # interpolant metric never
+    mapped = counts["quadrature"] - solved["quadrature"]
+    assert mapped == (4 if metric == "quadrature" else 0)
 
 
 def test_cached_geometry_equals_fresh_computation():
@@ -343,12 +354,14 @@ def test_cached_geometry_equals_fresh_computation():
     assert np.array_equal(signed_areas(mesh), mesh_module._signed_areas(mesh))
     assert np.array_equal(barycentric_gradient_table(mesh),
                           fem_core._barycentric_gradients(mesh))
+    assert all(np.array_equal(cached, fresh) for cached, fresh in
+               zip(edge_pattern(mesh), fem_core._edge_pattern(mesh)))
     x, y = quadrature_points(mesh)
     fresh = fem_core._quadrature_points(mesh)
     assert x.shape == (QUADRATURE.weights.size, mesh.num_triangles)
     assert np.array_equal(x, fresh[0]) and np.array_equal(y, fresh[1])
-    # a second call returns the cached points
-    assert np.shares_memory(quadrature_points(mesh)[0], x)
+    # each call maps the points anew; the mesh keeps no copy
+    assert not np.shares_memory(quadrature_points(mesh)[0], x)
 
 
 def test_mesh_arrays_and_cached_geometry_are_read_only():
@@ -361,8 +374,94 @@ def test_mesh_arrays_and_cached_geometry_are_read_only():
     assert mesh.vertices[0].tolist() == [0.0, 0.0]
     assert mesh.triangles[0].tolist() == [0, 1, 2]
     for array in (mesh.vertices, mesh.triangles, signed_areas(mesh),
-                  barycentric_gradient_table(mesh),
+                  barycentric_gradient_table(mesh), *edge_pattern(mesh),
                   *quadrature_points(mesh), QUADRATURE.points,
                   QUADRATURE.weights):
         with pytest.raises(ValueError):
             array[0] = 1
+
+
+# ----------------------------------------------------------------------
+# assembly on the edge-graph CSR pattern
+
+
+PATTERN_MESHES = {
+    "lowerleft": lambda: build_unit_square(4),
+    "upperleft": lambda: build_unit_square(4, diagonal="upperleft-lowerright"),
+    "jittered-renumbered": lambda: jittered_renumbered_mesh(4, seed=11),
+}
+
+ASSEMBLERS = {
+    "eafe-lumped": (assemble_eafe_stiffness, coo_eafe),
+    "eafe-consistent": (
+        lambda mesh, coeff: assemble_eafe_stiffness(mesh, coeff,
+                                                    lump_reaction=False),
+        lambda mesh, coeff: coo_eafe(mesh, coeff, lump_reaction=False)),
+    "galerkin": (assemble_galerkin_stiffness, coo_galerkin),
+    "mass": (lambda mesh, coeff: assemble_mass(mesh),
+             lambda mesh, coeff: coo_mass(mesh)),
+}
+
+
+def varying_coefficients():
+    return CoefficientField(
+        eps=lambda x, y: 1e-2 * (1.0 + x + y * y),
+        zeta=lambda x, y: (np.sin(2.0 * np.pi * y) - 0.5, np.cos(3.0 * x)),
+        gamma=lambda x, y: 1.0 + x * y, eps_floor=1e-2,
+    )
+
+
+@pytest.mark.parametrize("matrix", ASSEMBLERS)
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_pattern_assembly_equals_coo_reference(mesh_name, matrix):
+    mesh = PATTERN_MESHES[mesh_name]()
+    assemble, reference = ASSEMBLERS[matrix]
+    coeff = varying_coefficients()
+    with warnings.catch_warnings():
+        # the jitter may tilt a zero-weight diagonal edge either way
+        warnings.simplefilter("ignore", MonotonicityLossWarning)
+        a = assemble(mesh, coeff)
+    ref = reference(mesh, coeff)
+    assert a.indptr.dtype == ref.indptr.dtype
+    assert a.indices.dtype == ref.indices.dtype
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.abs(a.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def test_scatter_places_each_edge_value_in_its_slot():
+    mesh = jittered_renumbered_mesh(3, seed=5)
+    n, ne = mesh.num_vertices, mesh.num_edges
+    diag = np.arange(1.0, n + 1.0)
+    ij = -np.arange(1.0, ne + 1.0)
+    ji = 0.5 * ij
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    ref = from_triplets(n, n, (np.concatenate([np.arange(n), i, j]),
+                               np.concatenate([np.arange(n), j, i]),
+                               np.concatenate([diag, ij, ji])))
+    a = scatter_edges(mesh, diag, ij, ji)
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.array_equal(a.data, ref.data)
+    assert a.has_canonical_format
+    # the matrix owns its index arrays; the cached pattern stays read-only
+    assert not np.shares_memory(a.indices, edge_pattern(mesh).indices)
+    a.indices[0] = a.indices[0]
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda mesh, coeff: assemble_eafe_stiffness(mesh, coeff),
+    lambda mesh, coeff: assemble_mass(mesh),
+], ids=["eafe", "mass"])
+def test_assembly_peak_memory_stays_below_eight_results(assemble):
+    # COO triplets took 19x (EAFE) and 12x (mass) the bytes of the result
+    mesh = build_unit_square(6)
+    coeff = boundary_layer_case(1e-2).problem.coeff
+    assemble(mesh, coeff)  # warm the mesh caches
+    tracemalloc.start()
+    try:
+        a = assemble(mesh, coeff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)

@@ -65,7 +65,7 @@ def test_nonfinite_coefficients_raise_before_assembly(monkeypatch, scheme,
         raise AssertionError("a matrix was built from non-finite samples")
 
     for module in (fem_core, eafe):
-        monkeypatch.setattr(module, "from_triplets", no_matrix)
+        monkeypatch.setattr(module, "scatter_edges", no_matrix)
     data = {"eps": 1e-2, "zeta": (-1.0, 0.0), "gamma": 0.0, **coefficients}
     spec = ProblemSpec(plain_coefficients(**data), y_d=1.0)
     with pytest.raises(DataError):

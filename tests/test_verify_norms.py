@@ -15,7 +15,6 @@ from eafe_control.optimal_control import ProblemSpec, solve
 from eafe_control import sparse_linalg
 from eafe_control.sparse_linalg import (
     SingularMatrixError,
-    from_triplets,
     inverse_nonneg_check,
 )
 from eafe_control.verify_norms import (
@@ -29,7 +28,9 @@ from eafe_control.verify_norms import (
     error_norms,
     interpolant_error_norms,
 )
+from reference import from_triplets
 from test_acceptance import benchmark_coefficient_sets
+from test_fem_core import jittered_renumbered_mesh
 
 
 def test_error_norms_interpolated_affine_is_exact():
@@ -69,6 +70,26 @@ def test_error_norms_empty_region():
     fine = build_unit_square(4)
     error_norms(fine, np.zeros(fine.num_vertices), 0.0, (0.0, 0.0),
                 region=(0.4, 0.6, 0.4, 0.6))
+
+
+@pytest.mark.parametrize("region", [None, (0.25, 0.75, 0.3, 0.9)],
+                         ids=["global", "region"])
+def test_exact_interpolant_metric_equals_quadrature_of_the_difference(region):
+    mesh = jittered_renumbered_mesh(4, seed=3)
+    rng = np.random.default_rng(17)
+    numeric = rng.standard_normal(mesh.num_vertices)
+    field = lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y)
+    diff = numeric - interpolate_nodal(mesh, field)
+    exact = interpolant_error_norms(mesh, numeric, field, region=region)
+    quadrature = error_norms(mesh, diff, 0.0, (0.0, 0.0), region=region)
+    assert exact == pytest.approx(quadrature, rel=1e-13, abs=0.0)
+
+
+def test_interpolant_metric_empty_region():
+    mesh = build_unit_square(3)
+    with pytest.raises(EmptyRegionError):
+        interpolant_error_norms(mesh, np.zeros(mesh.num_vertices), 0.0,
+                                region=(0.4, 0.6, 0.4, 0.6))
 
 
 def test_interpolant_metric_matches_matrix_norms():
