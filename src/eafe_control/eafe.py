@@ -115,13 +115,11 @@ def edge_flux_coefficients(eps_e, zeta_e, x_i, x_j):
 class EdgeData:
     """
     Per-edge quantities of a mesh/coefficient pair, canonical orientation
-    i < j with tau = x_j - x_i; what the edge-averaged assembly is built
-    from.
+    i < j; what the edge-averaged assembly is built from.
 
     Attributes
     ----------
     eps_e, zeta_e : midpoint-averaged diffusion / convection per edge
-    tau : (E, 2) scaled tangent vectors
     tri_weights : (M, 3) edge weights per triangle, LOCAL_EDGES order
     weights : (E,) edge weights summed over adjacent triangles
     delaunay : DelaunayReport of the summed weights
@@ -152,7 +150,6 @@ class EdgeData:
         self.zeta_e = np.column_stack(
             [0.5 * (zx_v[i] + zx_v[j]), 0.5 * (zy_v[i] + zy_v[j])]
         )
-        self.tau = mesh.vertices[j] - mesh.vertices[i]
         self.tri_weights = triangle_edge_weights(mesh)
         self.weights, self.delaunay = delaunay_report(mesh, self.tri_weights)
         self.c_ij, self.c_ji = edge_flux_coefficients(

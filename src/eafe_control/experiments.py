@@ -23,7 +23,8 @@ import numpy as np
 
 from . import optimal_control, verify_norms
 from .fem_core import CoefficientField
-from .mesh import DIAGONAL_CONVENTION, build_unit_square
+from .mesh import (DIAGONAL_CONVENTION, build_unit_square,
+                   unit_square_vertex_count)
 from .optimal_control import ProblemSpec, write_solution_csv, write_solution_vtk
 from .verify_norms import ManufacturedCase, certify_m_matrix, convergence_tables
 
@@ -58,6 +59,9 @@ class ExperimentConfig:
                                         else levels)]
         if not self.levels or self.levels != sorted(self.levels):
             raise ValueError("levels must be a nonempty ascending sequence")
+        for level in self.levels:
+            # MeshCapacityError, a ValueError, before any level runs
+            unit_square_vertex_count(level)
         self.scheme = defaults["scheme"] if scheme is None else scheme
         if self.scheme not in ("eafe", "galerkin", "both"):
             raise ValueError("scheme must be eafe, galerkin, or both")
@@ -328,9 +332,10 @@ def run_stability(config):
             margin = "none" if inverse is None else "%.3e" % inverse.margin
             writer.log(
                 "stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
-                "m_margin=%s iterations=%d fill=%d elapsed=%.2fs"
+                "m_margin=%s iterations=%d factor=%s fill=%d elapsed=%.2fs"
                 % (scheme, level, bounds.ok, bounds.worst_violation,
-                   mreport.ok, margin, sol.iterations, sol.fill,
+                   mreport.ok, margin, sol.iterations,
+                   sol.precision or "none", sol.fill,
                    time.perf_counter() - t0)
             )
             if writer.dir is not None:
@@ -351,7 +356,8 @@ def _run_convergence(config, case, default_region):
         solves = {}
 
         def hook(level, mesh, sol, _scheme=scheme, _solves=solves):
-            _solves[level] = (sol.iterations, sol.fill)
+            _solves[level] = (sol.iterations, sol.precision or "none",
+                              sol.fill)
             if writer.dir is not None:
                 stem = "%s_%s_k%d" % (config.example, _scheme, level)
                 write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
@@ -371,13 +377,13 @@ def _run_convergence(config, case, default_region):
         )
         for k in config.levels:
             row = glob.row(k)
-            iterations, fill = solves[k]
+            iterations, precision, fill = solves[k]
             writer.log(
                 "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
-                "iterations=%d fill=%d"
+                "iterations=%d factor=%s fill=%d"
                 % (config.example, scheme, k, row["ey_l2"][0],
                    row["ey_h1"][0], row["ep_l2"][0], row["ep_h1"][0],
-                   iterations, fill)
+                   iterations, precision, fill)
             )
         if writer.dir is not None:
             glob.to_csv(writer.path("%s_%s_global.csv" % (config.example, scheme)))

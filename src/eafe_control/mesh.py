@@ -227,6 +227,26 @@ def _nested_dissection_order(mesh):
     return np.lexsort((-depth, subtree_end))
 
 
+def unit_square_vertex_count(level, vertex_cap=DEFAULT_VERTEX_CAP):
+    """
+    Vertex count (2^level + 1)^2 of :func:`build_unit_square` at ``level``.
+
+    Raises
+    ------
+    MeshCapacityError
+        If level < 1 or the vertex count would exceed ``vertex_cap``.
+    """
+    if level < 1:
+        raise MeshCapacityError("level must be >= 1, got %d" % level)
+    nv = (2**level + 1) ** 2
+    if nv > vertex_cap:
+        raise MeshCapacityError(
+            "level %d needs %d vertices, exceeding the cap of %d"
+            % (level, nv, vertex_cap)
+        )
+    return nv
+
+
 def build_unit_square(level, vertex_cap=DEFAULT_VERTEX_CAP,
                       diagonal=DIAGONAL_CONVENTION):
     """
@@ -243,17 +263,10 @@ def build_unit_square(level, vertex_cap=DEFAULT_VERTEX_CAP,
         If level < 1 or the vertex count would exceed ``vertex_cap``.
     """
     level = int(level)
-    if level < 1:
-        raise MeshCapacityError("level must be >= 1, got %d" % level)
+    unit_square_vertex_count(level, vertex_cap)
     if diagonal not in DIAGONAL_CONVENTIONS:
         raise ValueError("unknown diagonal convention %r" % diagonal)
     n = 2**level
-    nv = (n + 1) ** 2
-    if nv > vertex_cap:
-        raise MeshCapacityError(
-            "level %d needs %d vertices, exceeding the cap of %d"
-            % (level, nv, vertex_cap)
-        )
 
     t = np.linspace(0.0, 1.0, n + 1)
     xg, yg = np.meshgrid(t, t, indexing="xy")

@@ -70,14 +70,18 @@ class SolutionPair:
     interpolated Dirichlet data.  ``residual`` is the certified relative
     residual of the interior linear solve, ``iterations`` its GMRES
     iteration count, ``fill`` the entries SuperLU stores for the sparse
-    LU factor it used (``SuperLU.nnz``), ``stiffness`` the interior stiffness block A of the
-    solved system, ``mass`` the mass matrix over all vertices (CSR) and
-    ``tracking_load`` the load vector (y_d, phi_i) over all vertices in
-    tracking mode (None in general mode).
+    LU factor it used (``SuperLU.nnz``), ``precision`` that factor's dtype
+    name (``"float32"`` or ``"float64"``, see
+    :class:`~eafe_control.sparse_linalg.BlockSaddleSystem`; None when the
+    right-hand side vanished and nothing was factored), ``stiffness`` the
+    interior stiffness block A of the solved system, ``mass`` the mass
+    matrix over all vertices (CSR) and ``tracking_load`` the load vector
+    (y_d, phi_i) over all vertices in tracking mode (None in general
+    mode).
     """
 
     def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
-                 mass, iterations, fill, tracking_load=None):
+                 mass, iterations, fill, precision, tracking_load=None):
         self.p_bar = np.asarray(p_bar, dtype=float)
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.u_bar = np.asarray(u_bar, dtype=float)
@@ -87,6 +91,7 @@ class SolutionPair:
         self.mass = mass
         self.iterations = int(iterations)
         self.fill = int(fill)
+        self.precision = precision
         self.tracking_load = tracking_load
 
 
@@ -168,7 +173,8 @@ def solve(mesh, spec, scheme, lump_reaction=True):
     y[interior] = y_int
     u = recover_control(p, spec.coeff.beta)
     return SolutionPair(p, y, u, res, scheme, system.A, m_full,
-                        system.iterations, system.fill, tracking_load)
+                        system.iterations, system.fill, system.precision,
+                        tracking_load)
 
 
 def write_solution_csv(mesh, sol, path):

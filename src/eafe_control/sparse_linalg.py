@@ -29,6 +29,15 @@ GMRES_CYCLES = 4
 #: iterations the certificate holds with room to spare, and the iterate
 #: lies within about 1e-12 (relative) of the direct solution
 GMRES_MARGIN = 1e-2
+#: largest max(|A_ij|, |A_ji|) / min(|A_ij|, |A_ji|) over the off-diagonal
+#: pairs of A for which the PRESB factor is stored in float32.  On an EAFE
+#: edge the ratio is e^|s_E|, s_E the edge Peclet number, so this reads
+#: "edge Peclet <= 2".  Above it the factor decays along the streamlines
+#: into float32 subnormals, and the saddle solve with a float32 factor took
+#: 1.11-1.74 times as long as with a float64 one in all 7 measured cases
+#: (ratios >= 15.8, levels 6-8, one core); at ratios <= 3.3 it took
+#: 0.78-0.97 times as long in 16 of 17 cases.
+SINGLE_PRECISION_ASYMMETRY = np.e**2
 
 
 class SingularMatrixError(RuntimeError):
@@ -356,6 +365,22 @@ class BlockSaddleSystem:
     :meth:`operator` builds the monolithic matrix for reference only:
     ``solve_direct(system.operator(), system.rhs())`` is the direct
     solution, factored with COLAMD and partial pivoting.
+
+    The factor is stored in float32 where the operator is resolved, and
+    ``precision`` records the choice: when every off-diagonal pair of A
+    has ``max(|A_ij|, |A_ji|) <= e^2 min(|A_ij|, |A_ji|)``, for EAFE an
+    edge Peclet number of at most 2 (:data:`SINGLE_PRECISION_ASYMMETRY`),
+    and every nonzero of F lies in float32's normal range.  Otherwise it
+    is stored in float64.  A float32 factor applies PRESB only to about
+    1e-7 relative accuracy, but PRESB is only the preconditioner: flexible
+    GMRES accepts each preconditioned direction as it comes, the basis,
+    the products with the operator and the certificate stay in float64,
+    and the certified residual is that of the float64 system, so no
+    guarantee rests on the factor's precision (Arioli & Duff, ETNA 33,
+    2009; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  On the
+    level-8 boundary layer at eps = 1e-2 the float32 factor keeps 13
+    iterations and the same fill, and the run's peak RSS with one BLAS
+    thread falls from about 203 to 179 MB.
     """
 
     def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, order=None):
@@ -382,6 +407,34 @@ class BlockSaddleSystem:
         #: entries SuperLU stores for the factor of F in the last
         #: :meth:`solve` (``SuperLU.nnz``)
         self.fill = 0
+        #: dtype name of the PRESB factor of the last :meth:`solve`,
+        #: ``"float32"`` or ``"float64"``; None while nothing is factored
+        self.precision = None
+
+    def _presb_matrix(self, s):
+        """
+        ``F = M + s A`` in the precision of its factor, recorded as
+        :attr:`precision`: float32 when every off-diagonal pair of A is
+        within :data:`SINGLE_PRECISION_ASYMMETRY` of symmetric and every
+        nonzero of F lies in float32's normal range, else float64.
+
+        ``|A_ij| - e^2 |A_ji| <= 0`` over all ordered pairs bounds the
+        ratio of every pair: a pair of zeros (EAFE edges of zero weight)
+        passes, a pair with exactly one zero fails, and so does NaN.  An
+        entry of F outside float32's normal range selects float64 rather
+        than round to zero, a subnormal or infinity.
+        """
+        f = self.M + s * self.A
+        mag = abs(self.A)
+        single = np.finfo(np.float32)
+        entries = np.abs(f.data[f.data != 0.0])
+        if ((mag - SINGLE_PRECISION_ASYMMETRY * mag.T).max() <= 0.0
+                and entries.min(initial=single.max) >= single.tiny
+                and entries.max(initial=0.0) <= single.max):
+            self.precision = "float32"
+        else:
+            self.precision = "float64"
+        return f.astype(self.precision, copy=False)
 
     @property
     def n(self):
@@ -407,11 +460,14 @@ class BlockSaddleSystem:
         at most ``rtol * GMRES_MARGIN``, at most ``GMRES_CYCLES - 1``
         times.  ``iterations`` counts the GMRES iterations, one PRESB
         application each.  A zero right-hand side returns zeros without
-        factoring anything (``fill`` 0).
+        factoring anything (``fill`` 0, ``precision`` None).
 
-        ``F = M + sqrt(beta) A`` is passed to :func:`_factorize` as a
-        temporary, so the CSC of ``F`` in its symmetric order is the only
-        copy of F alive while SuperLU factors it.
+        ``F = M + sqrt(beta) A``, cast to the precision of its factor
+        (``precision``, see the class docstring), is passed to
+        :func:`_factorize` as a temporary, so the CSC of ``F`` in its
+        symmetric order is the only copy of F alive while SuperLU factors
+        it.  The two right-hand sides of each PRESB application are cast
+        to that precision too; everything else stays float64.
 
         Raises
         ------
@@ -425,6 +481,7 @@ class BlockSaddleSystem:
         n = self.n
         self.iterations = 0
         self.fill = 0
+        self.precision = None
         a, m, top, bottom = self.A, self.M, self.rhs_top, self.rhs_bottom
         bnorm = np.hypot(np.linalg.norm(top), np.linalg.norm(bottom))
         if bnorm == 0.0:
@@ -433,19 +490,24 @@ class BlockSaddleSystem:
         s = np.sqrt(self.beta)
         # F = M + K is a temporary: _factorize drops it once its CSC is built
         if self.order is None:
-            o, lu = slice(None), _factorize(m + s * a, diagonal_pivots=True)
+            o, lu = slice(None), _factorize(self._presb_matrix(s),
+                                            diagonal_pivots=True)
         else:
-            o, lu = self.order, _factorize(m + s * a, order=self.order)
+            o, lu = self.order, _factorize(self._presb_matrix(s),
+                                           order=self.order)
         self.fill = lu.nnz
+        # SuperLU solves only with right-hand sides of its factor's dtype
+        dtype = self.precision
 
         def presb(r):
             # [[M, -K^T], [K, M + K + K^T]] (y, q) = (f, g):
             # F z = f + g, F^T q = M z - f, y = z - q
             f = r[:n]
             z = np.empty(n)
-            z[o] = lu.solve((f + r[n:])[o])
+            z[o] = lu.solve((f + r[n:])[o].astype(dtype, copy=False))
             q = np.empty(n)
-            q[o] = lu.solve((m @ z - f)[o], trans="T")
+            q[o] = lu.solve((m @ z - f)[o].astype(dtype, copy=False),
+                            trans="T")
             return np.concatenate([z - q, q])
 
         def balanced(x):

@@ -200,14 +200,15 @@ def test_edge_data_structured_mesh():
     assert np.all(data.eps_e > 0.0)
     assert np.all(data.c_ij > 0.0) and np.all(data.c_ji > 0.0)
     # summed weights: diagonal edges 0, interior legs 1, boundary legs 1/2
-    lengths = np.linalg.norm(data.tau, axis=1)
+    tau = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    lengths = np.linalg.norm(tau, axis=1)
     diag = lengths > 0.3  # h = 0.25, diagonals have length h*sqrt(2)
     assert np.abs(data.weights[diag]).max() <= 1e-14
     boundary = mesh.edge_tris[:, 1] < 0
     assert data.weights[boundary & ~diag] == pytest.approx(0.5, rel=1e-13)
     assert data.weights[~boundary & ~diag] == pytest.approx(1.0, rel=1e-13)
     # orientation identity along each edge
-    s = np.einsum("ed,ed->e", data.zeta_e, data.tau)
+    s = np.einsum("ed,ed->e", data.zeta_e, tau)
     assert data.c_ij - data.c_ji == pytest.approx(s, rel=1e-12, abs=1e-14)
 
 

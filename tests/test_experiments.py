@@ -165,6 +165,14 @@ def test_stability_run_separates_schemes(tmp_path):
     fill = results["eafe"][4]["solution"].fill
     assert fill > 0
     assert " fill=%d " % fill in line
+    # edge Peclet beyond 2 keeps the EAFE factor in float64; Galerkin's
+    # nearly skew-symmetric stiffness lets it drop to float32
+    for scheme, precision in (("eafe", "float64"), ("galerkin", "float32")):
+        assert results[scheme][4]["solution"].precision == precision
+    assert " factor=float64 " in line
+    (galerkin,) = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
+                   if "scheme=galerkin level=4 " in ln]
+    assert " factor=float32 " in galerkin
     assert (tmp_path / "stability_eafe_k3.vtk").exists()
     assert (tmp_path / "stability_galerkin_k4_bounds.json").exists()
     assert (tmp_path / "stability_eafe_k4.csv").exists()
@@ -234,7 +242,20 @@ def test_boundary_layer_run_writes_deterministic_tables(tmp_path):
     fills = [int(ln.rsplit(" fill=", 1)[1]) for ln in lines if " level=" in ln]
     assert len(fills) == 3 and fills == sorted(fills) and fills[0] > 0
     assert all(" iterations=" in ln for ln in lines if " level=" in ln)
+    # edge Peclet 17.7, 8.8 and 4.4 at levels 2-4: all beyond 2
+    assert all(" factor=float64 " in ln for ln in lines if " level=" in ln)
     assert "fill" not in (dir_a / "boundary-layer_eafe_global.csv").read_text()
+
+
+def test_convergence_log_records_factor_precision(tmp_path):
+    # eps = 0.05: edge Peclet 3.5 at level 2, then 1.8 and 0.9
+    config = ExperimentConfig("boundary-layer", eps=0.05, levels=[2, 3, 4],
+                              scheme="eafe", out_dir=str(tmp_path))
+    run_boundary_layer(config)
+    lines = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
+             if " level=" in ln]
+    factors = [ln.split(" factor=", 1)[1].split()[0] for ln in lines]
+    assert factors == ["float64", "float32", "float32"]
 
 
 def test_interior_layer_run_smoke(tmp_path):
@@ -315,7 +336,11 @@ def test_cli_rejects_unknown_example():
     (["--eps", "nan", "--levels", "3..3"], "eps must be positive and finite"),
     (["--eps", "-1", "--levels", "3..3"], "eps must be positive and finite"),
     (["--levels", "8,7"], "levels must be a nonempty ascending sequence"),
-], ids=["eps-nan", "eps-negative", "levels-descending"])
+    (["--levels", "0..2"], "level must be >= 1, got 0"),
+    (["--levels", "2,11"],
+     "level 11 needs 4198401 vertices, exceeding the cap of 1000000"),
+], ids=["eps-nan", "eps-negative", "levels-descending", "level-zero",
+        "level-over-vertex-cap"])
 def test_cli_rejected_config_is_a_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eafe_control.experiments import stability_problem
+from eafe_control.experiments import boundary_layer_case, stability_problem
 from eafe_control.fem_core import CoefficientField
 from eafe_control.mesh import build_unit_square
 from eafe_control import sparse_linalg
@@ -279,6 +279,7 @@ def test_krylov_solve_zero_rhs():
     assert not p.any() and not y.any() and res == 0.0
     assert system.iterations == 0
     assert system.fill == 0
+    assert system.precision is None
 
 
 def test_presb_factor_fill_stays_below_colamd():
@@ -298,6 +299,77 @@ def test_mesh_order_fill_at_most_minimum_degree(scheme):
         system.solve()
         mmd = sparse_linalg._factorize(system.M + system.A, diagonal_pivots=True)
         assert 0 < system.fill < mmd.nnz
+
+
+def _precision_system(example, scheme):
+    # level 4: edge Peclet 0.44 on the boundary layer at eps = 1e-1, and
+    # beyond the exponential range on the stability problem at eps = 1e-9
+    problem = (boundary_layer_case(1e-1).problem if example == "boundary-layer"
+               else stability_problem(1e-9))
+    base = assemble_system(build_unit_square(4), problem, scheme)
+    return BlockSaddleSystem(base.A, base.M, base.rhs_top, base.rhs_bottom,
+                             beta=2.0, order=base.order)
+
+
+@pytest.mark.parametrize("example, scheme, precision", [
+    ("boundary-layer", "eafe", "float32"),
+    ("stability", "eafe", "float64"),
+    ("stability", "galerkin", "float32"),
+])
+def test_presb_factor_precision_follows_edge_peclet(monkeypatch, example,
+                                                    scheme, precision):
+    system = _precision_system(example, scheme)
+    factored = []
+    factorize = sparse_linalg._factorize
+
+    def recording(mat, **kwargs):
+        factored.append(mat)
+        return factorize(mat, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "_factorize", recording)
+    p, y, res = system.solve()
+    assert system.precision == precision
+    assert res <= 1e-10 and system.iterations <= 20
+    (f,) = factored
+    ref = (system.M + np.sqrt(2.0) * system.A).astype(precision)
+    assert f.dtype == precision and abs(f - ref).max() == 0.0
+    fill = system.fill
+
+    # no asymmetry allowed: the float64 path on the same system
+    monkeypatch.setattr(sparse_linalg, "SINGLE_PRECISION_ASYMMETRY", 0.0)
+    p64, y64, res64 = system.solve()
+    assert system.precision == "float64"
+    assert res64 <= 1e-10 and system.iterations <= 20
+    assert system.fill == fill
+    x, x64 = np.concatenate([p, y]), np.concatenate([p64, y64])
+    assert np.linalg.norm(x - x64) <= 1e-9 * np.linalg.norm(x64)
+
+
+@pytest.mark.parametrize("a_ij, a_ji, precision", [
+    (-sparse_linalg.SINGLE_PRECISION_ASYMMETRY, -1.0, "float32"),
+    (-np.nextafter(sparse_linalg.SINGLE_PRECISION_ASYMMETRY, np.inf), -1.0,
+     "float64"),
+    (0.0, 0.0, "float32"),
+    (-1.0, 0.0, "float64"),
+], ids=["ratio-e2", "ratio-above-e2", "both-zero", "one-zero"])
+def test_presb_precision_bounds_every_off_diagonal_pair(a_ij, a_ji, precision):
+    a = from_triplets(2, 2, [(0, 0, 20.0), (0, 1, a_ij), (1, 0, a_ji),
+                             (1, 1, 20.0)])
+    m = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0)])
+    system = BlockSaddleSystem(a, m, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
+    p, y, res = system.solve()
+    assert system.precision == precision
+    assert res <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e40])
+def test_presb_entries_outside_float32_range_select_float64(scale):
+    base = _precision_system("boundary-layer", "eafe")
+    system = BlockSaddleSystem(scale * base.A, scale * base.M, base.rhs_top,
+                               base.rhs_bottom, order=base.order)
+    p, y, res = system.solve()
+    assert system.precision == "float64"
+    assert res <= 1e-10
 
 
 FACTOR_MODES = [{}, {"diagonal_pivots": True}, {"order": np.array([1, 0])}]
