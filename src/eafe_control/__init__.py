@@ -22,7 +22,6 @@ from .optimal_control import ProblemSpec, SolutionPair, recover_control, solve
 from .sparse_linalg import (
     BlockSaddleSystem,
     inverse_nonneg_check,
-    semipositivity_check,
     solve_direct,
 )
 from .verify_norms import (
@@ -59,7 +58,6 @@ __all__ = [
     "interpolant_error_norms",
     "inverse_nonneg_check",
     "recover_control",
-    "semipositivity_check",
     "solve",
     "solve_direct",
     "uniform_refine",

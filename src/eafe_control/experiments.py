@@ -67,8 +67,14 @@ class ExperimentConfig:
             raise ValueError("scheme must be eafe, galerkin, or both")
         self.out_dir = out_dir
         self.region = tuple(region) if region is not None else None
+        if self.region is not None:
+            x0, x1, y0, y1 = self.region
+            if not (np.isfinite(self.region).all() and x0 < x1 and y0 < y1):
+                raise ValueError("region needs finite x0 < x1 and y0 < y1")
         self.lump_reaction = bool(lump_reaction)
         self.yd_const = float(yd_const)
+        if not np.isfinite(self.yd_const):
+            raise ValueError("yd_const must be finite")
         self.seed = seed  # accepted and echoed; reserved for future use
         if metric not in verify_norms.METRICS:
             raise ValueError("metric must be one of %s" % (verify_norms.METRICS,))
@@ -328,8 +334,8 @@ def run_stability(config):
                 "bounds": bounds,
                 "m_matrix": mreport,
             }
-            inverse = mreport.inverse_report
-            margin = "none" if inverse is None else "%.3e" % inverse.margin
+            margin = ("none" if mreport.margin is None
+                      else "%.3e" % mreport.margin)
             writer.log(
                 "stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
                 "m_margin=%s iterations=%d factor=%s fill=%d elapsed=%.2fs"

@@ -1,8 +1,9 @@
 """
-A certified direct solver, the one-solve M-matrix (semipositivity)
-certificate with its column-by-column reference, and the 2x2 saddle-point
-block system with its certified PRESB-preconditioned flexible GMRES
-solver.
+A certified direct solver, the column-by-column inverse-nonnegativity
+scan that tests compare the M-matrix certificate
+(:func:`verify_norms.certify_m_matrix`) against, and the 2x2
+saddle-point block system with its certified PRESB-preconditioned
+flexible GMRES solver.
 
 Storage and factorization are delegated to scipy.sparse / SuperLU, and
 the rest of the package uses the scipy matrices directly; the flexible
@@ -200,80 +201,6 @@ def inverse_nonneg_check(a, tol=1e-12, cap=DEFAULT_INVERSE_CAP, block=512):
             min_entry = cols[i, j]
             argmin = (i, start + j)
     return InverseNonnegReport(ok, min_entry, argmin, tol)
-
-
-class SemipositivityReport:
-    """
-    Result of the one-solve semipositivity certificate.
-
-    ``min_x`` is the smallest entry of x = A^{-1} 1, ``margin`` the
-    smallest row ratio (Z x)_i / (|Z| x)_i, and ``tol`` the rounding bound
-    the margin must exceed.
-    """
-
-    def __init__(self, ok, min_x, margin, tol):
-        self.ok = bool(ok)
-        self.min_x = float(min_x)
-        self.margin = float(margin)
-        self.tol = float(tol)
-
-    def __repr__(self):
-        return "SemipositivityReport(ok=%s, min_x=%.3g, margin=%.3g)" % (
-            self.ok,
-            self.min_x,
-            self.margin,
-        )
-
-
-def semipositivity_check(a, offdiag_tol=0.0):
-    """
-    Certify that a Z-matrix is a nonsingular M-matrix, hence has an
-    entrywise nonnegative inverse, with one sparse LU and one solve.
-
-    A Z-matrix is a nonsingular M-matrix iff it is semipositive: some
-    x > 0 has Z x > 0 (Berman & Plemmons, *Nonnegative Matrices in the
-    Mathematical Sciences*, ch. 6).  ``Z`` is ``a`` with its positive
-    off-diagonal entries, all at most ``offdiag_tol``, set to zero; on
-    every EAFE matrix this package builds, Z and A coincide.  The
-    candidate is x = A^{-1} 1.  The certificate holds iff min(x) > 0 and,
-    in every row, (Z x)_i > 2 (k + 2) u (|Z| x)_i, where k is the largest
-    number of stored entries in a row and u the machine epsilon: that
-    bounds the rounding error of the computed product, so the exact Z x
-    is positive too.  NaN fails both tests.  :func:`inverse_nonneg_check` is
-    the column-by-column reference.
-
-    A is factored with diagonal pivots and the symmetric minimum-degree
-    ordering (see :func:`_factorize`): a nonsingular M-matrix has an LU
-    without pivoting, with positive pivots.  The certificate does not
-    rest on that factor, since Z x is checked on the computed x.
-
-    Raises
-    ------
-    ValueError
-        If an off-diagonal entry exceeds ``offdiag_tol``.
-    SingularMatrixError
-        If the factorization encounters a zero pivot.
-    """
-    n, ncols = a.shape
-    if ncols != n:
-        raise ValueError("semipositivity check needs a square matrix")
-    z = sp.csr_matrix(a, copy=True)
-    row = np.repeat(np.arange(n), np.diff(z.indptr))
-    positive_off = (z.indices != row) & (z.data > 0.0)
-    if (z.data[positive_off] > offdiag_tol).any():
-        raise ValueError("matrix is not a Z-matrix within offdiag_tol")
-    z.data[positive_off] = 0.0
-
-    x = _factorize(a, diagonal_pivots=True).solve(np.ones(n))
-    r = z @ x
-    s = abs(z) @ x
-    k = np.diff(z.indptr).max(initial=0)
-    tol = 2.0 * (k + 2) * np.finfo(float).eps
-    min_x = x.min(initial=np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = (r / s).min(initial=np.inf)
-    ok = min_x > 0.0 and bool(np.all(r > tol * s))
-    return SemipositivityReport(ok, min_x, margin, tol)
 
 
 def _fgmres_cycle(matvec, psolve, r, target, restart):

@@ -195,7 +195,7 @@ def test_stability_run_assembles_load_once_and_logs_margin(tmp_path,
     results = run_stability(config)
     assert len(calls) == 4  # one per scheme and level
     lines = (tmp_path / "run.log").read_text().splitlines()
-    margin = results["eafe"][4]["m_matrix"].inverse_report.margin
+    margin = results["eafe"][4]["m_matrix"].margin
     assert margin > 0.0
     (eafe,) = [ln for ln in lines if "scheme=eafe level=4 " in ln]
     assert " m_matrix=True m_margin=%.3e " % margin in eafe
@@ -339,8 +339,14 @@ def test_cli_rejects_unknown_example():
     (["--levels", "0..2"], "level must be >= 1, got 0"),
     (["--levels", "2,11"],
      "level 11 needs 4198401 vertices, exceeding the cap of 1000000"),
+    (["--yd-const", "inf"], "yd_const must be finite"),
+    (["--region", "0.4,nan,0.4,0.6"],
+     "region needs finite x0 < x1 and y0 < y1"),
+    (["--region", "0.6,0.4,0.4,0.6"],
+     "region needs finite x0 < x1 and y0 < y1"),
 ], ids=["eps-nan", "eps-negative", "levels-descending", "level-zero",
-        "level-over-vertex-cap"])
+        "level-over-vertex-cap", "yd-const-inf", "region-nan",
+        "region-inverted"])
 def test_cli_rejected_config_is_a_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -158,15 +158,6 @@ def test_certify_rejects_positive_offdiagonal():
     assert not report.ok and not report.offdiag_ok
 
 
-def test_certify_skips_inverse_above_cap():
-    trip = [(i, i, 2.0) for i in range(10)]
-    a = from_triplets(10, 10, trip)
-    report = certify_m_matrix(a, cap=5)
-    assert report.inverse_report is None
-    assert report.inverse_ok is None
-    assert report.ok  # sign checks alone
-
-
 def stability_coefficients():
     return CoefficientField(eps=1e-9, zeta=(-1.0, 0.0), gamma=0.0,
                             div_zeta=0.0)
@@ -179,6 +170,10 @@ def test_certify_galerkin_fails_under_dominant_convection():
     report = certify_m_matrix(a[interior][:, interior])
     assert not report.offdiag_ok
     assert not report.ok
+    assert report.inverse_ok is None
+    assert report.min_x is None
+    assert report.margin is None
+    assert report.tol is None
 
 
 def test_certify_eafe_passes_for_benchmark_coefficients():
@@ -199,6 +194,16 @@ def _interior_eafe_block(coeff, level):
     return assemble_eafe_stiffness(mesh, coeff)[interior][:, interior]
 
 
+def test_certify_runs_inverse_half_above_5000_unknowns():
+    a = _interior_eafe_block(stability_coefficients(), 7)
+    assert a.shape[0] == 16129
+    report = certify_m_matrix(a)
+    assert report.inverse_ok
+    assert report.min_x > 0.0
+    assert report.margin > report.tol
+    assert report.ok
+
+
 @pytest.mark.parametrize("name", sorted(benchmark_coefficient_sets()))
 def test_certificate_agrees_with_inverse_scan(name):
     coeff = benchmark_coefficient_sets()[name]
@@ -207,8 +212,8 @@ def test_certificate_agrees_with_inverse_scan(name):
         report = certify_m_matrix(a)
         assert report.inverse_ok == inverse_nonneg_check(a).ok, level
         assert report.inverse_ok, level
-        assert report.inverse_report.min_x > 0.0
-        assert report.inverse_report.margin > report.inverse_report.tol
+        assert report.min_x > 0.0
+        assert report.margin > report.tol
 
 
 def test_certificate_rejects_z_matrix_with_negative_inverse():
@@ -219,6 +224,15 @@ def test_certificate_rejects_z_matrix_with_negative_inverse():
     assert report.inverse_ok is False
     assert not report.ok
     assert report.inverse_ok == inverse_nonneg_check(a).ok
+
+
+def test_certificate_reads_any_sparse_format():
+    coeff = benchmark_coefficient_sets()["boundary-layer eps=0.01"]
+    a = _interior_eafe_block(coeff, 4)  # nonsymmetric: A^T x != A x
+    want = vars(certify_m_matrix(a))
+    assert want["ok"]
+    for other in (a.tocsc(), a.tocoo()):
+        assert vars(certify_m_matrix(other)) == want
 
 
 def test_certificate_singular_z_matrix_raises():
