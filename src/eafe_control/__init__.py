@@ -19,16 +19,11 @@ from .fem_core import (
 )
 from .mesh import TriMesh, build_unit_square, delaunay_check, uniform_refine
 from .optimal_control import ProblemSpec, SolutionPair, recover_control, solve
-from .sparse_linalg import (
-    BlockSaddleSystem,
-    inverse_nonneg_check,
-    solve_direct,
-)
+from .sparse_linalg import BlockSaddleSystem
 from .verify_norms import (
     ConvergenceTable,
     certify_m_matrix,
     check_desired_state_bounds,
-    convergence_study,
     error_norms,
     interpolant_error_norms,
 )
@@ -50,15 +45,12 @@ __all__ = [
     "build_unit_square",
     "certify_m_matrix",
     "check_desired_state_bounds",
-    "convergence_study",
     "delaunay_check",
     "edge_flux_coefficients",
     "error_norms",
     "interpolate_nodal",
     "interpolant_error_norms",
-    "inverse_nonneg_check",
     "recover_control",
     "solve",
-    "solve_direct",
     "uniform_refine",
 ]

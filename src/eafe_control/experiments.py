@@ -254,36 +254,6 @@ def interior_layer_case(eps):
     return ManufacturedCase("interior-layer", problem, y, grad_y, p, grad_p)
 
 
-def smooth_case():
-    """Layer-free manufactured pair (diffusion-dominated sanity case)."""
-    eps = 1.0
-    zeta = (1.0, 1.0)
-    gamma = 1.0
-
-    def w(x1, x2):
-        return x1 * (1.0 - x1) * x2 * (1.0 - x2)
-
-    def grad_w(x1, x2):
-        return ((1.0 - 2.0 * x1) * x2 * (1.0 - x2),
-                x1 * (1.0 - x1) * (1.0 - 2.0 * x2))
-
-    def lap_w(x1, x2):
-        return -2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1)
-
-    def f(x1, x2):
-        gx, gy = grad_w(x1, x2)
-        return -eps * lap_w(x1, x2) + gx + gy + gamma * w(x1, x2) - w(x1, x2)
-
-    def g(x1, x2):
-        gx, gy = grad_w(x1, x2)
-        return -w(x1, x2) + eps * lap_w(x1, x2) + gx + gy - gamma * w(x1, x2)
-
-    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
-                             gamma_assumption=gamma, div_zeta=0.0)
-    problem = ProblemSpec(coeff, f=f, g=g)
-    return ManufacturedCase("smooth", problem, w, grad_w, w, grad_w)
-
-
 def coefficient_sets():
     """The three benchmark coefficient sets, for monotonicity certification."""
     return {

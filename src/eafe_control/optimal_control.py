@@ -152,12 +152,6 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True):
     return system, m_full, tracking_load, p_lift, y_lift, interior
 
 
-def assemble_system(mesh, spec, scheme, lump_reaction=True):
-    """Interior-dof saddle system with Dirichlet lifts on the right-hand side."""
-    system = _assemble_parts(mesh, spec, scheme, lump_reaction)[0]
-    return system
-
-
 def solve(mesh, spec, scheme, lump_reaction=True):
     """
     Solve the optimality system; returns a :class:`SolutionPair` whose

@@ -1,15 +1,14 @@
 """
-A certified direct solver, the column-by-column inverse-nonnegativity
-scan that tests compare the M-matrix certificate
-(:func:`verify_norms.certify_m_matrix`) against, and the 2x2
-saddle-point block system with its certified PRESB-preconditioned
-flexible GMRES solver.
+The 2x2 saddle-point block system with its certified
+PRESB-preconditioned flexible GMRES solver, and the diagonal-pivot
+SuperLU factorization that it and the M-matrix certificate
+(:func:`verify_norms.certify_m_matrix`) share.
 
 Storage and factorization are delegated to scipy.sparse / SuperLU, and
 the rest of the package uses the scipy matrices directly; the flexible
 GMRES is written here, since scipy has none, and applies the saddle
-operator by its blocks.  Every returned solution, direct or iterative,
-carries a residual certificate.
+operator by its blocks.  Every returned solution carries a residual
+certificate.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dlartg
 
 DEFAULT_SOLVE_RTOL = 1e-10
-DEFAULT_INVERSE_CAP = 5000
 #: bound on ||M - M^T||_F / (max|M_ij| sqrt(nnz M)) of a symmetric mass block
 SYM_RTOL = 1e-14
 
@@ -53,28 +51,33 @@ class ResidualCertificationError(RuntimeError):
     """Computed solution failed the relative-residual certificate."""
 
 
-def _factorize(mat, diagonal_pivots=False, order=None):
+def _factorize(mat, order=None):
     """
-    SuperLU factor of a square sparse matrix.
+    SuperLU factor of a square sparse matrix, in a symmetric ordering with
+    diagonal pivots.
 
-    By default the columns are ordered by COLAMD and the rows by threshold
-    partial pivoting: the general factor, for any nonsingular matrix.
-    With ``diagonal_pivots`` the columns are ordered by minimum degree on
-    the pattern of A^T + A (``MMD_AT_PLUS_A``); with ``order``, a
-    permutation the caller computed, ``mat[order][:, order]`` is factored
-    in SuperLU's ``NATURAL`` order.  Both set ``diag_pivot_thresh`` to 0,
-    so SuperLU takes the diagonal entry as pivot unless it is exactly
-    zero; the rows then follow the column order and the fill is that of
-    the symmetric ordering.  Threshold pivoting would permute the rows
-    away from it: on the level-7 Galerkin system at eps = 1e-9 that gave
-    50 M fill, against 1.05 M with diagonal pivots.
-    Both modes are for matrices that need no pivoting: nonsingular
+    With ``order`` None the columns are ordered by minimum degree on the
+    pattern of A^T + A (``MMD_AT_PLUS_A``); with ``order``, a permutation
+    the caller computed, ``mat[order][:, order]`` is factored in
+    SuperLU's ``NATURAL`` order.  ``diag_pivot_thresh`` is 0, so SuperLU
+    takes the diagonal entry as pivot unless it is exactly zero; the rows
+    then follow the column order and the fill is that of the symmetric
+    ordering.  Threshold pivoting would permute the rows away from it: on
+    the level-7 Galerkin system at eps = 1e-9 that gave 50 M fill,
+    against 1.05 M with diagonal pivots.
+    The factor is for matrices that need no pivoting: nonsingular
     M-matrices, whose LU without pivoting is stable with positive pivots
     (Funderlic & Plemmons, LAA 41, 1981), and matrices with a positive
     definite symmetric part, for which it exists, such as the PRESB
-    matrix M + sqrt(beta) A of the benchmark problems.  Its callers
+    matrix M + sqrt(beta) A of the benchmark problems.  Its two callers
     check their results on the computed solution, so no certificate
-    rests on the pivots.
+    rests on the pivots.  :meth:`BlockSaddleSystem.solve` certifies
+
+        ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
+            <= rtol ||(rhs_top, rhs_bottom)||_2
+
+    on the whole saddle system, and
+    :func:`verify_norms.certify_m_matrix` needs x > 0 and Z x > 0.
 
     SuperLU itself raises on an exactly zero pivot.  The factor's ``L``
     and ``U`` attributes are not read here: scipy builds CSC copies of
@@ -95,14 +98,10 @@ def _factorize(mat, diagonal_pivots=False, order=None):
         On a ``MemoryError``, or a SuperLU ``RuntimeError`` that names a
         failed malloc or missing memory (``SUPERLU_MALLOC fails ...``).
     """
-    options = {}
-    if order is not None:
-        options = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
-    elif diagonal_pivots:
-        options = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0}
+    permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
     try:
         mat = mat.tocsc() if order is None else mat[order].tocsc()[:, order]
-        return spla.splu(mat, **options)
+        return spla.splu(mat, permc_spec=permc_spec, diag_pivot_thresh=0.0)
     except MemoryError as exc:
         raise ResourceLimitError(str(exc)) from exc
     except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs
@@ -110,97 +109,6 @@ def _factorize(mat, diagonal_pivots=False, order=None):
         if "malloc" in message.lower() or "memory" in message.lower():
             raise ResourceLimitError(message) from exc
         raise SingularMatrixError(message) from exc
-
-
-def solve_direct(mat, b, rtol=DEFAULT_SOLVE_RTOL, return_residual=False,
-                 max_refine=2):
-    """
-    Solve ``mat @ x = b`` by sparse LU with partial pivoting and certify
-    the result: the relative residual ||Ax-b||_2 / ||b||_2 must not exceed
-    ``rtol``.  A couple of iterative-refinement sweeps are applied if the
-    first solve misses the certificate.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the factorization encounters a zero pivot.
-    ResidualCertificationError
-        If the residual certificate cannot be met.
-    """
-    n, ncols = mat.shape
-    if n != ncols:
-        raise ValueError("solve_direct needs a square matrix")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError("right-hand side has wrong length")
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        x = np.zeros_like(b)
-        return (x, 0.0) if return_residual else x
-
-    lu = _factorize(mat)
-    x = lu.solve(b)
-    res = np.linalg.norm(mat @ x - b) / bnorm
-    for _ in range(max_refine):
-        if res <= rtol:
-            break
-        x = x + lu.solve(b - mat @ x)
-        res = np.linalg.norm(mat @ x - b) / bnorm
-    if res > rtol:
-        raise ResidualCertificationError(
-            "relative residual %.3g exceeds certificate %.3g" % (res, rtol)
-        )
-    return (x, float(res)) if return_residual else x
-
-
-class InverseNonnegReport:
-    """Result of the column-by-column inverse nonnegativity scan."""
-
-    def __init__(self, ok, min_entry, argmin, tol):
-        self.ok = bool(ok)
-        self.min_entry = float(min_entry)
-        self.argmin = argmin  # (row, column) of the most negative inverse entry
-        self.tol = float(tol)
-
-    def __repr__(self):
-        return "InverseNonnegReport(ok=%s, min_entry=%.3g at %s)" % (
-            self.ok,
-            self.min_entry,
-            self.argmin,
-        )
-
-
-def inverse_nonneg_check(a, tol=1e-12, cap=DEFAULT_INVERSE_CAP, block=512):
-    """
-    Verify that A^{-1} is (numerically) entrywise nonnegative by solving
-    A x = e_i for every unit vector.  Column i passes when every entry of
-    x satisfies x >= -tol * max|x|.  Desk-scale tool: refuses n > cap.
-    """
-    n, ncols = a.shape
-    if ncols != n:
-        raise ValueError("inverse check needs a square matrix")
-    if n > cap:
-        raise ValueError("matrix order %d exceeds inverse-check cap %d" % (n, cap))
-    lu = _factorize(a)
-    ok = True
-    min_entry = np.inf
-    argmin = (0, 0)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rhs = np.zeros((n, stop - start))
-        rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        cols = lu.solve(rhs)
-        scale = np.abs(cols).max(axis=0)
-        scale[scale == 0.0] = 1.0
-        rel = cols / scale
-        j = int(np.argmin(rel.min(axis=0)))
-        i = int(np.argmin(rel[:, j]))
-        if rel[i, j] < -tol:
-            ok = False
-        if cols[i, j] < min_entry:
-            min_entry = cols[i, j]
-            argmin = (i, start + j)
-    return InverseNonnegReport(ok, min_entry, argmin, tol)
 
 
 def _fgmres_cycle(matvec, psolve, r, target, restart):
@@ -289,9 +197,10 @@ class BlockSaddleSystem:
     minimum degree (5.67 M), against 9.6 M for COLAMD with partial
     pivoting.  ``fill`` records SuperLU's stored count of the factor
     (``nnz``, slightly more than nnz(L) + nnz(U) of its CSC form).
-    :meth:`operator` builds the monolithic matrix for reference only:
-    ``solve_direct(system.operator(), system.rhs())`` is the direct
-    solution, factored with COLAMD and partial pivoting.
+    Every solution it returns is certified on the system above:
+
+        ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
+            <= rtol ||(rhs_top, rhs_bottom)||_2.
 
     The factor is stored in float32 where the operator is resolved, and
     ``precision`` records the choice: when every off-diagonal pair of A
@@ -367,22 +276,14 @@ class BlockSaddleSystem:
     def n(self):
         return self.A.shape[0]
 
-    def operator(self):
-        """
-        Monolithic 2n x 2n block operator [[A^T, -M], [-M, -beta*A]], the
-        direct reference; :meth:`solve` applies it by its blocks instead.
-        """
-        a, m = self.A, self.M
-        return sp.bmat([[a.T, -m], [-m, -self.beta * a]], format="csr")
-
-    def rhs(self):
-        return np.concatenate([self.rhs_top, self.rhs_bottom])
-
     def solve(self, rtol=DEFAULT_SOLVE_RTOL):
         """
-        Returns (p, y, certified relative residual).  The residual of
-        :meth:`operator` at x = (p, y), ||op x - rhs||_2 / ||rhs||_2, must
-        not exceed ``rtol``; it is computed by blocks after every GMRES
+        Returns (p, y, certified relative residual).  The residual
+
+            ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
+                / ||(rhs_top, rhs_bottom)||_2
+
+        must not exceed ``rtol``; it is computed by blocks after every GMRES
         cycle, and a cycle restarts from the current iterate until it is
         at most ``rtol * GMRES_MARGIN``, at most ``GMRES_CYCLES - 1``
         times.  ``iterations`` counts the GMRES iterations, one PRESB
@@ -416,12 +317,8 @@ class BlockSaddleSystem:
 
         s = np.sqrt(self.beta)
         # F = M + K is a temporary: _factorize drops it once its CSC is built
-        if self.order is None:
-            o, lu = slice(None), _factorize(self._presb_matrix(s),
-                                            diagonal_pivots=True)
-        else:
-            o, lu = self.order, _factorize(self._presb_matrix(s),
-                                           order=self.order)
+        lu = _factorize(self._presb_matrix(s), order=self.order)
+        o = slice(None) if self.order is None else self.order
         self.fill = lu.nnz
         # SuperLU solves only with right-hand sides of its factor's dtype
         dtype = self.precision

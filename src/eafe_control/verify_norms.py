@@ -286,9 +286,9 @@ def certify_m_matrix(a):
     (Z x)_i > 2 (k + 2) u (|Z| x)_i, with k the largest number of stored
     entries in a row and u the machine epsilon: that bounds the rounding
     error of the computed product, so the exact Z x is positive too and
-    no certificate rests on the factor.  NaN fails both tests.
-    :func:`sparse_linalg.inverse_nonneg_check` is the column-by-column
-    reference.
+    no certificate rests on the factor.  NaN fails both tests.  The
+    tests check it against an independent column-by-column scan of
+    A^{-1} in ``tests/reference.py``.
 
     Raises
     ------
@@ -315,7 +315,7 @@ def certify_m_matrix(a):
 
     z = sp.csr_matrix((np.where(off & (a.data > 0.0), 0.0, a.data),
                        a.indices, a.indptr), shape=a.shape)
-    x = sparse_linalg._factorize(a, diagonal_pivots=True).solve(np.ones(n))
+    x = sparse_linalg._factorize(a).solve(np.ones(n))
     r = z @ x
     s = abs(z) @ x
     tol = 2.0 * (np.diff(a.indptr).max() + 2) * np.finfo(float).eps
@@ -468,12 +468,3 @@ def convergence_tables(case, scheme, levels, regions, lump_reaction=True,
         ConvergenceTable(levels, store, region=region)
         for region, store in zip(regions, per_region)
     ]
-
-
-def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
-                      metric="quadrature"):
-    """Convergence table over ascending levels (optionally on a sub-box)."""
-    return convergence_tables(
-        case, scheme, levels, [region], lump_reaction=lump_reaction,
-        metric=metric,
-    )[0]

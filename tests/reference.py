@@ -1,24 +1,50 @@
 """
-Independent COO reference assembly for the tests.
+Independent references for the tests.
 
 ``from_triplets`` sums (row, col, value) contributions into a canonical
 scipy CSR matrix through ``scipy.sparse.coo_matrix``.  The ``coo_*``
 functions assemble the package's four matrices the way it did before it
 assembled on the edge-graph pattern: one triplet per triangle and local
 entry, summed by scipy.  The package's assembly must match them.
+
+The solver references factor with scipy's default SuperLU (COLAMD column
+order, threshold partial pivoting), independent of the package's
+diagonal-pivot factor:
+
+- ``solve_direct`` is the certified direct solve;
+- ``saddle_operator`` builds the monolithic 2n x 2n operator of a
+  ``BlockSaddleSystem`` that the package applies by its blocks, and
+  ``saddle_rhs`` its right-hand side, so that
+  ``solve_direct(saddle_operator(system), saddle_rhs(system))`` is the
+  direct solution of the optimality system;
+- ``inverse_nonneg_check`` scans A^{-1} column by column, the reference
+  for the M-matrix certificate ``verify_norms.certify_m_matrix``.
+
+``assemble_system``, ``convergence_study`` and ``smooth_case`` are
+shorthands for the tests: the interior saddle system alone, a
+one-region convergence table, and a layer-free manufactured pair.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from eafe_control.eafe import EdgeData
 from eafe_control.fem_core import (
     QUADRATURE,
+    CoefficientField,
     barycentric_gradient_table,
     lumped_mass_diagonal,
     quadrature_points,
 )
 from eafe_control.mesh import LOCAL_EDGES, signed_areas
+from eafe_control.optimal_control import ProblemSpec, _assemble_parts
+from eafe_control.sparse_linalg import (
+    DEFAULT_SOLVE_RTOL,
+    ResidualCertificationError,
+    SingularMatrixError,
+)
+from eafe_control.verify_norms import ManufacturedCase, convergence_tables
 
 
 def from_triplets(nrows, ncols, triplets):
@@ -138,3 +164,131 @@ def coo_eafe(mesh, coeff, lump_reaction=True):
                 coeff.gamma(xq, yq), xq.shape)[:, None, None]
             * np.outer(lam, lam))
     return _from_blocks(mesh, local, (rows, cols, vals))
+
+
+def _splu(mat):
+    """scipy's default SuperLU factor; an exactly zero pivot raises."""
+    try:
+        return spla.splu(mat.tocsc())
+    except RuntimeError as exc:  # SuperLU signals an exactly singular factor
+        raise SingularMatrixError(str(exc)) from exc
+
+
+def solve_direct(mat, b, rtol=DEFAULT_SOLVE_RTOL):
+    """
+    Solve ``mat @ x = b`` by sparse LU with partial pivoting and certify
+    the result: the relative residual ||Ax-b||_2 / ||b||_2 must not exceed
+    ``rtol``.  Up to two iterative-refinement sweeps are applied if the
+    first solve misses the certificate.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the factorization encounters a zero pivot.
+    ResidualCertificationError
+        If the residual certificate cannot be met.
+    """
+    b = np.asarray(b, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    lu = _splu(mat)
+    x = lu.solve(b)
+    res = np.linalg.norm(mat @ x - b) / bnorm
+    for _ in range(2):
+        if res <= rtol:
+            break
+        x = x + lu.solve(b - mat @ x)
+        res = np.linalg.norm(mat @ x - b) / bnorm
+    if res > rtol:
+        raise ResidualCertificationError(
+            "relative residual %.3g exceeds certificate %.3g" % (res, rtol)
+        )
+    return x
+
+
+def saddle_operator(system):
+    """Monolithic 2n x 2n operator [[A^T, -M], [-M, -beta A]] of a system."""
+    a, m = system.A, system.M
+    return sp.bmat([[a.T, -m], [-m, -system.beta * a]], format="csr")
+
+
+def saddle_rhs(system):
+    """Right-hand side (rhs_top, rhs_bottom) of a saddle system."""
+    return np.concatenate([system.rhs_top, system.rhs_bottom])
+
+
+class InverseNonnegReport:
+    """Result of the column-by-column inverse nonnegativity scan."""
+
+    def __init__(self, ok, min_entry, argmin, tol):
+        self.ok = bool(ok)
+        self.min_entry = float(min_entry)
+        self.argmin = argmin  # (row, column) of the most negative inverse entry
+        self.tol = float(tol)
+
+    def __repr__(self):
+        return "InverseNonnegReport(ok=%s, min_entry=%.3g at %s)" % (
+            self.ok,
+            self.min_entry,
+            self.argmin,
+        )
+
+
+def inverse_nonneg_check(a, tol=1e-12):
+    """
+    Verify that A^{-1} is (numerically) entrywise nonnegative by solving
+    A x = e_i for every unit vector.  Column i passes when every entry of
+    x satisfies x >= -tol * max|x|.  The inverse is held dense, so this
+    is for small matrices only.
+    """
+    inv = _splu(a).solve(np.eye(a.shape[0]))
+    scale = np.abs(inv).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    i, j = np.unravel_index(np.argmin(inv), inv.shape)
+    return InverseNonnegReport((inv / scale).min() >= -tol, inv[i, j],
+                               (int(i), int(j)), tol)
+
+
+def assemble_system(mesh, spec, scheme, lump_reaction=True):
+    """Interior-dof saddle system with Dirichlet lifts on the right-hand side."""
+    return _assemble_parts(mesh, spec, scheme, lump_reaction)[0]
+
+
+def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
+                      metric="quadrature"):
+    """Convergence table over ascending levels (optionally on a sub-box)."""
+    return convergence_tables(
+        case, scheme, levels, [region], lump_reaction=lump_reaction,
+        metric=metric,
+    )[0]
+
+
+def smooth_case():
+    """Layer-free manufactured pair (diffusion-dominated sanity case)."""
+    eps = 1.0
+    zeta = (1.0, 1.0)
+    gamma = 1.0
+
+    def w(x1, x2):
+        return x1 * (1.0 - x1) * x2 * (1.0 - x2)
+
+    def grad_w(x1, x2):
+        return ((1.0 - 2.0 * x1) * x2 * (1.0 - x2),
+                x1 * (1.0 - x1) * (1.0 - 2.0 * x2))
+
+    def lap_w(x1, x2):
+        return -2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1)
+
+    def f(x1, x2):
+        gx, gy = grad_w(x1, x2)
+        return -eps * lap_w(x1, x2) + gx + gy + gamma * w(x1, x2) - w(x1, x2)
+
+    def g(x1, x2):
+        gx, gy = grad_w(x1, x2)
+        return -w(x1, x2) + eps * lap_w(x1, x2) + gx + gy - gamma * w(x1, x2)
+
+    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
+                             gamma_assumption=gamma, div_zeta=0.0)
+    problem = ProblemSpec(coeff, f=f, g=g)
+    return ManufacturedCase("smooth", problem, w, grad_w, w, grad_w)

@@ -23,7 +23,6 @@ from eafe_control.experiments import (
     boundary_layer_case,
     interior_layer_case,
     run_boundary_layer,
-    smooth_case,
     stability_problem,
 )
 from eafe_control.fem_core import (
@@ -36,8 +35,8 @@ from eafe_control.optimal_control import solve
 from eafe_control.verify_norms import (
     certify_m_matrix,
     check_desired_state_bounds,
-    convergence_study,
 )
+from reference import convergence_study, smooth_case
 
 SQ2 = np.sqrt(2.0) / 2.0
 

@@ -15,9 +15,9 @@ from eafe_control.experiments import (
     run_boundary_layer,
     run_interior_layer,
     run_stability,
-    smooth_case,
     stability_problem,
 )
+from reference import smooth_case
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,7 @@ from eafe_control.fem_core import (
 from eafe_control.mesh import build_unit_square
 from eafe_control.optimal_control import ProblemSpec, solve
 from eafe_control import sparse_linalg
-from eafe_control.sparse_linalg import (
-    SingularMatrixError,
-    inverse_nonneg_check,
-)
+from eafe_control.sparse_linalg import SingularMatrixError
 from eafe_control.verify_norms import (
     CSV_HEADER,
     ConvergenceTable,
@@ -28,7 +25,7 @@ from eafe_control.verify_norms import (
     error_norms,
     interpolant_error_norms,
 )
-from reference import from_triplets
+from reference import from_triplets, inverse_nonneg_check, smooth_case
 from test_acceptance import benchmark_coefficient_sets
 from test_fem_core import jittered_renumbered_mesh
 
@@ -271,7 +268,7 @@ def test_certificate_factors_once_and_solves_one_rhs(monkeypatch):
     assert report.inverse_ok
     assert len(factored) == 1
     assert solved == [(a.shape[0],)]
-    assert factored == [{"diagonal_pivots": True}]
+    assert factored == [{}]
 
 
 def test_bound_check_zero_desired_state():
@@ -346,14 +343,11 @@ def test_convergence_tables_handle_empty_local_region():
 
 
 def test_convergence_tables_reject_unsorted_levels():
-    from eafe_control.experiments import smooth_case
-
     with pytest.raises(ValueError):
         convergence_tables(smooth_case(), "eafe", [3, 2], [None])
 
 
 def test_unknown_metric_rejected():
-    from eafe_control.experiments import smooth_case
     from eafe_control.verify_norms import solution_errors
 
     mesh = build_unit_square(2)
