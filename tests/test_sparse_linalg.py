@@ -371,7 +371,9 @@ def test_presb_entries_outside_float32_range_select_float64(scale):
     assert res <= 1e-10
 
 
-FACTOR_MODES = [{}, {"order": np.array([1, 0])}]
+# The default call, the explicit ``order=None`` that BlockSaddleSystem.solve
+# passes for an unordered mesh, and a caller-computed order.
+FACTOR_MODES = [{}, {"order": None}, {"order": np.array([1, 0])}]
 
 
 @pytest.mark.parametrize("mode", FACTOR_MODES)
