@@ -23,7 +23,6 @@ import warnings
 import numpy as np
 
 from .fem_core import (
-    QUADRATURE,
     CoefficientError,
     DataError,
     barycentric_gradient_table,
@@ -171,7 +170,7 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     term enters as a lumped diagonal gamma(x_i) * patch_area / 3 by default
     (preserving the M-matrix sign pattern); ``lump_reaction=False`` uses
     the consistent mass weighted by gamma instead, integrated with
-    :data:`QUADRATURE` and folded onto the edges
+    :data:`fem_core.QUADRATURE` and folded onto the edges
     (:func:`fem_core.fold_blocks`).
 
     A failed edge-weight (Delaunay) check of the summed weights does not
@@ -193,10 +192,8 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
         diag += gam_v * lumped_mass_diagonal(mesh)
     else:
         areas = signed_areas(mesh)
-        x, y = quadrature_points(mesh)
         local = np.zeros((mesh.num_triangles, 3, 3))
-        for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
-            xq, yq = x[q], y[q]
+        for lam, w, xq, yq in quadrature_points(mesh):
             gq = finite_samples("reaction", coeff.gamma(xq, yq), xq.shape)
             scale = w * areas * gq
             for a in range(3):

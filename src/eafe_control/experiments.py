@@ -129,23 +129,34 @@ class _Writer:
 # exact solutions and forcing terms of the manufactured cases
 
 
-def layer_profile(z, eps):
-    """z^3 minus the outflow boundary-layer correction of width eps."""
+def _layer_terms(z, eps, order=2):
+    """
+    [eta, eta', eta''] of :func:`layer_profile` at ``z``, up to derivative
+    ``order``, from one evaluation of the layer exponential exp((z - 1)/eps).
+    """
     z = np.asarray(z, dtype=float)
     e0 = np.exp(-1.0 / eps)
-    return z**3 - (np.exp((z - 1.0) / eps) - e0) / (1.0 - e0)
+    layer = np.exp((z - 1.0) / eps)
+    z2 = z * z
+    terms = [z2 * z - (layer - e0) / (1.0 - e0)]
+    if order >= 1:
+        terms.append(3.0 * z2 - layer / (eps * (1.0 - e0)))
+    if order >= 2:
+        terms.append(6.0 * z - layer / (eps * eps * (1.0 - e0)))
+    return terms
+
+
+def layer_profile(z, eps):
+    """z^3 minus the outflow boundary-layer correction of width eps."""
+    return _layer_terms(z, eps, 0)[0]
 
 
 def layer_profile_d1(z, eps):
-    z = np.asarray(z, dtype=float)
-    e0 = np.exp(-1.0 / eps)
-    return 3.0 * z**2 - np.exp((z - 1.0) / eps) / (eps * (1.0 - e0))
+    return _layer_terms(z, eps, 1)[1]
 
 
 def layer_profile_d2(z, eps):
-    z = np.asarray(z, dtype=float)
-    e0 = np.exp(-1.0 / eps)
-    return 6.0 * z - np.exp((z - 1.0) / eps) / (eps * eps * (1.0 - e0))
+    return _layer_terms(z, eps)[2]
 
 
 def stability_problem(eps, yd_const=1.0, beta=1.0):
@@ -162,36 +173,40 @@ def boundary_layer_case(eps):
     gamma = 1.0
 
     eta = lambda z: layer_profile(z, eps)
-    d1 = lambda z: layer_profile_d1(z, eps)
-    d2 = lambda z: layer_profile_d2(z, eps)
 
     def y(x1, x2):
         return eta(x1) * eta(x2)
 
     def grad_y(x1, x2):
-        return d1(x1) * eta(x2), eta(x1) * d1(x2)
+        (e1, d1), (e2, d2) = _layer_terms(x1, eps, 1), _layer_terms(x2, eps, 1)
+        return d1 * e2, e1 * d2
 
     def p(x1, x2):
         return eta(1.0 - x1) * eta(1.0 - x2)
 
     def grad_p(x1, x2):
-        return (-d1(1.0 - x1) * eta(1.0 - x2), -eta(1.0 - x1) * d1(1.0 - x2))
+        (m1, d1), (m2, d2) = (_layer_terms(1.0 - x1, eps, 1),
+                              _layer_terms(1.0 - x2, eps, 1))
+        return -d1 * m2, -m1 * d2
 
-    # f and g evaluate eta once at each of x1, x2, 1 - x1 and 1 - x2 and
-    # apply the expressions of p, y and their derivatives to those values
+    # f and g take eta (and eta', eta'' where they are needed) at each of
+    # x1, x2, 1 - x1 and 1 - x2 from one layer exponential, and apply the
+    # expressions of p, y and their derivatives to those values
     def f(x1, x2):
         e1, e2 = eta(x1), eta(x2)
-        m1, m2 = eta(1.0 - x1), eta(1.0 - x2)
-        gx, gy = -d1(1.0 - x1) * m2, -m1 * d1(1.0 - x2)
-        lap = d2(1.0 - x1) * m2 + m1 * d2(1.0 - x2)
+        (m1, d1x, d2x), (m2, d1y, d2y) = (_layer_terms(1.0 - x1, eps),
+                                          _layer_terms(1.0 - x2, eps))
+        gx, gy = -d1x * m2, -m1 * d1y
+        lap = d2x * m2 + m1 * d2y
         return (-eps * lap + zeta[0] * gx + zeta[1] * gy
                 + gamma * (m1 * m2) - e1 * e2)
 
     def g(x1, x2):
-        e1, e2 = eta(x1), eta(x2)
+        (e1, d1x, d2x), (e2, d1y, d2y) = (_layer_terms(x1, eps),
+                                          _layer_terms(x2, eps))
         m1, m2 = eta(1.0 - x1), eta(1.0 - x2)
-        gx, gy = d1(x1) * e2, e1 * d1(x2)
-        lap = d2(x1) * e2 + e1 * d2(x2)
+        gx, gy = d1x * e2, e1 * d1y
+        lap = d2x * e2 + e1 * d2y
         return (-(m1 * m2) + eps * lap + zeta[0] * gx + zeta[1] * gy
                 - gamma * (e1 * e2))
 

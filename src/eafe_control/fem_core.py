@@ -203,23 +203,25 @@ def _barycentric_gradients(mesh):
 
 def quadrature_points(mesh):
     """
-    Physical coordinates of the :data:`QUADRATURE` points, two read-only
-    (nq, M) arrays; row q holds point q of every triangle.
+    The :data:`QUADRATURE` rule mapped onto every triangle, one point at a
+    time: yields ``(lam, w, x, y)`` for each point q, with its barycentric
+    coordinates ``lam`` (3,), its weight ``w``, and the physical
+    coordinates ``x``, ``y`` of point q on every triangle, two read-only
+    (M,) arrays.
 
-    They are computed on each call and not kept on the mesh: the table
-    takes 14 MB at level 8 and 225 MB at level 10, and each caller loops
-    over it once.
+    Each row is mapped when it is reached, and nothing is kept on the
+    mesh: a caller that loops over the rows holds one row at a time, never
+    the whole (2, nq, M) table (225 MB at level 10).
     """
-    xy = _quadrature_points(mesh)
-    xy.flags.writeable = False
-    return xy[0], xy[1]
-
-
-def _quadrature_points(mesh):
-    p = mesh.vertices[mesh.triangles]  # (M, 3, 2)
-    # one product per point: the batched points @ p[:, :, 0].T rounds the
-    # last bit differently on some coordinates
-    return np.array([[lam @ p[:, :, c].T for lam in QUADRATURE.points] for c in (0, 1)])
+    # (M, 3, 2) corner coordinates; np.take gathers whole rows several
+    # times faster than fancy indexing and gives the same array
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    for lam, w in zip(QUADRATURE.points, QUADRATURE.weights):
+        # one product per point and coordinate: a batched points @ p[:, :, c].T
+        # rounds the last bit differently on some coordinates
+        x, y = lam @ p[:, :, 0].T, lam @ p[:, :, 1].T
+        x.flags.writeable = y.flags.writeable = False
+        yield lam, w, x, y
 
 
 #: the edge-graph CSR pattern of a mesh and where each entry lives in it
@@ -337,11 +339,8 @@ def assemble_galerkin_stiffness(mesh, coeff):
     """
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
-    x, y = quadrature_points(mesh)
-
     local = np.zeros((mesh.num_triangles, 3, 3))
-    for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
-        xq, yq = x[q], y[q]
+    for lam, w, xq, yq in quadrature_points(mesh):
         eps_q = finite_samples("diffusion", coeff.eps(xq, yq), xq.shape)
         zx, zy = (finite_samples("convection", c, xq.shape)
                   for c in coeff.zeta(xq, yq))
@@ -361,20 +360,24 @@ def assemble_galerkin_stiffness(mesh, coeff):
 
 
 def assemble_load(mesh, f):
-    """Load vector (f, phi_i) over all dofs by :data:`QUADRATURE`."""
+    """
+    Load vector (f, phi_i) over all dofs by :data:`QUADRATURE`.
+
+    The quadrature rows are visited one at a time (:func:`quadrature_points`):
+    each adds w_q * area * f(x_q) * lam_q[c] to corner c of every
+    triangle, and the three corner sums are then added onto the vertices.
+    A non-finite sample of ``f`` raises DataError.
+    """
     f = as_scalar_field(f)
     areas = signed_areas(mesh)
-    t = mesh.triangles
-    n = mesh.num_vertices
-    b = np.zeros(n)
-    x, y = quadrature_points(mesh)
-    for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
-        xq, yq = x[q], y[q]
+    corners = np.zeros((3, mesh.num_triangles))
+    for lam, w, xq, yq in quadrature_points(mesh):
         fq = finite_samples("load integrand", f(xq, yq), xq.shape)
-        contrib = w * areas * fq
-        for c in range(3):
-            b += np.bincount(t[:, c], weights=contrib * lam[c], minlength=n)
-    return b
+        corners += lam[:, None] * (w * areas * fq)
+    n = mesh.num_vertices
+    t = mesh.triangles
+    return sum(np.bincount(t[:, c], weights=corners[c], minlength=n)
+               for c in range(3))
 
 
 def interpolate_nodal(mesh, u):

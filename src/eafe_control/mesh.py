@@ -60,11 +60,18 @@ class TriMesh:
     level : int
         Refinement level (>= 1 for the structured family).
     h : float
-        Mesh size, max over triangles of their diameter.
+        Mesh size, max over triangles of their diameter: the longest edge.
     diagonal : str
         Cell-splitting convention tag.
 
     ``vertices`` and ``triangles`` are read-only copies of the inputs.
+
+    Raises
+    ------
+    GeometryError
+        If there are no triangles, a triangle names a vertex outside
+        [0, N), a vertex coordinate is not finite, a signed area is not
+        positive, or an edge has more than two triangles.
     """
 
     def __init__(self, vertices, triangles, level=1, diagonal=DIAGONAL_CONVENTION):
@@ -74,13 +81,20 @@ class TriMesh:
         self.diagonal = diagonal
         self._geometry = {}
         t = self.triangles
-        if t.size and (t.min() < 0 or t.max() >= self.num_vertices):
+        if t.shape[0] == 0:
+            raise GeometryError("mesh has no triangles")
+        if t.min() < 0 or t.max() >= self.num_vertices:
             raise GeometryError("triangle vertex indices must lie in [0, %d)"
                                 % self.num_vertices)
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise GeometryError("vertex %d has non-finite coordinates (%r, %r)"
+                                % (bad, *self.vertices[bad].tolist()))
 
         areas = signed_areas(self)
-        if np.any(areas <= 0.0):
-            bad = int(np.argmin(areas))
+        if not np.all(areas > 0.0):
+            bad = int(np.argmin(areas > 0.0))
             raise GeometryError(
                 "triangle %d has non-positive signed area %g" % (bad, areas[bad])
             )
@@ -90,17 +104,7 @@ class TriMesh:
         flag = np.zeros(self.num_vertices, dtype=bool)
         flag[self.edges[boundary_edges].ravel()] = True
         self.boundary_vertex = flag
-
-        p = self.vertices[self.triangles]
-        side = np.stack(
-            [
-                np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-                np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            ],
-            axis=1,
-        )
-        self.h = float(side.max())
+        self.h = _longest_edge(self.vertices, self.edges)
 
     def cached(self, key, build):
         """
@@ -141,34 +145,44 @@ class TriMesh:
 
 
 def _edge_connectivity(triangles):
-    """Unique (i<j) edges, their adjacent triangles, and the tri->edge map."""
-    m = triangles.shape[0]
-    pairs = np.concatenate(
-        [triangles[:, (a, b)] for a, b in LOCAL_EDGES], axis=0
-    )
-    pairs_sorted = np.sort(pairs, axis=1)
-    # one int64 key per (i<j) pair; key order is lexicographic pair order
-    nv = int(pairs_sorted.max()) + 1
-    keys, inverse = np.unique(pairs_sorted[:, 0] * nv + pairs_sorted[:, 1],
-                              return_inverse=True)
-    edges = np.stack([keys // nv, keys % nv], axis=1)
-    tri_edges = inverse.reshape(3, m).T.copy()
+    """
+    Unique (i<j) edges, their adjacent triangles, and the tri->edge map.
 
-    counts = np.bincount(inverse, minlength=edges.shape[0])
-    if counts.max() > 2:
+    Pair k * M + t is local edge k of triangle t.  One stable sort of the
+    pair keys i * N + j, i < j, gives everything: each run of equal keys
+    is one edge (runs come in lexicographic edge order), the run's index
+    is the edge index of each of its pairs, and the triangles of the
+    run's first and second pair fill the edge's two slots.
+    """
+    m = triangles.shape[0]
+    tails = triangles.T.ravel()
+    heads = triangles[:, [b for _, b in LOCAL_EDGES]].T.ravel()
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    keys = lo * (int(hi.max()) + 1) + hi
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    start = np.flatnonzero(first)
+    size = np.diff(start, append=order.size)
+    if size.max() > 2:
         raise GeometryError("non-manifold edge: more than two adjacent triangles")
-    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    tri_of_pair = np.tile(np.arange(m, dtype=np.int64), 3)
-    # first pass fills slot 0, second fills slot 1
-    order = np.argsort(inverse, kind="stable")
-    sorted_edges = inverse[order]
-    sorted_tris = tri_of_pair[order]
-    first = np.ones(len(sorted_edges), dtype=bool)
-    first[1:] = sorted_edges[1:] != sorted_edges[:-1]
-    edge_tris[sorted_edges[first], 0] = sorted_tris[first]
-    second = ~first
-    edge_tris[sorted_edges[second], 1] = sorted_tris[second]
-    return edges, edge_tris, tri_edges
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+
+    head = order[start]
+    last = order[start + size - 1]  # the run's second pair, or its only one
+    edges = np.stack([lo[head], hi[head]], axis=1)
+    edge_tris = np.stack([head % m, np.where(size == 2, last % m, -1)], axis=1)
+    return edges, edge_tris, inverse.reshape(3, m).T.copy()
+
+
+def _longest_edge(vertices, edges):
+    """Length of the longest edge: the largest triangle diameter of the mesh."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    i, j = edges[:, 0], edges[:, 1]
+    dx, dy = x[j] - x[i], y[j] - y[i]
+    return float(np.sqrt((dx * dx + dy * dy).max()))
 
 
 def _readonly(array):
@@ -182,10 +196,11 @@ def signed_areas(mesh):
 
 
 def _signed_areas(mesh):
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    t0, t1, t2 = mesh.triangles.T
+    d1x, d1y = x[t1] - x[t0], y[t1] - y[t0]
+    d2x, d2y = x[t2] - x[t0], y[t2] - y[t0]
+    return 0.5 * (d1x * d2y - d1y * d2x)
 
 
 def nested_dissection_order(mesh):
@@ -409,7 +424,8 @@ def read_node_ele(path):
         If the header does not hold two integers, a vertex or triangle
         line does not hold three numbers (triangles: integers), a line is
         blank, or the file ends early; GeometryError (a ValueError) if a
-        triangle names a vertex outside [0, N) or is degenerate.
+        triangle names a vertex outside [0, N) or is degenerate, or a
+        vertex coordinate is not finite.
     """
     with open(path) as fh:
         nv, nt = (int(s) for s in fh.readline().split())

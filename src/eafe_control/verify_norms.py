@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem_core, optimal_control, sparse_linalg
-from .fem_core import QUADRATURE, as_scalar_field, as_vector_field
+from .fem_core import as_scalar_field, as_vector_field
 from .mesh import build_unit_square, signed_areas
 
 CSV_HEADER = "k,ey_l2,ey_order,ey_h1,ey_h1_order,ep_l2,ep_order,ep_h1,ep_h1_order"
@@ -118,12 +118,11 @@ def check_desired_state_bounds(mesh, solution, y_d, sign):
         raise ValueError("desired-state bounds need a tracking-mode solution")
     sigma = 1.0 if sign == "nonneg" else -1.0
     y_d = as_scalar_field(y_d)
-    xq, yq = fem_core.quadrature_points(mesh)
-    samples = sigma * np.asarray(y_d(xq, yq), dtype=float)
-    if samples.min() < 0.0:
-        raise DesiredStateSignError(
-            "desired state is not %s on the mesh" % sign
-        )
+    for _, _, xq, yq in fem_core.quadrature_points(mesh):
+        if (sigma * np.asarray(y_d(xq, yq), dtype=float)).min() < 0.0:
+            raise DesiredStateSignError(
+                "desired state is not %s on the mesh" % sign
+            )
 
     fd = solution.tracking_load
     m1 = solution.mass @ solution.y_bar
@@ -190,16 +189,14 @@ def error_norms(mesh, numeric, exact, exact_grad, region=None):
 
     sel, tri = _selected_triangles(mesh, region)
     areas = signed_areas(mesh)[sel]
-    x, y = fem_core.quadrature_points(mesh)
-    x, y = x[:, sel], y[:, sel]
     nodal = numeric[tri]  # (m, 3)
     gx_h, gy_h = _p1_gradients(nodal,
                                fem_core.barycentric_gradient_table(mesh)[sel])
 
     l2_sq = 0.0
     h1_semi_sq = 0.0
-    for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
-        xq, yq = x[q], y[q]
+    for lam, w, x, y in fem_core.quadrature_points(mesh):
+        xq, yq = x[sel], y[sel]
         uh = nodal @ lam
         diff = uh - np.asarray(exact(xq, yq), dtype=float)
         gx, gy = exact_grad(xq, yq)

@@ -20,9 +20,22 @@ diagonal-pivot factor:
 - ``inverse_nonneg_check`` scans A^{-1} column by column, the reference
   for the M-matrix certificate ``verify_norms.certify_m_matrix``.
 
-``assemble_system``, ``convergence_study`` and ``smooth_case`` are
-shorthands for the tests: the interior saddle system alone, a
-one-region convergence table, and a layer-free manufactured pair.
+The geometry references compute what the package computes in one pass
+the way it did before:
+
+- ``edge_connectivity`` finds the unique edges by ``np.unique`` and the
+  two triangles of each edge by a second stable ``argsort``;
+- ``longest_side`` is the mesh size as the largest side norm of any
+  triangle;
+- ``quadrature_table`` maps every quadrature point at once into one
+  (2, nq, M) table, and ``table_load`` assembles a load vector from it
+  with one ``np.bincount`` per point and corner.
+
+``assemble_system``, ``convergence_study``, ``smooth_case`` and
+``jittered_renumbered_mesh`` are shorthands for the tests: the interior
+saddle system alone, a one-region convergence table, a layer-free
+manufactured pair, and a structured mesh with moved interior vertices,
+renumbered vertices and shuffled triangles.
 """
 
 import numpy as np
@@ -35,9 +48,14 @@ from eafe_control.fem_core import (
     CoefficientField,
     barycentric_gradient_table,
     lumped_mass_diagonal,
-    quadrature_points,
 )
-from eafe_control.mesh import LOCAL_EDGES, signed_areas
+from eafe_control.mesh import (
+    LOCAL_EDGES,
+    GeometryError,
+    TriMesh,
+    build_unit_square,
+    signed_areas,
+)
 from eafe_control.optimal_control import ProblemSpec, _assemble_parts
 from eafe_control.sparse_linalg import (
     DEFAULT_SOLVE_RTOL,
@@ -93,6 +111,75 @@ def _from_blocks(mesh, local, extra=((), (), ())):
                                 np.concatenate(vals)))
 
 
+def edge_connectivity(triangles):
+    """Unique (i<j) edges, their adjacent triangles, and the tri->edge map."""
+    m = triangles.shape[0]
+    pairs = np.concatenate(
+        [triangles[:, (a, b)] for a, b in LOCAL_EDGES], axis=0
+    )
+    pairs_sorted = np.sort(pairs, axis=1)
+    # one int64 key per (i<j) pair; key order is lexicographic pair order
+    nv = int(pairs_sorted.max()) + 1
+    keys, inverse = np.unique(pairs_sorted[:, 0] * nv + pairs_sorted[:, 1],
+                              return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
+    tri_edges = inverse.reshape(3, m).T.copy()
+
+    counts = np.bincount(inverse, minlength=edges.shape[0])
+    if counts.max() > 2:
+        raise GeometryError("non-manifold edge: more than two adjacent triangles")
+    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    tri_of_pair = np.tile(np.arange(m, dtype=np.int64), 3)
+    # first pass fills slot 0, second fills slot 1
+    order = np.argsort(inverse, kind="stable")
+    sorted_edges = inverse[order]
+    sorted_tris = tri_of_pair[order]
+    first = np.ones(len(sorted_edges), dtype=bool)
+    first[1:] = sorted_edges[1:] != sorted_edges[:-1]
+    edge_tris[sorted_edges[first], 0] = sorted_tris[first]
+    second = ~first
+    edge_tris[sorted_edges[second], 1] = sorted_tris[second]
+    return edges, edge_tris, tri_edges
+
+
+def longest_side(mesh):
+    """Mesh size: the largest side norm over all triangles."""
+    p = mesh.vertices[mesh.triangles]
+    side = np.stack(
+        [
+            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
+            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
+            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
+        ],
+        axis=1,
+    )
+    return float(side.max())
+
+
+def quadrature_table(mesh):
+    """
+    (2, nq, M) physical coordinates of the QUADRATURE points: row q of
+    each half holds point q of every triangle, one product per point.
+    """
+    p = mesh.vertices[mesh.triangles]  # (M, 3, 2)
+    return np.array([[lam @ p[:, :, c].T for lam in QUADRATURE.points]
+                     for c in (0, 1)])
+
+
+def table_load(mesh, f):
+    """Load vector (f, phi_i) from the whole point table, 21 bincounts."""
+    areas = signed_areas(mesh)
+    t = mesh.triangles
+    n = mesh.num_vertices
+    b = np.zeros(n)
+    x, y = quadrature_table(mesh)
+    for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
+        contrib = w * areas * np.broadcast_to(f(x[q], y[q]), x[q].shape)
+        for c in range(3):
+            b += np.bincount(t[:, c], weights=contrib * lam[c], minlength=n)
+    return b
+
+
 def coo_mass(mesh):
     """Consistent P1 mass matrix from area/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
     local = np.broadcast_to(
@@ -107,7 +194,7 @@ def _quadrature_blocks(mesh, integrand):
     where the integrand returns an (M, 3, 3) array.
     """
     areas = signed_areas(mesh)
-    x, y = quadrature_points(mesh)
+    x, y = quadrature_table(mesh)
     local = np.zeros((mesh.num_triangles, 3, 3))
     for q, (lam, w) in enumerate(zip(QUADRATURE.points, QUADRATURE.weights)):
         local += (w * areas)[:, None, None] * integrand(x[q], y[q], lam)
@@ -262,6 +349,22 @@ def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
         case, scheme, levels, [region], lump_reaction=lump_reaction,
         metric=metric,
     )[0]
+
+
+def jittered_renumbered_mesh(level, seed):
+    """
+    ``build_unit_square(level)`` with every interior vertex moved by up to
+    1e-3 in x and y, the vertices renumbered and the triangles shuffled.
+    """
+    base = build_unit_square(level)
+    rng = np.random.default_rng(seed)
+    jittered = base.vertices + 1e-3 * rng.random(base.vertices.shape) * (
+        ~base.boundary_vertex[:, None])
+    perm = rng.permutation(base.num_vertices)
+    vertices = np.empty_like(jittered)
+    vertices[perm] = jittered
+    triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
+    return TriMesh(vertices, triangles, level=level)
 
 
 def smooth_case():

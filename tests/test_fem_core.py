@@ -32,13 +32,22 @@ from eafe_control.mesh import (
 )
 from eafe_control.optimal_control import solve
 from eafe_control.verify_norms import solution_errors
-from reference import coo_eafe, coo_galerkin, coo_mass, from_triplets
+from reference import (
+    coo_eafe,
+    coo_galerkin,
+    coo_mass,
+    from_triplets,
+    jittered_renumbered_mesh,
+    quadrature_table,
+    table_load,
+)
 
 
 def count_builders(monkeypatch):
     """
     Count the calls of the private geometry builders behind the mesh
-    cache.
+    cache, and of ``quadrature_points``, which maps the points anew on
+    each call.
     """
     counts = collections.Counter()
 
@@ -53,20 +62,8 @@ def count_builders(monkeypatch):
 
     counting(mesh_module, "_signed_areas", lambda mesh: "areas")
     counting(fem_core, "_barycentric_gradients", lambda mesh: "gradients")
-    counting(fem_core, "_quadrature_points", lambda mesh: "quadrature")
+    counting(fem_core, "quadrature_points", lambda mesh: "quadrature")
     return counts
-
-
-def jittered_renumbered_mesh(level, seed):
-    base = build_unit_square(level)
-    rng = np.random.default_rng(seed)
-    jittered = base.vertices + 1e-3 * rng.random(base.vertices.shape) * (
-        ~base.boundary_vertex[:, None])
-    perm = rng.permutation(base.num_vertices)
-    vertices = np.empty_like(jittered)
-    vertices[perm] = jittered
-    triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
-    return TriMesh(vertices, triangles, level=level)
 
 
 def reference_triangle():
@@ -238,6 +235,29 @@ def test_load_nonfinite_raises():
         assemble_load(mesh, lambda x, y: np.where(x > 0.4, np.inf, 1.0))
 
 
+def test_load_nonfinite_at_last_quadrature_row_raises():
+    calls = []
+
+    def f(x, y):
+        calls.append(x.shape)
+        last = len(calls) == QUADRATURE.weights.size
+        return np.full_like(x, np.nan if last else 1.0)
+
+    with pytest.raises(DataError):
+        assemble_load(build_unit_square(2), f)
+    assert len(calls) == QUADRATURE.weights.size
+
+
+@pytest.mark.parametrize("field", ["f", "g"])
+def test_load_matches_point_table_reference(field):
+    # corner sums over the quadrature rows before the scatter change the
+    # order of the additions only: agreement to a few ulps of the largest entry
+    mesh = jittered_renumbered_mesh(5, seed=13)
+    f = getattr(boundary_layer_case(1e-2).problem, field)
+    b, ref = assemble_load(mesh, f), table_load(mesh, f)
+    assert np.abs(b - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_interpolate_constant_and_affine():
     mesh = build_unit_square(2)
     assert interpolate_nodal(mesh, 3.5) == pytest.approx(
@@ -356,12 +376,18 @@ def test_cached_geometry_equals_fresh_computation():
                           fem_core._barycentric_gradients(mesh))
     assert all(np.array_equal(cached, fresh) for cached, fresh in
                zip(edge_pattern(mesh), fem_core._edge_pattern(mesh)))
-    x, y = quadrature_points(mesh)
-    fresh = fem_core._quadrature_points(mesh)
-    assert x.shape == (QUADRATURE.weights.size, mesh.num_triangles)
-    assert np.array_equal(x, fresh[0]) and np.array_equal(y, fresh[1])
+    table = quadrature_table(mesh)
+    rows = list(quadrature_points(mesh))
+    assert len(rows) == QUADRATURE.weights.size
+    for q, (lam, w, x, y) in enumerate(rows):
+        assert np.array_equal(lam, QUADRATURE.points[q])
+        assert w == QUADRATURE.weights[q]
+        assert x.shape == y.shape == (mesh.num_triangles,)
+        assert np.array_equal(x, table[0, q]) and np.array_equal(y, table[1, q])
     # each call maps the points anew; the mesh keeps no copy
-    assert not np.shares_memory(quadrature_points(mesh)[0], x)
+    again = list(quadrature_points(mesh))
+    assert not any(np.shares_memory(a, b) for (*_, x, y), (*_, u, v)
+                   in zip(rows, again) for a in (x, y) for b in (u, v))
 
 
 def test_mesh_arrays_and_cached_geometry_are_read_only():
@@ -375,8 +401,8 @@ def test_mesh_arrays_and_cached_geometry_are_read_only():
     assert mesh.triangles[0].tolist() == [0, 1, 2]
     for array in (mesh.vertices, mesh.triangles, signed_areas(mesh),
                   barycentric_gradient_table(mesh), *edge_pattern(mesh),
-                  *quadrature_points(mesh), QUADRATURE.points,
-                  QUADRATURE.weights):
+                  *(a for row in quadrature_points(mesh) for a in row[2:]),
+                  QUADRATURE.points, QUADRATURE.weights):
         with pytest.raises(ValueError):
             array[0] = 1
 

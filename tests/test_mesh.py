@@ -4,6 +4,7 @@ import pytest
 from eafe_control import mesh as mesh_module
 from eafe_control.mesh import (
     DIAGONAL_CONVENTIONS,
+    GeometryError,
     MeshCapacityError,
     TriMesh,
     build_unit_square,
@@ -16,6 +17,7 @@ from eafe_control.mesh import (
     write_vtk,
 )
 from legacy_vtk import read_legacy_vtk, same_bits
+from reference import edge_connectivity, jittered_renumbered_mesh, longest_side
 
 
 def test_level1_counts():
@@ -306,6 +308,57 @@ def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():
     assert np.array_equal(mesh.edges, edges)
     assert np.array_equal(mesh.tri_edges, inverse.reshape(3, m).T)
     assert np.array_equal(mesh.edge_tris, edge_tris)
+
+
+def assert_connectivity_matches_reference(mesh):
+    edges, edge_tris, tri_edges = edge_connectivity(mesh.triangles)
+    for got, want in ((mesh.edges, edges), (mesh.edge_tris, edge_tris),
+                      (mesh.tri_edges, tri_edges)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert mesh.h == longest_side(mesh)
+
+
+@pytest.mark.parametrize("diagonal", DIAGONAL_CONVENTIONS)
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_connectivity_matches_reference_on_structured_meshes(level, diagonal):
+    assert_connectivity_matches_reference(build_unit_square(level,
+                                                           diagonal=diagonal))
+
+
+def test_connectivity_matches_reference_along_a_refinement_chain():
+    mesh = build_unit_square(1, diagonal="upperleft-lowerright")
+    for _ in range(5):
+        mesh = uniform_refine(mesh)
+        assert_connectivity_matches_reference(mesh)
+
+
+def test_connectivity_matches_reference_on_jittered_renumbered_mesh():
+    assert_connectivity_matches_reference(jittered_renumbered_mesh(5, seed=5))
+
+
+def test_non_manifold_edge_raises():
+    # three triangles on the edge (0, 1), all counterclockwise
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.3, 3.0]]
+    with pytest.raises(GeometryError, match="non-manifold"):
+        TriMesh(vertices, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+
+
+def test_mesh_without_triangles_raises():
+    with pytest.raises(GeometryError, match="no triangles"):
+        TriMesh([[0.0, 0.0], [1.0, 0.0]], np.empty((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_vertex_raises(tmp_path, bad):
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    vertices[2, 1] = bad
+    with pytest.raises(GeometryError, match="vertex 2 "):
+        TriMesh(vertices, [[0, 1, 2], [0, 2, 3]])
+    path = tmp_path / "mesh.txt"
+    path.write_text(NODE_ELE.replace("1.0 1.0 1\n", "1.0 %r 1\n" % bad, 1))
+    with pytest.raises(GeometryError, match="vertex 2 "):
+        read_node_ele(path)
 
 
 def test_nested_dissection_order_is_a_cached_permutation(monkeypatch):

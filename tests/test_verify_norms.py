@@ -25,9 +25,13 @@ from eafe_control.verify_norms import (
     error_norms,
     interpolant_error_norms,
 )
-from reference import from_triplets, inverse_nonneg_check, smooth_case
+from reference import (
+    from_triplets,
+    inverse_nonneg_check,
+    jittered_renumbered_mesh,
+    smooth_case,
+)
 from test_acceptance import benchmark_coefficient_sets
-from test_fem_core import jittered_renumbered_mesh
 
 
 def test_error_norms_interpolated_affine_is_exact():
