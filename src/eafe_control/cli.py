@@ -38,7 +38,7 @@ def build_parser():
                         metavar="A..B", help="refinement levels, e.g. 1..8")
     parser.add_argument("--scheme", choices=("eafe", "galerkin", "both"),
                         default=None, help="discretization (default per example)")
-    parser.add_argument("--out", default=None, metavar="DIR",
+    parser.add_argument("--out", dest="out_dir", default=None, metavar="DIR",
                         help="output directory for tables, reports, and fields")
     parser.add_argument("--region", type=parse_region, default=None,
                         metavar="X0,X1,Y0,Y1",
@@ -52,34 +52,22 @@ def build_parser():
                              "to the nodal interpolant (benchmark convention) "
                              "or quadrature against the exact fields")
     parser.add_argument("--yd-const", type=float, default=1.0,
-                        help="constant desired state for stability/custom runs")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted and echoed; reserved for future use")
+                        help="constant desired state for stability runs")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    settings = vars(parser.parse_args(argv))
+    settings["lump_reaction"] = settings["lump_reaction"] == "on"
     try:
-        config = ExperimentConfig(
-            example=args.example,
-            eps=args.eps,
-            levels=args.levels,
-            scheme=args.scheme,
-            out_dir=args.out,
-            region=args.region,
-            lump_reaction=args.lump_reaction == "on",
-            yd_const=args.yd_const,
-            seed=args.seed,
-            metric=args.metric,
-        )
+        config = ExperimentConfig(**settings)
     except ValueError as exc:
         # rejected settings end like any other bad argument: usage, exit 2
         parser.error(str(exc))
     results = run(config)
 
-    if config.example in ("stability", "custom"):
+    if config.example == "stability":
         for scheme, per_level in results.items():
             for level, entry in per_level.items():
                 report = entry["bounds"]

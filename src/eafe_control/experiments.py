@@ -26,27 +26,27 @@ from .fem_core import CoefficientField
 from .mesh import (DIAGONAL_CONVENTION, build_unit_square,
                    unit_square_vertex_count)
 from .optimal_control import ProblemSpec, write_solution_csv, write_solution_vtk
-from .verify_norms import ManufacturedCase, certify_m_matrix, convergence_tables
+from .verify_norms import (ManufacturedCase, ascending_levels,
+                           certify_m_matrix, convergence_tables)
 
-EXAMPLES = ("stability", "boundary-layer", "interior-layer", "custom")
+EXAMPLES = ("stability", "boundary-layer", "interior-layer")
 
 BOUNDARY_LAYER_REGION = (0.4, 0.6, 0.4, 0.6)
 INTERIOR_LAYER_REGION = (0.65, 1.0, 0.0, 1.0)
 
 DEFAULTS = {
     "stability": {"eps": 1e-9, "levels": (3, 4, 5, 6), "scheme": "both"},
-    "custom": {"eps": 1e-9, "levels": (3, 4, 5, 6), "scheme": "both"},
     "boundary-layer": {"eps": 1e-2, "levels": tuple(range(1, 9)), "scheme": "eafe"},
     "interior-layer": {"eps": 1e-2, "levels": tuple(range(1, 9)), "scheme": "eafe"},
 }
 
 
 class ExperimentConfig:
-    """Resolved settings of one experiment run."""
+    """Resolved settings of one experiment run; ``vars(config)`` is its echo."""
 
     def __init__(self, example, eps=None, levels=None, scheme=None,
                  out_dir=None, region=None, lump_reaction=True, yd_const=1.0,
-                 seed=None, metric="interpolant"):
+                 metric="interpolant"):
         if example not in EXAMPLES:
             raise ValueError("unknown example %r (expected one of %s)"
                              % (example, EXAMPLES))
@@ -55,17 +55,15 @@ class ExperimentConfig:
         self.eps = float(defaults["eps"] if eps is None else eps)
         if not 0.0 < self.eps < np.inf:
             raise ValueError("eps must be positive and finite")
-        self.levels = [int(k) for k in (defaults["levels"] if levels is None
-                                        else levels)]
-        if not self.levels or self.levels != sorted(self.levels):
-            raise ValueError("levels must be a nonempty ascending sequence")
+        self.levels = ascending_levels(defaults["levels"] if levels is None
+                                       else levels)
         for level in self.levels:
             # MeshCapacityError, a ValueError, before any level runs
             unit_square_vertex_count(level)
         self.scheme = defaults["scheme"] if scheme is None else scheme
         if self.scheme not in ("eafe", "galerkin", "both"):
             raise ValueError("scheme must be eafe, galerkin, or both")
-        self.out_dir = out_dir
+        self.out_dir = None if out_dir is None else str(out_dir)
         self.region = tuple(region) if region is not None else None
         if self.region is not None:
             x0, x1, y0, y1 = self.region
@@ -75,7 +73,6 @@ class ExperimentConfig:
         self.yd_const = float(yd_const)
         if not np.isfinite(self.yd_const):
             raise ValueError("yd_const must be finite")
-        self.seed = seed  # accepted and echoed; reserved for future use
         if metric not in verify_norms.METRICS:
             raise ValueError("metric must be one of %s" % (verify_norms.METRICS,))
         self.metric = metric
@@ -84,21 +81,6 @@ class ExperimentConfig:
     @property
     def schemes(self):
         return ("eafe", "galerkin") if self.scheme == "both" else (self.scheme,)
-
-    def as_dict(self):
-        return {
-            "example": self.example,
-            "eps": self.eps,
-            "levels": self.levels,
-            "scheme": self.scheme,
-            "out_dir": None if self.out_dir is None else str(self.out_dir),
-            "region": self.region,
-            "lump_reaction": self.lump_reaction,
-            "yd_const": self.yd_const,
-            "seed": self.seed,
-            "metric": self.metric,
-            "mesh_diagonal": self.mesh_diagonal,
-        }
 
 
 class _Writer:
@@ -110,7 +92,7 @@ class _Writer:
         if self.dir is not None:
             os.makedirs(self.dir, exist_ok=True)
             with open(os.path.join(self.dir, "config.json"), "w") as fh:
-                json.dump(config.as_dict(), fh, indent=2, sort_keys=True)
+                json.dump(vars(config), fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
     def path(self, name):
@@ -151,17 +133,9 @@ def layer_profile(z, eps):
     return _layer_terms(z, eps, 0)[0]
 
 
-def layer_profile_d1(z, eps):
-    return _layer_terms(z, eps, 1)[1]
-
-
-def layer_profile_d2(z, eps):
-    return _layer_terms(z, eps)[2]
-
-
-def stability_problem(eps, yd_const=1.0, beta=1.0):
+def stability_problem(eps, yd_const=1.0):
     """Tracking problem with constant desired state under strong convection."""
-    coeff = CoefficientField(eps=eps, zeta=(-1.0, 0.0), gamma=0.0, beta=beta,
+    coeff = CoefficientField(eps=eps, zeta=(-1.0, 0.0), gamma=0.0,
                              div_zeta=0.0)
     return ProblemSpec(coeff, y_d=yd_const)
 
@@ -292,8 +266,8 @@ def run_stability(config):
     bound violation by the unstabilized comparator is expected output; a
     violation while the stiffness certifies as an M-matrix is an error.
     """
-    if config.example not in ("stability", "custom"):
-        raise ValueError("run_stability requires a stability/custom config")
+    if config.example != "stability":
+        raise ValueError("run_stability requires a stability config")
     writer = _Writer(config)
     sign = "nonneg" if config.yd_const >= 0.0 else "nonpos"
     problem = stability_problem(config.eps, yd_const=config.yd_const)
@@ -402,7 +376,7 @@ def run_interior_layer(config):
 
 def run(config):
     """Dispatch on the configured example id."""
-    if config.example in ("stability", "custom"):
+    if config.example == "stability":
         return run_stability(config)
     if config.example == "boundary-layer":
         return run_boundary_layer(config)

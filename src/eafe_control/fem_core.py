@@ -187,7 +187,7 @@ def barycentric_gradient_table(mesh):
 
 
 def _barycentric_gradients(mesh):
-    p = mesh.vertices[mesh.triangles]
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
     areas = signed_areas(mesh)
     if np.any(areas <= DEGENERATE_AREA):
         bad = int(np.argmin(areas))

@@ -21,6 +21,7 @@ DIAGONAL_CONVENTION = "lowerleft-upperright"
 #: both cell-splitting conventions the structured builder supports
 DIAGONAL_CONVENTIONS = ("lowerleft-upperright", "upperleft-lowerright")
 
+#: most vertices a built or refined mesh may have, read at call time
 DEFAULT_VERTEX_CAP = 1_000_000
 
 #: largest vertex count of a leaf cell of the nested-dissection order
@@ -69,7 +70,8 @@ class TriMesh:
     Raises
     ------
     GeometryError
-        If there are no triangles, a triangle names a vertex outside
+        If the vertices are not an (N, 2) or the triangles not an (M, 3)
+        array, there are no triangles, a triangle names a vertex outside
         [0, N), a vertex coordinate is not finite, a signed area is not
         positive, or an edge has more than two triangles.
     """
@@ -81,6 +83,12 @@ class TriMesh:
         self.diagonal = diagonal
         self._geometry = {}
         t = self.triangles
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise GeometryError("vertices must be an (N, 2) array, got shape %s"
+                                % (self.vertices.shape,))
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise GeometryError("triangles must be an (M, 3) array, got shape %s"
+                                % (t.shape,))
         if t.shape[0] == 0:
             raise GeometryError("mesh has no triangles")
         if t.min() < 0 or t.max() >= self.num_vertices:
@@ -242,28 +250,28 @@ def _nested_dissection_order(mesh):
     return np.lexsort((-depth, subtree_end))
 
 
-def unit_square_vertex_count(level, vertex_cap=DEFAULT_VERTEX_CAP):
+def unit_square_vertex_count(level):
     """
     Vertex count (2^level + 1)^2 of :func:`build_unit_square` at ``level``.
 
     Raises
     ------
     MeshCapacityError
-        If level < 1 or the vertex count would exceed ``vertex_cap``.
+        If level < 1 or the vertex count would exceed
+        :data:`DEFAULT_VERTEX_CAP`, read at call time.
     """
     if level < 1:
         raise MeshCapacityError("level must be >= 1, got %d" % level)
     nv = (2**level + 1) ** 2
-    if nv > vertex_cap:
+    if nv > DEFAULT_VERTEX_CAP:
         raise MeshCapacityError(
             "level %d needs %d vertices, exceeding the cap of %d"
-            % (level, nv, vertex_cap)
+            % (level, nv, DEFAULT_VERTEX_CAP)
         )
     return nv
 
 
-def build_unit_square(level, vertex_cap=DEFAULT_VERTEX_CAP,
-                      diagonal=DIAGONAL_CONVENTION):
+def build_unit_square(level, diagonal=DIAGONAL_CONVENTION):
     """
     Structured triangulation of [0,1]^2 at the given refinement level.
 
@@ -275,10 +283,11 @@ def build_unit_square(level, vertex_cap=DEFAULT_VERTEX_CAP,
     Raises
     ------
     MeshCapacityError
-        If level < 1 or the vertex count would exceed ``vertex_cap``.
+        If level < 1 or the vertex count would exceed
+        :data:`DEFAULT_VERTEX_CAP`.
     """
     level = int(level)
-    unit_square_vertex_count(level, vertex_cap)
+    unit_square_vertex_count(level)
     if diagonal not in DIAGONAL_CONVENTIONS:
         raise ValueError("unknown diagonal convention %r" % diagonal)
     n = 2**level
@@ -307,19 +316,21 @@ def build_unit_square(level, vertex_cap=DEFAULT_VERTEX_CAP,
     return TriMesh(vertices, triangles, level=level, diagonal=diagonal)
 
 
-def uniform_refine(mesh, vertex_cap=DEFAULT_VERTEX_CAP):
+def uniform_refine(mesh):
     """
     Split every triangle into four congruent children by edge midpoints.
 
     The refined mesh of the structured unit-square family coincides with
-    ``build_unit_square(level + 1)`` up to vertex ordering.
+    ``build_unit_square(level + 1)`` up to vertex ordering.  Raises
+    :class:`MeshCapacityError` if it would have more vertices than
+    :data:`DEFAULT_VERTEX_CAP`, read at call time.
     """
     nv = mesh.num_vertices
     new_nv = nv + mesh.num_edges
-    if new_nv > vertex_cap:
+    if new_nv > DEFAULT_VERTEX_CAP:
         raise MeshCapacityError(
             "refinement needs %d vertices, exceeding the cap of %d"
-            % (new_nv, vertex_cap)
+            % (new_nv, DEFAULT_VERTEX_CAP)
         )
     midpoints = 0.5 * (
         mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]]

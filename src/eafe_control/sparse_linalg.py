@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dlartg
 
+#: relative residual every :meth:`BlockSaddleSystem.solve` certifies
 DEFAULT_SOLVE_RTOL = 1e-10
 #: bound on ||M - M^T||_F / (max|M_ij| sqrt(nnz M)) of a symmetric mass block
 SYM_RTOL = 1e-14
@@ -24,7 +25,7 @@ SYM_RTOL = 1e-14
 #: Krylov dimension per GMRES cycle, and the cycles allowed per solve
 GMRES_RESTART = 40
 GMRES_CYCLES = 4
-#: GMRES aims at ``rtol * GMRES_MARGIN``: for up to three more
+#: GMRES aims at ``DEFAULT_SOLVE_RTOL * GMRES_MARGIN``: for up to three more
 #: iterations the certificate holds with room to spare, and the iterate
 #: lies within about 1e-12 (relative) of the direct solution
 GMRES_MARGIN = 1e-2
@@ -111,7 +112,7 @@ def _factorize(mat, order=None):
         raise SingularMatrixError(message) from exc
 
 
-def _fgmres_cycle(matvec, psolve, r, target, restart):
+def _fgmres_cycle(matvec, psolve, r, target):
     """
     One cycle of right-preconditioned flexible GMRES (Saad, SIAM J. Sci.
     Comput. 14, 1993) for ``matvec(x) = b``, started from the residual
@@ -124,10 +125,11 @@ def _fgmres_cycle(matvec, psolve, r, target, restart):
     from one iteration to the next.  Givens rotations (LAPACK ``lartg``)
     keep the least-squares residual |g[j+1]|, in exact arithmetic
     ``||r - matvec(dx)||_2``.  The cycle ends when it is at most
-    ``target``, after ``restart`` iterations, or on a happy breakdown,
-    h[j+1, j] = 0, where the Krylov space holds the solution and the next
-    basis vector cannot be normalised.
+    ``target``, after :data:`GMRES_RESTART` iterations (read at call
+    time), or on a happy breakdown, h[j+1, j] = 0, where the Krylov space
+    holds the solution and the next basis vector cannot be normalised.
     """
+    restart = GMRES_RESTART
     h = np.zeros((restart + 1, restart))
     cs = np.zeros(restart)
     sn = np.zeros(restart)
@@ -197,7 +199,8 @@ class BlockSaddleSystem:
     minimum degree (5.67 M), against 9.6 M for COLAMD with partial
     pivoting.  ``fill`` records SuperLU's stored count of the factor
     (``nnz``, slightly more than nnz(L) + nnz(U) of its CSC form).
-    Every solution it returns is certified on the system above:
+    Every solution it returns is certified on the system above, with
+    ``rtol`` = :data:`DEFAULT_SOLVE_RTOL`:
 
         ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
             <= rtol ||(rhs_top, rhs_bottom)||_2.
@@ -276,19 +279,20 @@ class BlockSaddleSystem:
     def n(self):
         return self.A.shape[0]
 
-    def solve(self, rtol=DEFAULT_SOLVE_RTOL):
+    def solve(self):
         """
         Returns (p, y, certified relative residual).  The residual
 
             ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
                 / ||(rhs_top, rhs_bottom)||_2
 
-        must not exceed ``rtol``; it is computed by blocks after every GMRES
-        cycle, and a cycle restarts from the current iterate until it is
-        at most ``rtol * GMRES_MARGIN``, at most ``GMRES_CYCLES - 1``
-        times.  ``iterations`` counts the GMRES iterations, one PRESB
-        application each.  A zero right-hand side returns zeros without
-        factoring anything (``fill`` 0, ``precision`` None).
+        must not exceed ``rtol``, :data:`DEFAULT_SOLVE_RTOL` read at call
+        time; it is computed by blocks after every GMRES cycle, and a
+        cycle restarts from the current iterate until it is at most
+        ``rtol * GMRES_MARGIN``, at most ``GMRES_CYCLES - 1`` times.
+        ``iterations`` counts the GMRES iterations, one PRESB application
+        each.  A zero right-hand side returns zeros without factoring
+        anything (``fill`` 0, ``precision`` None).
 
         ``F = M + sqrt(beta) A``, cast to the precision of its factor
         (``precision``, see the class docstring), is passed to
@@ -307,6 +311,7 @@ class BlockSaddleSystem:
             If the residual certificate cannot be met.
         """
         n = self.n
+        rtol = DEFAULT_SOLVE_RTOL
         self.iterations = 0
         self.fill = 0
         self.precision = None
@@ -346,7 +351,7 @@ class BlockSaddleSystem:
         x = np.zeros(2 * n)  # (y, q)
         r = np.concatenate([-top, -bottom / s])
         for _ in range(GMRES_CYCLES):
-            dx, k = _fgmres_cycle(balanced, presb, r, target, GMRES_RESTART)
+            dx, k = _fgmres_cycle(balanced, presb, r, target)
             x += dx
             self.iterations += k
             y, p = x[:n], s * x[n:]

@@ -436,21 +436,32 @@ def solution_errors(mesh, case, sol, region=None, metric="quadrature"):
     return (ey[0], ey[1], ep[0], ep[1])
 
 
-def convergence_tables(case, scheme, levels, regions, lump_reaction=True,
-                       mesh_factory=build_unit_square, solution_hook=None,
-                       metric="quadrature"):
+def ascending_levels(levels):
     """
-    Solve once per level and measure errors on several regions at once
-    (None denotes the whole domain).  Returns one table per region.
+    ``levels`` as a list of ints.  Raises ValueError unless it is
+    nonempty and strictly ascending, so no level runs twice.
     """
     levels = [int(k) for k in levels]
-    if levels != sorted(levels):
-        raise ValueError("levels must be ascending")
+    if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be a nonempty strictly ascending "
+                         "sequence")
+    return levels
+
+
+def convergence_tables(case, scheme, levels, regions, lump_reaction=True,
+                       solution_hook=None, metric="quadrature"):
+    """
+    Solve once per level on ``build_unit_square(level)`` and measure
+    errors on several regions at once (None denotes the whole domain).
+    Returns one table per region; ``levels`` must pass
+    :func:`ascending_levels`.
+    """
+    levels = ascending_levels(levels)
     per_region = [
         {c: [] for c in ConvergenceTable.COLUMNS} for _ in regions
     ]
     for k in levels:
-        mesh = mesh_factory(k)
+        mesh = build_unit_square(k)
         sol = optimal_control.solve(
             mesh, case.problem, scheme, lump_reaction=lump_reaction
         )

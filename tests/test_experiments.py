@@ -1,17 +1,20 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eafe_control.cli import main, parse_levels, parse_region
+from eafe_control.cli import build_parser, main, parse_levels, parse_region
 from eafe_control.experiments import (
+    EXAMPLES,
     ExperimentConfig,
+    _layer_terms,
     boundary_layer_case,
     coefficient_sets,
     interior_layer_case,
     layer_profile,
-    layer_profile_d2,
     run_boundary_layer,
     run_interior_layer,
     run_stability,
@@ -84,7 +87,7 @@ def test_boundary_layer_forcing_equals_composed_definitions(eps):
     x1, x2 = rng.random((2, 4096))
     x1[:4] = x2[-4:] = [0.0, 1.0, 1.0 - eps, 1.0 - 1e-3 * eps]
     eta = lambda z: layer_profile(z, eps)
-    d2 = lambda z: layer_profile_d2(z, eps)
+    d2 = lambda z: _layer_terms(z, eps)[2]
     zeta = (-np.sqrt(2.0) / 2.0, -np.sqrt(2.0) / 2.0)
     gamma = 1.0
     y, p = case.exact_y(x1, x2), case.exact_p(x1, x2)
@@ -137,8 +140,9 @@ def test_config_defaults_and_validation():
     for eps in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ExperimentConfig("stability", eps=eps)
-    with pytest.raises(ValueError):
-        ExperimentConfig("stability", levels=[4, 3])
+    for levels in ([4, 3], [3, 3], []):
+        with pytest.raises(ValueError):
+            ExperimentConfig("stability", levels=levels)
     with pytest.raises(ValueError):
         ExperimentConfig("stability", scheme="dg")
     with pytest.raises(ValueError):
@@ -213,7 +217,7 @@ def test_stability_diffusion_dominated_both_schemes_clean():
 
 
 def test_custom_mirrored_desired_state():
-    config = ExperimentConfig("custom", levels=[3], scheme="eafe",
+    config = ExperimentConfig("stability", levels=[3], scheme="eafe",
                               yd_const=-1.0)
     results = run_stability(config)
     assert results["eafe"][3]["bounds"].ok
@@ -303,13 +307,13 @@ def test_parse_helpers():
 def test_cli_stability_run(tmp_path, capsys):
     rc = main([
         "--example", "stability", "--levels", "3..3", "--scheme", "eafe",
-        "--out", str(tmp_path / "out"), "--seed", "42",
+        "--out", str(tmp_path / "out"),
     ])
     assert rc == 0
     out = capsys.readouterr().out
     assert "bounds_ok=True" in out
     echo = json.loads((tmp_path / "out" / "config.json").read_text())
-    assert echo["seed"] == 42
+    assert echo["out_dir"] == str(tmp_path / "out")
     assert echo["levels"] == [3]
 
 
@@ -332,10 +336,26 @@ def test_cli_rejects_unknown_example():
         main(["--example", "vortex"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--example", "custom"],
+    ["--example", "stability", "--seed", "1"],
+], ids=["example-custom", "seed"])
+def test_cli_rejects_removed_settings(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: eafe-control")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--eps", "nan", "--levels", "3..3"], "eps must be positive and finite"),
     (["--eps", "-1", "--levels", "3..3"], "eps must be positive and finite"),
-    (["--levels", "8,7"], "levels must be a nonempty ascending sequence"),
+    (["--levels", "8,7"],
+     "levels must be a nonempty strictly ascending sequence"),
+    (["--levels", "3,3"],
+     "levels must be a nonempty strictly ascending sequence"),
     (["--levels", "0..2"], "level must be >= 1, got 0"),
     (["--levels", "2,11"],
      "level 11 needs 4198401 vertices, exceeding the cap of 1000000"),
@@ -344,7 +364,8 @@ def test_cli_rejects_unknown_example():
      "region needs finite x0 < x1 and y0 < y1"),
     (["--region", "0.6,0.4,0.4,0.6"],
      "region needs finite x0 < x1 and y0 < y1"),
-], ids=["eps-nan", "eps-negative", "levels-descending", "level-zero",
+], ids=["eps-nan", "eps-negative", "levels-descending", "levels-repeated",
+        "level-zero",
         "level-over-vertex-cap", "yd-const-inf", "region-nan",
         "region-inverted"])
 def test_cli_rejected_config_is_a_usage_error(tmp_path, capsys, argv, message):
@@ -357,3 +378,14 @@ def test_cli_rejected_config_is_a_usage_error(tmp_path, capsys, argv, message):
     assert "error: " + message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_readme_flags_match_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("\nFlags: ") + 1
+    flags = readme[start:readme.index("\n\n", start)]
+    options = {opt for action in build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", flags)) == options - {"--help"}
+    (choices,) = re.findall(r"--example \{([a-z,-]+)\}", flags)
+    assert tuple(choices.split(",")) == EXAMPLES

@@ -108,10 +108,11 @@ def test_refine_matches_direct_build():
     assert refined.num_triangles == direct.num_triangles
 
 
-def test_refine_capacity_error():
+def test_refine_capacity_error(monkeypatch):
     mesh = build_unit_square(3)
+    monkeypatch.setattr(mesh_module, "DEFAULT_VERTEX_CAP", 100)
     with pytest.raises(MeshCapacityError):
-        uniform_refine(mesh, vertex_cap=100)
+        uniform_refine(mesh)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -344,9 +345,24 @@ def test_non_manifold_edge_raises():
         TriMesh(vertices, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
 
 
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
 def test_mesh_without_triangles_raises():
     with pytest.raises(GeometryError, match="no triangles"):
         TriMesh([[0.0, 0.0], [1.0, 0.0]], np.empty((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("vertices, triangles, message", [
+    (SQUARE, [[0, 1], [0, 2]], r"triangles .* got shape \(2, 2\)"),
+    (SQUARE, [[0, 1, 2, 3]], r"triangles .* got shape \(1, 4\)"),
+    (SQUARE, [0, 1, 2], r"triangles .* got shape \(3,\)"),
+    ([[x, y, 0.0] for x, y in SQUARE], [[0, 1, 2], [0, 2, 3]],
+     r"vertices .* got shape \(4, 3\)"),
+], ids=["triangles-m2", "triangles-m4", "triangles-flat", "vertices-n3"])
+def test_misshapen_arrays_raise(vertices, triangles, message):
+    with pytest.raises(GeometryError, match=message):
+        TriMesh(vertices, triangles)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -347,8 +347,9 @@ def test_convergence_tables_handle_empty_local_region():
 
 
 def test_convergence_tables_reject_unsorted_levels():
-    with pytest.raises(ValueError):
-        convergence_tables(smooth_case(), "eafe", [3, 2], [None])
+    for levels in ([3, 2], [3, 3]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            convergence_tables(smooth_case(), "eafe", levels, [None])
 
 
 def test_unknown_metric_rejected():
