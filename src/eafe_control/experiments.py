@@ -3,6 +3,9 @@ Desk-scale benchmark experiments: a stability run checking the
 desired-state bounds under dominant convection, and manufactured
 convergence studies with boundary and interior layers.
 
+Every fact about an example is one entry of ``EXAMPLES``.  Each driver
+owns its level loop: mesh, solve, checks or error norms, and outputs.
+
 The manufactured right-hand sides are hard-coded closed forms obtained by
 applying the strong operators to the prescribed exact pair (y, p): with
 constant convection zeta and constant diffusion eps,
@@ -26,19 +29,8 @@ from .fem_core import CoefficientField
 from .mesh import (DIAGONAL_CONVENTION, build_unit_square,
                    unit_square_vertex_count)
 from .optimal_control import ProblemSpec, write_solution_csv, write_solution_vtk
-from .verify_norms import (ManufacturedCase, ascending_levels,
-                           certify_m_matrix, convergence_tables)
-
-EXAMPLES = ("stability", "boundary-layer", "interior-layer")
-
-BOUNDARY_LAYER_REGION = (0.4, 0.6, 0.4, 0.6)
-INTERIOR_LAYER_REGION = (0.65, 1.0, 0.0, 1.0)
-
-DEFAULTS = {
-    "stability": {"eps": 1e-9, "levels": (3, 4, 5, 6), "scheme": "both"},
-    "boundary-layer": {"eps": 1e-2, "levels": tuple(range(1, 9)), "scheme": "eafe"},
-    "interior-layer": {"eps": 1e-2, "levels": tuple(range(1, 9)), "scheme": "eafe"},
-}
+from .verify_norms import (ConvergenceTable, ManufacturedCase,
+                           certify_m_matrix, solution_errors)
 
 
 class ExperimentConfig:
@@ -49,14 +41,17 @@ class ExperimentConfig:
                  metric="interpolant"):
         if example not in EXAMPLES:
             raise ValueError("unknown example %r (expected one of %s)"
-                             % (example, EXAMPLES))
-        defaults = DEFAULTS[example]
+                             % (example, tuple(EXAMPLES)))
+        defaults = EXAMPLES[example]
         self.example = example
         self.eps = float(defaults["eps"] if eps is None else eps)
         if not 0.0 < self.eps < np.inf:
             raise ValueError("eps must be positive and finite")
-        self.levels = ascending_levels(defaults["levels"] if levels is None
-                                       else levels)
+        self.levels = [int(k) for k in (defaults["levels"] if levels is None
+                                        else levels)]
+        if not self.levels or sorted(set(self.levels)) != self.levels:
+            raise ValueError("levels must be a nonempty strictly ascending "
+                             "sequence")
         for level in self.levels:
             # MeshCapacityError, a ValueError, before any level runs
             unit_square_vertex_count(level)
@@ -64,6 +59,8 @@ class ExperimentConfig:
         if self.scheme not in ("eafe", "galerkin", "both"):
             raise ValueError("scheme must be eafe, galerkin, or both")
         self.out_dir = None if out_dir is None else str(out_dir)
+        if self.out_dir == "":
+            raise ValueError("out_dir must not be empty")
         self.region = tuple(region) if region is not None else None
         if self.region is not None:
             x0, x1, y0, y1 = self.region
@@ -253,6 +250,19 @@ def coefficient_sets():
     }
 
 
+#: per-example defaults; the layer studies add their manufactured case and
+#: the sub-box of their local-error table
+EXAMPLES = {
+    "stability": {"eps": 1e-9, "levels": (3, 4, 5, 6), "scheme": "both"},
+    "boundary-layer": {"eps": 1e-2, "levels": tuple(range(1, 9)),
+                       "scheme": "eafe", "case": boundary_layer_case,
+                       "region": (0.4, 0.6, 0.4, 0.6)},
+    "interior-layer": {"eps": 1e-2, "levels": tuple(range(1, 9)),
+                       "scheme": "eafe", "case": interior_layer_case,
+                       "region": (0.65, 1.0, 0.0, 1.0)},
+}
+
+
 # ----------------------------------------------------------------------
 # experiment drivers
 
@@ -269,7 +279,6 @@ def run_stability(config):
     if config.example != "stability":
         raise ValueError("run_stability requires a stability config")
     writer = _Writer(config)
-    sign = "nonneg" if config.yd_const >= 0.0 else "nonpos"
     problem = stability_problem(config.eps, yd_const=config.yd_const)
     results = {s: {} for s in config.schemes}
     for scheme in config.schemes:
@@ -280,7 +289,7 @@ def run_stability(config):
                 mesh, problem, scheme, lump_reaction=config.lump_reaction
             )
             bounds = verify_norms.check_desired_state_bounds(
-                mesh, sol, problem.y_d, sign
+                mesh, sol, problem.y_d
             )
             mreport = certify_m_matrix(sol.stiffness)
             if mreport.ok and not bounds.ok:
@@ -313,71 +322,62 @@ def run_stability(config):
     return results
 
 
-def _run_convergence(config, case, default_region):
+def run_convergence(config):
+    """
+    Global and local convergence tables of a layer example for every
+    requested scheme, from one solve per level on the unit square.
+    Returns {scheme: {"global": ConvergenceTable, "local": ConvergenceTable}}.
+    """
+    if config.example == "stability":
+        raise ValueError("run_convergence requires a layer-example config")
+    example = EXAMPLES[config.example]
+    case = example["case"](config.eps)
+    region = example["region"] if config.region is None else config.region
+    boxes = {"global": None, "local": region}
     writer = _Writer(config)
-    region = config.region if config.region is not None else default_region
     results = {}
     for scheme in config.schemes:
-        solves = {}
-
-        def hook(level, mesh, sol, _scheme=scheme, _solves=solves):
-            _solves[level] = (sol.iterations, sol.precision or "none",
-                              sol.fill)
+        t0 = time.perf_counter()
+        summary_at = len(writer.log_lines)
+        errors = {name: [] for name in boxes}
+        for level in config.levels:
+            mesh = build_unit_square(level)
+            sol = optimal_control.solve(
+                mesh, case.problem, scheme, lump_reaction=config.lump_reaction
+            )
             if writer.dir is not None:
-                stem = "%s_%s_k%d" % (config.example, _scheme, level)
+                stem = "%s_%s_k%d" % (config.example, scheme, level)
                 write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
                                    title=stem)
-
-        t0 = time.perf_counter()
-        tables = convergence_tables(
-            case, scheme, config.levels, [None, region],
-            lump_reaction=config.lump_reaction, solution_hook=hook,
-            metric=config.metric,
-        )
-        glob, loc = tables
-        writer.log(
-            "%s scheme=%s levels=%s metric=%s elapsed=%.2fs"
-            % (config.example, scheme, config.levels, config.metric,
-               time.perf_counter() - t0)
-        )
-        for k in config.levels:
-            row = glob.row(k)
-            iterations, precision, fill = solves[k]
+            for name, box in boxes.items():
+                errors[name].append(solution_errors(
+                    mesh, case, sol, region=box, metric=config.metric))
             writer.log(
                 "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
                 "iterations=%d factor=%s fill=%d"
-                % (config.example, scheme, k, row["ey_l2"][0],
-                   row["ey_h1"][0], row["ep_l2"][0], row["ep_h1"][0],
-                   iterations, precision, fill)
+                % ((config.example, scheme, level) + errors["global"][-1]
+                   + (sol.iterations, sol.precision or "none", sol.fill))
             )
+        # the scheme's summary line, with the time of all its levels, leads
+        writer.log_lines.insert(summary_at, (
+            "%s scheme=%s levels=%s metric=%s elapsed=%.2fs"
+            % (config.example, scheme, config.levels, config.metric,
+               time.perf_counter() - t0)))
+        results[scheme] = {
+            name: ConvergenceTable(config.levels, dict(zip(
+                ConvergenceTable.COLUMNS, zip(*rows))), region=boxes[name])
+            for name, rows in errors.items()
+        }
         if writer.dir is not None:
-            glob.to_csv(writer.path("%s_%s_global.csv" % (config.example, scheme)))
-            loc.to_csv(writer.path("%s_%s_local.csv" % (config.example, scheme)))
-        results[scheme] = {"global": glob, "local": loc}
+            for name, table in results[scheme].items():
+                table.to_csv(writer.path("%s_%s_%s.csv"
+                                         % (config.example, scheme, name)))
     writer.finish()
     return results
-
-
-def run_boundary_layer(config):
-    """Boundary-layer convergence tables (global, and local on [0.4,0.6]^2)."""
-    if config.example != "boundary-layer":
-        raise ValueError("run_boundary_layer requires a boundary-layer config")
-    case = boundary_layer_case(config.eps)
-    return _run_convergence(config, case, BOUNDARY_LAYER_REGION)
-
-
-def run_interior_layer(config):
-    """Interior-layer convergence tables (global, and local on [0.65,1]x[0,1])."""
-    if config.example != "interior-layer":
-        raise ValueError("run_interior_layer requires an interior-layer config")
-    case = interior_layer_case(config.eps)
-    return _run_convergence(config, case, INTERIOR_LAYER_REGION)
 
 
 def run(config):
     """Dispatch on the configured example id."""
     if config.example == "stability":
         return run_stability(config)
-    if config.example == "boundary-layer":
-        return run_boundary_layer(config)
-    return run_interior_layer(config)
+    return run_convergence(config)

@@ -1,6 +1,7 @@
 """
 Verification layer: M-matrix certification, desired-state bound checks,
-L2/H1 error norms (global and on sub-boxes), and convergence tables.
+L2/H1 error norms (global and on sub-boxes), and convergence tables.  It
+checks and measures what it is given: it builds no mesh, calls no solver.
 
 The M-matrix certificate checks the sign pattern, then proves the inverse
 nonnegative at every order with one sparse LU and one solve: a Z-matrix A
@@ -20,9 +21,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem_core, optimal_control, sparse_linalg
+from . import fem_core, sparse_linalg
 from .fem_core import as_scalar_field, as_vector_field
-from .mesh import build_unit_square, signed_areas
+from .mesh import signed_areas
 
 CSV_HEADER = "k,ey_l2,ey_order,ey_h1,ey_h1_order,ep_l2,ep_order,ep_h1,ep_h1_order"
 
@@ -99,30 +100,34 @@ class BoundReport:
         )
 
 
-def check_desired_state_bounds(mesh, solution, y_d, sign):
+def check_desired_state_bounds(mesh, solution, y_d):
     """
     Check the desired-state bounds of a computed optimality-system
     solution at every vertex (boundary included).
 
-    ``sign`` is "nonneg" or "nonpos" and must hold for y_d at all
-    QUADRATURE points; violations of that precondition raise
+    The sign convention comes from y_d at all QUADRATURE points:
+    "nonneg" if every sample is >= 0 (y_d = 0 included), else "nonpos"
+    if every sample is <= 0.  Data of both signs raise
     DesiredStateSignError, since the bounds are only meaningful for
     one-signed data.  ``y_d`` must be the desired state the solution
     was computed for: the mass matrix and the load (y_d, phi_i) are the
     ones the solve assembled, ``solution.mass`` and
     ``solution.tracking_load``.
     """
-    if sign not in ("nonneg", "nonpos"):
-        raise ValueError("sign must be 'nonneg' or 'nonpos'")
     if solution.tracking_load is None:
         raise ValueError("desired-state bounds need a tracking-mode solution")
-    sigma = 1.0 if sign == "nonneg" else -1.0
     y_d = as_scalar_field(y_d)
+    lo, hi = np.inf, -np.inf
     for _, _, xq, yq in fem_core.quadrature_points(mesh):
-        if (sigma * np.asarray(y_d(xq, yq), dtype=float)).min() < 0.0:
-            raise DesiredStateSignError(
-                "desired state is not %s on the mesh" % sign
-            )
+        samples = np.asarray(y_d(xq, yq), dtype=float)
+        lo, hi = np.minimum(lo, samples.min()), np.maximum(hi, samples.max())
+    if lo >= 0.0:
+        sign, sigma = "nonneg", 1.0
+    elif hi <= 0.0:
+        sign, sigma = "nonpos", -1.0
+    else:
+        raise DesiredStateSignError("desired state is not one-signed on the "
+                                    "mesh")
 
     fd = solution.tracking_load
     m1 = solution.mass @ solution.y_bar
@@ -434,45 +439,3 @@ def solution_errors(mesh, case, sol, region=None, metric="quadrature"):
     except EmptyRegionError:
         return (None, None, None, None)
     return (ey[0], ey[1], ep[0], ep[1])
-
-
-def ascending_levels(levels):
-    """
-    ``levels`` as a list of ints.  Raises ValueError unless it is
-    nonempty and strictly ascending, so no level runs twice.
-    """
-    levels = [int(k) for k in levels]
-    if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be a nonempty strictly ascending "
-                         "sequence")
-    return levels
-
-
-def convergence_tables(case, scheme, levels, regions, lump_reaction=True,
-                       solution_hook=None, metric="quadrature"):
-    """
-    Solve once per level on ``build_unit_square(level)`` and measure
-    errors on several regions at once (None denotes the whole domain).
-    Returns one table per region; ``levels`` must pass
-    :func:`ascending_levels`.
-    """
-    levels = ascending_levels(levels)
-    per_region = [
-        {c: [] for c in ConvergenceTable.COLUMNS} for _ in regions
-    ]
-    for k in levels:
-        mesh = build_unit_square(k)
-        sol = optimal_control.solve(
-            mesh, case.problem, scheme, lump_reaction=lump_reaction
-        )
-        if solution_hook is not None:
-            solution_hook(k, mesh, sol)
-        for region, store in zip(regions, per_region):
-            vals = solution_errors(mesh, case, sol, region=region,
-                                   metric=metric)
-            for c, v in zip(ConvergenceTable.COLUMNS, vals):
-                store[c].append(v)
-    return [
-        ConvergenceTable(levels, store, region=region)
-        for region, store in zip(regions, per_region)
-    ]

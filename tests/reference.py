@@ -56,13 +56,17 @@ from eafe_control.mesh import (
     build_unit_square,
     signed_areas,
 )
-from eafe_control.optimal_control import ProblemSpec, _assemble_parts
+from eafe_control.optimal_control import ProblemSpec, _assemble_parts, solve
 from eafe_control.sparse_linalg import (
     DEFAULT_SOLVE_RTOL,
     ResidualCertificationError,
     SingularMatrixError,
 )
-from eafe_control.verify_norms import ManufacturedCase, convergence_tables
+from eafe_control.verify_norms import (
+    ConvergenceTable,
+    ManufacturedCase,
+    solution_errors,
+)
 
 
 def from_triplets(nrows, ncols, triplets):
@@ -345,10 +349,14 @@ def assemble_system(mesh, spec, scheme, lump_reaction=True):
 def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
                       metric="quadrature"):
     """Convergence table over ascending levels (optionally on a sub-box)."""
-    return convergence_tables(
-        case, scheme, levels, [region], lump_reaction=lump_reaction,
-        metric=metric,
-    )[0]
+    rows = []
+    for k in levels:
+        mesh = build_unit_square(k)
+        sol = solve(mesh, case.problem, scheme, lump_reaction=lump_reaction)
+        rows.append(solution_errors(mesh, case, sol, region=region,
+                                    metric=metric))
+    return ConvergenceTable(levels, dict(zip(ConvergenceTable.COLUMNS,
+                                             zip(*rows))), region=region)
 
 
 def jittered_renumbered_mesh(level, seed):

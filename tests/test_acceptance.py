@@ -22,7 +22,7 @@ from eafe_control.experiments import (
     ExperimentConfig,
     boundary_layer_case,
     interior_layer_case,
-    run_boundary_layer,
+    run_convergence,
     stability_problem,
 )
 from eafe_control.fem_core import (
@@ -135,10 +135,10 @@ def test_acceptance_4_desired_state_bounds():
         mesh = build_unit_square(level)
         fd_max = np.abs(assemble_load(mesh, problem.y_d)).max()
         sol = solve(mesh, problem, "eafe")
-        rep = check_desired_state_bounds(mesh, sol, problem.y_d, "nonneg")
+        rep = check_desired_state_bounds(mesh, sol, problem.y_d)
         monotone_ok &= rep.ok
         sol_g = solve(mesh, problem, "galerkin")
-        rep_g = check_desired_state_bounds(mesh, sol_g, problem.y_d, "nonneg")
+        rep_g = check_desired_state_bounds(mesh, sol_g, problem.y_d)
         assert not rep_g.ok
         state_worst = min(rep_g.state_lower.min(), rep_g.state_upper.min())
         comparator_violation = min(comparator_violation, state_worst / fd_max)
@@ -162,7 +162,7 @@ def run_boundary_config(out_dir):
         "boundary-layer", eps=1e-2, levels=[6, 7, 8], scheme="eafe",
         out_dir=str(out_dir), lump_reaction=False, metric="interpolant",
     )
-    return config, run_boundary_layer(config)
+    return config, run_convergence(config)
 
 
 @pytest.fixture(scope="module")

@@ -15,12 +15,11 @@ from eafe_control.experiments import (
     coefficient_sets,
     interior_layer_case,
     layer_profile,
-    run_boundary_layer,
-    run_interior_layer,
+    run_convergence,
     run_stability,
     stability_problem,
 )
-from reference import smooth_case
+from reference import convergence_study, smooth_case
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +230,7 @@ def test_boundary_layer_run_writes_deterministic_tables(tmp_path):
     for out in (dir_a, dir_b):
         config = ExperimentConfig("boundary-layer", levels=[2, 3, 4],
                                   scheme="eafe", out_dir=str(out))
-        results[out] = run_boundary_layer(config)
+        results[out] = run_convergence(config)
     for name in ("boundary-layer_eafe_global.csv",
                  "boundary-layer_eafe_local.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
@@ -255,7 +254,7 @@ def test_convergence_log_records_factor_precision(tmp_path):
     # eps = 0.05: edge Peclet 3.5 at level 2, then 1.8 and 0.9
     config = ExperimentConfig("boundary-layer", eps=0.05, levels=[2, 3, 4],
                               scheme="eafe", out_dir=str(tmp_path))
-    run_boundary_layer(config)
+    run_convergence(config)
     lines = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
              if " level=" in ln]
     factors = [ln.split(" factor=", 1)[1].split()[0] for ln in lines]
@@ -265,7 +264,7 @@ def test_convergence_log_records_factor_precision(tmp_path):
 def test_interior_layer_run_smoke(tmp_path):
     config = ExperimentConfig("interior-layer", levels=[2, 3], scheme="eafe",
                               out_dir=str(tmp_path))
-    results = run_interior_layer(config)
+    results = run_convergence(config)
     table = results["eafe"]["local"]
     assert table.region == (0.65, 1.0, 0.0, 1.0)
     assert None not in table.errors["ey_l2"]
@@ -273,11 +272,29 @@ def test_interior_layer_run_smoke(tmp_path):
     assert all(e > 0 for e in glob.errors["ey_l2"])
 
 
+@pytest.mark.parametrize("example, levels, region", [
+    ("boundary-layer", [2, 3, 4], (0.4, 0.6, 0.4, 0.6)),
+    ("interior-layer", [2, 3], (0.65, 1.0, 0.0, 1.0)),
+], ids=["boundary-layer", "interior-layer"])
+def test_convergence_run_equals_the_reference_loop(example, levels, region):
+    config = ExperimentConfig(example, levels=levels, scheme="eafe")
+    tables = run_convergence(config)["eafe"]
+    case = EXAMPLES[example]["case"](config.eps)
+    for name, box in (("global", None), ("local", region)):
+        want = convergence_study(case, "eafe", levels, region=box,
+                                 metric=config.metric)
+        assert tables[name].region == box
+        assert tables[name] == want
+        assert tables[name].orders == want.orders
+    if example == "boundary-layer":
+        # no order next to a level whose sub-box holds no whole element
+        assert tables["local"].errors["ey_l2"][:2] == [None, None]
+        assert tables["local"].orders["ey_l2"] == [None, None, None]
+
+
 def test_runner_guards_example_kind():
     with pytest.raises(ValueError):
-        run_boundary_layer(ExperimentConfig("stability"))
-    with pytest.raises(ValueError):
-        run_interior_layer(ExperimentConfig("boundary-layer"))
+        run_convergence(ExperimentConfig("stability"))
     with pytest.raises(ValueError):
         run_stability(ExperimentConfig("interior-layer"))
 
@@ -364,10 +381,11 @@ def test_cli_rejects_removed_settings(tmp_path, capsys, argv):
      "region needs finite x0 < x1 and y0 < y1"),
     (["--region", "0.6,0.4,0.4,0.6"],
      "region needs finite x0 < x1 and y0 < y1"),
+    (["--out", ""], "out_dir must not be empty"),
 ], ids=["eps-nan", "eps-negative", "levels-descending", "levels-repeated",
         "level-zero",
         "level-over-vertex-cap", "yd-const-inf", "region-nan",
-        "region-inverted"])
+        "region-inverted", "out-empty"])
 def test_cli_rejected_config_is_a_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -388,4 +406,4 @@ def test_readme_flags_match_the_parser():
                for opt in action.option_strings if opt.startswith("--")}
     assert set(re.findall(r"--[a-z][a-z-]*", flags)) == options - {"--help"}
     (choices,) = re.findall(r"--example \{([a-z,-]+)\}", flags)
-    assert tuple(choices.split(",")) == EXAMPLES
+    assert tuple(choices.split(",")) == tuple(EXAMPLES)

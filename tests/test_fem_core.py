@@ -23,7 +23,7 @@ from eafe_control.fem_core import (
     scatter_edges,
 )
 from eafe_control.eafe import MonotonicityLossWarning, assemble_eafe_stiffness
-from eafe_control.experiments import BOUNDARY_LAYER_REGION, boundary_layer_case
+from eafe_control.experiments import EXAMPLES, boundary_layer_case
 from eafe_control.mesh import (
     GeometryError,
     TriMesh,
@@ -358,7 +358,7 @@ def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
     mesh = build_unit_square(4)
     sol = solve(mesh, case.problem, "eafe")
     solved = counts.copy()
-    for region in (None, BOUNDARY_LAYER_REGION):
+    for region in (None, EXAMPLES["boundary-layer"]["region"]):
         solution_errors(mesh, case, sol, region=region, metric=metric)
     assert counts["areas"] == 1 and counts["gradients"] == 1
     # quadrature points are not cached: the quadrature metric maps them once

@@ -21,7 +21,6 @@ from eafe_control.verify_norms import (
     EmptyRegionError,
     certify_m_matrix,
     check_desired_state_bounds,
-    convergence_tables,
     error_norms,
     interpolant_error_norms,
 )
@@ -279,8 +278,9 @@ def test_bound_check_zero_desired_state():
     mesh = build_unit_square(3)
     spec = ProblemSpec(stability_coefficients(), y_d=0.0)
     sol = solve(mesh, spec, "eafe")
-    report = check_desired_state_bounds(mesh, sol, 0.0, "nonneg")
+    report = check_desired_state_bounds(mesh, sol, 0.0)
     assert report.ok
+    assert report.sign == "nonneg"
     assert np.abs(report.state_lower).max() <= 1e-12
     assert np.abs(report.state_upper).max() <= 1e-12
 
@@ -289,8 +289,9 @@ def test_bound_check_mirrored_sign():
     mesh = build_unit_square(4)
     spec = ProblemSpec(stability_coefficients(), y_d=-1.0)
     sol = solve(mesh, spec, "eafe")
-    report = check_desired_state_bounds(mesh, sol, -1.0, "nonpos")
+    report = check_desired_state_bounds(mesh, sol, -1.0)
     assert report.ok
+    assert report.sign == "nonpos"
     # state sits between the desired state and zero
     assert sol.y_bar.max() <= 1e-12
     assert sol.y_bar.min() >= -1.0 - 1e-12
@@ -306,7 +307,7 @@ def test_bound_check_uses_the_solved_tracking_load():
                     "eafe")
     assert general.tracking_load is None
     with pytest.raises(ValueError):
-        check_desired_state_bounds(mesh, general, y_d, "nonneg")
+        check_desired_state_bounds(mesh, general, y_d)
 
 
 def test_bound_check_sign_precondition():
@@ -314,16 +315,14 @@ def test_bound_check_sign_precondition():
     spec = ProblemSpec(stability_coefficients(), y_d=1.0)
     sol = solve(mesh, spec, "eafe")
     with pytest.raises(DesiredStateSignError):
-        check_desired_state_bounds(mesh, sol, lambda x, y: x - 0.5, "nonneg")
-    with pytest.raises(ValueError):
-        check_desired_state_bounds(mesh, sol, 1.0, "positive")
+        check_desired_state_bounds(mesh, sol, lambda x, y: x - 0.5)
 
 
 def test_bound_report_dump(tmp_path):
     mesh = build_unit_square(3)
     spec = ProblemSpec(stability_coefficients(), y_d=1.0)
     sol = solve(mesh, spec, "eafe")
-    report = check_desired_state_bounds(mesh, sol, 1.0, "nonneg")
+    report = check_desired_state_bounds(mesh, sol, 1.0)
     path = tmp_path / "bounds.json"
     report.dump(path)
     data = json.loads(path.read_text())
@@ -331,25 +330,6 @@ def test_bound_report_dump(tmp_path):
     assert data["tol"] == pytest.approx(report.tol)
     assert set(data) >= {"worst_state_lower", "worst_state_upper",
                          "worst_adjoint"}
-
-
-def test_convergence_tables_handle_empty_local_region():
-    from eafe_control.experiments import boundary_layer_case
-
-    case = boundary_layer_case(1e-2)
-    glob, loc = convergence_tables(
-        case, "eafe", [3, 4], [None, (0.4, 0.6, 0.4, 0.6)]
-    )
-    assert None not in glob.errors["ey_l2"]
-    assert loc.errors["ey_l2"][0] is None  # no contained element at level 3
-    assert loc.errors["ey_l2"][1] is not None
-    assert loc.orders["ey_l2"] == [None, None]
-
-
-def test_convergence_tables_reject_unsorted_levels():
-    for levels in ([3, 2], [3, 3]):
-        with pytest.raises(ValueError, match="strictly ascending"):
-            convergence_tables(smooth_case(), "eafe", levels, [None])
 
 
 def test_unknown_metric_rejected():
