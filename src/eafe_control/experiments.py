@@ -20,6 +20,7 @@ z away from 1, so no cancellation is possible.
 
 import json
 import os
+import resource
 import time
 
 import numpy as np
@@ -78,6 +79,11 @@ class ExperimentConfig:
     @property
     def schemes(self):
         return ("eafe", "galerkin") if self.scheme == "both" else (self.scheme,)
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (ru_maxrss)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class _Writer:
@@ -306,10 +312,11 @@ def run_stability(config):
                       else "%.3e" % mreport.margin)
             writer.log(
                 "stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
-                "m_margin=%s iterations=%d factor=%s fill=%d elapsed=%.2fs"
+                "m_margin=%s iterations=%d factor=%s fill=%d "
+                "peak_rss_mb=%.1f elapsed=%.2fs"
                 % (scheme, level, bounds.ok, bounds.worst_violation,
                    mreport.ok, margin, sol.iterations,
-                   sol.precision or "none", sol.fill,
+                   sol.precision or "none", sol.fill, _peak_rss_mb(),
                    time.perf_counter() - t0)
             )
             if writer.dir is not None:
@@ -354,10 +361,14 @@ def run_convergence(config):
                     mesh, case, sol, region=box, metric=config.metric))
             writer.log(
                 "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
-                "iterations=%d factor=%s fill=%d"
+                "peak_rss_mb=%.1f iterations=%d factor=%s fill=%d"
                 % ((config.example, scheme, level) + errors["global"][-1]
-                   + (sol.iterations, sol.precision or "none", sol.fill))
+                   + (_peak_rss_mb(), sol.iterations, sol.precision or "none",
+                      sol.fill))
             )
+            # free level k before level k + 1 builds its mesh, so that it is
+            # not alive beside the next level's factor
+            del mesh, sol
         # the scheme's summary line, with the time of all its levels, leads
         writer.log_lines.insert(summary_at, (
             "%s scheme=%s levels=%s metric=%s elapsed=%.2fs"

@@ -47,14 +47,14 @@ class TriMesh:
     ----------
     vertices : (N, 2) float array
         Vertex coordinates.
-    triangles : (M, 3) int array
+    triangles : (M, 3) int32 array
         Vertex indices per triangle, counterclockwise.
-    edges : (E, 2) int array
+    edges : (E, 2) int32 array
         Unique edges as (i, j) with i < j.
-    edge_tris : (E, 2) int array
+    edge_tris : (E, 2) int32 array
         Adjacent triangle indices per edge; second entry is -1 for
         boundary edges.
-    tri_edges : (M, 3) int array
+    tri_edges : (M, 3) int32 array
         Edge index of each local edge (LOCAL_EDGES order).
     boundary_vertex : (N,) bool array
         True for vertices lying on the domain boundary.
@@ -66,6 +66,11 @@ class TriMesh:
         Cell-splitting convention tag.
 
     ``vertices`` and ``triangles`` are read-only copies of the inputs.
+    The four index arrays are int32, half the memory of int64: every
+    index is below the vertex, edge or triangle count, far below 2^31
+    under :data:`DEFAULT_VERTEX_CAP`.  Arithmetic on them that can leave
+    int32, such as the pair keys i * N + j of the connectivity, is done
+    in int64.
 
     Raises
     ------
@@ -78,11 +83,10 @@ class TriMesh:
 
     def __init__(self, vertices, triangles, level=1, diagonal=DIAGONAL_CONVENTION):
         self.vertices = _readonly(np.array(vertices, dtype=float, order="C"))
-        self.triangles = _readonly(np.array(triangles, dtype=np.int64, order="C"))
+        t = np.asarray(triangles, dtype=np.int64)
         self.level = int(level)
         self.diagonal = diagonal
         self._geometry = {}
-        t = self.triangles
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise GeometryError("vertices must be an (N, 2) array, got shape %s"
                                 % (self.vertices.shape,))
@@ -94,6 +98,8 @@ class TriMesh:
         if t.min() < 0 or t.max() >= self.num_vertices:
             raise GeometryError("triangle vertex indices must lie in [0, %d)"
                                 % self.num_vertices)
+        # checked in int64 first, so no out-of-range index wraps into range
+        self.triangles = _readonly(t.astype(np.int32, order="C"))
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -154,19 +160,21 @@ class TriMesh:
 
 def _edge_connectivity(triangles):
     """
-    Unique (i<j) edges, their adjacent triangles, and the tri->edge map.
+    Unique (i<j) edges, their adjacent triangles, and the tri->edge map,
+    all int32.
 
     Pair k * M + t is local edge k of triangle t.  One stable sort of the
     pair keys i * N + j, i < j, gives everything: each run of equal keys
     is one edge (runs come in lexicographic edge order), the run's index
     is the edge index of each of its pairs, and the triangles of the
-    run's first and second pair fill the edge's two slots.
+    run's first and second pair fill the edge's two slots.  The keys are
+    int64: i * N + j leaves int32 from N = 46 341 on (level 8).
     """
     m = triangles.shape[0]
     tails = triangles.T.ravel()
     heads = triangles[:, [b for _, b in LOCAL_EDGES]].T.ravel()
     lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
-    keys = lo * (int(hi.max()) + 1) + hi
+    keys = lo.astype(np.int64) * (int(hi.max()) + 1) + hi
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     first = np.ones(order.size, dtype=bool)
@@ -175,13 +183,14 @@ def _edge_connectivity(triangles):
     size = np.diff(start, append=order.size)
     if size.max() > 2:
         raise GeometryError("non-manifold edge: more than two adjacent triangles")
-    inverse = np.empty(order.size, dtype=np.int64)
+    inverse = np.empty(order.size, dtype=np.int32)
     inverse[order] = np.cumsum(first) - 1
 
     head = order[start]
     last = order[start + size - 1]  # the run's second pair, or its only one
     edges = np.stack([lo[head], hi[head]], axis=1)
-    edge_tris = np.stack([head % m, np.where(size == 2, last % m, -1)], axis=1)
+    edge_tris = np.stack([head % m, np.where(size == 2, last % m, -1)],
+                         axis=1).astype(np.int32)
     return edges, edge_tris, inverse.reshape(3, m).T.copy()
 
 

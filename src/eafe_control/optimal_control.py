@@ -74,21 +74,22 @@ class SolutionPair:
     name (``"float32"`` or ``"float64"``, see
     :class:`~eafe_control.sparse_linalg.BlockSaddleSystem`; None when the
     right-hand side vanished and nothing was factored), ``stiffness`` the
-    interior stiffness block A of the solved system, ``mass`` the mass
-    matrix over all vertices (CSR) and ``tracking_load`` the load vector
-    (y_d, phi_i) over all vertices in tracking mode (None in general
-    mode).
+    interior stiffness block A of the solved system and ``tracking_load``
+    the load vector (y_d, phi_i) over all vertices in tracking mode (None
+    in general mode).  It holds no matrix over all vertices: the full mass
+    matrix is freed after assembly, before the factor, and the bound check
+    (:func:`~eafe_control.verify_norms.check_desired_state_bounds`)
+    assembles its own.
     """
 
     def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
-                 mass, iterations, fill, precision, tracking_load=None):
+                 iterations, fill, precision, tracking_load=None):
         self.p_bar = np.asarray(p_bar, dtype=float)
         self.y_bar = np.asarray(y_bar, dtype=float)
         self.u_bar = np.asarray(u_bar, dtype=float)
         self.residual = float(residual)
         self.scheme = scheme
         self.stiffness = stiffness
-        self.mass = mass
         self.iterations = int(iterations)
         self.fill = int(fill)
         self.precision = precision
@@ -149,7 +150,7 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True):
     dof = np.cumsum(~mesh.boundary_vertex) - 1
     system = BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom, beta=beta,
                                order=dof[order[~mesh.boundary_vertex[order]]])
-    return system, m_full, tracking_load, p_lift, y_lift, interior
+    return system, tracking_load, p_lift, y_lift, interior
 
 
 def solve(mesh, spec, scheme, lump_reaction=True):
@@ -157,7 +158,7 @@ def solve(mesh, spec, scheme, lump_reaction=True):
     Solve the optimality system; returns a :class:`SolutionPair` whose
     boundary nodes carry the interpolated Dirichlet traces.
     """
-    system, m_full, tracking_load, p_lift, y_lift, interior = _assemble_parts(
+    system, tracking_load, p_lift, y_lift, interior = _assemble_parts(
         mesh, spec, scheme, lump_reaction
     )
     p_int, y_int, res = system.solve()
@@ -166,7 +167,7 @@ def solve(mesh, spec, scheme, lump_reaction=True):
     p[interior] = p_int
     y[interior] = y_int
     u = recover_control(p, spec.coeff.beta)
-    return SolutionPair(p, y, u, res, scheme, system.A, m_full,
+    return SolutionPair(p, y, u, res, scheme, system.A,
                         system.iterations, system.fill, system.precision,
                         tracking_load)
 

@@ -112,6 +112,38 @@ def _factorize(mat, order=None):
         raise SingularMatrixError(message) from exc
 
 
+def _paired(mat):
+    """
+    ``mat`` as a canonical CSR matrix (sorted indices, duplicates summed)
+    on a structurally symmetric pattern, and ``partner``: for every stored
+    entry (i, j), the slot of entry (j, i) in its ``data``.
+
+    A pattern that holds some (i, j) but not (j, i) gets (j, i) as an
+    explicit zero, the value the union pattern of the matrix and its
+    transpose gives it.  A canonical matrix on a symmetric pattern, such
+    as every matrix assembled on an edge pattern and its interior block,
+    is returned as it is.  ``partner`` comes from the CSC of the slot
+    numbers 0, 1, ..., nnz - 1: on a symmetric pattern the CSC has the
+    CSR's ``indptr`` and ``indices``, and its k-th stored number is the
+    slot of the transpose of entry k.  Only integer arrays of one entry
+    each are built, never a transposed or union copy of the values.
+    """
+    mat = mat.tocsr()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    slots = sp.csr_matrix((np.arange(mat.nnz, dtype=mat.indices.dtype),
+                           mat.indices, mat.indptr), shape=mat.shape).tocsc()
+    if (np.array_equal(slots.indptr, mat.indptr)
+            and np.array_equal(slots.indices, mat.indices)):
+        return mat, slots.data
+    coo = mat.tocoo()
+    rows = np.concatenate([coo.row, coo.col])
+    cols = np.concatenate([coo.col, coo.row])
+    data = np.concatenate([coo.data, np.zeros(coo.nnz)])
+    return _paired(sp.csr_matrix((data, (rows, cols)), shape=mat.shape))
+
+
 def _fgmres_cycle(matvec, psolve, r, target):
     """
     One cycle of right-preconditioned flexible GMRES (Saad, SIAM J. Sci.
@@ -235,8 +267,10 @@ class BlockSaddleSystem:
             raise ValueError("beta must be positive")
         if self.rhs_top.shape != (n,) or self.rhs_bottom.shape != (n,):
             raise ValueError("right-hand side blocks have wrong length")
-        asym = sp.linalg.norm(m - m.T) if m.nnz else 0.0
-        scale = max(np.abs(m.data).max() if m.nnz else 0.0, 1e-300)
+        # ||M - M^T||_F over the union pattern, read from M's data
+        paired, partner = _paired(m)
+        asym = np.linalg.norm(paired.data - paired.data[partner])
+        scale = max(np.abs(paired.data).max(initial=0.0), 1e-300)
         if asym > SYM_RTOL * scale * np.sqrt(max(m.nnz, 1)):
             raise ValueError("mass matrix is not symmetric to working precision")
         #: symmetric ordering of the PRESB factor, or None for minimum degree
@@ -257,23 +291,48 @@ class BlockSaddleSystem:
         within :data:`SINGLE_PRECISION_ASYMMETRY` of symmetric and every
         nonzero of F lies in float32's normal range, else float64.
 
-        ``|A_ij| - e^2 |A_ji| <= 0`` over all ordered pairs bounds the
-        ratio of every pair: a pair of zeros (EAFE edges of zero weight)
-        passes, a pair with exactly one zero fails, and so does NaN.  An
-        entry of F outside float32's normal range selects float64 rather
-        than round to zero, a subnormal or infinity.
+        ``|A_ij| - e^2 |A_ji| <= 0`` over all ordered pairs of the union
+        pattern of A and A^T bounds the ratio of every pair: a pair of
+        zeros (EAFE edges of zero weight) passes, a pair with exactly one
+        zero fails, and so does NaN.  An entry of F outside float32's
+        normal range selects float64 rather than round to zero, a
+        subnormal or infinity.
+
+        Both tests read data arrays, with A_ji found through
+        :func:`_paired`, so neither |A|, its transpose nor their
+        difference is built.  When A and M are stored on the same
+        canonical pattern, as every assembled pair is, F is their data
+        added on it; the entries whose sum cancels to zero are dropped,
+        as ``M + s * A`` drops them, so F equals that sum in ``indptr``,
+        ``indices`` and ``data``.
         """
-        f = self.M + s * self.A
-        mag = abs(self.A)
+        a, partner = _paired(self.A)
+        mag = np.abs(a.data)
+        mag -= SINGLE_PRECISION_ASYMMETRY * np.abs(a.data[partner])
+        pairs_resolved = bool(np.all(mag <= 0.0))
+        del mag, partner  # not alive beside F's data
+
+        m = self.M.tocsr()
+        if (m.has_canonical_format and np.array_equal(a.indptr, m.indptr)
+                and np.array_equal(a.indices, m.indices)):
+            f = sp.csr_matrix((m.data + s * a.data, m.indices, m.indptr),
+                              shape=m.shape)
+            if not f.data.all():
+                f = f.copy()
+                f.eliminate_zeros()
+        else:
+            f = (self.M + s * self.A).tocsr()
         single = np.finfo(np.float32)
-        entries = np.abs(f.data[f.data != 0.0])
-        if ((mag - SINGLE_PRECISION_ASYMMETRY * mag.T).max() <= 0.0
-                and entries.min(initial=single.max) >= single.tiny
+        entries = np.abs(f.data)
+        if (pairs_resolved
+                and entries.min(where=entries != 0.0,
+                                initial=single.max) >= single.tiny
                 and entries.max(initial=0.0) <= single.max):
             self.precision = "float32"
         else:
             self.precision = "float64"
-        return f.astype(self.precision, copy=False)
+        return sp.csr_matrix((f.data.astype(self.precision, copy=False),
+                              f.indices, f.indptr), shape=f.shape)
 
     @property
     def n(self):

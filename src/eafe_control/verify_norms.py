@@ -110,9 +110,11 @@ def check_desired_state_bounds(mesh, solution, y_d):
     if every sample is <= 0.  Data of both signs raise
     DesiredStateSignError, since the bounds are only meaningful for
     one-signed data.  ``y_d`` must be the desired state the solution
-    was computed for: the mass matrix and the load (y_d, phi_i) are the
-    ones the solve assembled, ``solution.mass`` and
-    ``solution.tracking_load``.
+    was computed for: the load (y_d, phi_i) is the one the solve
+    assembled, ``solution.tracking_load``.  The mass matrix is assembled
+    here again (:func:`fem_core.assemble_mass`, deterministic, so it is
+    the one the solve used, bit for bit), since the solution does not
+    keep a matrix over all vertices.
     """
     if solution.tracking_load is None:
         raise ValueError("desired-state bounds need a tracking-mode solution")
@@ -130,7 +132,7 @@ def check_desired_state_bounds(mesh, solution, y_d):
                                     "mesh")
 
     fd = solution.tracking_load
-    m1 = solution.mass @ solution.y_bar
+    m1 = fem_core.assemble_mass(mesh) @ solution.y_bar
     tol = 1e-10 * np.abs(fd).max()
     return BoundReport(
         sign,

@@ -20,6 +20,11 @@ diagonal-pivot factor:
 - ``inverse_nonneg_check`` scans A^{-1} column by column, the reference
   for the M-matrix certificate ``verify_norms.certify_m_matrix``.
 
+The set-up checks of ``BlockSaddleSystem`` have union-pattern
+references, the rules the package applied before it read them from the
+data arrays: ``mass_is_symmetric`` forms ``M - M^T``, and
+``presb_precision`` forms ``|A| - e^2 |A|^T`` and ``F = M + s A``.
+
 The geometry references compute what the package computes in one pass
 the way it did before:
 
@@ -56,6 +61,7 @@ from eafe_control.mesh import (
     build_unit_square,
     signed_areas,
 )
+from eafe_control import sparse_linalg
 from eafe_control.optimal_control import ProblemSpec, _assemble_parts, solve
 from eafe_control.sparse_linalg import (
     DEFAULT_SOLVE_RTOL,
@@ -116,11 +122,15 @@ def _from_blocks(mesh, local, extra=((), (), ())):
 
 
 def edge_connectivity(triangles):
-    """Unique (i<j) edges, their adjacent triangles, and the tri->edge map."""
+    """
+    Unique (i<j) edges, their adjacent triangles, and the tri->edge map,
+    as int32 arrays; the pair keys are int64, since i * N + j leaves
+    int32 from N = 46 341 on.
+    """
     m = triangles.shape[0]
     pairs = np.concatenate(
         [triangles[:, (a, b)] for a, b in LOCAL_EDGES], axis=0
-    )
+    ).astype(np.int64)
     pairs_sorted = np.sort(pairs, axis=1)
     # one int64 key per (i<j) pair; key order is lexicographic pair order
     nv = int(pairs_sorted.max()) + 1
@@ -143,7 +153,8 @@ def edge_connectivity(triangles):
     edge_tris[sorted_edges[first], 0] = sorted_tris[first]
     second = ~first
     edge_tris[sorted_edges[second], 1] = sorted_tris[second]
-    return edges, edge_tris, tri_edges
+    return (edges.astype(np.int32), edge_tris.astype(np.int32),
+            tri_edges.astype(np.int32))
 
 
 def longest_side(mesh):
@@ -339,6 +350,34 @@ def inverse_nonneg_check(a, tol=1e-12):
     i, j = np.unravel_index(np.argmin(inv), inv.shape)
     return InverseNonnegReport((inv / scale).min() >= -tol, inv[i, j],
                                (int(i), int(j)), tol)
+
+
+def mass_is_symmetric(m):
+    """
+    Symmetry verdict on a mass block by the union-pattern rule:
+    ||M - M^T||_F <= SYM_RTOL max|M_ij| sqrt(nnz M).
+    """
+    asym = sp.linalg.norm(m - m.T) if m.nnz else 0.0
+    scale = max(np.abs(m.data).max() if m.nnz else 0.0, 1e-300)
+    return not asym > sparse_linalg.SYM_RTOL * scale * np.sqrt(max(m.nnz, 1))
+
+
+def presb_precision(a, m, s):
+    """
+    Precision of the PRESB factor of ``F = M + s A`` by the union-pattern
+    rule: "float32" when ``|A| - e^2 |A|^T`` has no positive entry and
+    every nonzero of F lies in float32's normal range, else "float64".
+    ``SINGLE_PRECISION_ASYMMETRY`` is read at call time.
+    """
+    f = m + s * a
+    mag = abs(a)
+    single = np.finfo(np.float32)
+    entries = np.abs(f.data[f.data != 0.0])
+    if ((mag - sparse_linalg.SINGLE_PRECISION_ASYMMETRY * mag.T).max() <= 0.0
+            and entries.min(initial=single.max) >= single.tiny
+            and entries.max(initial=0.0) <= single.max):
+        return "float32"
+    return "float64"
 
 
 def assemble_system(mesh, spec, scheme, lump_reaction=True):

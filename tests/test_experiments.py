@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from eafe_control.experiments import (
     coefficient_sets,
     interior_layer_case,
     layer_profile,
+    run,
     run_convergence,
     run_stability,
     stability_problem,
@@ -407,3 +409,52 @@ def test_readme_flags_match_the_parser():
     assert set(re.findall(r"--[a-z][a-z-]*", flags)) == options - {"--help"}
     (choices,) = re.findall(r"--example \{([a-z,-]+)\}", flags)
     assert tuple(choices.split(",")) == tuple(EXAMPLES)
+
+
+def test_convergence_frees_each_level_before_the_next_mesh(monkeypatch):
+    # level k's mesh and solution are gone when level k + 1 builds its mesh,
+    # so they are not alive beside the next level's factor
+    from eafe_control import experiments, optimal_control
+
+    earlier = []
+    build, solve = experiments.build_unit_square, optimal_control.solve
+
+    def building(*args, **kwargs):
+        assert [ref() for ref in earlier] == [None] * len(earlier)
+        mesh = build(*args, **kwargs)
+        earlier.append(weakref.ref(mesh))
+        return mesh
+
+    def solving(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        earlier.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(experiments, "build_unit_square", building)
+    monkeypatch.setattr(optimal_control, "solve", solving)
+    run_convergence(ExperimentConfig("boundary-layer", levels=[2, 3, 4],
+                                     scheme="both"))
+    assert len(earlier) == 2 * 2 * 3  # a mesh and a solution per level
+
+
+@pytest.mark.parametrize("example, levels, level_lines", [
+    ("stability", [3, 4], 4),
+    ("boundary-layer", [2, 3], 2),
+])
+def test_run_log_level_lines_record_peak_rss(tmp_path, example, levels,
+                                             level_lines):
+    run(ExperimentConfig(example, levels=levels, out_dir=str(tmp_path)))
+    lines = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
+             if " level=" in ln]
+    peaks = [float(ln.split(" peak_rss_mb=", 1)[1].split()[0])
+             for ln in lines]
+    # ru_maxrss of the process so far: positive and never falling
+    assert len(peaks) == level_lines
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
+    if example != "stability":
+        # the convergence lines still end on the fill
+        assert all(int(ln.rsplit(" fill=", 1)[1]) > 0 for ln in lines)
+    # timings and memory stay out of the deterministic tables
+    for table in tmp_path.glob("*.csv"):
+        text = table.read_text()
+        assert "peak_rss" not in text and "elapsed" not in text

@@ -176,7 +176,7 @@ def test_node_ele_round_trip_of_renumbered_mesh(tmp_path):
     write_node_ele(mesh, path)
     back = read_node_ele(path)
     assert back.vertices.dtype == np.float64
-    assert back.triangles.dtype == np.int64
+    assert back.triangles.dtype == np.int32
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
     assert np.array_equal(back.edges, mesh.edges)
@@ -315,13 +315,13 @@ def assert_connectivity_matches_reference(mesh):
     edges, edge_tris, tri_edges = edge_connectivity(mesh.triangles)
     for got, want in ((mesh.edges, edges), (mesh.edge_tris, edge_tris),
                       (mesh.tri_edges, tri_edges)):
-        assert got.dtype == want.dtype
+        assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want)
     assert mesh.h == longest_side(mesh)
 
 
 @pytest.mark.parametrize("diagonal", DIAGONAL_CONVENTIONS)
-@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 8])
 def test_connectivity_matches_reference_on_structured_meshes(level, diagonal):
     assert_connectivity_matches_reference(build_unit_square(level,
                                                            diagonal=diagonal))
@@ -336,6 +336,14 @@ def test_connectivity_matches_reference_along_a_refinement_chain():
 
 def test_connectivity_matches_reference_on_jittered_renumbered_mesh():
     assert_connectivity_matches_reference(jittered_renumbered_mesh(5, seed=5))
+
+
+def test_connectivity_matches_reference_on_renumbered_level_8_mesh():
+    # 66 049 vertices: the pair key i * N + j of an edge no longer fits in
+    # int32, while every index of the connectivity does
+    mesh = jittered_renumbered_mesh(8, seed=8)
+    assert mesh.num_vertices ** 2 > np.iinfo(np.int32).max
+    assert_connectivity_matches_reference(mesh)
 
 
 def test_non_manifold_edge_raises():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eafe_control.fem_core import (
     CoefficientField,
@@ -194,7 +195,7 @@ def test_interpolant_residual_decreases_under_refinement():
     norms = []
     for level in (2, 3, 4):
         mesh = build_unit_square(level)
-        system, _, _, _, _, interior = _assemble_parts(
+        system, _, _, _, interior = _assemble_parts(
             mesh, case.problem, "eafe", True
         )
         xi = np.concatenate([
@@ -205,6 +206,22 @@ def test_interpolant_residual_decreases_under_refinement():
         norms.append(np.linalg.norm(r) / np.linalg.norm(saddle_rhs(system)))
     assert norms[1] < norms[0]
     assert norms[2] < norms[1]
+
+
+@pytest.mark.parametrize("mode", ["tracking", "general"])
+def test_solution_pair_holds_no_matrix_over_all_vertices(mode):
+    # the full mass matrix is freed after assembly: the only matrix left
+    # on the solution is the interior stiffness block of the solved system
+    mesh = build_unit_square(4)
+    data = {"y_d": 1.0} if mode == "tracking" else {"f": 1.0, "g": 0.0}
+    sol = solve(mesh, ProblemSpec(plain_coefficients(), **data), "eafe")
+    n = mesh.interior_vertices.size
+    matrices = {name: value.shape for name, value in vars(sol).items()
+                if sp.issparse(value)}
+    assert matrices == {"stiffness": (n, n)}
+    assert all(np.ndim(value) <= 1 for value in vars(sol).values()
+               if not sp.issparse(value))
+    assert not hasattr(sol, "mass")
 
 
 def test_solution_export(tmp_path):

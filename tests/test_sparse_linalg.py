@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from eafe_control.eafe import MonotonicityLossWarning
 from eafe_control.experiments import boundary_layer_case, stability_problem
 from eafe_control.fem_core import CoefficientField
-from eafe_control.mesh import build_unit_square
+from eafe_control.mesh import DIAGONAL_CONVENTIONS, build_unit_square
 from eafe_control import sparse_linalg
 from eafe_control.optimal_control import ProblemSpec
 from eafe_control.sparse_linalg import (
@@ -20,6 +21,9 @@ from reference import (
     assemble_system,
     from_triplets,
     inverse_nonneg_check,
+    jittered_renumbered_mesh,
+    mass_is_symmetric,
+    presb_precision,
     saddle_operator,
     saddle_rhs,
     solve_direct,
@@ -441,3 +445,112 @@ def test_block_rejects_nonpositive_beta(beta):
     a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(ValueError):
         BlockSaddleSystem(a, a, np.zeros(2), np.zeros(2), beta=beta)
+
+
+def _accepted_as_mass(m):
+    """Whether BlockSaddleSystem accepts ``m`` as its symmetric mass block."""
+    n = m.shape[0]
+    try:
+        BlockSaddleSystem(sp.identity(n, format="csr"), m, np.zeros(n),
+                          np.zeros(n))
+    except ValueError:
+        return False
+    return True
+
+
+def _assert_presb_matrix_is_the_sum(system, s):
+    f = system._presb_matrix(s)
+    ref = (system.M + s * system.A).tocsr().astype(system.precision)
+    assert f.data.dtype == ref.data.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(f, name), getattr(ref, name),
+                              equal_nan=name == "data")
+    return f
+
+
+def _setup_check_meshes():
+    for level in (3, 4, 5, 6):
+        for diagonal in DIAGONAL_CONVENTIONS:
+            yield build_unit_square(level, diagonal=diagonal)
+    yield jittered_renumbered_mesh(5, seed=19)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-9])
+@pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
+def test_setup_checks_decide_as_the_union_pattern_rules(scheme, eps):
+    # the precision and symmetry verdicts read from the data arrays match
+    # the rules that formed |A| - e^2 |A|^T and M - M^T, and F is M + s A
+    # added on the pattern that the interior blocks share, with no copy of
+    # its index arrays
+    problem = boundary_layer_case(eps).problem
+    for mesh in _setup_check_meshes():
+        with warnings.catch_warnings():
+            # the jittered mesh is not Delaunay everywhere
+            warnings.simplefilter("ignore", MonotonicityLossWarning)
+            system = assemble_system(mesh, problem, scheme)
+        for s in (1.0, np.sqrt(2.0)):
+            f = _assert_presb_matrix_is_the_sum(system, s)
+            assert system.precision == presb_precision(system.A, system.M, s)
+            assert np.shares_memory(f.indices, system.M.indices)
+        assert _accepted_as_mass(system.M) and mass_is_symmetric(system.M)
+        # a convective stiffness block is no mass block, by either rule
+        assert not _accepted_as_mass(system.A)
+        assert not mass_is_symmetric(system.A)
+
+
+HAND_BUILT_PAIRS = {
+    # (A entries, M entries) of 3 x 3 matrices; M is symmetric in value
+    "one-stored-zero": ([(0, 0, 20.0), (0, 1, 0.0), (1, 0, -1.0),
+                         (1, 1, 20.0), (2, 2, 20.0)],
+                        [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)]),
+    "both-stored-zero-shared": ([(0, 0, 20.0), (0, 1, 0.0), (1, 0, 0.0),
+                                 (1, 1, 20.0), (2, 2, 20.0)],
+                                [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5),
+                                 (1, 1, 2.0), (2, 2, 2.0)]),
+    "nan-entry": ([(0, 0, 20.0), (0, 1, np.nan), (1, 0, -1.0),
+                   (1, 1, 20.0), (2, 2, 20.0)],
+                  [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 2.0),
+                   (2, 2, 2.0)]),
+    "nonsymmetric-pattern": ([(0, 0, 20.0), (0, 2, -1.0), (1, 1, 20.0),
+                              (1, 2, -1.0), (2, 1, -2.0), (2, 2, 20.0)],
+                             [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)]),
+    "nonsymmetric-pattern-stored-zero": ([(0, 0, 20.0), (0, 2, 0.0),
+                                          (1, 1, 20.0), (2, 2, 20.0)],
+                                         [(0, 0, 2.0), (0, 2, 0.0),
+                                          (1, 1, 2.0), (2, 2, 2.0)]),
+    "sum-cancels-on-shared-pattern": ([(0, 0, 1.0), (0, 1, -1.0),
+                                       (1, 0, -1.0), (1, 1, 1.0),
+                                       (2, 2, 1.0)],
+                                      [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0),
+                                       (1, 1, 2.0), (2, 2, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT_PAIRS))
+def test_setup_checks_decide_as_the_union_pattern_rules_by_hand(case):
+    a_entries, m_entries = HAND_BUILT_PAIRS[case]
+    a, m = from_triplets(3, 3, a_entries), from_triplets(3, 3, m_entries)
+    assert a.nnz == len(a_entries)  # the stored zeros are kept
+    system = BlockSaddleSystem(a, m, np.ones(3), np.zeros(3))
+    for s in (1.0, 0.5):
+        _assert_presb_matrix_is_the_sum(system, s)
+        assert system.precision == presb_precision(a, m, s)
+    for mat in (a, m):
+        assert _accepted_as_mass(mat) == mass_is_symmetric(mat)
+
+
+def test_setup_checks_by_hand_cover_both_verdicts():
+    verdicts = {}
+    for case, (a_entries, m_entries) in HAND_BUILT_PAIRS.items():
+        a, m = from_triplets(3, 3, a_entries), from_triplets(3, 3, m_entries)
+        system = BlockSaddleSystem(a, m, np.ones(3), np.zeros(3))
+        system._presb_matrix(1.0)
+        verdicts[case] = (system.precision, _accepted_as_mass(a))
+    assert verdicts == {
+        "one-stored-zero": ("float64", False),
+        "both-stored-zero-shared": ("float32", True),
+        "nan-entry": ("float64", True),  # NaN compares false to the bound
+        "nonsymmetric-pattern": ("float64", False),
+        "nonsymmetric-pattern-stored-zero": ("float32", True),
+        "sum-cancels-on-shared-pattern": ("float32", True),
+    }

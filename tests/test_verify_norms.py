@@ -318,6 +318,37 @@ def test_bound_check_sign_precondition():
         check_desired_state_bounds(mesh, sol, lambda x, y: x - 0.5)
 
 
+@pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
+def test_bound_check_arrays_equal_those_of_the_solved_mass(monkeypatch,
+                                                          scheme):
+    # the solution keeps no mass matrix; the bound check assembles its own,
+    # which must give the margins of the mass the solve assembled, bit for bit
+    from eafe_control import fem_core
+
+    masses = []
+    assemble_mass = fem_core.assemble_mass
+
+    def recording(mesh):
+        masses.append(assemble_mass(mesh))
+        return masses[-1]
+
+    monkeypatch.setattr(fem_core, "assemble_mass", recording)
+    spec = ProblemSpec(stability_coefficients(), y_d=1.0)
+    for level in (3, 4, 5):
+        masses.clear()
+        mesh = build_unit_square(level)
+        sol = solve(mesh, spec, scheme)
+        (solved,) = masses
+        report = check_desired_state_bounds(mesh, sol, 1.0)
+        assert len(masses) == 2
+        m1 = solved @ sol.y_bar
+        assert report.sign == "nonneg"
+        assert report.tol == 1e-10 * np.abs(sol.tracking_load).max()
+        assert np.array_equal(report.state_lower, m1)
+        assert np.array_equal(report.state_upper, sol.tracking_load - m1)
+        assert np.array_equal(report.adjoint_margin, -sol.p_bar)
+
+
 def test_bound_report_dump(tmp_path):
     mesh = build_unit_square(3)
     spec = ProblemSpec(stability_coefficients(), y_d=1.0)
