@@ -30,6 +30,7 @@ from .fem_core import (
     fold_blocks,
     lumped_mass_diagonal,
     quadrature_points,
+    reaction_samples,
     scatter_edges,
 )
 from .mesh import LOCAL_EDGES, delaunay_report, signed_areas
@@ -176,7 +177,7 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     A failed edge-weight (Delaunay) check of the summed weights does not
     abort assembly; it is raised as a MonotonicityLossWarning so the
     verification layer can decide.  A non-finite coefficient sample raises
-    DataError.
+    DataError, a negative reaction sample CoefficientError.
     """
     data = EdgeData(mesh, coeff)
     n = mesh.num_vertices
@@ -188,13 +189,13 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     if lump_reaction:
         xv = mesh.vertices[:, 0]
         yv = mesh.vertices[:, 1]
-        gam_v = finite_samples("reaction", coeff.gamma(xv, yv), xv.shape)
+        gam_v = reaction_samples(coeff, xv, yv)
         diag += gam_v * lumped_mass_diagonal(mesh)
     else:
         areas = signed_areas(mesh)
         local = np.zeros((mesh.num_triangles, 3, 3))
         for lam, w, xq, yq in quadrature_points(mesh):
-            gq = finite_samples("reaction", coeff.gamma(xq, yq), xq.shape)
+            gq = reaction_samples(coeff, xq, yq)
             scale = w * areas * gq
             for a in range(3):
                 for b in range(3):

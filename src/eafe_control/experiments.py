@@ -249,8 +249,7 @@ def interior_layer_case(eps):
 def coefficient_sets():
     """The three benchmark coefficient sets, for monotonicity certification."""
     return {
-        "stability": CoefficientField(eps=1e-9, zeta=(-1.0, 0.0), gamma=0.0,
-                                      div_zeta=0.0),
+        "stability": stability_problem(1e-9).coeff,
         "boundary-layer": boundary_layer_case(1e-9).problem.coeff,
         "interior-layer": interior_layer_case(1e-9).problem.coeff,
     }

@@ -64,7 +64,8 @@ class CoefficientField:
     zeta : vector field or pair
         Convection field.
     gamma : scalar field or number
-        Nonnegative reaction coefficient.
+        Nonnegative reaction coefficient; assembly raises CoefficientError
+        on a negative sample (:func:`reaction_samples`).
     beta : float
         Control-cost weight (kept at 1 for the discrete optimality system).
     eps_floor : float, optional
@@ -130,6 +131,20 @@ def finite_samples(what, values, shape):
     if not np.all(np.isfinite(values)):
         raise DataError("%s produced a non-finite sample" % what)
     return values
+
+
+def reaction_samples(coeff, x, y):
+    """
+    The reaction gamma at ``(x, y)``, broadcast to the shape of ``x``.
+    DataError unless every sample is finite; CoefficientError, naming the
+    smallest sample, if one is negative, since the M-matrix and
+    desired-state bound arguments need gamma >= 0.
+    """
+    gam = finite_samples("reaction", coeff.gamma(x, y), np.shape(x))
+    worst = gam.min(initial=0.0)
+    if worst < 0.0:
+        raise CoefficientError("sampled reaction %.3g is negative" % worst)
+    return gam
 
 
 class QuadratureRule:
@@ -335,7 +350,7 @@ def assemble_galerkin_stiffness(mesh, coeff):
     The (M, 3, 3) element blocks are folded onto the mesh edges
     (:func:`fold_blocks`) and returned as a CSR matrix on
     :func:`edge_pattern`.  A non-finite coefficient sample raises
-    DataError.
+    DataError, a negative reaction sample CoefficientError.
     """
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
@@ -344,7 +359,7 @@ def assemble_galerkin_stiffness(mesh, coeff):
         eps_q = finite_samples("diffusion", coeff.eps(xq, yq), xq.shape)
         zx, zy = (finite_samples("convection", c, xq.shape)
                   for c in coeff.zeta(xq, yq))
-        gam = finite_samples("reaction", coeff.gamma(xq, yq), xq.shape)
+        gam = reaction_samples(coeff, xq, yq)
         coeff.check_samples(xq, yq, eps_q)
         scale = w * areas
         for i in range(3):

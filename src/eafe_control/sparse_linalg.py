@@ -112,36 +112,39 @@ def _factorize(mat, order=None):
         raise SingularMatrixError(message) from exc
 
 
-def _paired(mat):
+def _transpose_slots(mat):
     """
-    ``mat`` as a canonical CSR matrix (sorted indices, duplicates summed)
-    on a structurally symmetric pattern, and ``partner``: for every stored
-    entry (i, j), the slot of entry (j, i) in its ``data``.
+    The CSC of the slot numbers of a CSR matrix.  On a symmetric pattern
+    it has the CSR's index arrays, and its k-th number is the slot of the
+    transpose of entry k; no copy of the values is built.
+    """
+    return sp.csr_matrix((np.arange(mat.nnz, dtype=mat.indices.dtype),
+                          mat.indices, mat.indptr), shape=mat.shape).tocsc()
 
-    A pattern that holds some (i, j) but not (j, i) gets (j, i) as an
-    explicit zero, the value the union pattern of the matrix and its
-    transpose gives it.  A canonical matrix on a symmetric pattern, such
-    as every matrix assembled on an edge pattern and its interior block,
-    is returned as it is.  ``partner`` comes from the CSC of the slot
-    numbers 0, 1, ..., nnz - 1: on a symmetric pattern the CSC has the
-    CSR's ``indptr`` and ``indices``, and its k-th stored number is the
-    slot of the transpose of entry k.  Only integer arrays of one entry
-    each are built, never a transposed or union copy of the values.
+
+def _one_pattern(a, m):
     """
-    mat = mat.tocsr()
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    slots = sp.csr_matrix((np.arange(mat.nnz, dtype=mat.indices.dtype),
-                           mat.indices, mat.indptr), shape=mat.shape).tocsc()
-    if (np.array_equal(slots.indptr, mat.indptr)
-            and np.array_equal(slots.indices, mat.indices)):
-        return mat, slots.data
-    coo = mat.tocoo()
-    rows = np.concatenate([coo.row, coo.col])
-    cols = np.concatenate([coo.col, coo.row])
-    data = np.concatenate([coo.data, np.zeros(coo.nnz)])
-    return _paired(sp.csr_matrix((data, (rows, cols)), shape=mat.shape))
+    A and M as canonical CSR matrices on one structurally symmetric
+    pattern, and ``partner``: for every stored entry (i, j), the slot of
+    entry (j, i) in their ``data``.  A pair already stored so, as every
+    pair assembled on a mesh is, is returned as the same objects; any
+    other is placed on the union of the patterns of A, A^T, M and M^T,
+    with explicit zeros where it has no entry.
+    """
+    a, m = a.tocsr(), m.tocsr()
+    slots = _transpose_slots(a)
+    if not (a.has_canonical_format
+            and all(np.array_equal(x.indptr, a.indptr)
+                    and np.array_equal(x.indices, a.indices)
+                    for x in (m, slots))):
+        a, m = a.tocoo(), m.tocoo()
+        ij = np.hstack([a.coords, a.coords[::-1], m.coords, m.coords[::-1]])
+        pad_a, pad_m = np.zeros(a.nnz), np.zeros(m.nnz)
+        a, m = [sp.csr_matrix((np.concatenate(d), tuple(ij)), shape=a.shape)
+                for d in ([a.data, pad_a, pad_m, pad_m],
+                          [pad_a, pad_a, m.data, pad_m])]
+        slots = _transpose_slots(a)
+    return a, m, slots.data
 
 
 def _fgmres_cycle(matvec, psolve, r, target):
@@ -207,7 +210,8 @@ class BlockSaddleSystem:
     A is the (convection-diffusion-reaction) stiffness matrix, M the
     consistent mass matrix; beta > 0 defaults to 1, matching the
     normalized control-cost weight used throughout.  M must be symmetric
-    to within ``SYM_RTOL`` (ValueError otherwise).
+    to within ``SYM_RTOL`` (ValueError otherwise).  Both are stored on
+    one pattern (:func:`_one_pattern`).
 
     :meth:`solve` scales the adjoint, ``p = sqrt(beta) q``, and with
     ``K = sqrt(beta) A`` solves the balanced form
@@ -249,17 +253,15 @@ class BlockSaddleSystem:
     and the certified residual is that of the float64 system, so no
     guarantee rests on the factor's precision (Arioli & Duff, ETNA 33,
     2009; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  On the
-    level-8 boundary layer at eps = 1e-2 the float32 factor keeps 13
-    iterations and the same fill, and the run's peak RSS with one BLAS
-    thread falls from about 203 to 179 MB.
+    level-8 boundary layer at eps = 1e-2 it keeps 13 iterations and the
+    same fill, and peak RSS (one thread) falls from 203 to 179 MB.
     """
 
     def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, order=None):
         n = a.shape[0]
         if a.shape != (n, n) or m.shape != (n, n):
             raise ValueError("block system needs square A, M of equal order")
-        self.A = a
-        self.M = m
+        self.A, self.M, partner = _one_pattern(a, m)
         self.rhs_top = np.asarray(rhs_top, dtype=float)
         self.rhs_bottom = np.asarray(rhs_bottom, dtype=float)
         self.beta = float(beta)
@@ -268,9 +270,9 @@ class BlockSaddleSystem:
         if self.rhs_top.shape != (n,) or self.rhs_bottom.shape != (n,):
             raise ValueError("right-hand side blocks have wrong length")
         # ||M - M^T||_F over the union pattern, read from M's data
-        paired, partner = _paired(m)
-        asym = np.linalg.norm(paired.data - paired.data[partner])
-        scale = max(np.abs(paired.data).max(initial=0.0), 1e-300)
+        data = self.M.data
+        asym = np.linalg.norm(data - data[partner])
+        scale = max(np.abs(data).max(initial=0.0), 1e-300)
         if asym > SYM_RTOL * scale * np.sqrt(max(m.nnz, 1)):
             raise ValueError("mass matrix is not symmetric to working precision")
         #: symmetric ordering of the PRESB factor, or None for minimum degree
@@ -287,43 +289,28 @@ class BlockSaddleSystem:
     def _presb_matrix(self, s):
         """
         ``F = M + s A`` in the precision of its factor, recorded as
-        :attr:`precision`: float32 when every off-diagonal pair of A is
-        within :data:`SINGLE_PRECISION_ASYMMETRY` of symmetric and every
-        nonzero of F lies in float32's normal range, else float64.
+        :attr:`precision` (see the class docstring).  F is M's and A's
+        data added on the pattern they share (:func:`_one_pattern`),
+        explicit zeros included.
 
-        ``|A_ij| - e^2 |A_ji| <= 0`` over all ordered pairs of the union
-        pattern of A and A^T bounds the ratio of every pair: a pair of
-        zeros (EAFE edges of zero weight) passes, a pair with exactly one
-        zero fails, and so does NaN.  An entry of F outside float32's
-        normal range selects float64 rather than round to zero, a
-        subnormal or infinity.
-
-        Both tests read data arrays, with A_ji found through
-        :func:`_paired`, so neither |A|, its transpose nor their
-        difference is built.  When A and M are stored on the same
-        canonical pattern, as every assembled pair is, F is their data
-        added on it; the entries whose sum cancels to zero are dropped,
-        as ``M + s * A`` drops them, so F equals that sum in ``indptr``,
-        ``indices`` and ``data``.
+        ``|A_ij| - e^2 |A_ji| <= 0`` over all stored pairs bounds the
+        ratio of every pair: a pair of zeros (EAFE edges of zero weight)
+        passes, a pair with exactly one zero fails, and so does NaN.  An
+        entry of F outside float32's normal range selects float64 rather
+        than round to zero, a subnormal or infinity.  Both tests read data
+        arrays, with A_ji found through :func:`_transpose_slots`, so
+        neither |A|, its transpose nor their difference is built.
         """
-        a, partner = _paired(self.A)
+        a, m = self.A, self.M
+        partner = _transpose_slots(a).data
         mag = np.abs(a.data)
         mag -= SINGLE_PRECISION_ASYMMETRY * np.abs(a.data[partner])
         pairs_resolved = bool(np.all(mag <= 0.0))
         del mag, partner  # not alive beside F's data
 
-        m = self.M.tocsr()
-        if (m.has_canonical_format and np.array_equal(a.indptr, m.indptr)
-                and np.array_equal(a.indices, m.indices)):
-            f = sp.csr_matrix((m.data + s * a.data, m.indices, m.indptr),
-                              shape=m.shape)
-            if not f.data.all():
-                f = f.copy()
-                f.eliminate_zeros()
-        else:
-            f = (self.M + s * self.A).tocsr()
+        data = m.data + s * a.data
         single = np.finfo(np.float32)
-        entries = np.abs(f.data)
+        entries = np.abs(data)
         if (pairs_resolved
                 and entries.min(where=entries != 0.0,
                                 initial=single.max) >= single.tiny
@@ -331,8 +318,8 @@ class BlockSaddleSystem:
             self.precision = "float32"
         else:
             self.precision = "float64"
-        return sp.csr_matrix((f.data.astype(self.precision, copy=False),
-                              f.indices, f.indptr), shape=f.shape)
+        return sp.csr_matrix((data.astype(self.precision, copy=False),
+                              m.indices, m.indptr), shape=m.shape)
 
     @property
     def n(self):
@@ -353,12 +340,10 @@ class BlockSaddleSystem:
         each.  A zero right-hand side returns zeros without factoring
         anything (``fill`` 0, ``precision`` None).
 
-        ``F = M + sqrt(beta) A``, cast to the precision of its factor
-        (``precision``, see the class docstring), is passed to
-        :func:`_factorize` as a temporary, so the CSC of ``F`` in its
-        symmetric order is the only copy of F alive while SuperLU factors
-        it.  The two right-hand sides of each PRESB application are cast
-        to that precision too; everything else stays float64.
+        ``F = M + sqrt(beta) A`` from :meth:`_presb_matrix` is passed to
+        :func:`_factorize` as a temporary, so only its CSC is alive while
+        SuperLU factors it.  The two right-hand sides of each PRESB
+        application are cast to F's precision; the rest stays float64.
 
         Raises
         ------

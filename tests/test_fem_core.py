@@ -342,6 +342,51 @@ def test_gamma_assumption_with_nonfinite_divergence(assemble):
         assemble(build_unit_square(2), coeff)
 
 
+# the three places that sample gamma, and where each samples it
+REACTION_PATHS = {
+    "galerkin": (assemble_galerkin_stiffness, "quadrature"),
+    "eafe-lumped": (assemble_eafe_stiffness, "vertex"),
+    "eafe-consistent": (
+        lambda mesh, coeff: assemble_eafe_stiffness(mesh, coeff,
+                                                    lump_reaction=False),
+        "quadrature"),
+}
+
+
+def _negative_at_one_sample(mesh, where):
+    """gamma = 1 but at one sample point of ``where``, where it is -1e-3."""
+    if where == "vertex":
+        x0, y0 = mesh.vertices[mesh.num_vertices // 2]
+    else:
+        _, _, xq, yq = next(quadrature_points(mesh))
+        x0, y0 = xq[0], yq[0]
+    return lambda x, y: np.where((x == x0) & (y == y0), -1e-3, 1.0)
+
+
+@pytest.mark.parametrize("path", sorted(REACTION_PATHS))
+def test_negative_reaction_sample_raises(path):
+    assemble, where = REACTION_PATHS[path]
+    mesh = build_unit_square(2)
+    for gamma, smallest in ((-1.0, "-1"),
+                            (_negative_at_one_sample(mesh, where), "-0.001")):
+        coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=gamma,
+                                 div_zeta=0.0)
+        with pytest.raises(CoefficientError,
+                           match=r"reaction %s is negative" % smallest):
+            assemble(mesh, coeff)
+
+
+@pytest.mark.parametrize("path", sorted(REACTION_PATHS))
+def test_zero_reaction_is_accepted(path):
+    assemble, _ = REACTION_PATHS[path]
+    mesh = build_unit_square(2)
+    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0,
+                             div_zeta=0.0)
+    mat = assemble(mesh, coeff)
+    # pure diffusion: the rows sum to zero
+    assert np.abs(mat.sum(axis=1)).max() <= 1e-14
+
+
 def test_divergence_by_central_differences():
     # div(xy, -y^2/2) = y - y = 0
     coeff = CoefficientField(eps=1.0, zeta=lambda x, y: (x * y, -0.5 * y * y),

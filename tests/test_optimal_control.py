@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from eafe_control.fem_core import (
+    CoefficientError,
     CoefficientField,
     DataError,
     interpolate_nodal,
@@ -71,6 +72,16 @@ def test_nonfinite_coefficients_raise_before_assembly(monkeypatch, scheme,
     spec = ProblemSpec(plain_coefficients(**data), y_d=1.0)
     with pytest.raises(DataError):
         solve(build_unit_square(3), spec, scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_negative_reaction_raises_before_solving(scheme):
+    # gamma < 0 breaks the M-matrix and bound arguments that the solve's
+    # residual certificate cannot see
+    spec = ProblemSpec(plain_coefficients(eps=1e-2, zeta=(-1.0, 0.0),
+                                          gamma=-50.0), y_d=1.0)
+    with pytest.raises(CoefficientError, match="reaction -50 is negative"):
+        solve(build_unit_square(4), spec, scheme)
 
 
 def test_tracking_rhs_is_negative_load():

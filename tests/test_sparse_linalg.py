@@ -9,7 +9,7 @@ from eafe_control.eafe import MonotonicityLossWarning
 from eafe_control.experiments import boundary_layer_case, stability_problem
 from eafe_control.fem_core import CoefficientField
 from eafe_control.mesh import DIAGONAL_CONVENTIONS, build_unit_square
-from eafe_control import sparse_linalg
+from eafe_control import optimal_control, sparse_linalg
 from eafe_control.optimal_control import ProblemSpec
 from eafe_control.sparse_linalg import (
     BlockSaddleSystem,
@@ -458,13 +458,31 @@ def _accepted_as_mass(m):
     return True
 
 
-def _assert_presb_matrix_is_the_sum(system, s):
+def _assert_presb_matrix_is_the_sum(system, s, by_hand=None):
+    """
+    F of ``system`` is ``M + s A`` in the dtype of its factor.  For an
+    assembled pair it is scipy's sum in ``indptr``, ``indices`` and
+    ``data``; for a hand-built pair ``by_hand = (a, m)`` it is the sum
+    entrywise, stored on the union of the patterns of A, A^T, M and M^T,
+    stored zeros included.
+    """
     f = system._presb_matrix(s)
-    ref = (system.M + s * system.A).tocsr().astype(system.precision)
-    assert f.data.dtype == ref.data.dtype
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(f, name), getattr(ref, name),
-                              equal_nan=name == "data")
+    assert f.dtype == system.precision
+    if by_hand is None:
+        ref = (system.M + s * system.A).tocsr().astype(system.precision)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(f, name), getattr(ref, name),
+                                  equal_nan=name == "data")
+        return f
+    a, m = by_hand
+    ref = (m + s * a).toarray().astype(system.precision)
+    assert np.array_equal(f.toarray(), ref, equal_nan=True)
+    a1, m1 = (sp.csr_matrix((np.ones(x.nnz), x.indices, x.indptr),
+                            shape=x.shape) for x in (a, m))
+    union = (a1 + a1.T + m1 + m1.T).tocsr()
+    union.sum_duplicates()
+    assert np.array_equal(f.indptr, union.indptr)
+    assert np.array_equal(f.indices, union.indices)
     return f
 
 
@@ -533,7 +551,7 @@ def test_setup_checks_decide_as_the_union_pattern_rules_by_hand(case):
     assert a.nnz == len(a_entries)  # the stored zeros are kept
     system = BlockSaddleSystem(a, m, np.ones(3), np.zeros(3))
     for s in (1.0, 0.5):
-        _assert_presb_matrix_is_the_sum(system, s)
+        _assert_presb_matrix_is_the_sum(system, s, by_hand=(a, m))
         assert system.precision == presb_precision(a, m, s)
     for mat in (a, m):
         assert _accepted_as_mass(mat) == mass_is_symmetric(mat)
@@ -554,3 +572,23 @@ def test_setup_checks_by_hand_cover_both_verdicts():
         "nonsymmetric-pattern-stored-zero": ("float32", True),
         "sum-cancels-on-shared-pattern": ("float32", True),
     }
+
+
+@pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
+def test_assembled_pair_is_kept_as_passed(monkeypatch, scheme):
+    # the interior blocks share one symmetric pattern, so the system
+    # stores them without a copy and SolutionPair.stiffness is the block
+    # that was solved
+    passed = []
+
+    class Recording(BlockSaddleSystem):
+        def __init__(self, a, m, *args, **kwargs):
+            super().__init__(a, m, *args, **kwargs)
+            passed.append((self, a, m))
+
+    monkeypatch.setattr(optimal_control, "BlockSaddleSystem", Recording)
+    sol = optimal_control.solve(build_unit_square(4),
+                                boundary_layer_case(1e-2).problem, scheme)
+    ((system, a, m),) = passed
+    assert system.A is a and system.M is m
+    assert sol.stiffness is a
