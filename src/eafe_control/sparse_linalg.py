@@ -69,10 +69,11 @@ def _factorize(mat, order=None):
     The factor is for matrices that need no pivoting: nonsingular
     M-matrices, whose LU without pivoting is stable with positive pivots
     (Funderlic & Plemmons, LAA 41, 1981), and matrices with a positive
-    definite symmetric part, for which it exists, such as the PRESB
-    matrix M + sqrt(beta) A of the benchmark problems.  Its two callers
-    check their results on the computed solution, so no certificate
-    rests on the pivots.  :meth:`BlockSaddleSystem.solve` certifies
+    definite symmetric part, for which it exists.  The PRESB matrix
+    M + sqrt(beta) A has one when the symmetric part of A is positive
+    semidefinite, the hypothesis of the PRESB bound; nothing checks it at
+    run time.  Its two callers check their results on the computed
+    solution, so no certificate rests on the pivots.  :meth:`BlockSaddleSystem.solve` certifies
 
         ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
             <= rtol ||(rhs_top, rhs_bottom)||_2
@@ -226,10 +227,13 @@ class BlockSaddleSystem:
     ``[[M, -K^T], [K, M + K + K^T]]`` is applied exactly with one sparse
     LU of ``F = M + K``, used plain and transposed.  Its eigenvalues lie
     in [1/2, 1], so the iteration count depends on neither h nor eps
-    (Axelsson, Farouq & Neytcheva, Numer. Algorithms 2016).  F has a
-    symmetric pattern and, on the benchmark problems, a positive definite
-    symmetric part, so it is factored with diagonal pivots in a symmetric
-    ordering (see :func:`_factorize`): ``order`` when given
+    (Axelsson, Farouq & Neytcheva, Numer. Algorithms 2016), under that
+    bound's hypothesis that the symmetric part of A is positive
+    semidefinite, so that F has a positive definite symmetric part.
+    Nothing checks that hypothesis at run time; the residual certificate
+    below holds regardless.  F has a symmetric pattern and is factored
+    with diagonal pivots in a symmetric ordering (see
+    :func:`_factorize`): ``order`` when given
     (:func:`optimal_control.solve` passes the interior part of the mesh's
     nested-dissection order, 4.94 M stored entries at level 8), else
     minimum degree (5.67 M), against 9.6 M for COLAMD with partial

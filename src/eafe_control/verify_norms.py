@@ -4,8 +4,10 @@ L2/H1 error norms (global and on sub-boxes), and convergence tables.  It
 checks and measures what it is given: it builds no mesh, calls no solver.
 
 The M-matrix certificate checks the sign pattern, then proves the inverse
-nonnegative at every order with one sparse LU and one solve: a Z-matrix A
-with some x > 0 and A x > 0 (semipositive) is a nonsingular M-matrix.
+nonnegative at every order: a Z-matrix A with some x > 0 and A x > 0
+(semipositive) is a nonsingular M-matrix.  The candidate x comes from one
+symmetric Gauss-Seidel sweep, O(nnz); only when the sweep's x fails the
+check does one sparse LU and one solve give x = A^-1 1.
 
 The desired-state bound check mirrors the monotonicity argument for the
 saddle system: with an M-matrix stiffness and one-signed desired state
@@ -20,6 +22,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
 from . import fem_core, sparse_linalg
 from .fem_core import as_scalar_field, as_vector_field
@@ -245,22 +248,26 @@ class MMatrixReport:
     """
     Results of :func:`certify_m_matrix`.  The sign pattern holds when
     ``diag_ok`` (``min_diag`` > 0) and ``offdiag_ok`` (``worst_offdiag``
-    <= ``offdiag_tol``); only then does the inverse half run.  ``min_x`` is
-    the smallest entry of x = A^{-1} 1, ``margin`` the smallest row ratio
-    (Z x)_i / (|Z| x)_i, ``tol`` the rounding bound the margin must exceed
-    and ``inverse_ok`` the verdict; these four are None when the sign
-    pattern fails.  ``ok`` is True only when every part ran and passed.
+    <= ``offdiag_tol``); only then does the inverse half run.  ``vector``
+    names the last candidate x it checked: ``"sweep"`` (one symmetric
+    Gauss-Seidel sweep) or ``"inverse"`` (x = A^{-1} 1, tried only when the
+    sweep's x fails).  ``min_x`` is the smallest entry of that x,
+    ``margin`` its smallest row ratio (Z x)_i / (|Z| x)_i, ``tol`` the
+    rounding bound the margin must exceed and ``inverse_ok`` the verdict;
+    these five are None when the sign pattern fails.  ``ok`` is True only
+    when every part ran and passed.
     """
 
     def __init__(self, diag_ok, offdiag_ok, min_diag, worst_offdiag,
-                 offdiag_tol, inverse_ok=None, min_x=None, margin=None,
-                 tol=None):
+                 offdiag_tol, inverse_ok=None, vector=None, min_x=None,
+                 margin=None, tol=None):
         self.diag_ok = bool(diag_ok)
         self.offdiag_ok = bool(offdiag_ok)
         self.min_diag = float(min_diag)
         self.worst_offdiag = float(worst_offdiag)
         self.offdiag_tol = float(offdiag_tol)
         self.inverse_ok = inverse_ok
+        self.vector = vector
         self.min_x = min_x
         self.margin = margin
         self.tol = tol
@@ -283,21 +290,30 @@ def certify_m_matrix(a):
     on Z, which is ``a`` with those positive rounding zeros set to zero (on
     every EAFE matrix this package builds, Z = A).  A Z-matrix is a
     nonsingular M-matrix iff some x > 0 has Z x > 0 (Berman & Plemmons,
-    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).  The
-    candidate is x = A^{-1} 1, from one LU with diagonal pivots in
-    minimum-degree order (see :func:`sparse_linalg._factorize`) and one
-    solve.  It is accepted iff min(x) > 0 and, in every row,
-    (Z x)_i > 2 (k + 2) u (|Z| x)_i, with k the largest number of stored
-    entries in a row and u the machine epsilon: that bounds the rounding
-    error of the computed product, so the exact Z x is positive too and
-    no certificate rests on the factor.  NaN fails both tests.  The
-    tests check it against an independent column-by-column scan of
-    A^{-1} in ``tests/reference.py``.
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6), and any
+    such x will do.  A candidate x is accepted iff min(x) > 0 and, in
+    every row, (Z x)_i > 2 (k + 2) u (|Z| x)_i, with k the largest number
+    of stored entries in a row and u the machine epsilon: that bounds the
+    rounding error of the computed product, so the exact Z x is positive
+    too and no certificate rests on how x was computed.  NaN fails both
+    tests.
+
+    The first candidate is one symmetric Gauss-Seidel sweep on Z x = 1
+    from x = 1 in the natural order, forward x <- (D + L)^{-1} (1 - U x),
+    then backward x <- (D + U)^{-1} (1 - L x), at O(nnz) cost; it
+    certifies every interior EAFE matrix of the benchmark problems.  Only
+    when it fails is the candidate x = A^{-1} 1, from one LU with diagonal
+    pivots in minimum-degree order (see :func:`sparse_linalg._factorize`)
+    and one solve, checked the same way.  For a Z-matrix that is not an
+    M-matrix no candidate passes, so the cheap path cannot accept one.
+    The tests check the verdict against an independent column-by-column
+    scan of A^{-1} in ``tests/reference.py``.
 
     Raises
     ------
     SingularMatrixError
-        If the sign pattern holds but ``a`` is singular.
+        If the sign pattern holds, the sweep's x fails and ``a`` is
+        singular.
     """
     n, ncols = a.shape
     if n != ncols:
@@ -319,15 +335,39 @@ def certify_m_matrix(a):
 
     z = sp.csr_matrix((np.where(off & (a.data > 0.0), 0.0, a.data),
                        a.indices, a.indptr), shape=a.shape)
-    x = sparse_linalg._factorize(a).solve(np.ones(n))
-    r = z @ x
-    s = abs(z) @ x
+    abs_z = abs(z)
     tol = 2.0 * (np.diff(a.indptr).max() + 2) * np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = (r / s).min()
-    inverse_ok = bool(x.min() > 0.0 and np.all(r > tol * s))
+
+    def check(x):
+        r = z @ x
+        s = abs_z @ x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            margin = (r / s).min()
+        return bool(x.min() > 0.0 and np.all(r > tol * s)), x.min(), margin
+
+    vector = "sweep"
+    inverse_ok, min_x, margin = check(_sweep(z, diag))
+    if not inverse_ok:
+        vector = "inverse"
+        inverse_ok, min_x, margin = check(
+            sparse_linalg._factorize(a).solve(np.ones(n)))
     return MMatrixReport(diag_ok, offdiag_ok, min_diag, worst, offdiag_tol,
-                         inverse_ok, float(x.min()), float(margin), float(tol))
+                         inverse_ok, vector, float(min_x), float(margin),
+                         float(tol))
+
+
+def _sweep(z, diag):
+    """
+    One symmetric Gauss-Seidel sweep on Z x = 1 from x = 1, in the natural
+    order; ``diag`` is the diagonal of Z.  With D + L and D + U the lower
+    and upper triangles of Z: forward x <- (D + L)^{-1} (1 - U x), then
+    backward x <- (D + U)^{-1} (1 - L x).
+    """
+    one = np.ones(z.shape[0])
+    lower, upper = sp.tril(z, format="csr"), sp.triu(z, format="csr")
+    x = spsolve_triangular(lower, one - (upper @ one - diag), lower=True)
+    return spsolve_triangular(upper, one - (lower @ x - diag * x),
+                              lower=False)
 
 
 class ManufacturedCase:

@@ -203,9 +203,9 @@ def test_stability_run_assembles_load_once_and_logs_margin(tmp_path,
     margin = results["eafe"][4]["m_matrix"].margin
     assert margin > 0.0
     (eafe,) = [ln for ln in lines if "scheme=eafe level=4 " in ln]
-    assert " m_matrix=True m_margin=%.3e " % margin in eafe
+    assert " m_matrix=True m_margin=%.3e m_vector=sweep " % margin in eafe
     (galerkin,) = [ln for ln in lines if "scheme=galerkin level=4 " in ln]
-    assert " m_matrix=False m_margin=none " in galerkin
+    assert " m_matrix=False m_margin=none m_vector=none " in galerkin
 
 
 def test_stability_diffusion_dominated_both_schemes_clean():
@@ -437,6 +437,38 @@ def test_convergence_frees_each_level_before_the_next_mesh(monkeypatch):
     assert len(earlier) == 2 * 2 * 3  # a mesh and a solution per level
 
 
+def test_stability_builds_one_mesh_per_level_and_frees_it(tmp_path,
+                                                          monkeypatch):
+    # both schemes solve on the level's one mesh, which is gone when the
+    # next level builds its own; run.log still lists scheme by scheme
+    from eafe_control import experiments, optimal_control
+
+    built, solved_on = [], []
+    build, solve = experiments.build_unit_square, optimal_control.solve
+
+    def building(*args, **kwargs):
+        assert [ref() for ref in built] == [None] * len(built)
+        mesh = build(*args, **kwargs)
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    def solving(mesh, *args, **kwargs):
+        solved_on.append(id(mesh))
+        return solve(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_unit_square", building)
+    monkeypatch.setattr(optimal_control, "solve", solving)
+    run_stability(ExperimentConfig("stability", levels=[2, 3, 4],
+                                   scheme="both", out_dir=str(tmp_path)))
+    assert len(built) == 3
+    assert len(solved_on) == 6
+    assert solved_on[0::2] == solved_on[1::2]  # eafe, then galerkin
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert [ln.split()[1:3] for ln in lines] == [
+        ["scheme=%s" % scheme, "level=%d" % level]
+        for scheme in ("eafe", "galerkin") for level in (2, 3, 4)]
+
+
 @pytest.mark.parametrize("example, levels, level_lines", [
     ("stability", [3, 4], 4),
     ("boundary-layer", [2, 3], 2),
@@ -446,6 +478,10 @@ def test_run_log_level_lines_record_peak_rss(tmp_path, example, levels,
     run(ExperimentConfig(example, levels=levels, out_dir=str(tmp_path)))
     lines = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
              if " level=" in ln]
+    if example == "stability":
+        # run.log lists scheme by scheme; the run went level by level
+        lines.sort(key=lambda ln: (int(ln.split(" level=", 1)[1].split()[0]),
+                                   " scheme=galerkin " in ln))
     peaks = [float(ln.split(" peak_rss_mb=", 1)[1].split()[0])
              for ln in lines]
     # ru_maxrss of the process so far: positive and never falling

@@ -171,6 +171,7 @@ def test_certify_galerkin_fails_under_dominant_convection():
     assert not report.offdiag_ok
     assert not report.ok
     assert report.inverse_ok is None
+    assert report.vector is None
     assert report.min_x is None
     assert report.margin is None
     assert report.tol is None
@@ -212,6 +213,7 @@ def test_certificate_agrees_with_inverse_scan(name):
         report = certify_m_matrix(a)
         assert report.inverse_ok == inverse_nonneg_check(a).ok, level
         assert report.inverse_ok, level
+        assert report.vector == "sweep", level
         assert report.min_x > 0.0
         assert report.margin > report.tol
 
@@ -249,8 +251,9 @@ def test_certificate_accepts_reducible_m_matrix():
     assert certify_m_matrix(a).inverse_ok
 
 
-def test_certificate_factors_once_and_solves_one_rhs(monkeypatch):
-    a = _interior_eafe_block(stability_coefficients(), 6)
+@pytest.fixture
+def counted_factor(monkeypatch):
+    """Records each ``_factorize`` call's keywords and each solve's shape."""
     factored, solved = [], []
     factorize = sparse_linalg._factorize
 
@@ -267,11 +270,41 @@ def test_certificate_factors_once_and_solves_one_rhs(monkeypatch):
         return CountingLU(factorize(mat, **kwargs))
 
     monkeypatch.setattr(sparse_linalg, "_factorize", recording)
+    return factored, solved
+
+
+def test_certificate_sweep_certifies_eafe_without_a_factor(counted_factor):
+    a = _interior_eafe_block(stability_coefficients(), 6)
     report = certify_m_matrix(a)
-    assert report.inverse_ok
-    assert len(factored) == 1
-    assert solved == [(a.shape[0],)]
-    assert factored == [{}]
+    assert report.ok and report.inverse_ok
+    assert report.vector == "sweep"
+    assert report.min_x > 0.0 and report.margin > report.tol
+    assert counted_factor == ([], [])
+
+
+def test_certificate_falls_back_to_one_factor_and_one_solve(counted_factor):
+    # an M-matrix (determinant 0.055) on which the sweep's x has
+    # (Z x)_2 = -0.885 < 0
+    a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, -0.9), (1, 0, -1.05),
+                             (1, 1, 1.0)])
+    report = certify_m_matrix(a)
+    assert report.ok and report.inverse_ok
+    assert report.vector == "inverse"
+    assert report.margin > report.tol
+    assert counted_factor == ([{}], [(2,)])
+    assert inverse_nonneg_check(a).ok
+
+
+def test_certificate_rejects_z_matrix_that_is_not_an_m_matrix(counted_factor):
+    # determinant -0.1: no x > 0 has Z x > 0, so both candidates fail
+    a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, -1.1), (1, 0, -1.0),
+                             (1, 1, 1.0)])
+    report = certify_m_matrix(a)
+    assert report.diag_ok and report.offdiag_ok
+    assert report.inverse_ok is False and not report.ok
+    assert report.vector == "inverse"
+    assert counted_factor == ([{}], [(2,)])
+    assert not inverse_nonneg_check(a).ok
 
 
 def test_bound_check_zero_desired_state():
