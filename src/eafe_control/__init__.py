@@ -17,7 +17,7 @@ from .fem_core import (
     assemble_mass,
     interpolate_nodal,
 )
-from .mesh import TriMesh, build_unit_square, delaunay_check, uniform_refine
+from .mesh import TriMesh, build_unit_square, delaunay_check
 from .optimal_control import ProblemSpec, SolutionPair, recover_control, solve
 from .sparse_linalg import BlockSaddleSystem
 from .verify_norms import (
@@ -52,5 +52,4 @@ __all__ = [
     "interpolant_error_norms",
     "recover_control",
     "solve",
-    "uniform_refine",
 ]

@@ -277,14 +277,15 @@ def run_stability(config):
     Solve the constant-desired-state tracking problem across levels and
     check the desired-state bounds for every requested scheme.
 
-    Each level's mesh is built once and shared by the schemes, and freed
-    before the next level builds its own; ``run.log`` still lists the
-    lines scheme by scheme.  The first scheme's ``elapsed=`` includes the
-    mesh build.
+    Each level's mesh and solutions are built once, shared by the schemes
+    and freed before the next level builds its own mesh; ``run.log`` still
+    lists the lines scheme by scheme.  The first scheme's ``elapsed=``
+    includes the mesh build.  If a level raises, ``run.log`` keeps the
+    lines of the solves that finished and the exception propagates.
 
-    Returns {scheme: {level: {"solution", "bounds", "m_matrix"}}}.  A
-    bound violation by the unstabilized comparator is expected output; a
-    violation while the stiffness certifies as an M-matrix is an error.
+    Returns {scheme: {level: {"bounds", "m_matrix"}}}.  A bound violation
+    by the unstabilized comparator is expected output; a violation while
+    the stiffness certifies as an M-matrix is an error.
     """
     if config.example != "stability":
         raise ValueError("run_stability requires a stability config")
@@ -292,51 +293,51 @@ def run_stability(config):
     problem = stability_problem(config.eps, yd_const=config.yd_const)
     results = {s: {} for s in config.schemes}
     lines = {s: [] for s in config.schemes}
-    for level in config.levels:
-        t0 = time.perf_counter()
-        mesh = build_unit_square(level)
-        for scheme in config.schemes:
-            sol = optimal_control.solve(
-                mesh, problem, scheme, lump_reaction=config.lump_reaction
-            )
-            bounds = verify_norms.check_desired_state_bounds(
-                mesh, sol, problem.y_d
-            )
-            mreport = certify_m_matrix(sol.stiffness)
-            if mreport.ok and not bounds.ok:
-                raise RuntimeError(
-                    "bound check failed although the stiffness certified as "
-                    "an M-matrix (scheme=%s, level=%d)" % (scheme, level)
-                )
-            results[scheme][level] = {
-                "solution": sol,
-                "bounds": bounds,
-                "m_matrix": mreport,
-            }
-            margin = ("none" if mreport.margin is None
-                      else "%.3e" % mreport.margin)
-            lines[scheme].append(
-                "stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
-                "m_margin=%s m_vector=%s iterations=%d factor=%s fill=%d "
-                "peak_rss_mb=%.1f elapsed=%.2fs"
-                % (scheme, level, bounds.ok, bounds.worst_violation,
-                   mreport.ok, margin, mreport.vector or "none",
-                   sol.iterations, sol.precision or "none", sol.fill,
-                   _peak_rss_mb(), time.perf_counter() - t0)
-            )
-            if writer.dir is not None:
-                stem = "%s_%s_k%d" % (config.example, scheme, level)
-                bounds.dump(writer.path(stem + "_bounds.json"))
-                write_solution_csv(mesh, sol, writer.path(stem + ".csv"))
-                write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
-                                   title=stem)
+    try:
+        for level in config.levels:
             t0 = time.perf_counter()
-        # free level k before level k + 1 builds its mesh
-        del mesh
-    for scheme in config.schemes:
-        for line in lines[scheme]:
-            writer.log(line)
-    writer.finish()
+            mesh = build_unit_square(level)
+            for scheme in config.schemes:
+                sol = optimal_control.solve(
+                    mesh, problem, scheme, lump_reaction=config.lump_reaction
+                )
+                bounds = verify_norms.check_desired_state_bounds(
+                    mesh, sol, problem.y_d
+                )
+                mreport = certify_m_matrix(sol.stiffness)
+                if mreport.ok and not bounds.ok:
+                    raise RuntimeError(
+                        "bound check failed although the stiffness "
+                        "certified as an M-matrix (scheme=%s, level=%d)"
+                        % (scheme, level)
+                    )
+                results[scheme][level] = {"bounds": bounds,
+                                          "m_matrix": mreport}
+                margin = ("none" if mreport.margin is None
+                          else "%.3e" % mreport.margin)
+                lines[scheme].append(
+                    "stability scheme=%s level=%d ok=%s worst=%.3e "
+                    "m_matrix=%s m_margin=%s m_vector=%s iterations=%d "
+                    "factor=%s fill=%d peak_rss_mb=%.1f elapsed=%.2fs"
+                    % (scheme, level, bounds.ok, bounds.worst_violation,
+                       mreport.ok, margin, mreport.vector or "none",
+                       sol.iterations, sol.precision or "none", sol.fill,
+                       _peak_rss_mb(), time.perf_counter() - t0)
+                )
+                if writer.dir is not None:
+                    stem = "%s_%s_k%d" % (config.example, scheme, level)
+                    bounds.dump(writer.path(stem + "_bounds.json"))
+                    write_solution_csv(mesh, sol, writer.path(stem + ".csv"))
+                    write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
+                                       title=stem)
+                t0 = time.perf_counter()
+            # free level k before level k + 1 builds its mesh
+            del mesh, sol
+    finally:
+        for scheme in config.schemes:
+            for line in lines[scheme]:
+                writer.log(line)
+        writer.finish()
     return results
 
 
@@ -345,6 +346,8 @@ def run_convergence(config):
     Global and local convergence tables of a layer example for every
     requested scheme, from one solve per level on the unit square.
     Returns {scheme: {"global": ConvergenceTable, "local": ConvergenceTable}}.
+    If a level raises, ``run.log`` keeps the lines of the levels that
+    finished and the exception propagates.
     """
     if config.example == "stability":
         raise ValueError("run_convergence requires a layer-example config")
@@ -354,47 +357,48 @@ def run_convergence(config):
     boxes = {"global": None, "local": region}
     writer = _Writer(config)
     results = {}
-    for scheme in config.schemes:
-        t0 = time.perf_counter()
-        summary_at = len(writer.log_lines)
-        errors = {name: [] for name in boxes}
-        for level in config.levels:
-            mesh = build_unit_square(level)
-            sol = optimal_control.solve(
-                mesh, case.problem, scheme, lump_reaction=config.lump_reaction
-            )
+    try:
+        for scheme in config.schemes:
+            t0 = time.perf_counter()
+            summary_at = len(writer.log_lines)
+            errors = {name: [] for name in boxes}
+            for level in config.levels:
+                mesh = build_unit_square(level)
+                sol = optimal_control.solve(mesh, case.problem, scheme,
+                                            lump_reaction=config.lump_reaction)
+                if writer.dir is not None:
+                    stem = "%s_%s_k%d" % (config.example, scheme, level)
+                    write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
+                                       title=stem)
+                for name, box in boxes.items():
+                    errors[name].append(solution_errors(
+                        mesh, case, sol, region=box, metric=config.metric))
+                writer.log(
+                    "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s "
+                    "ep_h1=%s peak_rss_mb=%.1f iterations=%d factor=%s fill=%d"
+                    % ((config.example, scheme, level) + errors["global"][-1]
+                       + (_peak_rss_mb(), sol.iterations,
+                          sol.precision or "none", sol.fill))
+                )
+                # free level k before level k + 1 builds its mesh, so that it
+                # is not alive beside the next level's factor
+                del mesh, sol
+            # the scheme's summary line, with the time of all its levels, leads
+            writer.log_lines.insert(summary_at, (
+                "%s scheme=%s levels=%s metric=%s elapsed=%.2fs"
+                % (config.example, scheme, config.levels, config.metric,
+                   time.perf_counter() - t0)))
+            results[scheme] = {
+                name: ConvergenceTable(config.levels, dict(zip(
+                    ConvergenceTable.COLUMNS, zip(*rows))), region=boxes[name])
+                for name, rows in errors.items()
+            }
             if writer.dir is not None:
-                stem = "%s_%s_k%d" % (config.example, scheme, level)
-                write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
-                                   title=stem)
-            for name, box in boxes.items():
-                errors[name].append(solution_errors(
-                    mesh, case, sol, region=box, metric=config.metric))
-            writer.log(
-                "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
-                "peak_rss_mb=%.1f iterations=%d factor=%s fill=%d"
-                % ((config.example, scheme, level) + errors["global"][-1]
-                   + (_peak_rss_mb(), sol.iterations, sol.precision or "none",
-                      sol.fill))
-            )
-            # free level k before level k + 1 builds its mesh, so that it is
-            # not alive beside the next level's factor
-            del mesh, sol
-        # the scheme's summary line, with the time of all its levels, leads
-        writer.log_lines.insert(summary_at, (
-            "%s scheme=%s levels=%s metric=%s elapsed=%.2fs"
-            % (config.example, scheme, config.levels, config.metric,
-               time.perf_counter() - t0)))
-        results[scheme] = {
-            name: ConvergenceTable(config.levels, dict(zip(
-                ConvergenceTable.COLUMNS, zip(*rows))), region=boxes[name])
-            for name, rows in errors.items()
-        }
-        if writer.dir is not None:
-            for name, table in results[scheme].items():
-                table.to_csv(writer.path("%s_%s_%s.csv"
-                                         % (config.example, scheme, name)))
-    writer.finish()
+                for name, table in results[scheme].items():
+                    table.to_csv(writer.path("%s_%s_%s.csv"
+                                             % (config.example, scheme, name)))
+    finally:
+        writer.finish()
     return results
 
 

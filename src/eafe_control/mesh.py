@@ -4,9 +4,10 @@ Structured conforming triangulations of the unit square.
 Meshes are stored as flat numpy arrays (vertices, triangles, edges) with
 full edge-to-triangle connectivity, so that edge-based schemes and the
 Delaunay/monotonicity checks can run without touching any geometry code
-again.  All cells of the structured family are split along the
-lower-left-to-upper-right diagonal; the convention is recorded on the mesh
-(``diagonal`` attribute) because layer-resolution behavior depends on it.
+again.  The structured family has one diagonal convention,
+:data:`DIAGONAL_CONVENTION`: every cell is split along its lower-left to
+upper-right diagonal.  A mesh holds geometry only; it carries no level
+or diagonal label.
 
 A built mesh is immutable, and this is enforced: its vertex and triangle
 arrays are private read-only copies, so what a mesh caches (signed areas
@@ -16,12 +17,10 @@ edge-graph CSR pattern in ``fem_core``) can never go stale.
 
 import numpy as np
 
+#: the cell split of :func:`build_unit_square`, echoed in ``config.json``
 DIAGONAL_CONVENTION = "lowerleft-upperright"
 
-#: both cell-splitting conventions the structured builder supports
-DIAGONAL_CONVENTIONS = ("lowerleft-upperright", "upperleft-lowerright")
-
-#: most vertices a built or refined mesh may have, read at call time
+#: most vertices a built mesh may have, read at call time
 DEFAULT_VERTEX_CAP = 1_000_000
 
 #: largest vertex count of a leaf cell of the nested-dissection order
@@ -58,12 +57,8 @@ class TriMesh:
         Edge index of each local edge (LOCAL_EDGES order).
     boundary_vertex : (N,) bool array
         True for vertices lying on the domain boundary.
-    level : int
-        Refinement level (>= 1 for the structured family).
     h : float
         Mesh size, max over triangles of their diameter: the longest edge.
-    diagonal : str
-        Cell-splitting convention tag.
 
     ``vertices`` and ``triangles`` are read-only copies of the inputs.
     The four index arrays are int32, half the memory of int64: every
@@ -81,11 +76,9 @@ class TriMesh:
         positive, or an edge has more than two triangles.
     """
 
-    def __init__(self, vertices, triangles, level=1, diagonal=DIAGONAL_CONVENTION):
+    def __init__(self, vertices, triangles):
         self.vertices = _readonly(np.array(vertices, dtype=float, order="C"))
         t = np.asarray(triangles, dtype=np.int64)
-        self.level = int(level)
-        self.diagonal = diagonal
         self._geometry = {}
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise GeometryError("vertices must be an (N, 2) array, got shape %s"
@@ -150,8 +143,7 @@ class TriMesh:
         return np.flatnonzero(~self.boundary_vertex)
 
     def __repr__(self):
-        return "TriMesh(level=%d, vertices=%d, triangles=%d, h=%.4g)" % (
-            self.level,
+        return "TriMesh(vertices=%d, triangles=%d, h=%.4g)" % (
             self.num_vertices,
             self.num_triangles,
             self.h,
@@ -280,14 +272,13 @@ def unit_square_vertex_count(level):
     return nv
 
 
-def build_unit_square(level, diagonal=DIAGONAL_CONVENTION):
+def build_unit_square(level):
     """
     Structured triangulation of [0,1]^2 at the given refinement level.
 
     Level k uses n = 2^k segments per side; every grid cell is split into
-    two triangles along the chosen diagonal (lower-left to upper-right by
-    default).  The resulting mesh has (n+1)^2 vertices and 2 n^2
-    triangles.
+    two triangles along its lower-left to upper-right diagonal.  The
+    resulting mesh has (n+1)^2 vertices and 2 n^2 triangles.
 
     Raises
     ------
@@ -297,8 +288,6 @@ def build_unit_square(level, diagonal=DIAGONAL_CONVENTION):
     """
     level = int(level)
     unit_square_vertex_count(level)
-    if diagonal not in DIAGONAL_CONVENTIONS:
-        raise ValueError("unknown diagonal convention %r" % diagonal)
     n = 2**level
 
     t = np.linspace(0.0, 1.0, n + 1)
@@ -316,46 +305,9 @@ def build_unit_square(level, diagonal=DIAGONAL_CONVENTION):
     v11 = vid(ii + 1, jj + 1)
     v01 = vid(ii, jj + 1)
     triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    if diagonal == "lowerleft-upperright":
-        triangles[0::2] = np.column_stack([v00, v10, v11])
-        triangles[1::2] = np.column_stack([v00, v11, v01])
-    else:
-        triangles[0::2] = np.column_stack([v00, v10, v01])
-        triangles[1::2] = np.column_stack([v10, v11, v01])
-    return TriMesh(vertices, triangles, level=level, diagonal=diagonal)
-
-
-def uniform_refine(mesh):
-    """
-    Split every triangle into four congruent children by edge midpoints.
-
-    The refined mesh of the structured unit-square family coincides with
-    ``build_unit_square(level + 1)`` up to vertex ordering.  Raises
-    :class:`MeshCapacityError` if it would have more vertices than
-    :data:`DEFAULT_VERTEX_CAP`, read at call time.
-    """
-    nv = mesh.num_vertices
-    new_nv = nv + mesh.num_edges
-    if new_nv > DEFAULT_VERTEX_CAP:
-        raise MeshCapacityError(
-            "refinement needs %d vertices, exceeding the cap of %d"
-            % (new_nv, DEFAULT_VERTEX_CAP)
-        )
-    midpoints = 0.5 * (
-        mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]]
-    )
-    vertices = np.vstack([mesh.vertices, midpoints])
-
-    t = mesh.triangles
-    m01 = nv + mesh.tri_edges[:, 0]
-    m12 = nv + mesh.tri_edges[:, 1]
-    m20 = nv + mesh.tri_edges[:, 2]
-    children = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([t[:, 0], m01, m20])
-    children[1::4] = np.column_stack([m01, t[:, 1], m12])
-    children[2::4] = np.column_stack([m20, m12, t[:, 2]])
-    children[3::4] = np.column_stack([m01, m12, m20])
-    return TriMesh(vertices, children, level=mesh.level + 1, diagonal=mesh.diagonal)
+    triangles[0::2] = np.column_stack([v00, v10, v11])
+    triangles[1::2] = np.column_stack([v00, v11, v01])
+    return TriMesh(vertices, triangles)
 
 
 class DelaunayReport:
@@ -409,19 +361,6 @@ def text_block(fmt, *columns):
     return "".join(fmt % row for row in zip(*(c.tolist() for c in columns)))
 
 
-def write_node_ele(mesh, path):
-    """
-    Dump the mesh as plain text: one "x y bflag" line per vertex, then one
-    "i j k" line per triangle.
-    """
-    v, t = mesh.vertices, mesh.triangles
-    with open(path, "w") as fh:
-        fh.write("%d %d\n" % (mesh.num_vertices, mesh.num_triangles))
-        fh.write(text_block("%r %r %d\n", v[:, 0], v[:, 1],
-                            mesh.boundary_vertex.astype(int)))
-        fh.write(text_block("%d %d %d\n", t[:, 0], t[:, 1], t[:, 2]))
-
-
 def _text_section(lines, rows, dtype):
     """``rows`` lines of three whitespace-separated numbers as one array."""
     table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
@@ -433,7 +372,8 @@ def _text_section(lines, rows, dtype):
 
 def read_node_ele(path):
     """
-    Read a mesh written by :func:`write_node_ele`.
+    Read a mesh from a node/ele text file: a "nv nt" header, one
+    "x y bflag" line per vertex, then one "i j k" line per triangle.
 
     Each section is parsed in one ``np.loadtxt`` call; the boundary flags
     must be numbers and are otherwise ignored (the mesh derives its own).

@@ -411,12 +411,6 @@ class ConvergenceTable:
                 orders.append(math.log2(prev / cur))
         return orders
 
-    def row(self, k):
-        i = self.levels.index(k)
-        return {
-            c: (self.errors[c][i], self.orders[c][i]) for c in self.COLUMNS
-        }
-
     @staticmethod
     def _fmt(v):
         return "" if v is None else repr(float(v))
@@ -446,13 +440,6 @@ class ConvergenceTable:
                     cell = cells[1 + 2 * ci]
                     errors[c].append(None if cell == "" else float(cell))
         return cls(levels, errors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConvergenceTable)
-            and self.levels == other.levels
-            and self.errors == other.errors
-        )
 
     def __repr__(self):
         return "ConvergenceTable(levels=%s)" % (self.levels,)

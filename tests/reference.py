@@ -41,6 +41,16 @@ the way it did before:
 saddle system alone, a one-region convergence table, a layer-free
 manufactured pair, and a structured mesh with moved interior vertices,
 renumbered vertices and shuffled triangles.
+
+Test meshes and tables that no run of the package needs are made here:
+
+- ``build_unit_square_upperleft`` splits each cell of the structured
+  family along the other diagonal, upper-left to lower-right;
+- ``uniform_refine`` splits every triangle into four by edge midpoints;
+- ``write_node_ele`` writes the node/ele text file that
+  ``mesh.read_node_ele`` reads;
+- ``table_row`` and ``same_table`` read one level of a
+  ``ConvergenceTable`` and compare two tables' levels and errors.
 """
 
 import numpy as np
@@ -57,11 +67,13 @@ from eafe_control.fem_core import (
 from eafe_control.mesh import (
     LOCAL_EDGES,
     GeometryError,
+    MeshCapacityError,
     TriMesh,
     build_unit_square,
     signed_areas,
+    text_block,
 )
-from eafe_control import sparse_linalg
+from eafe_control import mesh as mesh_module, sparse_linalg
 from eafe_control.optimal_control import ProblemSpec, _assemble_parts, solve
 from eafe_control.sparse_linalg import (
     DEFAULT_SOLVE_RTOL,
@@ -398,6 +410,19 @@ def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
                                              zip(*rows))), region=region)
 
 
+def table_row(table, k):
+    """{column: (error, order)} of level ``k`` of a ``ConvergenceTable``."""
+    i = table.levels.index(k)
+    return {
+        c: (table.errors[c][i], table.orders[c][i]) for c in table.COLUMNS
+    }
+
+
+def same_table(a, b):
+    """Whether two ``ConvergenceTable`` have the same levels and errors."""
+    return a.levels == b.levels and a.errors == b.errors
+
+
 def jittered_renumbered_mesh(level, seed):
     """
     ``build_unit_square(level)`` with every interior vertex moved by up to
@@ -411,7 +436,69 @@ def jittered_renumbered_mesh(level, seed):
     vertices = np.empty_like(jittered)
     vertices[perm] = jittered
     triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
-    return TriMesh(vertices, triangles, level=level)
+    return TriMesh(vertices, triangles)
+
+
+def build_unit_square_upperleft(level):
+    """
+    ``build_unit_square(level)`` with every cell split along its
+    upper-left to lower-right diagonal instead: the same vertices, and
+    cell (v00, v10, v11, v01) gives triangles (v00, v10, v01) and
+    (v10, v11, v01).
+    """
+    base = build_unit_square(level)
+    v00, v10, v11 = base.triangles[0::2].T
+    v01 = base.triangles[1::2, 2]
+    triangles = np.empty_like(base.triangles)
+    triangles[0::2] = np.column_stack([v00, v10, v01])
+    triangles[1::2] = np.column_stack([v10, v11, v01])
+    return TriMesh(base.vertices, triangles)
+
+
+def uniform_refine(mesh):
+    """
+    Split every triangle into four congruent children by edge midpoints.
+
+    The refined mesh of the structured unit-square family coincides with
+    ``build_unit_square(level + 1)`` up to vertex ordering.  Raises
+    ``MeshCapacityError`` if it would have more vertices than
+    ``mesh.DEFAULT_VERTEX_CAP``, read at call time.
+    """
+    nv = mesh.num_vertices
+    new_nv = nv + mesh.num_edges
+    if new_nv > mesh_module.DEFAULT_VERTEX_CAP:
+        raise MeshCapacityError(
+            "refinement needs %d vertices, exceeding the cap of %d"
+            % (new_nv, mesh_module.DEFAULT_VERTEX_CAP)
+        )
+    midpoints = 0.5 * (
+        mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]]
+    )
+    vertices = np.vstack([mesh.vertices, midpoints])
+
+    t = mesh.triangles
+    m01 = nv + mesh.tri_edges[:, 0]
+    m12 = nv + mesh.tri_edges[:, 1]
+    m20 = nv + mesh.tri_edges[:, 2]
+    children = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
+    children[0::4] = np.column_stack([t[:, 0], m01, m20])
+    children[1::4] = np.column_stack([m01, t[:, 1], m12])
+    children[2::4] = np.column_stack([m20, m12, t[:, 2]])
+    children[3::4] = np.column_stack([m01, m12, m20])
+    return TriMesh(vertices, children)
+
+
+def write_node_ele(mesh, path):
+    """
+    Dump the mesh as plain text: one "x y bflag" line per vertex, then one
+    "i j k" line per triangle.
+    """
+    v, t = mesh.vertices, mesh.triangles
+    with open(path, "w") as fh:
+        fh.write("%d %d\n" % (mesh.num_vertices, mesh.num_triangles))
+        fh.write(text_block("%r %r %d\n", v[:, 0], v[:, 1],
+                            mesh.boundary_vertex.astype(int)))
+        fh.write(text_block("%d %d %d\n", t[:, 0], t[:, 1], t[:, 2]))
 
 
 def smooth_case():

@@ -36,7 +36,7 @@ from eafe_control.verify_norms import (
     certify_m_matrix,
     check_desired_state_bounds,
 )
-from reference import convergence_study, smooth_case
+from reference import convergence_study, smooth_case, table_row
 
 SQ2 = np.sqrt(2.0) / 2.0
 
@@ -184,8 +184,8 @@ def boundary_layer_run(tmp_path_factory):
 def test_acceptance_5_boundary_layer_reference_trajectory(boundary_layer_run):
     config, results, out, elapsed = boundary_layer_run
     table = results["eafe"]["global"]
-    k7 = table.row(7)
-    k8 = table.row(8)
+    k7 = table_row(table, 7)
+    k8 = table_row(table, 8)
     clauses = [
         ("L2 order k7", k7["ey_l2"][1], 1.71, 0.15),
         ("L2 order k8", k8["ey_l2"][1], 1.85, 0.15),
@@ -241,7 +241,7 @@ def vanishing_diffusion_table():
 def test_acceptance_6_l2_first_order_at_vanishing_diffusion(
         vanishing_diffusion_table):
     table, elapsed = vanishing_diffusion_table
-    orders = [table.row(k)["ey_l2"][1] for k in (6, 7, 8)]
+    orders = [table_row(table, k)["ey_l2"][1] for k in (6, 7, 8)]
     ok = all(0.85 <= o <= 1.05 for o in orders) and elapsed < 900.0
     report("6 (L2)", ok, "eps=1e-9 global L2 orders k6-8 = %s, window "
                          "[0.85, 1.05] (%.1fs)"
@@ -260,7 +260,7 @@ def test_acceptance_6_l2_first_order_at_vanishing_diffusion(
 )
 def test_acceptance_6_h1_stagnation_window(vanishing_diffusion_table):
     table, _ = vanishing_diffusion_table
-    orders = [table.row(k)["ey_h1"][1] for k in (6, 7, 8)]
+    orders = [table_row(table, k)["ey_h1"][1] for k in (6, 7, 8)]
     ok = all(-0.05 <= o <= 0.10 for o in orders)
     report("6 (H1)", ok, "eps=1e-9 global H1 orders k6-8 = %s, window "
                          "[-0.05, 0.10]" % (["%.2f" % o for o in orders]))
@@ -275,11 +275,11 @@ def test_acceptance_7_interior_layer_orders():
     t0 = time.perf_counter()
     sharp = convergence_study(interior_layer_case(1e-2), "eafe", [7, 8],
                               lump_reaction=False, metric="interpolant")
-    order_smooth_eps = sharp.row(8)["ey_l2"][1]
+    order_smooth_eps = table_row(sharp, 8)["ey_l2"][1]
     vanishing = convergence_study(interior_layer_case(1e-9), "eafe", [7, 8],
                                   lump_reaction=False, metric="interpolant")
-    order_tiny_eps = vanishing.row(8)["ey_l2"][1]
-    adjoint_order = vanishing.row(8)["ep_l2"][1]
+    order_tiny_eps = table_row(vanishing, 8)["ey_l2"][1]
+    adjoint_order = table_row(vanishing, 8)["ep_l2"][1]
     elapsed = time.perf_counter() - t0
     checks = [
         abs(order_smooth_eps - 1.91) <= 0.15,
@@ -303,8 +303,8 @@ def test_acceptance_7_interior_layer_orders():
 def test_acceptance_8_smooth_manufactured_orders():
     t0 = time.perf_counter()
     table = convergence_study(smooth_case(), "eafe", list(range(1, 7)))
-    l2_orders = [table.row(k)["ey_l2"][1] for k in (5, 6)]
-    h1_orders = [table.row(k)["ey_h1"][1] for k in (5, 6)]
+    l2_orders = [table_row(table, k)["ey_l2"][1] for k in (5, 6)]
+    h1_orders = [table_row(table, k)["ey_h1"][1] for k in (5, 6)]
     elapsed = time.perf_counter() - t0
     ok = all(o >= 1.8 for o in l2_orders) and all(o >= 0.9 for o in h1_orders)
     report(8, ok, "smooth case L2 orders %s (>=1.8), H1 orders %s (>=0.9), "

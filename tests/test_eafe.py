@@ -297,11 +297,11 @@ def test_edge_path_matches_per_triangle_reference_on_renumbered_mesh():
     shrink = np.eye(2) - 0.2 * np.outer(n, n)
     verts = base.vertices @ shrink + rng.uniform(-0.005, 0.005,
                                                  base.vertices.shape)
-    mesh = TriMesh(verts, base.triangles, level=3)
+    mesh = TriMesh(verts, base.triangles)
     assert delaunay_check(mesh).ok
     perm = rng.permutation(mesh.num_vertices)
     inv = np.argsort(perm)
-    renumbered = TriMesh(mesh.vertices[perm], inv[mesh.triangles], level=3)
+    renumbered = TriMesh(mesh.vertices[perm], inv[mesh.triangles])
     coeff = CoefficientField(
         eps=lambda x, y: 1e-2 * (1.0 + x + y * y),
         zeta=lambda x, y: (np.sin(2.0 * np.pi * y) - 0.5, np.cos(3.0 * x)),

@@ -33,6 +33,7 @@ from eafe_control.mesh import (
 from eafe_control.optimal_control import solve
 from eafe_control.verify_norms import solution_errors
 from reference import (
+    build_unit_square_upperleft,
     coo_eafe,
     coo_galerkin,
     coo_mass,
@@ -458,7 +459,7 @@ def test_mesh_arrays_and_cached_geometry_are_read_only():
 
 PATTERN_MESHES = {
     "lowerleft": lambda: build_unit_square(4),
-    "upperleft": lambda: build_unit_square(4, diagonal="upperleft-lowerright"),
+    "upperleft": lambda: build_unit_square_upperleft(4),
     "jittered-renumbered": lambda: jittered_renumbered_mesh(4, seed=11),
 }
 

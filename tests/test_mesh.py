@@ -3,7 +3,6 @@ import pytest
 
 from eafe_control import mesh as mesh_module
 from eafe_control.mesh import (
-    DIAGONAL_CONVENTIONS,
     GeometryError,
     MeshCapacityError,
     TriMesh,
@@ -12,12 +11,17 @@ from eafe_control.mesh import (
     nested_dissection_order,
     read_node_ele,
     signed_areas,
-    uniform_refine,
-    write_node_ele,
     write_vtk,
 )
 from legacy_vtk import read_legacy_vtk, same_bits
-from reference import edge_connectivity, jittered_renumbered_mesh, longest_side
+from reference import (
+    build_unit_square_upperleft,
+    edge_connectivity,
+    jittered_renumbered_mesh,
+    longest_side,
+    uniform_refine,
+    write_node_ele,
+)
 
 
 def test_level1_counts():
@@ -92,7 +96,6 @@ def test_capacity_errors():
 
 def test_refine_counts_and_boundary():
     fine = uniform_refine(build_unit_square(1))
-    assert fine.level == 2
     assert fine.num_vertices == 25
     assert fine.num_triangles == 32
     assert fine.boundary_vertex.sum() == 4 * 2**2
@@ -145,10 +148,16 @@ def test_delaunay_violation_detected():
 
 
 def test_other_diagonal_convention():
-    mesh = build_unit_square(2, diagonal=DIAGONAL_CONVENTIONS[1])
+    mesh = build_unit_square_upperleft(2)
     assert mesh.num_triangles == 32
     assert np.all(signed_areas(mesh) > 0.0)
     assert delaunay_check(mesh).ok
+    # level 1: cell (v00, v10, v11, v01) gives (v00, v10, v01), (v10, v11, v01)
+    coarse = build_unit_square_upperleft(1)
+    assert np.array_equal(coarse.vertices, build_unit_square(1).vertices)
+    assert coarse.triangles.tolist() == [
+        [0, 1, 3], [1, 4, 3], [1, 2, 4], [2, 5, 4],
+        [3, 4, 6], [4, 7, 6], [4, 5, 7], [5, 8, 7]]
 
 
 def test_node_ele_round_trip(tmp_path):
@@ -171,7 +180,7 @@ def test_node_ele_round_trip_of_renumbered_mesh(tmp_path):
     vertices = np.empty_like(jittered)
     vertices[perm] = jittered
     triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
-    mesh = TriMesh(vertices, triangles, level=4)
+    mesh = TriMesh(vertices, triangles)
     path = tmp_path / "mesh.txt"
     write_node_ele(mesh, path)
     back = read_node_ele(path)
@@ -255,7 +264,7 @@ def test_block_writers_match_per_line_reference(tmp_path):
     # coordinates that need all 17 significant digits to round-trip
     vertices = base.vertices + 1e-3 * rng.random(base.vertices.shape) * (
         ~base.boundary_vertex[:, None])
-    mesh = TriMesh(vertices, base.triangles, level=3)
+    mesh = TriMesh(vertices, base.triangles)
     field = rng.standard_normal(mesh.num_vertices)
 
     node_path = tmp_path / "mesh.txt"
@@ -293,7 +302,7 @@ def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():
     vertices = np.empty_like(base.vertices)
     vertices[perm] = base.vertices
     triangles = perm[base.triangles][rng.permutation(base.num_triangles)]
-    mesh = TriMesh(vertices, triangles, level=4)
+    mesh = TriMesh(vertices, triangles)
 
     # reference: lexicographic unique over the sorted (i, j) rows
     m = mesh.num_triangles
@@ -320,15 +329,16 @@ def assert_connectivity_matches_reference(mesh):
     assert mesh.h == longest_side(mesh)
 
 
-@pytest.mark.parametrize("diagonal", DIAGONAL_CONVENTIONS)
+@pytest.mark.parametrize("build", [build_unit_square,
+                                   build_unit_square_upperleft],
+                         ids=["lowerleft-upperright", "upperleft-lowerright"])
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 8])
-def test_connectivity_matches_reference_on_structured_meshes(level, diagonal):
-    assert_connectivity_matches_reference(build_unit_square(level,
-                                                           diagonal=diagonal))
+def test_connectivity_matches_reference_on_structured_meshes(level, build):
+    assert_connectivity_matches_reference(build(level))
 
 
 def test_connectivity_matches_reference_along_a_refinement_chain():
-    mesh = build_unit_square(1, diagonal="upperleft-lowerright")
+    mesh = build_unit_square_upperleft(1)
     for _ in range(5):
         mesh = uniform_refine(mesh)
         assert_connectivity_matches_reference(mesh)
@@ -391,7 +401,7 @@ def test_nested_dissection_order_is_a_cached_permutation(monkeypatch):
     monkeypatch.setattr(mesh_module, "_nested_dissection_order",
                         lambda mesh: built.append(mesh) or build(mesh))
     meshes = [build_unit_square(1), build_unit_square(5),
-              uniform_refine(build_unit_square(3, diagonal=DIAGONAL_CONVENTIONS[1]))]
+              uniform_refine(build_unit_square_upperleft(3))]
     for mesh in meshes:
         order = nested_dissection_order(mesh)
         assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))

@@ -11,12 +11,7 @@ from eafe_control.fem_core import (
 )
 from eafe_control import eafe, fem_core, mesh as mesh_module
 from eafe_control.experiments import boundary_layer_case
-from eafe_control.mesh import (
-    TriMesh,
-    build_unit_square,
-    delaunay_check,
-    uniform_refine,
-)
+from eafe_control.mesh import TriMesh, build_unit_square, delaunay_check
 from eafe_control.optimal_control import (
     SCHEMES,
     AssemblyError,
@@ -28,7 +23,13 @@ from eafe_control.optimal_control import (
 )
 from eafe_control.sparse_linalg import BlockSaddleSystem
 from legacy_vtk import read_legacy_vtk, same_bits
-from reference import assemble_system, saddle_operator, saddle_rhs, smooth_case
+from reference import (
+    assemble_system,
+    saddle_operator,
+    saddle_rhs,
+    smooth_case,
+    uniform_refine,
+)
 
 
 def plain_coefficients(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, beta=1.0):
@@ -280,7 +281,7 @@ def renumbered(mesh, rng):
     perm = rng.permutation(mesh.num_vertices)
     vertices = np.empty_like(mesh.vertices)
     vertices[perm] = mesh.vertices
-    return TriMesh(vertices, perm[mesh.triangles], level=mesh.level), perm
+    return TriMesh(vertices, perm[mesh.triangles]), perm
 
 
 def test_mesh_order_solve_matches_minimum_degree_solve_on_refined_jittered_mesh():
@@ -291,7 +292,7 @@ def test_mesh_order_solve_matches_minimum_degree_solve_on_refined_jittered_mesh(
     n = np.array([1.0, 1.0]) / np.sqrt(2.0)
     vertices = base.vertices @ (np.eye(2) - 0.2 * np.outer(n, n))
     coarse = TriMesh(vertices + rng.uniform(-0.005, 0.005, vertices.shape),
-                     base.triangles, level=3)
+                     base.triangles)
     mesh = uniform_refine(uniform_refine(renumbered(coarse, rng)[0]))
     assert delaunay_check(mesh).ok
     problem = boundary_layer_case(1e-2).problem

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from eafe_control.eafe import MonotonicityLossWarning
 from eafe_control.experiments import boundary_layer_case, stability_problem
 from eafe_control.fem_core import CoefficientField
-from eafe_control.mesh import DIAGONAL_CONVENTIONS, build_unit_square
+from eafe_control.mesh import build_unit_square
 from eafe_control import optimal_control, sparse_linalg
 from eafe_control.optimal_control import ProblemSpec
 from eafe_control.sparse_linalg import (
@@ -19,6 +19,7 @@ from eafe_control.sparse_linalg import (
 )
 from reference import (
     assemble_system,
+    build_unit_square_upperleft,
     from_triplets,
     inverse_nonneg_check,
     jittered_renumbered_mesh,
@@ -488,8 +489,8 @@ def _assert_presb_matrix_is_the_sum(system, s, by_hand=None):
 
 def _setup_check_meshes():
     for level in (3, 4, 5, 6):
-        for diagonal in DIAGONAL_CONVENTIONS:
-            yield build_unit_square(level, diagonal=diagonal)
+        yield build_unit_square(level)
+        yield build_unit_square_upperleft(level)
     yield jittered_renumbered_mesh(5, seed=19)
 
 
