@@ -25,10 +25,10 @@ import numpy as np
 from .fem_core import (
     CoefficientError,
     DataError,
-    barycentric_gradient_table,
     finite_samples,
     fold_blocks,
     lumped_mass_diagonal,
+    nondegenerate_areas,
     quadrature_points,
     reaction_samples,
     scatter_edges,
@@ -78,16 +78,34 @@ def triangle_edge_weights(mesh):
     """
     Edge weights of every triangle, shape (M, 3) in LOCAL_EDGES order.
 
-    The weight of edge (i, j) in triangle T is -area * grad(lambda_i) .
-    grad(lambda_j), equal to half the cotangent of the angle opposite the
-    edge.  Summed over the one or two adjacent triangles these weights
-    reproduce the P1 Laplacian exactly on piecewise linears.
+    The weight of local edge k = (a, b) in triangle T is half the
+    cotangent of the angle at the opposite corner c = 3 - a - b,
+
+        w[T, k] = (p_a - p_c) . (p_b - p_c) / (4 area_T),
+
+    which equals -area_T grad(lambda_a) . grad(lambda_b).  Summed over
+    the one or two adjacent triangles these weights reproduce the P1
+    Laplacian exactly on piecewise linears.  Only the vertices, the
+    triangles and the cached areas are read, so no barycentric gradient
+    table (:func:`fem_core.barycentric_gradient_table`) is built.  On
+    :func:`mesh.build_unit_square` meshes every coordinate difference and
+    area is an integer times a power of two, so this form and the
+    gradient form are both exact and give equal values.
+
+    Raises
+    ------
+    GeometryError
+        If a triangle's area is at most ``fem_core.DEGENERATE_AREA``.
     """
-    grads = barycentric_gradient_table(mesh)
-    areas = signed_areas(mesh)
+    quad_areas = 4.0 * nondegenerate_areas(mesh)
+    # corner coordinates, (M, 3) each
+    x = np.take(mesh.vertices[:, 0], mesh.triangles)
+    y = np.take(mesh.vertices[:, 1], mesh.triangles)
     w = np.empty((mesh.num_triangles, 3))
     for k, (a, b) in enumerate(LOCAL_EDGES):
-        w[:, k] = -areas * np.einsum("md,md->m", grads[:, a, :], grads[:, b, :])
+        c = 3 - a - b
+        w[:, k] = ((x[:, a] - x[:, c]) * (x[:, b] - x[:, c])
+                   + (y[:, a] - y[:, c]) * (y[:, b] - y[:, c])) / quad_areas
     return w
 
 
@@ -120,7 +138,9 @@ class EdgeData:
     Attributes
     ----------
     eps_e, zeta_e : midpoint-averaged diffusion / convection per edge
-    tri_weights : (M, 3) edge weights per triangle, LOCAL_EDGES order
+    tri_weights : (M, 3) edge weights per triangle, LOCAL_EDGES order,
+        half cotangents (:func:`triangle_edge_weights`); no barycentric
+        gradient table is built for them
     weights : (E,) edge weights summed over adjacent triangles
     delaunay : DelaunayReport of the summed weights
     c_ij, c_ji : flux coefficients (c_ij multiplies the head value)
@@ -164,10 +184,11 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
 
     The Bernoulli flux pair of :func:`edge_flux_coefficients` is evaluated
     once per mesh edge (:class:`EdgeData`) and weighted by the summed edge
-    weight omega_E = sum over adjacent triangles of -area * grad(lambda_i)
-    . grad(lambda_j): edge (i, j), i < j, gives entries -omega_E c_ij at
-    (i, j) and -omega_E c_ji at (j, i), and their negatives on the
-    diagonals (j, j) and (i, i), summed by ``np.bincount``.  The reaction
+    weight omega_E, the sum over adjacent triangles of half the cotangent
+    of the angle opposite E (:func:`triangle_edge_weights`): edge (i, j),
+    i < j, gives entries -omega_E c_ij at (i, j) and -omega_E c_ji at
+    (j, i), and their negatives on the diagonals (j, j) and (i, i),
+    summed by ``np.bincount``.  The reaction
     term enters as a lumped diagonal gamma(x_i) * patch_area / 3 by default
     (preserving the M-matrix sign pattern); ``lump_reaction=False`` uses
     the consistent mass weighted by gamma instead, integrated with

@@ -189,9 +189,11 @@ QUADRATURE = _seven_point_rule()
 def barycentric_gradient_table(mesh):
     """
     Gradients of the three barycentric coordinates on every triangle,
-    shape (M, 3, 2), read-only and computed once per mesh.  Gradient of
-    coordinate c is perpendicular to the opposite edge, scaled by
-    1 / (2 area).
+    shape (M, 3, 2), read-only and computed once per mesh, by its first
+    caller: Galerkin assembly or the error norms.  EAFE assembly takes its
+    edge weights from the areas (:func:`eafe.triangle_edge_weights`) and
+    does not build it.  Gradient of coordinate c is perpendicular to the
+    opposite edge, scaled by 1 / (2 area).
 
     Raises
     ------
@@ -201,12 +203,25 @@ def barycentric_gradient_table(mesh):
     return mesh.cached("gradients", lambda: _barycentric_gradients(mesh))
 
 
-def _barycentric_gradients(mesh):
-    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+def nondegenerate_areas(mesh):
+    """
+    :func:`mesh.signed_areas`, checked on every call.
+
+    Raises
+    ------
+    GeometryError
+        If a triangle's area is at most DEGENERATE_AREA.
+    """
     areas = signed_areas(mesh)
     if np.any(areas <= DEGENERATE_AREA):
         bad = int(np.argmin(areas))
         raise GeometryError("triangle %d is degenerate (area %g)" % (bad, areas[bad]))
+    return areas
+
+
+def _barycentric_gradients(mesh):
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    areas = nondegenerate_areas(mesh)
     grads = np.empty((mesh.num_triangles, 3, 2))
     for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
         opp = p[:, k] - p[:, j]

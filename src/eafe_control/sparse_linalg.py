@@ -148,7 +148,7 @@ def _one_pattern(a, m):
     return a, m, slots.data
 
 
-def _fgmres_cycle(matvec, psolve, r, target):
+def _fgmres_cycle(matvec, psolve, direction, r, target):
     """
     One cycle of right-preconditioned flexible GMRES (Saad, SIAM J. Sci.
     Comput. 14, 1993) for ``matvec(x) = b``, started from the residual
@@ -158,12 +158,15 @@ def _fgmres_cycle(matvec, psolve, r, target):
     The Arnoldi basis is orthogonalised by modified Gram-Schmidt, and the
     preconditioned directions Z = [psolve(v_0), ...] are kept beside it,
     so ``dx = Z y`` needs no further ``psolve`` and ``psolve`` may change
-    from one iteration to the next.  Givens rotations (LAPACK ``lartg``)
-    keep the least-squares residual |g[j+1]|, in exact arithmetic
-    ``||r - matvec(dx)||_2``.  The cycle ends when it is at most
-    ``target``, after :data:`GMRES_RESTART` iterations (read at call
-    time), or on a happy breakdown, h[j+1, j] = 0, where the Krylov space
-    holds the solution and the next basis vector cannot be normalised.
+    from one iteration to the next.  A direction is kept in whatever form
+    ``psolve`` returns, and ``direction`` turns it into the vector that
+    ``matvec`` takes and ``dx`` sums, once for each of the two uses.
+    Givens rotations (LAPACK ``lartg``) keep the least-squares residual
+    |g[j+1]|, in exact arithmetic ``||r - matvec(dx)||_2``.  The cycle
+    ends when it is at most ``target``, after :data:`GMRES_RESTART`
+    iterations (read at call time), or on a happy breakdown, h[j+1, j] =
+    0, where the Krylov space holds the solution and the next basis
+    vector cannot be normalised.
     """
     restart = GMRES_RESTART
     h = np.zeros((restart + 1, restart))
@@ -174,12 +177,12 @@ def _fgmres_cycle(matvec, psolve, r, target):
     # one array per vector, not a (restart + 1) x size block: the vectors
     # then fit in heap memory that the factorization before them freed,
     # where a block maps fresh pages (level-8 boundary layer: peak RSS
-    # 245 MB, against 273 MB with blocks)
+    # 152-158 MB, against 167-169 MB with the basis in one block)
     v = [r / g[0]]
     z = []
     for j in range(restart):
         z.append(psolve(v[j]))
-        w = matvec(z[j])
+        w = matvec(direction(z[j]))
         for i in range(j + 1):
             h[i, j] = w @ v[i]
             w -= h[i, j] * v[i]
@@ -195,9 +198,9 @@ def _fgmres_cycle(matvec, psolve, r, target):
         v.append(w / h_next)
     k = j + 1
     y = solve_triangular(h[:k, :k], g[:k])
-    dx = y[0] * z[0]
+    dx = y[0] * direction(z[0])
     for i in range(1, k):
-        dx += y[i] * z[i]
+        dx += y[i] * direction(z[i])
     return dx, k
 
 
@@ -256,9 +259,13 @@ class BlockSaddleSystem:
     the products with the operator and the certificate stay in float64,
     and the certified residual is that of the float64 system, so no
     guarantee rests on the factor's precision (Arioli & Duff, ETNA 33,
-    2009; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  On the
-    level-8 boundary layer at eps = 1e-2 it keeps 13 iterations and the
-    same fill, and peak RSS (one thread) falls from 203 to 179 MB.
+    2009; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Each kept
+    direction is the factor's two solutions in its precision, with a
+    float32 factor half the bytes of a float64 direction (see
+    :meth:`solve`).  On the level-8 boundary layer at eps = 1e-2 it
+    keeps 13 iterations and the same fill, and the peak RSS of
+    ``--levels 7..8`` (one thread) is 152-158 MB, against 181 MB with a
+    float64 factor.
     """
 
     def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, order=None):
@@ -347,7 +354,13 @@ class BlockSaddleSystem:
         ``F = M + sqrt(beta) A`` from :meth:`_presb_matrix` is passed to
         :func:`_factorize` as a temporary, so only its CSC is alive while
         SuperLU factors it.  The two right-hand sides of each PRESB
-        application are cast to F's precision; the rest stays float64.
+        application are cast to F's precision, and its two solutions
+        ``(z, q)`` are kept in it, in natural order, as the Krylov
+        direction: 8n bytes with a float32 factor, against 16n for the
+        float64 direction ``(z - q, q)``, which is formed, exactly widened,
+        only where :func:`_fgmres_cycle` applies the operator and sums the
+        correction.  So every iterate, iteration count and certificate is
+        that of float64 copies of the two halves; the rest stays float64.
 
         Raises
         ------
@@ -378,14 +391,24 @@ class BlockSaddleSystem:
 
         def presb(r):
             # [[M, -K^T], [K, M + K + K^T]] (y, q) = (f, g):
-            # F z = f + g, F^T q = M z - f, y = z - q
+            # F z = f + g, F^T q = M z - f, y = z - q; (z, q) is kept in
+            # F's precision and in natural order, y is formed by direction
             f = r[:n]
-            z = np.empty(n)
+            z = np.empty(n, dtype)
             z[o] = lu.solve((f + r[n:])[o].astype(dtype, copy=False))
-            q = np.empty(n)
+            q = np.empty(n, dtype)
             q[o] = lu.solve((m @ z - f)[o].astype(dtype, copy=False),
                             trans="T")
-            return np.concatenate([z - q, q])
+            return z, q
+
+        def direction(zq):
+            # (z - q, q) in float64; float32 values are widened exactly
+            # before the subtraction
+            z, q = zq
+            d = np.empty(2 * n)
+            np.subtract(z, q, out=d[:n], dtype=float)
+            d[n:] = q
+            return d
 
         def balanced(x):
             y, q = x[:n], x[n:]
@@ -399,7 +422,7 @@ class BlockSaddleSystem:
         x = np.zeros(2 * n)  # (y, q)
         r = np.concatenate([-top, -bottom / s])
         for _ in range(GMRES_CYCLES):
-            dx, k = _fgmres_cycle(balanced, presb, r, target)
+            dx, k = _fgmres_cycle(balanced, presb, direction, r, target)
             x += dx
             self.iterations += k
             y, p = x[:n], s * x[n:]

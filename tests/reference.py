@@ -183,6 +183,20 @@ def longest_side(mesh):
     return float(side.max())
 
 
+def gradient_edge_weights(mesh):
+    """
+    Per-triangle edge weights in their gradient form: local edge (a, b)
+    of triangle T weighs -area_T grad(lambda_a) . grad(lambda_b), from
+    the cached barycentric gradient table.
+    """
+    grads = barycentric_gradient_table(mesh)
+    areas = signed_areas(mesh)
+    w = np.empty((mesh.num_triangles, 3))
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        w[:, k] = -areas * np.einsum("md,md->m", grads[:, a, :], grads[:, b, :])
+    return w
+
+
 def quadrature_table(mesh):
     """
     (2, nq, M) physical coordinates of the QUADRATURE points: row q of

@@ -25,6 +25,7 @@ from eafe_control.mesh import (
     delaunay_check,
 )
 from eafe_control.verify_norms import certify_m_matrix
+from reference import gradient_edge_weights, jittered_renumbered_mesh
 
 
 def diffusion_only(eps=1.0):
@@ -111,6 +112,21 @@ def test_edge_weights_match_cotangent_formula():
             cot = (u @ v) / abs(u[0] * v[1] - u[1] * v[0])
             assert triangle_edge_weights(mesh)[0, k] == pytest.approx(
                 0.5 * cot, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [2, 5, 8])
+def test_edge_weights_equal_gradient_form_on_structured_meshes(level):
+    # every coordinate difference and area is an integer times a power of
+    # two, so the half-cotangent and the gradient forms are both exact
+    mesh = build_unit_square(level)
+    assert np.array_equal(triangle_edge_weights(mesh),
+                          gradient_edge_weights(mesh))
+
+
+def test_edge_weights_match_gradient_form_on_jittered_mesh():
+    mesh = jittered_renumbered_mesh(5, seed=3)
+    w, ref = triangle_edge_weights(mesh), gradient_edge_weights(mesh)
+    assert np.abs(w - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_edge_weights_reproduce_gradient_products():

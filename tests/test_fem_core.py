@@ -22,7 +22,11 @@ from eafe_control.fem_core import (
     quadrature_points,
     scatter_edges,
 )
-from eafe_control.eafe import MonotonicityLossWarning, assemble_eafe_stiffness
+from eafe_control.eafe import (
+    MonotonicityLossWarning,
+    assemble_eafe_stiffness,
+    triangle_edge_weights,
+)
 from eafe_control.experiments import EXAMPLES, boundary_layer_case
 from eafe_control.mesh import (
     GeometryError,
@@ -143,6 +147,10 @@ def test_degenerate_triangle_raises(monkeypatch):
         with pytest.raises(GeometryError):
             barycentric_gradient_table(squashed)
         assert counts["gradients"] == calls
+    # the EAFE edge weights check the same floor without the table
+    with pytest.raises(GeometryError):
+        triangle_edge_weights(squashed)
+    assert counts["gradients"] == 2
 
 
 def test_local_mass_reference_triangle():
@@ -404,6 +412,9 @@ def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
     mesh = build_unit_square(4)
     sol = solve(mesh, case.problem, "eafe")
     solved = counts.copy()
+    # EAFE assembly takes its edge weights from the areas; the first
+    # consumer of gradients is the error norms
+    assert solved["gradients"] == 0
     for region in (None, EXAMPLES["boundary-layer"]["region"]):
         solution_errors(mesh, case, sol, region=region, metric=metric)
     assert counts["areas"] == 1 and counts["gradients"] == 1

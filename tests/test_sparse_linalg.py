@@ -236,6 +236,35 @@ def test_krylov_solve_applies_presb_once_per_iteration(monkeypatch):
     assert solves.count("T") == system.iterations
 
 
+@pytest.mark.parametrize("example, level, precision", [
+    ("boundary-layer", 6, "float32"),
+    ("stability", 5, "float64"),
+])
+def test_krylov_directions_are_kept_in_the_factor_precision(
+        monkeypatch, example, level, precision):
+    problem = (boundary_layer_case(1e-2).problem if example == "boundary-layer"
+               else stability_problem(1e-9))
+    system = assemble_system(build_unit_square(level), problem, "eafe")
+    kept = []
+    cycle = sparse_linalg._fgmres_cycle
+
+    def recording(matvec, psolve, direction, r, target):
+        def keeping(v):
+            kept.append(psolve(v))
+            return kept[-1]
+
+        return cycle(matvec, keeping, direction, r, target)
+
+    monkeypatch.setattr(sparse_linalg, "_fgmres_cycle", recording)
+    p, y, res = system.solve()
+    assert system.precision == precision
+    assert res <= 1e-10
+    assert len(kept) == system.iterations > 0
+    for z, q in kept:
+        for half in (z, q):
+            assert half.shape == (system.n,) and half.dtype == precision
+
+
 @pytest.mark.parametrize("top, bottom", [([0.0, 3.0], [0.0, 0.0]),
                                          ([0.0, 0.0], [4.0, 0.0])])
 def test_krylov_exact_preconditioner_breaks_down_after_one_iteration(top,
