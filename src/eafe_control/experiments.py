@@ -6,9 +6,10 @@ convergence studies with boundary and interior layers.
 Every fact about an example is one entry of ``EXAMPLES``.  Each driver
 owns its level loop: mesh, solve, checks or error norms, and outputs.
 
-The manufactured right-hand sides are hard-coded closed forms obtained by
-applying the strong operators to the prescribed exact pair (y, p): with
-constant convection zeta and constant diffusion eps,
+The manufactured right-hand sides are composed in one place,
+:func:`manufactured_case`, by applying the strong operators to the
+prescribed exact pair (y, p): with constant convection zeta and constant
+diffusion eps, the pair-valued ``source`` is
 
     f = -eps*lap(p) + zeta . grad(p) + gamma*p - y
     g = -p + eps*lap(y) + zeta . grad(y) - gamma*y.
@@ -114,26 +115,51 @@ class _Writer:
 # exact solutions and forcing terms of the manufactured cases
 
 
-def _layer_terms(z, eps, order=2):
+def manufactured_case(name, eps, zeta, gamma, y, p, lift=False):
     """
-    [eta, eta', eta''] of :func:`layer_profile` at ``z``, up to derivative
-    ``order``, from one evaluation of the layer exponential exp((z - 1)/eps).
+    The manufactured case of the exact pair ``(y, p)`` under constant
+    ``eps``, ``zeta`` and ``gamma``, whose forcing is the one ``source``
+    of the module docstring.
+
+    ``y`` and ``p`` map ``(x1, x2)`` to the value, the gradient pair and
+    the Laplacian of their exact field, so that one call gives every term
+    of one right-hand side.  With ``lift`` the exact traces are imposed as
+    Dirichlet data; otherwise they must vanish.
+    """
+    def source(x1, x2):
+        yv, (ygx, ygy), ylap = y(x1, x2)
+        pv, (pgx, pgy), plap = p(x1, x2)
+        return (-eps * plap + zeta[0] * pgx + zeta[1] * pgy + gamma * pv - yv,
+                -pv + eps * ylap + zeta[0] * ygx + zeta[1] * ygy - gamma * yv)
+
+    def exact_y(x1, x2):
+        return y(x1, x2)[0]
+
+    def exact_p(x1, x2):
+        return p(x1, x2)[0]
+
+    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
+                             gamma_assumption=gamma, div_zeta=0.0)
+    traces = {"dirichlet_y": exact_y, "dirichlet_p": exact_p} if lift else {}
+    problem = ProblemSpec(coeff, source=source, **traces)
+    return ManufacturedCase(name, problem, exact_y,
+                            lambda x1, x2: y(x1, x2)[1], exact_p,
+                            lambda x1, x2: p(x1, x2)[1])
+
+
+def _layer_terms(z, eps):
+    """
+    eta, eta' and eta'' of the outflow layer profile, eta(z) = z^3 minus
+    the boundary-layer correction of width eps, from one evaluation of
+    the layer exponential exp((z - 1)/eps).
     """
     z = np.asarray(z, dtype=float)
     e0 = np.exp(-1.0 / eps)
     layer = np.exp((z - 1.0) / eps)
     z2 = z * z
-    terms = [z2 * z - (layer - e0) / (1.0 - e0)]
-    if order >= 1:
-        terms.append(3.0 * z2 - layer / (eps * (1.0 - e0)))
-    if order >= 2:
-        terms.append(6.0 * z - layer / (eps * eps * (1.0 - e0)))
-    return terms
-
-
-def layer_profile(z, eps):
-    """z^3 minus the outflow boundary-layer correction of width eps."""
-    return _layer_terms(z, eps, 0)[0]
+    return (z2 * z - (layer - e0) / (1.0 - e0),
+            3.0 * z2 - layer / (eps * (1.0 - e0)),
+            6.0 * z - layer / (eps * eps * (1.0 - e0)))
 
 
 def stability_problem(eps, yd_const=1.0):
@@ -146,104 +172,43 @@ def stability_problem(eps, yd_const=1.0):
 def boundary_layer_case(eps):
     """Manufactured pair with outflow layers: state near x=1/y=1, adjoint mirrored."""
     s2 = np.sqrt(2.0) / 2.0
-    zeta = (-s2, -s2)
-    gamma = 1.0
-
-    eta = lambda z: layer_profile(z, eps)
 
     def y(x1, x2):
-        return eta(x1) * eta(x2)
-
-    def grad_y(x1, x2):
-        (e1, d1), (e2, d2) = _layer_terms(x1, eps, 1), _layer_terms(x2, eps, 1)
-        return d1 * e2, e1 * d2
+        (e1, d1, dd1), (e2, d2, dd2) = (_layer_terms(x1, eps),
+                                        _layer_terms(x2, eps))
+        return e1 * e2, (d1 * e2, e1 * d2), dd1 * e2 + e1 * dd2
 
     def p(x1, x2):
-        return eta(1.0 - x1) * eta(1.0 - x2)
+        (m1, d1, dd1), (m2, d2, dd2) = (_layer_terms(1.0 - x1, eps),
+                                        _layer_terms(1.0 - x2, eps))
+        return m1 * m2, (-d1 * m2, -m1 * d2), dd1 * m2 + m1 * dd2
 
-    def grad_p(x1, x2):
-        (m1, d1), (m2, d2) = (_layer_terms(1.0 - x1, eps, 1),
-                              _layer_terms(1.0 - x2, eps, 1))
-        return -d1 * m2, -m1 * d2
-
-    # f and g take eta (and eta', eta'' where they are needed) at each of
-    # x1, x2, 1 - x1 and 1 - x2 from one layer exponential, and apply the
-    # expressions of p, y and their derivatives to those values
-    def f(x1, x2):
-        e1, e2 = eta(x1), eta(x2)
-        (m1, d1x, d2x), (m2, d1y, d2y) = (_layer_terms(1.0 - x1, eps),
-                                          _layer_terms(1.0 - x2, eps))
-        gx, gy = -d1x * m2, -m1 * d1y
-        lap = d2x * m2 + m1 * d2y
-        return (-eps * lap + zeta[0] * gx + zeta[1] * gy
-                + gamma * (m1 * m2) - e1 * e2)
-
-    def g(x1, x2):
-        (e1, d1x, d2x), (e2, d1y, d2y) = (_layer_terms(x1, eps),
-                                          _layer_terms(x2, eps))
-        m1, m2 = eta(1.0 - x1), eta(1.0 - x2)
-        gx, gy = d1x * e2, e1 * d1y
-        lap = d2x * e2 + e1 * d2y
-        return (-(m1 * m2) + eps * lap + zeta[0] * gx + zeta[1] * gy
-                - gamma * (e1 * e2))
-
-    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
-                             gamma_assumption=gamma, div_zeta=0.0)
-    problem = ProblemSpec(coeff, f=f, g=g)  # exact traces vanish
-    return ManufacturedCase("boundary-layer", problem, y, grad_y, p, grad_p)
+    # the exact traces vanish
+    return manufactured_case("boundary-layer", eps, (-s2, -s2), 1.0, y, p)
 
 
 def interior_layer_case(eps):
     """Manufactured pair with an interior layer of the state along x2 = 0.5."""
-    zeta = (-1.0, 0.0)
-    gamma = 1.0
-
-    def arct(x2):
-        return np.arctan((x2 - 0.5) / eps)
-
-    def arct_d1(x2):
-        s = x2 - 0.5
-        return eps / (eps * eps + s * s)
-
-    def arct_d2(x2):
-        s = x2 - 0.5
-        return -2.0 * eps * s / (eps * eps + s * s) ** 2
-
-    def cubic(x1):
-        return (1.0 - x1) ** 3
 
     def y(x1, x2):
-        return cubic(x1) * arct(x2)
-
-    def grad_y(x1, x2):
-        return (-3.0 * (1.0 - x1) ** 2 * arct(x2), cubic(x1) * arct_d1(x2))
-
-    def lap_y(x1, x2):
-        return 6.0 * (1.0 - x1) * arct(x2) + cubic(x1) * arct_d2(x2)
+        s = x2 - 0.5
+        arct = np.arctan(s / eps)
+        cubic = (1.0 - x1) ** 3
+        return (cubic * arct,
+                (-3.0 * (1.0 - x1) ** 2 * arct,
+                 cubic * (eps / (eps * eps + s * s))),
+                6.0 * (1.0 - x1) * arct
+                + cubic * (-2.0 * eps * s / (eps * eps + s * s) ** 2))
 
     def p(x1, x2):
-        return x1 * (1.0 - x1) * x2 * (1.0 - x2)
+        return (x1 * (1.0 - x1) * x2 * (1.0 - x2),
+                ((1.0 - 2.0 * x1) * x2 * (1.0 - x2),
+                 x1 * (1.0 - x1) * (1.0 - 2.0 * x2)),
+                -2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1))
 
-    def grad_p(x1, x2):
-        return ((1.0 - 2.0 * x1) * x2 * (1.0 - x2),
-                x1 * (1.0 - x1) * (1.0 - 2.0 * x2))
-
-    def lap_p(x1, x2):
-        return -2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1)
-
-    def f(x1, x2):
-        gx, _ = grad_p(x1, x2)
-        return -eps * lap_p(x1, x2) - gx + gamma * p(x1, x2) - y(x1, x2)
-
-    def g(x1, x2):
-        gx, _ = grad_y(x1, x2)
-        return -p(x1, x2) + eps * lap_y(x1, x2) - gx - gamma * y(x1, x2)
-
-    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
-                             gamma_assumption=gamma, div_zeta=0.0)
     # the exact state has nonzero traces; lift both fields from their traces
-    problem = ProblemSpec(coeff, f=f, g=g, dirichlet_y=y, dirichlet_p=p)
-    return ManufacturedCase("interior-layer", problem, y, grad_y, p, grad_p)
+    return manufactured_case("interior-layer", eps, (-1.0, 0.0), 1.0, y, p,
+                             lift=True)
 
 
 def coefficient_sets():

@@ -17,7 +17,8 @@ import scipy.sparse as sp
 from .mesh import LOCAL_EDGES, GeometryError, signed_areas
 
 DEGENERATE_AREA = 1e-16
-DIV_FD_STEP = 1e-6
+#: triangles per block of the load pass (:func:`assemble_load`)
+LOAD_BLOCK = 16384
 
 
 class CoefficientError(ValueError):
@@ -72,9 +73,9 @@ class CoefficientField:
         Claimed lower bound for eps; checked wherever eps is sampled.
     gamma_assumption : float
         Claimed lower bound gamma - div(zeta)/2 >= gamma_assumption.  Only
-        enforced when positive.
+        enforced when positive, and then ``div_zeta`` is required.
     div_zeta : scalar field, optional
-        Analytic divergence of zeta; central differences otherwise.
+        Analytic divergence of zeta.
     """
 
     def __init__(self, eps, zeta, gamma, beta=1.0, eps_floor=None,
@@ -89,17 +90,9 @@ class CoefficientField:
             eps_floor = float(eps)
         self.eps_floor = eps_floor
         self.gamma_assumption = float(gamma_assumption)
+        if self.gamma_assumption > 0.0 and div_zeta is None:
+            raise ValueError("a positive gamma_assumption needs div_zeta")
         self.div_zeta = as_scalar_field(div_zeta) if div_zeta is not None else None
-
-    def div_zeta_at(self, x, y):
-        if self.div_zeta is not None:
-            return self.div_zeta(x, y)
-        h = DIV_FD_STEP
-        zxp, _ = self.zeta(x + h, y)
-        zxm, _ = self.zeta(x - h, y)
-        _, zyp = self.zeta(x, y + h)
-        _, zym = self.zeta(x, y - h)
-        return (zxp - zxm + zyp - zym) / (2.0 * h)
 
     def check_samples(self, x, y, eps_values):
         """Enforce the declared bounds at samples where eps is ``eps_values``."""
@@ -116,7 +109,7 @@ class CoefficientField:
                 % (emin, self.eps_floor)
             )
         if self.gamma_assumption > 0.0:
-            eff = self.gamma(x, y) - 0.5 * self.div_zeta_at(x, y)
+            eff = self.gamma(x, y) - 0.5 * self.div_zeta(x, y)
             worst = np.min(finite_samples("gamma - div(zeta)/2", eff, np.shape(x)))
             if worst < self.gamma_assumption * (1.0 - 1e-8):
                 raise CoefficientError(
@@ -391,23 +384,38 @@ def assemble_galerkin_stiffness(mesh, coeff):
 
 def assemble_load(mesh, f):
     """
-    Load vector (f, phi_i) over all dofs by :data:`QUADRATURE`.
+    Load vector (f, phi_i) over all dofs by :data:`QUADRATURE`; for a
+    pair-valued field ``f(x, y) -> (f0, f1)`` one vector per component,
+    from the same pass.
 
-    The quadrature rows are visited one at a time (:func:`quadrature_points`):
-    each adds w_q * area * f(x_q) * lam_q[c] to corner c of every
-    triangle, and the three corner sums are then added onto the vertices.
-    A non-finite sample of ``f`` raises DataError.
+    The quadrature rows are visited one at a time (:func:`quadrature_points`)
+    and each row in blocks of LOAD_BLOCK triangles, so that the field's
+    temporaries stay block-sized: each block adds w_q * area * f(x_q) *
+    lam_q[c] to corner c of its triangles, and the three corner sums are
+    then added onto the vertices.  Every corner sum is added in row order,
+    so the block size does not change a bit of the result.  A non-finite
+    sample of ``f`` raises DataError.
     """
     f = as_scalar_field(f)
     areas = signed_areas(mesh)
-    corners = np.zeros((3, mesh.num_triangles))
+    m = mesh.num_triangles
+    corners = None
     for lam, w, xq, yq in quadrature_points(mesh):
-        fq = finite_samples("load integrand", f(xq, yq), xq.shape)
-        corners += lam[:, None] * (w * areas * fq)
+        for start in range(0, m, LOAD_BLOCK):
+            block = slice(start, start + LOAD_BLOCK)
+            values = f(xq[block], yq[block])
+            pair = isinstance(values, tuple)
+            if corners is None:
+                corners = np.zeros((len(values) if pair else 1, 3, m))
+            scale = w * areas[block]
+            for sums, fq in zip(corners, values if pair else (values,)):
+                fq = finite_samples("load integrand", fq, scale.shape)
+                sums[:, block] += lam[:, None] * (scale * fq)
     n = mesh.num_vertices
     t = mesh.triangles
-    return sum(np.bincount(t[:, c], weights=corners[c], minlength=n)
-               for c in range(3))
+    loads = [sum(np.bincount(t[:, c], weights=sums[c], minlength=n)
+                 for c in range(3)) for sums in corners]
+    return tuple(loads) if pair else loads[0]
 
 
 def interpolate_nodal(mesh, u):

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import fem_core
 from .eafe import assemble_eafe_stiffness
-from .fem_core import as_scalar_field, assemble_load, interpolate_nodal
+from .fem_core import (as_scalar_field, as_vector_field, assemble_load,
+                       interpolate_nodal)
 from .mesh import nested_dissection_order, text_block, write_vtk
 from .sparse_linalg import BlockSaddleSystem
 
@@ -34,25 +35,22 @@ class ProblemSpec:
     """
     Problem data: coefficients plus exactly one data mode.
 
-    Either a desired state ``y_d`` (tracking mode) or a general pair
-    ``(f, g)`` of right-hand sides; Dirichlet traces for state and adjoint
-    default to zero.
+    Either a desired state ``y_d`` (tracking mode) or a pair-valued
+    ``source(x, y) -> (f, g)`` of the two right-hand sides (general mode;
+    a constant pair is wrapped as by
+    :func:`~eafe_control.fem_core.as_vector_field`).  Dirichlet traces for
+    state and adjoint default to zero.
     """
 
-    def __init__(self, coeff, y_d=None, f=None, g=None,
+    def __init__(self, coeff, y_d=None, source=None,
                  dirichlet_y=None, dirichlet_p=None):
         self.coeff = coeff
-        tracking = y_d is not None
-        general = f is not None or g is not None
-        if tracking == general:
+        if (y_d is None) == (source is None):
             raise AssemblyError(
-                "exactly one data mode must be set: y_d, or the pair (f, g)"
+                "exactly one data mode must be set: y_d, or the source pair"
             )
-        if general and (f is None or g is None):
-            raise AssemblyError("general mode needs both f and g")
-        self.y_d = as_scalar_field(y_d) if tracking else None
-        self.f = as_scalar_field(f) if general else None
-        self.g = as_scalar_field(g) if general else None
+        self.y_d = as_scalar_field(y_d) if y_d is not None else None
+        self.source = as_vector_field(source) if source is not None else None
         self.dirichlet_y = as_scalar_field(dirichlet_y if dirichlet_y is not None else 0.0)
         self.dirichlet_p = as_scalar_field(dirichlet_p if dirichlet_p is not None else 0.0)
 
@@ -132,8 +130,7 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True):
         f_full = -tracking_load
         g_full = np.zeros(mesh.num_vertices)
     else:
-        f_full = assemble_load(mesh, spec.f)
-        g_full = assemble_load(mesh, spec.g)
+        f_full, g_full = assemble_load(mesh, spec.source)
 
     p_lift = _lift_vector(mesh, spec.dirichlet_p)
     y_lift = _lift_vector(mesh, spec.dirichlet_y)

@@ -36,11 +36,19 @@ the way it did before:
   (2, nq, M) table, and ``table_load`` assembles a load vector from it
   with one ``np.bincount`` per point and corner.
 
-``assemble_system``, ``convergence_study``, ``smooth_case`` and
-``jittered_renumbered_mesh`` are shorthands for the tests: the interior
-saddle system alone, a one-region convergence table, a layer-free
-manufactured pair, and a structured mesh with moved interior vertices,
-renumbered vertices and shuffled triangles.
+``assemble_system``, ``convergence_study``, ``smooth_case``,
+``layer_profile`` and ``jittered_renumbered_mesh`` are shorthands for
+the tests: the interior saddle system alone, a one-region convergence
+table, a layer-free manufactured pair composed by
+``experiments.manufactured_case``, the layer profile eta of the boundary
+layer, and a structured mesh with moved interior vertices, renumbered
+vertices and shuffled triangles.
+
+``boundary_layer_source``, ``interior_layer_source`` and
+``smooth_source`` are the right-hand sides (f, g) of the three
+manufactured cases as they were written by hand, case by case, before
+one composer formed them; the composed ``source`` must give the same
+bits.
 
 Test meshes and tables that no run of the package needs are made here:
 
@@ -58,9 +66,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from eafe_control.eafe import EdgeData
+from eafe_control.experiments import _layer_terms, manufactured_case
 from eafe_control.fem_core import (
     QUADRATURE,
-    CoefficientField,
     barycentric_gradient_table,
     lumped_mass_diagonal,
 )
@@ -74,17 +82,13 @@ from eafe_control.mesh import (
     text_block,
 )
 from eafe_control import mesh as mesh_module, sparse_linalg
-from eafe_control.optimal_control import ProblemSpec, _assemble_parts, solve
+from eafe_control.optimal_control import _assemble_parts, solve
 from eafe_control.sparse_linalg import (
     DEFAULT_SOLVE_RTOL,
     ResidualCertificationError,
     SingularMatrixError,
 )
-from eafe_control.verify_norms import (
-    ConvergenceTable,
-    ManufacturedCase,
-    solution_errors,
-)
+from eafe_control.verify_norms import ConvergenceTable, solution_errors
 
 
 def from_triplets(nrows, ncols, triplets):
@@ -515,10 +519,106 @@ def write_node_ele(mesh, path):
         fh.write(text_block("%d %d %d\n", t[:, 0], t[:, 1], t[:, 2]))
 
 
+def layer_profile(z, eps):
+    """z^3 minus the outflow boundary-layer correction of width eps."""
+    return _layer_terms(z, eps)[0]
+
+
+def _smooth_field(x1, x2):
+    """w = x1 (1 - x1) x2 (1 - x2): value, gradient pair and Laplacian."""
+    return (x1 * (1.0 - x1) * x2 * (1.0 - x2),
+            ((1.0 - 2.0 * x1) * x2 * (1.0 - x2),
+             x1 * (1.0 - x1) * (1.0 - 2.0 * x2)),
+            -2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1))
+
+
 def smooth_case():
     """Layer-free manufactured pair (diffusion-dominated sanity case)."""
+    return manufactured_case("smooth", 1.0, (1.0, 1.0), 1.0, _smooth_field,
+                             _smooth_field)
+
+
+def boundary_layer_source(eps):
+    """
+    The hand-written (f, g) of ``experiments.boundary_layer_case``: eta
+    (and eta', eta'' where needed) at x1, x2, 1 - x1 and 1 - x2, with the
+    expressions of p, y and their derivatives applied to those values.
+    """
+    s2 = np.sqrt(2.0) / 2.0
+    zeta = (-s2, -s2)
+    gamma = 1.0
+    eta = lambda z: layer_profile(z, eps)
+
+    def f(x1, x2):
+        e1, e2 = eta(x1), eta(x2)
+        (m1, d1x, d2x), (m2, d1y, d2y) = (_layer_terms(1.0 - x1, eps),
+                                          _layer_terms(1.0 - x2, eps))
+        gx, gy = -d1x * m2, -m1 * d1y
+        lap = d2x * m2 + m1 * d2y
+        return (-eps * lap + zeta[0] * gx + zeta[1] * gy
+                + gamma * (m1 * m2) - e1 * e2)
+
+    def g(x1, x2):
+        (e1, d1x, d2x), (e2, d1y, d2y) = (_layer_terms(x1, eps),
+                                          _layer_terms(x2, eps))
+        m1, m2 = eta(1.0 - x1), eta(1.0 - x2)
+        gx, gy = d1x * e2, e1 * d1y
+        lap = d2x * e2 + e1 * d2y
+        return (-(m1 * m2) + eps * lap + zeta[0] * gx + zeta[1] * gy
+                - gamma * (e1 * e2))
+
+    return lambda x1, x2: (f(x1, x2), g(x1, x2))
+
+
+def interior_layer_source(eps):
+    """The hand-written (f, g) of ``experiments.interior_layer_case``."""
+    gamma = 1.0
+
+    def arct(x2):
+        return np.arctan((x2 - 0.5) / eps)
+
+    def arct_d2(x2):
+        s = x2 - 0.5
+        return -2.0 * eps * s / (eps * eps + s * s) ** 2
+
+    def cubic(x1):
+        return (1.0 - x1) ** 3
+
+    def y(x1, x2):
+        return cubic(x1) * arct(x2)
+
+    def grad_y(x1, x2):
+        s = x2 - 0.5
+        return (-3.0 * (1.0 - x1) ** 2 * arct(x2),
+                cubic(x1) * (eps / (eps * eps + s * s)))
+
+    def lap_y(x1, x2):
+        return 6.0 * (1.0 - x1) * arct(x2) + cubic(x1) * arct_d2(x2)
+
+    def p(x1, x2):
+        return x1 * (1.0 - x1) * x2 * (1.0 - x2)
+
+    def grad_p(x1, x2):
+        return ((1.0 - 2.0 * x1) * x2 * (1.0 - x2),
+                x1 * (1.0 - x1) * (1.0 - 2.0 * x2))
+
+    def lap_p(x1, x2):
+        return -2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1)
+
+    def f(x1, x2):
+        gx, _ = grad_p(x1, x2)
+        return -eps * lap_p(x1, x2) - gx + gamma * p(x1, x2) - y(x1, x2)
+
+    def g(x1, x2):
+        gx, _ = grad_y(x1, x2)
+        return -p(x1, x2) + eps * lap_y(x1, x2) - gx - gamma * y(x1, x2)
+
+    return lambda x1, x2: (f(x1, x2), g(x1, x2))
+
+
+def smooth_source():
+    """The hand-written (f, g) of ``smooth_case``."""
     eps = 1.0
-    zeta = (1.0, 1.0)
     gamma = 1.0
 
     def w(x1, x2):
@@ -539,7 +639,4 @@ def smooth_case():
         gx, gy = grad_w(x1, x2)
         return -w(x1, x2) + eps * lap_w(x1, x2) + gx + gy - gamma * w(x1, x2)
 
-    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
-                             gamma_assumption=gamma, div_zeta=0.0)
-    problem = ProblemSpec(coeff, f=f, g=g)
-    return ManufacturedCase("smooth", problem, w, grad_w, w, grad_w)
+    return lambda x1, x2: (f(x1, x2), g(x1, x2))

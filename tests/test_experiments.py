@@ -15,13 +15,20 @@ from eafe_control.experiments import (
     boundary_layer_case,
     coefficient_sets,
     interior_layer_case,
-    layer_profile,
     run,
     run_convergence,
     run_stability,
     stability_problem,
 )
-from reference import convergence_study, same_table, smooth_case
+from reference import (
+    boundary_layer_source,
+    convergence_study,
+    interior_layer_source,
+    layer_profile,
+    same_table,
+    smooth_case,
+    smooth_source,
+)
 
 
 # ----------------------------------------------------------------------
@@ -65,18 +72,27 @@ def grad_check(case, zeta, gamma, eps, pts, h=1e-5):
         assert abs(gx - ex) <= 1e-4 * max(1.0, abs(ex))
         assert abs(gy - ey) <= 1e-4 * max(1.0, abs(ey))
 
+        f, g = case.problem.source(x, y)
         gpx, gpy = grad(case.exact_p)
         f_fd = (-eps * lap(case.exact_p) + zeta[0] * gpx + zeta[1] * gpy
                 + gamma * case.exact_p(x, y) - case.exact_y(x, y))
-        assert abs(f_fd - case.problem.f(x, y)) <= 1e-4 * max(
-            1.0, abs(case.problem.f(x, y))
-        )
+        assert abs(f_fd - f) <= 1e-4 * max(1.0, abs(f))
         gyx, gyy = grad(case.exact_y)
         g_fd = (-case.exact_p(x, y) + eps * lap(case.exact_y)
                 + zeta[0] * gyx + zeta[1] * gyy - gamma * case.exact_y(x, y))
-        assert abs(g_fd - case.problem.g(x, y)) <= 1e-4 * max(
-            1.0, abs(case.problem.g(x, y))
-        )
+        assert abs(g_fd - g) <= 1e-4 * max(1.0, abs(g))
+
+
+def forcing_points(eps):
+    """
+    4096 random points of the unit square: four on the boundary layers'
+    sides and edges in each coordinate, three on the interior layer.
+    """
+    rng = np.random.default_rng(19)
+    x1, x2 = rng.random((2, 4096))
+    x1[:4] = x2[-4:] = [0.0, 1.0, 1.0 - eps, 1.0 - 1e-3 * eps]
+    x2[:3] = [0.5, 0.5 - eps, 0.5 + eps]
+    return x1, x2
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-9])
@@ -84,9 +100,7 @@ def test_boundary_layer_forcing_equals_composed_definitions(eps):
     # f and g composed from the exact pair and its derivatives, as the
     # strong operators define them; the forcing must agree bit for bit
     case = boundary_layer_case(eps)
-    rng = np.random.default_rng(19)
-    x1, x2 = rng.random((2, 4096))
-    x1[:4] = x2[-4:] = [0.0, 1.0, 1.0 - eps, 1.0 - 1e-3 * eps]
+    x1, x2 = forcing_points(eps)
     eta = lambda z: layer_profile(z, eps)
     d2 = lambda z: _layer_terms(z, eps)[2]
     zeta = (-np.sqrt(2.0) / 2.0, -np.sqrt(2.0) / 2.0)
@@ -98,8 +112,29 @@ def test_boundary_layer_forcing_equals_composed_definitions(eps):
     f = -eps * lap_p + zeta[0] * gx + zeta[1] * gy + gamma * p - y
     gx, gy = case.exact_grad_y(x1, x2)
     g = -p + eps * lap_y + zeta[0] * gx + zeta[1] * gy - gamma * y
-    assert np.array_equal(case.problem.f(x1, x2), f)
-    assert np.array_equal(case.problem.g(x1, x2), g)
+    source_f, source_g = case.problem.source(x1, x2)
+    assert np.array_equal(source_f, f)
+    assert np.array_equal(source_g, g)
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("boundary-layer", 1e-2), ("boundary-layer", 1e-9),
+    ("interior-layer", 1e-2), ("interior-layer", 1e-9), ("smooth", 1.0),
+])
+def test_composed_source_equals_hand_written_forcing(name, eps):
+    # the one composer gives the bits of the forcing each case once wrote
+    # by hand; on the interior layer zeta = (-1, 0) makes the composed
+    # convection terms -1 * dp/dx1 and +0 * dp/dx2 exact
+    if name == "smooth":
+        case, reference = smooth_case(), smooth_source()
+    else:
+        case = EXAMPLES[name]["case"](eps)
+        reference = {"boundary-layer": boundary_layer_source,
+                     "interior-layer": interior_layer_source}[name](eps)
+    x1, x2 = forcing_points(eps)
+    for composed, written in zip(case.problem.source(x1, x2),
+                                 reference(x1, x2)):
+        assert np.array_equal(composed, written)
 
 
 def test_interior_layer_forcing_matches_finite_differences():

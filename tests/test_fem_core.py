@@ -43,6 +43,7 @@ from reference import (
     coo_mass,
     from_triplets,
     jittered_renumbered_mesh,
+    layer_profile,
     quadrature_table,
     table_load,
 )
@@ -262,9 +263,30 @@ def test_load_matches_point_table_reference(field):
     # corner sums over the quadrature rows before the scatter change the
     # order of the additions only: agreement to a few ulps of the largest entry
     mesh = jittered_renumbered_mesh(5, seed=13)
-    f = getattr(boundary_layer_case(1e-2).problem, field)
+    source = boundary_layer_case(1e-2).problem.source
+    f = lambda x, y: source(x, y)["fg".index(field)]
     b, ref = assemble_load(mesh, f), table_load(mesh, f)
     assert np.abs(b - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_pair_load_equals_two_scalar_passes():
+    # one pass over a pair-valued field gives each component's own load
+    mesh = jittered_renumbered_mesh(5, seed=13)
+    source = boundary_layer_case(1e-2).problem.source
+    f, g = assemble_load(mesh, source)
+    assert np.array_equal(f, assemble_load(mesh, lambda x, y: source(x, y)[0]))
+    assert np.array_equal(g, assemble_load(mesh, lambda x, y: source(x, y)[1]))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_load_blocks_keep_the_bits(monkeypatch, block):
+    # every corner sum is added in row order whatever the block size
+    mesh = jittered_renumbered_mesh(4, seed=5)
+    source = boundary_layer_case(1e-2).problem.source
+    whole = assemble_load(mesh, source)
+    monkeypatch.setattr(fem_core, "LOAD_BLOCK", block)
+    for blocked, ref in zip(assemble_load(mesh, source), whole):
+        assert np.array_equal(blocked, ref)
 
 
 def test_interpolate_constant_and_affine():
@@ -288,8 +310,6 @@ def test_interpolate_constant_and_affine():
 
 
 def test_interpolate_layer_product_center_value():
-    from eafe_control.experiments import layer_profile
-
     eps = 1e-2
     mesh = build_unit_square(1)
     vals = interpolate_nodal(
@@ -333,7 +353,7 @@ def test_gamma_assumption_violation(assemble):
     # gamma - div(zeta)/2 = -1 < claimed bound 0.5
     coeff = CoefficientField(
         eps=1.0, zeta=lambda x, y: (2.0 * x, 0.0), gamma=0.0,
-        gamma_assumption=0.5,
+        gamma_assumption=0.5, div_zeta=2.0,
     )
     with pytest.raises(CoefficientError):
         assemble(mesh, coeff)
@@ -396,13 +416,14 @@ def test_zero_reaction_is_accepted(path):
     assert np.abs(mat.sum(axis=1)).max() <= 1e-14
 
 
-def test_divergence_by_central_differences():
-    # div(xy, -y^2/2) = y - y = 0
-    coeff = CoefficientField(eps=1.0, zeta=lambda x, y: (x * y, -0.5 * y * y),
-                             gamma=0.0)
-    x = np.array([0.3, 0.7])
-    y = np.array([0.2, 0.9])
-    assert coeff.div_zeta_at(x, y) == pytest.approx(np.zeros(2), abs=1e-8)
+def test_gamma_assumption_needs_divergence():
+    # a declared bound on gamma - div(zeta)/2 is checked on the analytic
+    # divergence only; without it the field is refused, not approximated
+    with pytest.raises(ValueError, match="needs div_zeta"):
+        CoefficientField(eps=1.0, zeta=lambda x, y: (x * y, -0.5 * y * y),
+                         gamma=1.0, gamma_assumption=0.5)
+    # no bound declared, no divergence needed
+    CoefficientField(eps=1.0, zeta=(1.0, 0.0), gamma=0.0)
 
 
 @pytest.mark.parametrize("metric", ["quadrature", "interpolant"])
@@ -415,6 +436,8 @@ def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
     # EAFE assembly takes its edge weights from the areas; the first
     # consumer of gradients is the error norms
     assert solved["gradients"] == 0
+    # both right-hand sides come from one load pass
+    assert solved["quadrature"] == 1
     for region in (None, EXAMPLES["boundary-layer"]["region"]):
         solution_errors(mesh, case, sol, region=region, metric=metric)
     assert counts["areas"] == 1 and counts["gradients"] == 1

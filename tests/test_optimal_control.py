@@ -52,9 +52,7 @@ def test_problem_spec_needs_exactly_one_mode():
     with pytest.raises(AssemblyError):
         ProblemSpec(coeff)
     with pytest.raises(AssemblyError):
-        ProblemSpec(coeff, y_d=1.0, f=lambda x, y: x, g=lambda x, y: y)
-    with pytest.raises(AssemblyError):
-        ProblemSpec(coeff, f=lambda x, y: x)  # missing g
+        ProblemSpec(coeff, y_d=1.0, source=lambda x, y: (x, y))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -98,7 +96,7 @@ def test_tracking_rhs_is_negative_load():
 def test_zero_data_means_zero_solution():
     mesh = build_unit_square(3)
     spec = ProblemSpec(plain_coefficients(eps=0.5, zeta=(1.0, -0.5), gamma=1.0),
-                       f=0.0, g=0.0)
+                       source=(0.0, 0.0))
     sol = solve(mesh, spec, "eafe")
     assert np.abs(sol.p_bar).max() <= 1e-12
     assert np.abs(sol.y_bar).max() <= 1e-12
@@ -115,8 +113,7 @@ def test_affine_exact_pair_reproduced_with_dirichlet_lift():
     exact_p = lambda x, y: 1.0 - x
     spec = ProblemSpec(
         coeff,
-        f=lambda x, y: -exact_y(x, y),
-        g=lambda x, y: -exact_p(x, y),
+        source=lambda x, y: (-exact_y(x, y), -exact_p(x, y)),
         dirichlet_y=exact_y,
         dirichlet_p=exact_p,
     )
@@ -164,7 +161,7 @@ def test_eafe_equals_galerkin_without_convection():
 
 
 def test_manufactured_forcing_matches_finite_differences():
-    # independent check of the hard-coded closed-form right-hand sides
+    # independent check of the composed right-hand sides
     from eafe_control.experiments import boundary_layer_case
 
     eps = 1e-2
@@ -188,13 +185,12 @@ def test_manufactured_forcing_matches_finite_differences():
         gpx, gpy = grad(case.exact_p)
         f_fd = (-eps * lap(case.exact_p) + zeta[0] * gpx + zeta[1] * gpy
                 + gamma * case.exact_p(x, y) - case.exact_y(x, y))
-        f_closed = case.problem.f(x, y)
+        f_closed, g_closed = case.problem.source(x, y)
         assert abs(f_fd - f_closed) <= 1e-4 * max(1.0, abs(f_closed))
 
         gyx, gyy = grad(case.exact_y)
         g_fd = (-case.exact_p(x, y) + eps * lap(case.exact_y)
                 + zeta[0] * gyx + zeta[1] * gyy - gamma * case.exact_y(x, y))
-        g_closed = case.problem.g(x, y)
         assert abs(g_fd - g_closed) <= 1e-4 * max(1.0, abs(g_closed))
 
 
@@ -225,7 +221,7 @@ def test_solution_pair_holds_no_matrix_over_all_vertices(mode):
     # the full mass matrix is freed after assembly: the only matrix left
     # on the solution is the interior stiffness block of the solved system
     mesh = build_unit_square(4)
-    data = {"y_d": 1.0} if mode == "tracking" else {"f": 1.0, "g": 0.0}
+    data = {"y_d": 1.0} if mode == "tracking" else {"source": (1.0, 0.0)}
     sol = solve(mesh, ProblemSpec(plain_coefficients(), **data), "eafe")
     n = mesh.interior_vertices.size
     matrices = {name: value.shape for name, value in vars(sol).items()

@@ -185,8 +185,7 @@ def _general_system(beta):
     coeff = CoefficientField(eps=1e-2, zeta=(-1.0, 0.5), gamma=1.0,
                              beta=beta, div_zeta=0.0)
     problem = ProblemSpec(
-        coeff, f=lambda x, y: np.sin(3.0 * x) + y,
-        g=lambda x, y: np.cos(2.0 * y) - x,
+        coeff, source=lambda x, y: (np.sin(3.0 * x) + y, np.cos(2.0 * y) - x),
         dirichlet_y=lambda x, y: 1.0 + x * y,
         dirichlet_p=lambda x, y: x - 2.0 * y)
     return assemble_system(build_unit_square(5), problem, "eafe")

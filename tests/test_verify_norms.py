@@ -337,8 +337,8 @@ def test_bound_check_uses_the_solved_tracking_load():
     y_d = lambda x, y: 1.0 + x * y
     sol = solve(mesh, ProblemSpec(stability_coefficients(), y_d=y_d), "eafe")
     assert np.array_equal(sol.tracking_load, assemble_load(mesh, y_d))
-    general = solve(mesh, ProblemSpec(stability_coefficients(), f=1.0, g=0.0),
-                    "eafe")
+    general = solve(mesh, ProblemSpec(stability_coefficients(),
+                                      source=(1.0, 0.0)), "eafe")
     assert general.tracking_load is None
     with pytest.raises(ValueError):
         check_desired_state_bounds(mesh, general, y_d)
