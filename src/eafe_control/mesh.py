@@ -11,8 +11,9 @@ or diagonal label.
 
 A built mesh is immutable, and this is enforced: its vertex and triangle
 arrays are private read-only copies, so what a mesh caches (signed areas
-and the nested-dissection vertex order here, the gradient table and the
-edge-graph CSR pattern in ``fem_core``) can never go stale.
+and the nested-dissection vertex order here, the gradient table in
+``fem_core``) can never go stale.  The edge-graph CSR pattern is not
+cached: ``fem_core.edge_pattern`` builds it for each assembly.
 """
 
 import numpy as np
@@ -49,7 +50,7 @@ class TriMesh:
     triangles : (M, 3) int32 array
         Vertex indices per triangle, counterclockwise.
     edges : (E, 2) int32 array
-        Unique edges as (i, j) with i < j.
+        Unique edges as (i, j) with i < j, sorted by (i, j).
     edge_tris : (E, 2) int32 array
         Adjacent triangle indices per edge; second entry is -1 for
         boundary edges.
@@ -66,6 +67,12 @@ class TriMesh:
     under :data:`DEFAULT_VERTEX_CAP`.  Arithmetic on them that can leave
     int32, such as the pair keys i * N + j of the connectivity, is done
     in int64.
+
+    What is computed from these arrays once and kept, read-only, is held
+    under a key by :meth:`cached`: the signed areas, the
+    nested-dissection order and the barycentric gradient table.  The
+    edge-graph CSR pattern is not among them; ``fem_core.edge_pattern``
+    builds it from the sorted ``edges`` on each call.
 
     Raises
     ------

@@ -81,6 +81,18 @@ def _factorize(mat, order=None):
     on the whole saddle system, and
     :func:`verify_norms.certify_m_matrix` needs x > 0 and Z x > 0.
 
+    SuperLU eliminates one column at a time (``panel_size=1``).  Its
+    default panels of several columns keep work arrays of about
+    ``panel_size * n`` words alive through the whole factorization
+    (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20,
+    1999); one column gives the same pivots and fill and, with diagonal
+    pivots in a fixed order, the same factor up to rounding order.  On
+    the level-9 boundary-layer F (eps = 1e-2, 23.7 M stored entries, one
+    BLAS thread) the factor step lifted the resident set by 185 MiB with
+    the default panels and by 141 MiB with one column, and reserved
+    44 MiB less address space; the factor took 0.94-1.12 s against
+    1.02-1.36 s.  At levels 7 and 8 the time is within noise.
+
     SuperLU itself raises on an exactly zero pivot.  The factor's ``L``
     and ``U`` attributes are not read here: scipy builds CSC copies of
     both on first access and keeps them on the factor, which would carry
@@ -103,7 +115,8 @@ def _factorize(mat, order=None):
     permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
     try:
         mat = mat.tocsc() if order is None else mat[order].tocsc()[:, order]
-        return spla.splu(mat, permc_spec=permc_spec, diag_pivot_thresh=0.0)
+        return spla.splu(mat, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                         panel_size=1)
     except MemoryError as exc:
         raise ResourceLimitError(str(exc)) from exc
     except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs
@@ -166,7 +179,8 @@ def _fgmres_cycle(matvec, psolve, direction, r, target):
     ends when it is at most ``target``, after :data:`GMRES_RESTART`
     iterations (read at call time), or on a happy breakdown, h[j+1, j] =
     0, where the Krylov space holds the solution and the next basis
-    vector cannot be normalised.
+    vector cannot be normalised.  A non-finite residual norm or
+    Hessenberg entry raises :class:`ResidualCertificationError`.
     """
     restart = GMRES_RESTART
     h = np.zeros((restart + 1, restart))
@@ -174,10 +188,13 @@ def _fgmres_cycle(matvec, psolve, direction, r, target):
     sn = np.zeros(restart)
     g = np.zeros(restart + 1)
     g[0] = np.linalg.norm(r)
+    if not np.isfinite(g[0]):
+        raise ResidualCertificationError("non-finite GMRES residual norm")
     # one array per vector, not a (restart + 1) x size block: the vectors
     # then fit in heap memory that the factorization before them freed,
-    # where a block maps fresh pages (level-8 boundary layer: peak RSS
-    # 152-158 MB, against 167-169 MB with the basis in one block)
+    # where a block maps fresh pages (level-8 boundary layer, with
+    # SuperLU's default panels: peak RSS 152-158 MB, against 167-169 MB
+    # with the basis in one block)
     v = [r / g[0]]
     z = []
     for j in range(restart):
@@ -187,6 +204,9 @@ def _fgmres_cycle(matvec, psolve, direction, r, target):
             h[i, j] = w @ v[i]
             w -= h[i, j] * v[i]
         h_next = np.linalg.norm(w)
+        if not (np.isfinite(h_next) and np.isfinite(h[:j + 1, j]).all()):
+            raise ResidualCertificationError(
+                "non-finite Hessenberg entry in GMRES iteration %d" % (j + 1))
         for i in range(j):
             h[i, j], h[i + 1, j] = (cs[i] * h[i, j] + sn[i] * h[i + 1, j],
                                     cs[i] * h[i + 1, j] - sn[i] * h[i, j])
@@ -264,8 +284,9 @@ class BlockSaddleSystem:
     float32 factor half the bytes of a float64 direction (see
     :meth:`solve`).  On the level-8 boundary layer at eps = 1e-2 it
     keeps 13 iterations and the same fill, and the peak RSS of
-    ``--levels 7..8`` (one thread) is 152-158 MB, against 181 MB with a
-    float64 factor.
+    ``--levels 7..8`` (one thread) is 146-148 MB; with SuperLU's default
+    panels (see :func:`_factorize`) it was 152-160 MB, against 181 MB
+    with a float64 factor.
     """
 
     def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, order=None):
@@ -351,6 +372,13 @@ class BlockSaddleSystem:
         each.  A zero right-hand side returns zeros without factoring
         anything (``fill`` 0, ``precision`` None).
 
+        The iteration runs on both blocks scaled by 2^-e, e the binary
+        exponent of their largest entry, and p and y are scaled back by
+        2^e.  A power of two scales every step exactly, so results in the
+        normal range are bit for bit those of the unscaled iteration, and
+        no 2-norm of it overflows or underflows on a right-hand side near
+        the ends of float64's range.
+
         ``F = M + sqrt(beta) A`` from :meth:`_presb_matrix` is passed to
         :func:`_factorize` as a temporary, so only its CSC is alive while
         SuperLU factors it.  The two right-hand sides of each PRESB
@@ -369,7 +397,9 @@ class BlockSaddleSystem:
         ResourceLimitError
             If its factor does not fit in memory.
         ResidualCertificationError
-            If the residual certificate cannot be met.
+            If the residual certificate cannot be met, GMRES meets a
+            non-finite number, or the certified p or y, scaled back,
+            leaves float64's range.
         """
         n = self.n
         rtol = DEFAULT_SOLVE_RTOL
@@ -377,6 +407,9 @@ class BlockSaddleSystem:
         self.fill = 0
         self.precision = None
         a, m, top, bottom = self.A, self.M, self.rhs_top, self.rhs_bottom
+        e = int(np.frexp(max(np.abs(top).max(initial=0.0),
+                             np.abs(bottom).max(initial=0.0)))[1])
+        top, bottom = np.ldexp(top, -e), np.ldexp(bottom, -e)
         bnorm = np.hypot(np.linalg.norm(top), np.linalg.norm(bottom))
         if bnorm == 0.0:
             return np.zeros(n), np.zeros(n), 0.0
@@ -438,4 +471,10 @@ class BlockSaddleSystem:
                 "relative residual %.3g exceeds certificate %.3g after %d "
                 "GMRES iterations" % (res, rtol, self.iterations)
             )
+        with np.errstate(over="ignore"):
+            p, y = np.ldexp(p, e), np.ldexp(y, e)
+        if not (np.isfinite(p).all() and np.isfinite(y).all()):
+            raise ResidualCertificationError(
+                "the certified solution overflows float64 once scaled back "
+                "by 2^%d" % e)
         return p, y, float(res)

@@ -30,6 +30,8 @@ the way it did before:
 
 - ``edge_connectivity`` finds the unique edges by ``np.unique`` and the
   two triangles of each edge by a second stable ``argsort``;
+- ``argsort_edge_pattern`` sorts the 2E + N int64 keys i * N + j of the
+  diagonal and both directions of every edge into the CSR edge pattern;
 - ``longest_side`` is the mesh size as the largest side norm of any
   triangle;
 - ``quadrature_table`` maps every quadrature point at once into one
@@ -69,6 +71,7 @@ from eafe_control.eafe import EdgeData
 from eafe_control.experiments import _layer_terms, manufactured_case
 from eafe_control.fem_core import (
     QUADRATURE,
+    EdgePattern,
     barycentric_gradient_table,
     lumped_mass_diagonal,
 )
@@ -171,6 +174,27 @@ def edge_connectivity(triangles):
     edge_tris[sorted_edges[second], 1] = sorted_tris[second]
     return (edges.astype(np.int32), edge_tris.astype(np.int32),
             tri_edges.astype(np.int32))
+
+
+def argsort_edge_pattern(mesh):
+    """
+    ``fem_core.edge_pattern`` by one ``argsort`` of the keys i * N + j of
+    the diagonal and both directions of every edge: the slot of each
+    entry is its rank.
+    """
+    n = mesh.num_vertices
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    order = np.argsort(rows * n + cols)
+    index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
+    slot = np.empty(order.size, dtype=index)
+    slot[order] = np.arange(order.size, dtype=index)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    ne = mesh.num_edges
+    return EdgePattern(indptr, cols[order].astype(index), slot[:n],
+                       slot[n:n + ne], slot[n + ne:])
 
 
 def longest_side(mesh):

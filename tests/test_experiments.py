@@ -20,6 +20,7 @@ from eafe_control.experiments import (
     run_stability,
     stability_problem,
 )
+from eafe_control.sparse_linalg import ResidualCertificationError
 from reference import (
     boundary_layer_source,
     convergence_study,
@@ -379,6 +380,41 @@ def test_cli_boundary_layer_run(tmp_path, capsys):
     echo = json.loads((tmp_path / "out" / "config.json").read_text())
     assert echo["metric"] == "quadrature"
     assert echo["lump_reaction"] is False
+
+
+def _log_numbers(path):
+    """Every numeric value of a ``key=value`` field of ``run.log``."""
+    numbers = []
+    for value in re.findall(r"=(\S+)", path.read_text()):
+        try:
+            numbers.append(float(value.rstrip("s")))
+        except ValueError:
+            pass
+    return numbers
+
+
+def test_cli_desired_state_near_the_float64_limit_ends_typed(tmp_path):
+    # EAFE stays below y_d = 1e308 and is certified; Galerkin overshoots
+    # it about 2.2 times, so its solution is no float64 and the run ends
+    # in the package's error, with no inf in the log
+    out = tmp_path / "out"
+    with pytest.raises(ResidualCertificationError, match="overflows float64"):
+        main(["--example", "stability", "--yd-const", "1e308",
+              "--levels", "3..3", "--out", str(out)])
+    log = out / "run.log"
+    assert re.search(r"^stability scheme=eafe level=3 ok=True worst=0\.",
+                     log.read_text(), re.M)
+    assert all(math.isfinite(x) for x in _log_numbers(log))
+
+
+def test_cli_interior_layer_at_huge_diffusion_runs(tmp_path):
+    # right-hand sides near 1e300 once overflowed the GMRES norms
+    out = tmp_path / "out"
+    assert main(["--example", "interior-layer", "--eps", "1e300",
+                 "--levels", "2..3", "--out", str(out)]) == 0
+    log = out / "run.log"
+    assert len(re.findall(r" level=[23] ", log.read_text())) == 2
+    assert all(math.isfinite(x) for x in _log_numbers(log))
 
 
 def test_cli_rejects_unknown_example():

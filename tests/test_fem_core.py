@@ -37,6 +37,7 @@ from eafe_control.mesh import (
 from eafe_control.optimal_control import solve
 from eafe_control.verify_norms import solution_errors
 from reference import (
+    argsort_edge_pattern,
     build_unit_square_upperleft,
     coo_eafe,
     coo_galerkin,
@@ -454,8 +455,6 @@ def test_cached_geometry_equals_fresh_computation():
     assert np.array_equal(signed_areas(mesh), mesh_module._signed_areas(mesh))
     assert np.array_equal(barycentric_gradient_table(mesh),
                           fem_core._barycentric_gradients(mesh))
-    assert all(np.array_equal(cached, fresh) for cached, fresh in
-               zip(edge_pattern(mesh), fem_core._edge_pattern(mesh)))
     table = quadrature_table(mesh)
     rows = list(quadrature_points(mesh))
     assert len(rows) == QUADRATURE.weights.size
@@ -480,7 +479,7 @@ def test_mesh_arrays_and_cached_geometry_are_read_only():
     assert mesh.vertices[0].tolist() == [0.0, 0.0]
     assert mesh.triangles[0].tolist() == [0, 1, 2]
     for array in (mesh.vertices, mesh.triangles, signed_areas(mesh),
-                  barycentric_gradient_table(mesh), *edge_pattern(mesh),
+                  barycentric_gradient_table(mesh),
                   *(a for row in quadrature_points(mesh) for a in row[2:]),
                   QUADRATURE.points, QUADRATURE.weights):
         with pytest.raises(ValueError):
@@ -517,6 +516,33 @@ def varying_coefficients():
     )
 
 
+@pytest.mark.parametrize("mesh", [
+    *(lambda k=k: build_unit_square(k) for k in range(1, 7)),
+    lambda: build_unit_square_upperleft(4),
+    lambda: jittered_renumbered_mesh(4, seed=11),
+    lambda: jittered_renumbered_mesh(5, seed=3),
+], ids=[*("level%d" % k for k in range(1, 7)), "upperleft",
+        "jittered-renumbered-4", "jittered-renumbered-5"])
+def test_edge_pattern_equals_argsort_reference(mesh):
+    mesh = mesh()
+    pattern = edge_pattern(mesh)
+    for built, ref in zip(pattern, argsort_edge_pattern(mesh)):
+        assert built.dtype == ref.dtype
+        assert np.array_equal(built, ref)
+    # every call builds fresh, writable arrays
+    again = edge_pattern(mesh)
+    for built, other in zip(pattern, again):
+        assert built.flags.writeable and not np.shares_memory(built, other)
+
+
+@pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
+def test_mesh_holds_no_edge_pattern_after_solve(scheme):
+    mesh = build_unit_square(4)
+    solve(mesh, boundary_layer_case(1e-2).problem, scheme)
+    # what the mesh caches after a solve; the pattern is not among it
+    assert set(mesh._geometry) <= {"areas", "gradients", "nd_order"}
+
+
 @pytest.mark.parametrize("matrix", ASSEMBLERS)
 @pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
 def test_pattern_assembly_equals_coo_reference(mesh_name, matrix):
@@ -550,8 +576,11 @@ def test_scatter_places_each_edge_value_in_its_slot():
     assert np.array_equal(a.indices, ref.indices)
     assert np.array_equal(a.data, ref.data)
     assert a.has_canonical_format
-    # the matrix owns its index arrays; the cached pattern stays read-only
-    assert not np.shares_memory(a.indices, edge_pattern(mesh).indices)
+    # the matrix takes the writable index arrays of a pattern built for
+    # the call, which no other matrix shares
+    b = scatter_edges(mesh, diag, ij, ji)
+    assert not np.shares_memory(a.indices, b.indices)
+    assert not np.shares_memory(a.indptr, b.indptr)
     a.indices[0] = a.indices[0]
 
 

@@ -17,6 +17,7 @@ from eafe_control.sparse_linalg import (
     ResourceLimitError,
     SingularMatrixError,
 )
+from eafe_control.verify_norms import certify_m_matrix
 from reference import (
     assemble_system,
     build_unit_square_upperleft,
@@ -431,6 +432,98 @@ def test_singular_factor_still_raises_singular_matrix_error(mode):
     a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(SingularMatrixError):
         sparse_linalg._factorize(a, **mode)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """
+    Records the matrix, the keywords and the factor of every SuperLU call,
+    and hands back the unwrapped ``splu``.
+    """
+    calls = []
+    splu = spla.splu
+
+    def recording(mat, **kwargs):
+        calls.append((mat, kwargs, splu(mat, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(sparse_linalg.spla, "splu", recording)
+    return calls, splu
+
+
+def test_factor_uses_one_column_panels_on_both_paths(splu_calls):
+    calls, _ = splu_calls
+    # the PRESB factor in the mesh's nested-dissection order
+    sol = optimal_control.solve(build_unit_square(4), stability_problem(1e-9),
+                                "eafe")
+    assert sol.residual <= 1e-10
+    # the certificate's LU in minimum-degree order: an M-matrix on which
+    # the sweep's x fails
+    a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, -0.9), (1, 0, -1.05),
+                             (1, 1, 1.0)])
+    assert certify_m_matrix(a).vector == "inverse"
+    assert [kwargs["permc_spec"] for _, kwargs, _ in calls] == [
+        "NATURAL", "MMD_AT_PLUS_A"]
+    assert all(kwargs["panel_size"] == 1 for _, kwargs, _ in calls)
+
+
+@pytest.mark.parametrize("example, level, precision", [
+    ("boundary-layer", 6, "float32"),
+    ("stability", 5, "float64"),
+])
+def test_one_column_panels_keep_pivots_and_fill(splu_calls, example, level,
+                                               precision):
+    calls, splu = splu_calls
+    problem = (boundary_layer_case(1e-2).problem if example == "boundary-layer"
+               else stability_problem(1e-9))
+    system = assemble_system(build_unit_square(level), problem, "eafe")
+    p, y, res = system.solve()
+    assert res <= 1e-10
+    assert system.precision == precision
+    ((mat, kwargs, lu),) = calls
+    wide = splu(mat, **{k: v for k, v in kwargs.items() if k != "panel_size"})
+    assert lu.nnz == wide.nnz == system.fill
+    assert np.array_equal(lu.perm_r, wide.perm_r)
+    assert np.array_equal(lu.perm_c, wide.perm_c)
+
+
+@pytest.mark.parametrize("k", [-600, 600, 1020])
+def test_solve_scales_the_right_hand_side_by_a_power_of_two(k):
+    # both blocks times 2^k give p and y times 2^k, bit for bit; without
+    # the scaling, 2^600 overflowed the GMRES norms and 2^-600 underflowed
+    # the right-hand-side norm to zero
+    base = _stability_system("eafe", 4, 1.0)
+    p, y, res = base.solve()
+    system = BlockSaddleSystem(base.A, base.M, np.ldexp(base.rhs_top, k),
+                               np.ldexp(base.rhs_bottom, k))
+    pk, yk, resk = system.solve()
+    assert np.array_equal(pk, np.ldexp(p, k))
+    assert np.array_equal(yk, np.ldexp(y, k))
+    assert resk == res and system.iterations == base.iterations
+
+
+def test_solution_beyond_float64_range_raises():
+    # y = -rhs_top / M_00 = -2^1020 * 2^4 is no float64
+    a = from_triplets(1, 1, [])
+    m = from_triplets(1, 1, [(0, 0, 2.0**-4)])
+    system = BlockSaddleSystem(a, m, np.array([2.0**1020]), np.zeros(1))
+    with pytest.raises(ResidualCertificationError, match="overflows"):
+        system.solve()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_krylov_numbers_raise(bad):
+    def matvec(x):
+        return np.full_like(x, bad)
+
+    # numpy warns of inf - inf on the way; the error is what counts
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ResidualCertificationError, match="Hessenberg"):
+            sparse_linalg._fgmres_cycle(matvec, lambda v: v, lambda z: z,
+                                        np.ones(4), 0.0)
+        with pytest.raises(ResidualCertificationError, match="residual norm"):
+            sparse_linalg._fgmres_cycle(matvec, lambda v: v, lambda z: z,
+                                        np.full(4, bad), 0.0)
 
 
 def test_krylov_solve_out_of_memory_raises_resource_limit_error(monkeypatch):
