@@ -138,27 +138,26 @@ def _transpose_slots(mat):
 
 def _one_pattern(a, m):
     """
-    A and M as canonical CSR matrices on one structurally symmetric
-    pattern, and ``partner``: for every stored entry (i, j), the slot of
-    entry (j, i) in their ``data``.  A pair already stored so, as every
-    pair assembled on a mesh is, is returned as the same objects; any
-    other is placed on the union of the patterns of A, A^T, M and M^T,
-    with explicit zeros where it has no entry.
+    For A and M canonical CSR on one structurally symmetric pattern, the
+    slot of entry (j, i) in their ``data`` for every stored entry (i, j).
     """
-    a, m = a.tocsr(), m.tocsr()
-    slots = _transpose_slots(a)
-    if not (a.has_canonical_format
-            and all(np.array_equal(x.indptr, a.indptr)
-                    and np.array_equal(x.indices, a.indices)
-                    for x in (m, slots))):
-        a, m = a.tocoo(), m.tocoo()
-        ij = np.hstack([a.coords, a.coords[::-1], m.coords, m.coords[::-1]])
-        pad_a, pad_m = np.zeros(a.nnz), np.zeros(m.nnz)
-        a, m = [sp.csr_matrix((np.concatenate(d), tuple(ij)), shape=a.shape)
-                for d in ([a.data, pad_a, pad_m, pad_m],
-                          [pad_a, pad_a, m.data, pad_m])]
+    if a.format == m.format == "csr" and a.has_canonical_format:
         slots = _transpose_slots(a)
-    return a, m, slots.data
+        if all(np.array_equal(x.indptr, a.indptr)
+               and np.array_equal(x.indices, a.indices) for x in (m, slots)):
+            return slots.data
+    raise ValueError("A and M must be canonical CSR matrices on one "
+                     "structurally symmetric pattern: store both on their "
+                     "union pattern, with explicit zeros")
+
+
+def _dot(x, y):
+    """
+    ``x . y`` in numpy's own einsum loop, with no BLAS call or temporary:
+    OpenBLAS ``ddot``, behind ``@`` and ``np.linalg.norm``, splits its sum
+    by thread, so its result depends on ``OPENBLAS_NUM_THREADS``.
+    """
+    return np.einsum("i,i", x, y)
 
 
 def _fgmres_cycle(matvec, psolve, direction, r, target):
@@ -187,7 +186,7 @@ def _fgmres_cycle(matvec, psolve, direction, r, target):
     cs = np.zeros(restart)
     sn = np.zeros(restart)
     g = np.zeros(restart + 1)
-    g[0] = np.linalg.norm(r)
+    g[0] = np.sqrt(_dot(r, r))
     if not np.isfinite(g[0]):
         raise ResidualCertificationError("non-finite GMRES residual norm")
     # one array per vector, not a (restart + 1) x size block: the vectors
@@ -201,9 +200,9 @@ def _fgmres_cycle(matvec, psolve, direction, r, target):
         z.append(psolve(v[j]))
         w = matvec(direction(z[j]))
         for i in range(j + 1):
-            h[i, j] = w @ v[i]
+            h[i, j] = _dot(w, v[i])
             w -= h[i, j] * v[i]
-        h_next = np.linalg.norm(w)
+        h_next = np.sqrt(_dot(w, w))
         if not (np.isfinite(h_next) and np.isfinite(h[:j + 1, j]).all()):
             raise ResidualCertificationError(
                 "non-finite Hessenberg entry in GMRES iteration %d" % (j + 1))
@@ -233,9 +232,10 @@ class BlockSaddleSystem:
 
     A is the (convection-diffusion-reaction) stiffness matrix, M the
     consistent mass matrix; beta > 0 defaults to 1, matching the
-    normalized control-cost weight used throughout.  M must be symmetric
-    to within ``SYM_RTOL`` (ValueError otherwise).  Both are stored on
-    one pattern (:func:`_one_pattern`).
+    normalized control-cost weight used throughout.  A and M are kept as
+    passed, canonical CSR on one structurally symmetric pattern as
+    assembled on a mesh, and M symmetric to within ``SYM_RTOL``
+    (ValueError otherwise; :func:`_one_pattern`).
 
     :meth:`solve` scales the adjoint, ``p = sqrt(beta) q``, and with
     ``K = sqrt(beta) A`` solves the balanced form
@@ -255,13 +255,13 @@ class BlockSaddleSystem:
     semidefinite, so that F has a positive definite symmetric part.
     Nothing checks that hypothesis at run time; the residual certificate
     below holds regardless.  F has a symmetric pattern and is factored
-    with diagonal pivots in a symmetric ordering (see
-    :func:`_factorize`): ``order`` when given
-    (:func:`optimal_control.solve` passes the interior part of the mesh's
-    nested-dissection order, 4.94 M stored entries at level 8), else
-    minimum degree (5.67 M), against 9.6 M for COLAMD with partial
-    pivoting.  ``fill`` records SuperLU's stored count of the factor
-    (``nnz``, slightly more than nnz(L) + nnz(U) of its CSC form).
+    with diagonal pivots in the symmetric ordering ``order``, a
+    permutation of the n dofs (see :func:`_factorize`):
+    :func:`optimal_control.solve` passes the interior part of the mesh's
+    nested-dissection order, 4.94 M stored entries at level 8, against
+    9.6 M for COLAMD with partial pivoting.  ``fill`` records SuperLU's
+    stored count of the factor (``nnz``, slightly more than nnz(L) +
+    nnz(U) of its CSC form).
     Every solution it returns is certified on the system above, with
     ``rtol`` = :data:`DEFAULT_SOLVE_RTOL`:
 
@@ -289,11 +289,11 @@ class BlockSaddleSystem:
     with a float64 factor.
     """
 
-    def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, order=None):
+    def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, *, order):
         n = a.shape[0]
         if a.shape != (n, n) or m.shape != (n, n):
             raise ValueError("block system needs square A, M of equal order")
-        self.A, self.M, partner = _one_pattern(a, m)
+        self.A, self.M, self.n = a, m, n
         self.rhs_top = np.asarray(rhs_top, dtype=float)
         self.rhs_bottom = np.asarray(rhs_bottom, dtype=float)
         self.beta = float(beta)
@@ -301,14 +301,15 @@ class BlockSaddleSystem:
             raise ValueError("beta must be positive")
         if self.rhs_top.shape != (n,) or self.rhs_bottom.shape != (n,):
             raise ValueError("right-hand side blocks have wrong length")
-        # ||M - M^T||_F over the union pattern, read from M's data
-        data = self.M.data
-        asym = np.linalg.norm(data - data[partner])
-        scale = max(np.abs(data).max(initial=0.0), 1e-300)
+        self.order = np.asarray(order)  #: symmetric ordering of F's factor
+        if self.order.shape != (n,):
+            raise ValueError("order must be a permutation of the n dofs")
+        # ||M - M^T||_F over the shared pattern, read from M's data
+        diff = m.data - m.data[_one_pattern(a, m)]
+        asym = np.sqrt(_dot(diff, diff))
+        scale = max(np.abs(m.data).max(initial=0.0), 1e-300)
         if asym > SYM_RTOL * scale * np.sqrt(max(m.nnz, 1)):
             raise ValueError("mass matrix is not symmetric to working precision")
-        #: symmetric ordering of the PRESB factor, or None for minimum degree
-        self.order = order
         #: GMRES iterations of the last :meth:`solve`, summed over restarts
         self.iterations = 0
         #: entries SuperLU stores for the factor of F in the last
@@ -352,10 +353,6 @@ class BlockSaddleSystem:
             self.precision = "float64"
         return sp.csr_matrix((data.astype(self.precision, copy=False),
                               m.indices, m.indptr), shape=m.shape)
-
-    @property
-    def n(self):
-        return self.A.shape[0]
 
     def solve(self):
         """
@@ -410,14 +407,14 @@ class BlockSaddleSystem:
         e = int(np.frexp(max(np.abs(top).max(initial=0.0),
                              np.abs(bottom).max(initial=0.0)))[1])
         top, bottom = np.ldexp(top, -e), np.ldexp(bottom, -e)
-        bnorm = np.hypot(np.linalg.norm(top), np.linalg.norm(bottom))
+        bnorm = np.sqrt(_dot(top, top) + _dot(bottom, bottom))
         if bnorm == 0.0:
             return np.zeros(n), np.zeros(n), 0.0
 
         s = np.sqrt(self.beta)
         # F = M + K is a temporary: _factorize drops it once its CSC is built
         lu = _factorize(self._presb_matrix(s), order=self.order)
-        o = slice(None) if self.order is None else self.order
+        o = self.order
         self.fill = lu.nnz
         # SuperLU solves only with right-hand sides of its factor's dtype
         dtype = self.precision
@@ -461,8 +458,8 @@ class BlockSaddleSystem:
             y, p = x[:n], s * x[n:]
             r_top = a.T @ p - m @ y - top
             r_bottom = -(m @ p) - self.beta * (a @ y) - bottom
-            res = np.hypot(np.linalg.norm(r_top),
-                           np.linalg.norm(r_bottom)) / bnorm
+            res = np.sqrt(_dot(r_top, r_top)
+                          + _dot(r_bottom, r_bottom)) / bnorm
             if res <= rtol * GMRES_MARGIN:
                 break
             r = np.concatenate([r_top, r_bottom / s])

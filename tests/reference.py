@@ -23,7 +23,12 @@ diagonal-pivot factor:
 The set-up checks of ``BlockSaddleSystem`` have union-pattern
 references, the rules the package applied before it read them from the
 data arrays: ``mass_is_symmetric`` forms ``M - M^T``, and
-``presb_precision`` forms ``|A| - e^2 |A|^T`` and ``F = M + s A``.
+``presb_precision`` forms ``|A| - e^2 |A|^T`` and ``F = M + s A``.  Both
+take a pair on any patterns.  ``BlockSaddleSystem`` takes only a pair
+on one structurally symmetric pattern, as assembled on a mesh, so the
+tests store each hand-built pair on the union of the patterns of A,
+A^T, M and M^T, with explicit zeros, and expect a ``ValueError`` for
+any other.
 
 The geometry references compute what the package computes in one pass
 the way it did before:

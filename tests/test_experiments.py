@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eafe_control
 from eafe_control.cli import build_parser, main, parse_levels, parse_region
 from eafe_control.experiments import (
     EXAMPLES,
@@ -415,6 +419,33 @@ def test_cli_interior_layer_at_huge_diffusion_runs(tmp_path):
     log = out / "run.log"
     assert len(re.findall(r" level=[23] ", log.read_text())) == 2
     assert all(math.isfinite(x) for x in _log_numbers(log))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: OpenBLAS would run one thread for "
+                           "both settings, so the pair proves nothing")
+def test_cli_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # level 7 is the smallest interior-layer level whose tables moved with
+    # the thread count while the Krylov reductions called OpenBLAS
+    src = str(Path(eafe_control.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("threads-" + threads)
+        pythonpath = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + (os.pathsep + pythonpath
+                                     if pythonpath else ""))
+        subprocess.run([sys.executable, "-m", "eafe_control.cli",
+                        "--example", "interior-layer", "--levels", "7..7",
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted(out.iterdir())
+                        if path.suffix in (".csv", ".vtk")})
+    assert sorted(outputs[0]) == ["interior-layer_eafe_global.csv",
+                                  "interior-layer_eafe_k7.vtk",
+                                  "interior-layer_eafe_local.csv"]
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_rejects_unknown_example():

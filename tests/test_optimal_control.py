@@ -21,13 +21,13 @@ from eafe_control.optimal_control import (
     write_solution_csv,
     write_solution_vtk,
 )
-from eafe_control.sparse_linalg import BlockSaddleSystem
 from legacy_vtk import read_legacy_vtk, same_bits
 from reference import (
     assemble_system,
     saddle_operator,
     saddle_rhs,
     smooth_case,
+    solve_direct,
     uniform_refine,
 )
 
@@ -280,7 +280,7 @@ def renumbered(mesh, rng):
     return TriMesh(vertices, perm[mesh.triangles]), perm
 
 
-def test_mesh_order_solve_matches_minimum_degree_solve_on_refined_jittered_mesh():
+def test_mesh_order_solve_matches_direct_solve_on_refined_jittered_mesh():
     # shrunk along its diagonals, the structured mesh stays Delaunay under
     # a small jitter (see test_eafe); refinement keeps the angles
     rng = np.random.default_rng(31)
@@ -295,13 +295,9 @@ def test_mesh_order_solve_matches_minimum_degree_solve_on_refined_jittered_mesh(
     sol = solve(mesh, problem, "eafe")
     assert sol.residual <= 1e-10 and sol.fill > 0
     system = assemble_system(mesh, problem, "eafe")
-    mmd = BlockSaddleSystem(system.A, system.M, system.rhs_top,
-                            system.rhs_bottom)
-    p, y, res = mmd.solve()
-    assert res <= 1e-10
+    ref = solve_direct(saddle_operator(system), saddle_rhs(system))
     interior = mesh.interior_vertices
     x = np.concatenate([sol.p_bar[interior], sol.y_bar[interior]])
-    ref = np.concatenate([p, y])
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 

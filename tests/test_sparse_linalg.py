@@ -129,10 +129,17 @@ def test_inverse_nonneg_detects_negative_entry():
     assert report.argmin == (0, 1)
 
 
+def _hand_built(a, m, top, bottom, beta=1.0):
+    """The system of hand-built blocks, factored in natural order."""
+    return BlockSaddleSystem(a, m, np.array(top, dtype=float),
+                             np.array(bottom, dtype=float), beta=beta,
+                             order=np.arange(a.shape[0]))
+
+
 def _small_system():
     a = from_triplets(2, 2, [(0, 0, 2.0), (0, 1, -1.0), (1, 0, -0.5), (1, 1, 3.0)])
     m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.25), (1, 0, 0.25), (1, 1, 1.0)])
-    return BlockSaddleSystem(a, m, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
+    return _hand_built(a, m, [1.0, 2.0], [0.0, -1.0])
 
 
 def test_block_operator_reconstruction_exact():
@@ -154,17 +161,20 @@ def test_block_solve_certified():
 
 
 def test_block_rejects_asymmetric_mass():
-    a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
-    m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.5), (1, 1, 1.0)])
-    with pytest.raises(ValueError):
-        BlockSaddleSystem(a, m, np.zeros(2), np.zeros(2))
+    # M_10 is a stored zero, so both blocks share one symmetric pattern
+    a = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.0), (1, 0, 0.0),
+                             (1, 1, 1.0)])
+    m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.5), (1, 0, 0.0),
+                             (1, 1, 1.0)])
+    with pytest.raises(ValueError, match="mass matrix is not symmetric"):
+        _hand_built(a, m, np.zeros(2), np.zeros(2))
 
 
 def _stability_system(scheme, level, beta):
     mesh = build_unit_square(level)
     base = assemble_system(mesh, stability_problem(1e-9), scheme)
     return BlockSaddleSystem(base.A, base.M, base.rhs_top, base.rhs_bottom,
-                             beta=beta)
+                             beta=beta, order=base.order)
 
 
 @pytest.mark.parametrize("beta", [1e-6, 1.0, 1e3])
@@ -272,9 +282,9 @@ def test_krylov_exact_preconditioner_breaks_down_after_one_iteration(top,
     # A = 0 makes PRESB the operator itself; with a diagonal M of powers of
     # two and a right-hand side along a unit vector every operation is
     # exact, so the first Arnoldi step leaves exactly zero (h[1, 0] == 0)
-    a = from_triplets(2, 2, [])
+    a = from_triplets(2, 2, [(0, 0, 0.0), (1, 1, 0.0)])
     m = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 4.0)])
-    system = BlockSaddleSystem(a, m, np.array(top), np.array(bottom))
+    system = _hand_built(a, m, top, bottom)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         p, y, res = system.solve()
@@ -282,6 +292,24 @@ def test_krylov_exact_preconditioner_breaks_down_after_one_iteration(top,
     assert res == 0.0
     assert np.array_equal(y, -np.array(top) / [2.0, 4.0])
     assert np.array_equal(p, -np.array(bottom) / [2.0, 4.0])
+
+
+@pytest.mark.parametrize("example", ["stability", "boundary-layer"])
+def test_krylov_solve_restarts_to_the_unrestarted_solution(monkeypatch,
+                                                           example):
+    # cycles of 5 iterations end before the certificate, so the solve
+    # restarts from the residual of its iterate
+    problem = (boundary_layer_case(1e-2).problem if example == "boundary-layer"
+               else stability_problem(1e-9))
+    system = assemble_system(build_unit_square(4), problem, "eafe")
+    p, y, res = system.solve()
+    assert res <= 1e-10
+    monkeypatch.setattr(sparse_linalg, "GMRES_RESTART", 5)
+    p5, y5, res5 = system.solve()
+    assert res5 <= 1e-10
+    assert system.iterations > 5
+    x, x5 = np.concatenate([p, y]), np.concatenate([p5, y5])
+    assert np.linalg.norm(x5 - x) <= 1e-9 * np.linalg.norm(x)
 
 
 def test_krylov_solve_factors_one_n_by_n_matrix(monkeypatch):
@@ -299,7 +327,7 @@ def test_krylov_solve_factors_one_n_by_n_matrix(monkeypatch):
     ref = (system.M + np.sqrt(2.0) * system.A).tocsc()
     assert f.shape == (system.n, system.n)
     assert abs(f - ref).max() == 0.0
-    assert kwargs == {"order": None}
+    assert list(kwargs) == ["order"] and kwargs["order"] is system.order
 
 
 def test_krylov_solve_zero_rhs():
@@ -388,8 +416,9 @@ def test_presb_factor_precision_follows_edge_peclet(monkeypatch, example,
 def test_presb_precision_bounds_every_off_diagonal_pair(a_ij, a_ji, precision):
     a = from_triplets(2, 2, [(0, 0, 20.0), (0, 1, a_ij), (1, 0, a_ji),
                              (1, 1, 20.0)])
-    m = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 2.0)])
-    system = BlockSaddleSystem(a, m, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
+    m = from_triplets(2, 2, [(0, 0, 2.0), (0, 1, 0.0), (1, 0, 0.0),
+                             (1, 1, 2.0)])
+    system = _hand_built(a, m, [1.0, 2.0], [0.0, -1.0])
     p, y, res = system.solve()
     assert system.precision == precision
     assert res <= 1e-10
@@ -405,8 +434,9 @@ def test_presb_entries_outside_float32_range_select_float64(scale):
     assert res <= 1e-10
 
 
-# The default call, the explicit ``order=None`` that BlockSaddleSystem.solve
-# passes for an unordered mesh, and a caller-computed order.
+# The default call in minimum-degree order, as the LU fallback of
+# certify_m_matrix makes it, the same with an explicit ``order=None``, and
+# a caller-computed order, as BlockSaddleSystem.solve passes it.
 FACTOR_MODES = [{}, {"order": None}, {"order": np.array([1, 0])}]
 
 
@@ -495,7 +525,7 @@ def test_solve_scales_the_right_hand_side_by_a_power_of_two(k):
     base = _stability_system("eafe", 4, 1.0)
     p, y, res = base.solve()
     system = BlockSaddleSystem(base.A, base.M, np.ldexp(base.rhs_top, k),
-                               np.ldexp(base.rhs_bottom, k))
+                               np.ldexp(base.rhs_bottom, k), order=base.order)
     pk, yk, resk = system.solve()
     assert np.array_equal(pk, np.ldexp(p, k))
     assert np.array_equal(yk, np.ldexp(y, k))
@@ -504,9 +534,9 @@ def test_solve_scales_the_right_hand_side_by_a_power_of_two(k):
 
 def test_solution_beyond_float64_range_raises():
     # y = -rhs_top / M_00 = -2^1020 * 2^4 is no float64
-    a = from_triplets(1, 1, [])
+    a = from_triplets(1, 1, [(0, 0, 0.0)])
     m = from_triplets(1, 1, [(0, 0, 2.0**-4)])
-    system = BlockSaddleSystem(a, m, np.array([2.0**1020]), np.zeros(1))
+    system = _hand_built(a, m, [2.0**1020], [0.0])
     with pytest.raises(ResidualCertificationError, match="overflows"):
         system.solve()
 
@@ -547,7 +577,7 @@ def test_krylov_solve_unattainable_certificate_raises(monkeypatch):
 def test_krylov_solve_singular_preconditioner_factor_raises():
     # M + sqrt(beta) A = 0 for A = -M and beta = 1
     m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 0.25), (1, 0, 0.25), (1, 1, 1.0)])
-    system = BlockSaddleSystem(-m, m, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
+    system = _hand_built(-m, m, [1.0, 2.0], [0.0, -1.0])
     with pytest.raises(SingularMatrixError):
         system.solve()
 
@@ -566,45 +596,39 @@ def test_krylov_iterations_do_not_grow_with_level():
 def test_block_rejects_nonpositive_beta(beta):
     a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(ValueError):
-        BlockSaddleSystem(a, a, np.zeros(2), np.zeros(2), beta=beta)
+        _hand_built(a, a, np.zeros(2), np.zeros(2), beta=beta)
 
 
 def _accepted_as_mass(m):
-    """Whether BlockSaddleSystem accepts ``m`` as its symmetric mass block."""
+    """
+    Whether BlockSaddleSystem accepts ``m`` as its symmetric mass block;
+    ``m`` is also passed as A, so that both share one pattern.
+    """
     n = m.shape[0]
     try:
-        BlockSaddleSystem(sp.identity(n, format="csr"), m, np.zeros(n),
-                          np.zeros(n))
+        _hand_built(m, m, np.zeros(n), np.zeros(n))
     except ValueError:
         return False
     return True
 
 
-def _assert_presb_matrix_is_the_sum(system, s, by_hand=None):
+def _assert_presb_matrix_is_the_sum(system, s):
     """
-    F of ``system`` is ``M + s A`` in the dtype of its factor.  For an
-    assembled pair it is scipy's sum in ``indptr``, ``indices`` and
-    ``data``; for a hand-built pair ``by_hand = (a, m)`` it is the sum
-    entrywise, stored on the union of the patterns of A, A^T, M and M^T,
-    stored zeros included.
+    F of ``system`` is ``M + s A`` in the dtype of its factor, stored on
+    the pattern of M, with no copy of its index arrays: the entries that
+    scipy's sum stores, in ``indptr``, ``indices`` and ``data``, and
+    stored zeros where that sum cancels or adds two stored zeros.
     """
     f = system._presb_matrix(s)
     assert f.dtype == system.precision
-    if by_hand is None:
-        ref = (system.M + s * system.A).tocsr().astype(system.precision)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(f, name), getattr(ref, name),
-                                  equal_nan=name == "data")
-        return f
-    a, m = by_hand
-    ref = (m + s * a).toarray().astype(system.precision)
-    assert np.array_equal(f.toarray(), ref, equal_nan=True)
-    a1, m1 = (sp.csr_matrix((np.ones(x.nnz), x.indices, x.indptr),
-                            shape=x.shape) for x in (a, m))
-    union = (a1 + a1.T + m1 + m1.T).tocsr()
-    union.sum_duplicates()
-    assert np.array_equal(f.indptr, union.indptr)
-    assert np.array_equal(f.indices, union.indices)
+    assert np.shares_memory(f.indices, system.M.indices)
+    assert np.array_equal(f.indptr, system.M.indptr)
+    ref = (system.M + s * system.A).tocsr().astype(system.precision)
+    stored = f.copy()
+    stored.eliminate_zeros()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(stored, name), getattr(ref, name),
+                              equal_nan=name == "data")
     return f
 
 
@@ -631,7 +655,7 @@ def test_setup_checks_decide_as_the_union_pattern_rules(scheme, eps):
         for s in (1.0, np.sqrt(2.0)):
             f = _assert_presb_matrix_is_the_sum(system, s)
             assert system.precision == presb_precision(system.A, system.M, s)
-            assert np.shares_memory(f.indices, system.M.indices)
+            assert np.count_nonzero(f.data) == f.nnz  # no entry of F cancels
         assert _accepted_as_mass(system.M) and mass_is_symmetric(system.M)
         # a convective stiffness block is no mass block, by either rule
         assert not _accepted_as_mass(system.A)
@@ -639,10 +663,12 @@ def test_setup_checks_decide_as_the_union_pattern_rules(scheme, eps):
 
 
 HAND_BUILT_PAIRS = {
-    # (A entries, M entries) of 3 x 3 matrices; M is symmetric in value
+    # (A entries, M entries) of 3 x 3 matrices on one symmetric pattern,
+    # with stored zeros where a block has no entry; M is symmetric in value
     "one-stored-zero": ([(0, 0, 20.0), (0, 1, 0.0), (1, 0, -1.0),
                          (1, 1, 20.0), (2, 2, 20.0)],
-                        [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)]),
+                        [(0, 0, 2.0), (0, 1, 0.0), (1, 0, 0.0), (1, 1, 2.0),
+                         (2, 2, 2.0)]),
     "both-stored-zero-shared": ([(0, 0, 20.0), (0, 1, 0.0), (1, 0, 0.0),
                                  (1, 1, 20.0), (2, 2, 20.0)],
                                 [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5),
@@ -651,13 +677,6 @@ HAND_BUILT_PAIRS = {
                    (1, 1, 20.0), (2, 2, 20.0)],
                   [(0, 0, 2.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 2.0),
                    (2, 2, 2.0)]),
-    "nonsymmetric-pattern": ([(0, 0, 20.0), (0, 2, -1.0), (1, 1, 20.0),
-                              (1, 2, -1.0), (2, 1, -2.0), (2, 2, 20.0)],
-                             [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)]),
-    "nonsymmetric-pattern-stored-zero": ([(0, 0, 20.0), (0, 2, 0.0),
-                                          (1, 1, 20.0), (2, 2, 20.0)],
-                                         [(0, 0, 2.0), (0, 2, 0.0),
-                                          (1, 1, 2.0), (2, 2, 2.0)]),
     "sum-cancels-on-shared-pattern": ([(0, 0, 1.0), (0, 1, -1.0),
                                        (1, 0, -1.0), (1, 1, 1.0),
                                        (2, 2, 1.0)],
@@ -665,15 +684,35 @@ HAND_BUILT_PAIRS = {
                                        (1, 1, 2.0), (2, 2, 2.0)]),
 }
 
+OFF_PATTERN_PAIRS = {
+    # (A entries, M entries) of 3 x 3 matrices on no one symmetric pattern
+    "different-patterns": ([(0, 0, 20.0), (0, 1, 0.0), (1, 0, -1.0),
+                            (1, 1, 20.0), (2, 2, 20.0)],
+                           [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)]),
+    "nonsymmetric-pattern": ([(0, 0, 20.0), (0, 2, -1.0), (1, 1, 20.0),
+                              (1, 2, -1.0), (2, 1, -2.0), (2, 2, 20.0)],
+                             [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)]),
+    "nonsymmetric-pattern-stored-zero": ([(0, 0, 20.0), (0, 2, 0.0),
+                                          (1, 1, 20.0), (2, 2, 20.0)],
+                                         [(0, 0, 2.0), (0, 2, 0.0),
+                                          (1, 1, 2.0), (2, 2, 2.0)]),
+}
+
+
+def _hand_built_pair(entries):
+    a_entries, m_entries = entries
+    a, m = from_triplets(3, 3, a_entries), from_triplets(3, 3, m_entries)
+    # the stored zeros are kept
+    assert (a.nnz, m.nnz) == (len(a_entries), len(m_entries))
+    return a, m
+
 
 @pytest.mark.parametrize("case", sorted(HAND_BUILT_PAIRS))
 def test_setup_checks_decide_as_the_union_pattern_rules_by_hand(case):
-    a_entries, m_entries = HAND_BUILT_PAIRS[case]
-    a, m = from_triplets(3, 3, a_entries), from_triplets(3, 3, m_entries)
-    assert a.nnz == len(a_entries)  # the stored zeros are kept
-    system = BlockSaddleSystem(a, m, np.ones(3), np.zeros(3))
+    a, m = _hand_built_pair(HAND_BUILT_PAIRS[case])
+    system = _hand_built(a, m, np.ones(3), np.zeros(3))
     for s in (1.0, 0.5):
-        _assert_presb_matrix_is_the_sum(system, s, by_hand=(a, m))
+        _assert_presb_matrix_is_the_sum(system, s)
         assert system.precision == presb_precision(a, m, s)
     for mat in (a, m):
         assert _accepted_as_mass(mat) == mass_is_symmetric(mat)
@@ -681,19 +720,49 @@ def test_setup_checks_decide_as_the_union_pattern_rules_by_hand(case):
 
 def test_setup_checks_by_hand_cover_both_verdicts():
     verdicts = {}
-    for case, (a_entries, m_entries) in HAND_BUILT_PAIRS.items():
-        a, m = from_triplets(3, 3, a_entries), from_triplets(3, 3, m_entries)
-        system = BlockSaddleSystem(a, m, np.ones(3), np.zeros(3))
+    for case, entries in HAND_BUILT_PAIRS.items():
+        a, m = _hand_built_pair(entries)
+        system = _hand_built(a, m, np.ones(3), np.zeros(3))
         system._presb_matrix(1.0)
         verdicts[case] = (system.precision, _accepted_as_mass(a))
     assert verdicts == {
         "one-stored-zero": ("float64", False),
         "both-stored-zero-shared": ("float32", True),
         "nan-entry": ("float64", True),  # NaN compares false to the bound
-        "nonsymmetric-pattern": ("float64", False),
-        "nonsymmetric-pattern-stored-zero": ("float32", True),
         "sum-cancels-on-shared-pattern": ("float32", True),
     }
+
+
+@pytest.mark.parametrize("case", sorted(OFF_PATTERN_PAIRS))
+def test_block_rejects_a_pair_off_one_symmetric_pattern(case):
+    a, m = _hand_built_pair(OFF_PATTERN_PAIRS[case])
+    for pair in ((a, m), (m, a)):
+        with pytest.raises(ValueError, match="one structurally symmetric"):
+            _hand_built(*pair, np.ones(3), np.zeros(3))
+
+
+def test_block_rejects_a_pair_not_in_canonical_csr():
+    system = _small_system()
+    a, m = system.A, system.M
+    # the two entries of row 0 swapped, the same in both blocks
+    swap = [1, 0, 2, 3]
+    unsorted = [sp.csr_matrix((x.data[swap], x.indices[swap], x.indptr),
+                              shape=x.shape) for x in (a, m)]
+    assert not unsorted[0].has_canonical_format
+    for pair in ((a.tocsc(), m.tocsc()), (a, m.tocsc()), (a.tocoo(), m),
+                 unsorted):
+        with pytest.raises(ValueError, match="canonical CSR"):
+            _hand_built(*pair, [1.0, 2.0], [0.0, -1.0])
+
+
+def test_block_requires_an_order_of_the_n_dofs():
+    system = _small_system()
+    args = (system.A, system.M, system.rhs_top, system.rhs_bottom)
+    with pytest.raises(TypeError, match="order"):
+        BlockSaddleSystem(*args)  # keyword-only, with no default
+    for order in (None, np.arange(3), np.arange(4).reshape(2, 2)):
+        with pytest.raises(ValueError, match="order"):
+            BlockSaddleSystem(*args, order=order)
 
 
 @pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
