@@ -23,14 +23,11 @@ import warnings
 import numpy as np
 
 from .fem_core import (
-    CoefficientError,
     DataError,
-    finite_samples,
     fold_blocks,
     lumped_mass_diagonal,
     nondegenerate_areas,
     quadrature_points,
-    reaction_samples,
     scatter_edges,
 )
 from .mesh import LOCAL_EDGES, delaunay_report, signed_areas
@@ -138,6 +135,7 @@ class EdgeData:
     Attributes
     ----------
     eps_e, zeta_e : midpoint-averaged diffusion / convection per edge
+    gamma_v : (N,) reaction at the vertices, for the lumped reaction
     tri_weights : (M, 3) edge weights per triangle, LOCAL_EDGES order,
         half cotangents (:func:`triangle_edge_weights`); no barycentric
         gradient table is built for them
@@ -145,25 +143,22 @@ class EdgeData:
     delaunay : DelaunayReport of the summed weights
     c_ij, c_ji : flux coefficients (c_ij multiplies the head value)
 
+    The coefficients are sampled once, at the vertices, by
+    :meth:`fem_core.CoefficientField.samples`.
+
     Raises
     ------
     DataError
-        If a diffusion or convection sample is not finite.
+        If a coefficient sample is not finite.
     CoefficientError
-        If the diffusion sampled at the vertices violates its declared
-        bounds or is not positive.
+        If a diffusion sample is not positive (the exponential fitting
+        divides by the edge-averaged diffusion) or a reaction sample is
+        negative.
     """
 
     def __init__(self, mesh, coeff):
-        xv = mesh.vertices[:, 0]
-        yv = mesh.vertices[:, 1]
-        eps_v = finite_samples("diffusion", coeff.eps(xv, yv), xv.shape)
-        zx_v, zy_v = (finite_samples("convection", c, xv.shape)
-                      for c in coeff.zeta(xv, yv))
-        coeff.check_samples(xv, yv, eps_v)
-        if np.min(eps_v) <= 0.0:
-            # the exponential fitting divides by the edge-averaged diffusion
-            raise CoefficientError("edge-averaged assembly needs positive diffusion")
+        eps_v, zx_v, zy_v, self.gamma_v = coeff.samples(mesh.vertices[:, 0],
+                                                        mesh.vertices[:, 1])
         i = mesh.edges[:, 0]
         j = mesh.edges[:, 1]
         self.eps_e = 0.5 * (eps_v[i] + eps_v[j])
@@ -197,8 +192,12 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
 
     A failed edge-weight (Delaunay) check of the summed weights does not
     abort assembly; it is raised as a MonotonicityLossWarning so the
-    verification layer can decide.  A non-finite coefficient sample raises
-    DataError, a negative reaction sample CoefficientError.
+    verification layer can decide.  The coefficients are sampled at the
+    vertices (:class:`EdgeData`) and, for the consistent reaction, once
+    per quadrature row, each time by
+    :meth:`fem_core.CoefficientField.samples`: a non-finite sample raises
+    DataError, a nonpositive diffusion or negative reaction sample
+    CoefficientError.
     """
     data = EdgeData(mesh, coeff)
     n = mesh.num_vertices
@@ -208,16 +207,12 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
              + np.bincount(mesh.edges[:, 1], weights=ij, minlength=n))
 
     if lump_reaction:
-        xv = mesh.vertices[:, 0]
-        yv = mesh.vertices[:, 1]
-        gam_v = reaction_samples(coeff, xv, yv)
-        diag += gam_v * lumped_mass_diagonal(mesh)
+        diag += data.gamma_v * lumped_mass_diagonal(mesh)
     else:
         areas = signed_areas(mesh)
         local = np.zeros((mesh.num_triangles, 3, 3))
         for lam, w, xq, yq in quadrature_points(mesh):
-            gq = reaction_samples(coeff, xq, yq)
-            scale = w * areas * gq
+            scale = w * areas * coeff.samples(xq, yq)[3]
             for a in range(3):
                 for b in range(3):
                     local[:, a, b] += scale * lam[a] * lam[b]

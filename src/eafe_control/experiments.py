@@ -138,8 +138,7 @@ def manufactured_case(name, eps, zeta, gamma, y, p, lift=False):
     def exact_p(x1, x2):
         return p(x1, x2)[0]
 
-    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma,
-                             gamma_assumption=gamma, div_zeta=0.0)
+    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma)
     traces = {"dirichlet_y": exact_y, "dirichlet_p": exact_p} if lift else {}
     problem = ProblemSpec(coeff, source=source, **traces)
     return ManufacturedCase(name, problem, exact_y,
@@ -164,8 +163,7 @@ def _layer_terms(z, eps):
 
 def stability_problem(eps, yd_const=1.0):
     """Tracking problem with constant desired state under strong convection."""
-    coeff = CoefficientField(eps=eps, zeta=(-1.0, 0.0), gamma=0.0,
-                             div_zeta=0.0)
+    coeff = CoefficientField(eps=eps, zeta=(-1.0, 0.0), gamma=0.0)
     return ProblemSpec(coeff, y_d=yd_const)
 
 

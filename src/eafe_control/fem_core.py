@@ -22,7 +22,7 @@ LOAD_BLOCK = 16384
 
 
 class CoefficientError(ValueError):
-    """Sampled coefficients violate their declared bounds."""
+    """A diffusion sample is not positive or a reaction sample is negative."""
 
 
 class DataError(ValueError):
@@ -58,6 +58,10 @@ class CoefficientField:
     """
     Diffusion / convection / reaction data of the constrained equation.
 
+    Every sample that assembly uses comes from :meth:`samples`, which
+    holds the data to the contract of both schemes: every sample finite,
+    eps > 0 and gamma >= 0.
+
     Parameters
     ----------
     eps : scalar field or number
@@ -65,57 +69,47 @@ class CoefficientField:
     zeta : vector field or pair
         Convection field.
     gamma : scalar field or number
-        Nonnegative reaction coefficient; assembly raises CoefficientError
-        on a negative sample (:func:`reaction_samples`).
+        Nonnegative reaction coefficient.
     beta : float
-        Control-cost weight (kept at 1 for the discrete optimality system).
-    eps_floor : float, optional
-        Claimed lower bound for eps; checked wherever eps is sampled.
-    gamma_assumption : float
-        Claimed lower bound gamma - div(zeta)/2 >= gamma_assumption.  Only
-        enforced when positive, and then ``div_zeta`` is required.
-    div_zeta : scalar field, optional
-        Analytic divergence of zeta.
+        Control-cost weight, positive and finite (kept at 1 for the
+        discrete optimality system).
     """
 
-    def __init__(self, eps, zeta, gamma, beta=1.0, eps_floor=None,
-                 gamma_assumption=0.0, div_zeta=None):
+    def __init__(self, eps, zeta, gamma, beta=1.0):
         self.eps = as_scalar_field(eps)
         self.zeta = as_vector_field(zeta)
         self.gamma = as_scalar_field(gamma)
         self.beta = float(beta)
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if eps_floor is None and not callable(eps):
-            eps_floor = float(eps)
-        self.eps_floor = eps_floor
-        self.gamma_assumption = float(gamma_assumption)
-        if self.gamma_assumption > 0.0 and div_zeta is None:
-            raise ValueError("a positive gamma_assumption needs div_zeta")
-        self.div_zeta = as_scalar_field(div_zeta) if div_zeta is not None else None
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
 
-    def check_samples(self, x, y, eps_values):
-        """Enforce the declared bounds at samples where eps is ``eps_values``."""
-        emin = np.min(eps_values)
-        if self.eps_floor is None:
-            # no declared bound: still insist on positive diffusion
-            if emin <= 0.0:
-                raise CoefficientError(
-                    "sampled diffusion %.3g is not positive" % emin
-                )
-        elif emin < self.eps_floor:
-            raise CoefficientError(
-                "sampled diffusion %.3g below declared floor %.3g"
-                % (emin, self.eps_floor)
-            )
-        if self.gamma_assumption > 0.0:
-            eff = self.gamma(x, y) - 0.5 * self.div_zeta(x, y)
-            worst = np.min(finite_samples("gamma - div(zeta)/2", eff, np.shape(x)))
-            if worst < self.gamma_assumption * (1.0 - 1e-8):
-                raise CoefficientError(
-                    "gamma - div(zeta)/2 reaches %.3g, below the declared "
-                    "bound %.3g" % (worst, self.gamma_assumption)
-                )
+    def samples(self, x, y):
+        """
+        The coefficients at ``(x, y)``: ``(eps, zeta_x, zeta_y, gamma)``,
+        each a float array broadcast to the shape of ``x``.
+
+        Raises
+        ------
+        DataError
+            Unless every sample is finite.
+        CoefficientError
+            Naming the smallest sample, if a diffusion sample is not
+            positive (the exponential fitting divides by it) or a reaction
+            sample is negative (the M-matrix and desired-state bound
+            arguments need gamma >= 0).
+        """
+        shape = np.shape(x)
+        eps = finite_samples("diffusion", self.eps(x, y), shape)
+        zx, zy = (finite_samples("convection", c, shape) for c in self.zeta(x, y))
+        gamma = finite_samples("reaction", self.gamma(x, y), shape)
+        emin = eps.min(initial=np.inf)
+        if emin <= 0.0:
+            raise CoefficientError("sampled diffusion %.3g is not positive"
+                                   % emin)
+        gmin = gamma.min(initial=0.0)
+        if gmin < 0.0:
+            raise CoefficientError("sampled reaction %.3g is negative" % gmin)
+        return eps, zx, zy, gamma
 
 
 def finite_samples(what, values, shape):
@@ -124,20 +118,6 @@ def finite_samples(what, values, shape):
     if not np.all(np.isfinite(values)):
         raise DataError("%s produced a non-finite sample" % what)
     return values
-
-
-def reaction_samples(coeff, x, y):
-    """
-    The reaction gamma at ``(x, y)``, broadcast to the shape of ``x``.
-    DataError unless every sample is finite; CoefficientError, naming the
-    smallest sample, if one is negative, since the M-matrix and
-    desired-state bound arguments need gamma >= 0.
-    """
-    gam = finite_samples("reaction", coeff.gamma(x, y), np.shape(x))
-    worst = gam.min(initial=0.0)
-    if worst < 0.0:
-        raise CoefficientError("sampled reaction %.3g is negative" % worst)
-    return gam
 
 
 class QuadratureRule:
@@ -376,18 +356,16 @@ def assemble_galerkin_stiffness(mesh, coeff):
     to (trial phi_j, test phi_i), integrated with :data:`QUADRATURE`.
     The (M, 3, 3) element blocks are folded onto the mesh edges
     (:func:`fold_blocks`) and returned as a CSR matrix on
-    :func:`edge_pattern`.  A non-finite coefficient sample raises
-    DataError, a negative reaction sample CoefficientError.
+    :func:`edge_pattern`.  The coefficients are sampled once per
+    quadrature row by :meth:`CoefficientField.samples`, which raises
+    DataError on a non-finite sample and CoefficientError on a
+    nonpositive diffusion or a negative reaction sample.
     """
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
     local = np.zeros((mesh.num_triangles, 3, 3))
     for lam, w, xq, yq in quadrature_points(mesh):
-        eps_q = finite_samples("diffusion", coeff.eps(xq, yq), xq.shape)
-        zx, zy = (finite_samples("convection", c, xq.shape)
-                  for c in coeff.zeta(xq, yq))
-        gam = reaction_samples(coeff, xq, yq)
-        coeff.check_samples(xq, yq, eps_q)
+        eps_q, zx, zy, gam = coeff.samples(xq, yq)
         scale = w * areas
         for i in range(3):
             conv_i = zx * grads[:, i, 0] + zy * grads[:, i, 1]

@@ -96,8 +96,8 @@ class SolutionPair:
 
 def recover_control(p_bar, beta):
     """Optimality relation: u = -p / beta."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     return -np.asarray(p_bar, dtype=float) / float(beta)
 
 

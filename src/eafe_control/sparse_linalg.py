@@ -231,10 +231,10 @@ class BlockSaddleSystem:
         [ -M   -beta A ] [y] = [rhs_bottom]
 
     A is the (convection-diffusion-reaction) stiffness matrix, M the
-    consistent mass matrix; beta > 0 defaults to 1, matching the
-    normalized control-cost weight used throughout.  A and M are kept as
-    passed, canonical CSR on one structurally symmetric pattern as
-    assembled on a mesh, and M symmetric to within ``SYM_RTOL``
+    consistent mass matrix; beta, positive and finite, defaults to 1,
+    matching the normalized control-cost weight used throughout.  A and
+    M are kept as passed, canonical CSR on one structurally symmetric
+    pattern as assembled on a mesh, and M symmetric to within ``SYM_RTOL``
     (ValueError otherwise; :func:`_one_pattern`).
 
     :meth:`solve` scales the adjoint, ``p = sqrt(beta) q``, and with
@@ -256,7 +256,8 @@ class BlockSaddleSystem:
     Nothing checks that hypothesis at run time; the residual certificate
     below holds regardless.  F has a symmetric pattern and is factored
     with diagonal pivots in the symmetric ordering ``order``, a
-    permutation of the n dofs (see :func:`_factorize`):
+    permutation of the n dofs, checked on construction (ValueError
+    otherwise; see :func:`_factorize`):
     :func:`optimal_control.solve` passes the interior part of the mesh's
     nested-dissection order, 4.94 M stored entries at level 8, against
     9.6 M for COLAMD with partial pivoting.  ``fill`` records SuperLU's
@@ -297,12 +298,19 @@ class BlockSaddleSystem:
         self.rhs_top = np.asarray(rhs_top, dtype=float)
         self.rhs_bottom = np.asarray(rhs_bottom, dtype=float)
         self.beta = float(beta)
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
         if self.rhs_top.shape != (n,) or self.rhs_bottom.shape != (n,):
             raise ValueError("right-hand side blocks have wrong length")
         self.order = np.asarray(order)  #: symmetric ordering of F's factor
-        if self.order.shape != (n,):
+        # n integer indices in [0, n) that mark every dof of an n-byte mask
+        ok = (self.order.shape == (n,) and self.order.dtype.kind in "iu"
+              and np.all((self.order >= 0) & (self.order < n)))
+        if ok:
+            seen = np.zeros(n, dtype=bool)
+            seen[self.order] = True
+            ok = seen.all()
+        if not ok:
             raise ValueError("order must be a permutation of the n dofs")
         # ||M - M^T||_F over the shared pattern, read from M's data
         diff = m.data - m.data[_one_pattern(a, m)]

@@ -70,7 +70,7 @@ def test_acceptance_1_bernoulli_kernel():
 
 def test_acceptance_2_galerkin_reduction():
     t0 = time.perf_counter()
-    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, div_zeta=0.0)
+    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0)
     worst = 0.0
     for level in range(1, 6):
         mesh = build_unit_square(level)
@@ -92,14 +92,12 @@ def test_acceptance_2_galerkin_reduction():
 
 def benchmark_coefficient_sets():
     sets = {"stability eps=1e-9": CoefficientField(
-        eps=1e-9, zeta=(-1.0, 0.0), gamma=0.0, div_zeta=0.0)}
+        eps=1e-9, zeta=(-1.0, 0.0), gamma=0.0)}
     for eps in (1e-2, 1e-9):
         sets["boundary-layer eps=%g" % eps] = CoefficientField(
-            eps=eps, zeta=(-SQ2, -SQ2), gamma=1.0, gamma_assumption=1.0,
-            div_zeta=0.0)
+            eps=eps, zeta=(-SQ2, -SQ2), gamma=1.0)
         sets["interior-layer eps=%g" % eps] = CoefficientField(
-            eps=eps, zeta=(-1.0, 0.0), gamma=1.0, gamma_assumption=1.0,
-            div_zeta=0.0)
+            eps=eps, zeta=(-1.0, 0.0), gamma=1.0)
     return sets
 
 

@@ -29,7 +29,7 @@ from reference import gradient_edge_weights, jittered_renumbered_mesh
 
 
 def diffusion_only(eps=1.0):
-    return CoefficientField(eps=eps, zeta=(0.0, 0.0), gamma=0.0, div_zeta=0.0)
+    return CoefficientField(eps=eps, zeta=(0.0, 0.0), gamma=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +210,7 @@ def test_flux_rejects_nonpositive_diffusion():
 
 def test_edge_data_structured_mesh():
     mesh = build_unit_square(2)
-    coeff = CoefficientField(eps=1e-3, zeta=(-1.0, 0.0), gamma=0.0,
-                             div_zeta=0.0)
+    coeff = CoefficientField(eps=1e-3, zeta=(-1.0, 0.0), gamma=0.0)
     data = EdgeData(mesh, coeff)
     assert np.all(data.eps_e > 0.0)
     assert np.all(data.c_ij > 0.0) and np.all(data.c_ji > 0.0)
@@ -256,7 +255,7 @@ def test_interior_row_is_scharfetter_gummel_stencil():
     eps = 1e-2
     mesh = build_unit_square(2)
     h = 0.25
-    coeff = CoefficientField(eps=eps, zeta=(-1.0, 0.0), gamma=0.0, div_zeta=0.0)
+    coeff = CoefficientField(eps=eps, zeta=(-1.0, 0.0), gamma=0.0)
     a = assemble_eafe_stiffness(mesh, coeff).toarray()
     center = np.flatnonzero(
         (mesh.vertices[:, 0] == 0.5) & (mesh.vertices[:, 1] == 0.5)
@@ -321,7 +320,7 @@ def test_edge_path_matches_per_triangle_reference_on_renumbered_mesh():
     coeff = CoefficientField(
         eps=lambda x, y: 1e-2 * (1.0 + x + y * y),
         zeta=lambda x, y: (np.sin(2.0 * np.pi * y) - 0.5, np.cos(3.0 * x)),
-        gamma=0.0, eps_floor=1e-2,
+        gamma=0.0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -344,7 +343,7 @@ def test_edge_path_matches_per_triangle_reference_on_renumbered_mesh():
 )
 def test_m_matrix_sign_pattern(eps, zeta, gamma):
     mesh = build_unit_square(3)
-    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma, div_zeta=0.0)
+    coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma)
     a = assemble_eafe_stiffness(mesh, coeff)
     diag = a.diagonal()
     assert diag.min() > 0.0
@@ -360,9 +359,8 @@ def test_m_matrix_sign_pattern(eps, zeta, gamma):
 
 def test_lumped_reaction_only_touches_diagonal():
     mesh = build_unit_square(2)
-    base = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=0.0, div_zeta=0.0)
-    with_reaction = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=2.0,
-                                     div_zeta=0.0)
+    base = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=0.0)
+    with_reaction = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=2.0)
     a0 = assemble_eafe_stiffness(mesh, base).toarray()
     a1 = assemble_eafe_stiffness(mesh, with_reaction).toarray()
     diff = a1 - a0
@@ -376,9 +374,8 @@ def test_lumped_reaction_only_touches_diagonal():
 
 def test_consistent_reaction_adds_weighted_mass():
     mesh = build_unit_square(2)
-    base = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=0.0, div_zeta=0.0)
-    with_reaction = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=2.0,
-                                     div_zeta=0.0)
+    base = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=0.0)
+    with_reaction = CoefficientField(eps=1.0, zeta=(0.3, -0.2), gamma=2.0)
     a0 = assemble_eafe_stiffness(mesh, base, lump_reaction=False).toarray()
     a1 = assemble_eafe_stiffness(mesh, with_reaction, lump_reaction=False).toarray()
     m = assemble_mass(mesh).toarray()

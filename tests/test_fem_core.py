@@ -180,7 +180,7 @@ def test_mass_row_sums_are_third_of_patch():
 
 
 def test_galerkin_pure_diffusion_reference_triangle():
-    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, div_zeta=0.0)
+    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0)
     a = assemble_galerkin_stiffness(reference_triangle(), coeff).toarray()
     expected = np.array(
         [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]]
@@ -189,18 +189,20 @@ def test_galerkin_pure_diffusion_reference_triangle():
 
 
 def test_galerkin_reaction_only_equals_mass():
+    # the diffusion must be positive, so the reaction term is isolated as
+    # the difference of two assemblies that differ only in gamma
     mesh = build_unit_square(2)
-    coeff = CoefficientField(eps=0.0, zeta=(0.0, 0.0), gamma=1.0,
-                             eps_floor=0.0, div_zeta=0.0)
-    # eps == 0 is allowed here solely to isolate the reaction term
-    a = assemble_galerkin_stiffness(mesh, coeff)
+    with_reaction, without = (
+        assemble_galerkin_stiffness(
+            mesh, CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=gamma))
+        for gamma in (1.0, 0.0))
     m = assemble_mass(mesh)
-    assert np.abs(a.toarray() - m.toarray()).max() <= 1e-15
+    assert np.abs((with_reaction - without).toarray() - m.toarray()).max() <= 1e-15
 
 
 def test_galerkin_pure_diffusion_spd_with_constant_kernel():
     mesh = build_unit_square(2)
-    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, div_zeta=0.0)
+    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0)
     dense = assemble_galerkin_stiffness(mesh, coeff).toarray()
     assert np.abs(dense - dense.T).max() <= 1e-14
     ones = np.ones(mesh.num_vertices)
@@ -211,7 +213,7 @@ def test_galerkin_pure_diffusion_spd_with_constant_kernel():
 
 def test_galerkin_convection_interior_rows_annihilate_constants():
     mesh = build_unit_square(3)
-    coeff = CoefficientField(eps=1.0, zeta=(1.0, 0.0), gamma=0.0, div_zeta=0.0)
+    coeff = CoefficientField(eps=1.0, zeta=(1.0, 0.0), gamma=0.0)
     a = assemble_galerkin_stiffness(mesh, coeff)
     residual = a @ np.ones(mesh.num_vertices)
     assert np.abs(residual[mesh.interior_vertices]).max() <= 1e-13
@@ -335,41 +337,15 @@ def test_interpolate_nonfinite_raises():
     "assemble", [assemble_galerkin_stiffness, assemble_eafe_stiffness],
     ids=["galerkin", "eafe"],
 )
-def test_coefficient_floor_violation(assemble):
+def test_nonpositive_diffusion_inside_the_domain_raises(assemble):
+    # eps = 0.5 - x is negative on part of every quadrature row and at
+    # the vertices with x > 1/2
     mesh = build_unit_square(2)
-    coeff = CoefficientField(
-        eps=lambda x, y: 1.0 - x, zeta=(0.0, 0.0), gamma=0.0,
-        eps_floor=0.5, div_zeta=0.0,
-    )
-    with pytest.raises(CoefficientError):
+    coeff = CoefficientField(eps=lambda x, y: 0.5 - x, zeta=(0.0, 0.0),
+                             gamma=0.0)
+    with pytest.raises(CoefficientError,
+                       match=r"sampled diffusion -0\.\d+ is not positive"):
         assemble(mesh, coeff)
-
-
-@pytest.mark.parametrize(
-    "assemble", [assemble_galerkin_stiffness, assemble_eafe_stiffness],
-    ids=["galerkin", "eafe"],
-)
-def test_gamma_assumption_violation(assemble):
-    mesh = build_unit_square(2)
-    # gamma - div(zeta)/2 = -1 < claimed bound 0.5
-    coeff = CoefficientField(
-        eps=1.0, zeta=lambda x, y: (2.0 * x, 0.0), gamma=0.0,
-        gamma_assumption=0.5, div_zeta=2.0,
-    )
-    with pytest.raises(CoefficientError):
-        assemble(mesh, coeff)
-
-
-@pytest.mark.parametrize(
-    "assemble", [assemble_galerkin_stiffness, assemble_eafe_stiffness],
-    ids=["galerkin", "eafe"],
-)
-def test_gamma_assumption_with_nonfinite_divergence(assemble):
-    # a NaN divergence must not make the declared bound vacuous
-    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0,
-                             gamma_assumption=0.5, div_zeta=np.nan)
-    with pytest.raises(DataError):
-        assemble(build_unit_square(2), coeff)
 
 
 # the three places that sample gamma, and where each samples it
@@ -399,8 +375,7 @@ def test_negative_reaction_sample_raises(path):
     mesh = build_unit_square(2)
     for gamma, smallest in ((-1.0, "-1"),
                             (_negative_at_one_sample(mesh, where), "-0.001")):
-        coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=gamma,
-                                 div_zeta=0.0)
+        coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=gamma)
         with pytest.raises(CoefficientError,
                            match=r"reaction %s is negative" % smallest):
             assemble(mesh, coeff)
@@ -410,21 +385,27 @@ def test_negative_reaction_sample_raises(path):
 def test_zero_reaction_is_accepted(path):
     assemble, _ = REACTION_PATHS[path]
     mesh = build_unit_square(2)
-    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0,
-                             div_zeta=0.0)
+    coeff = CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0)
     mat = assemble(mesh, coeff)
     # pure diffusion: the rows sum to zero
     assert np.abs(mat.sum(axis=1)).max() <= 1e-14
 
 
-def test_gamma_assumption_needs_divergence():
-    # a declared bound on gamma - div(zeta)/2 is checked on the analytic
-    # divergence only; without it the field is refused, not approximated
-    with pytest.raises(ValueError, match="needs div_zeta"):
-        CoefficientField(eps=1.0, zeta=lambda x, y: (x * y, -0.5 * y * y),
-                         gamma=1.0, gamma_assumption=0.5)
-    # no bound declared, no divergence needed
-    CoefficientField(eps=1.0, zeta=(1.0, 0.0), gamma=0.0)
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+@pytest.mark.parametrize("path", sorted(REACTION_PATHS))
+def test_constant_nonpositive_diffusion_raises(path, eps):
+    # a constant eps is checked like any other field, on every path
+    assemble, _ = REACTION_PATHS[path]
+    coeff = CoefficientField(eps=eps, zeta=(0.0, 0.0), gamma=1.0)
+    with pytest.raises(CoefficientError,
+                       match="sampled diffusion %g is not positive" % eps):
+        assemble(build_unit_square(2), coeff)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan])
+def test_coefficient_field_rejects_nonpositive_or_nonfinite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, beta=beta)
 
 
 @pytest.mark.parametrize("metric", ["quadrature", "interpolant"])
@@ -512,7 +493,7 @@ def varying_coefficients():
     return CoefficientField(
         eps=lambda x, y: 1e-2 * (1.0 + x + y * y),
         zeta=lambda x, y: (np.sin(2.0 * np.pi * y) - 0.5, np.cos(3.0 * x)),
-        gamma=lambda x, y: 1.0 + x * y, eps_floor=1e-2,
+        gamma=lambda x, y: 1.0 + x * y,
     )
 
 

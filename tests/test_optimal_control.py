@@ -33,8 +33,7 @@ from reference import (
 
 
 def plain_coefficients(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, beta=1.0):
-    return CoefficientField(eps=eps, zeta=zeta, gamma=gamma, beta=beta,
-                            div_zeta=0.0)
+    return CoefficientField(eps=eps, zeta=zeta, gamma=gamma, beta=beta)
 
 
 def test_recover_control_examples():
@@ -43,8 +42,9 @@ def test_recover_control_examples():
         [1.0, -2.0]
     )
     assert recover_control(np.ones(4), 2.0) == pytest.approx(-0.5 * np.ones(4))
-    with pytest.raises(ValueError):
-        recover_control(np.ones(2), 0.0)
+    for beta in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            recover_control(np.ones(2), beta)
 
 
 def test_problem_spec_needs_exactly_one_mode():
@@ -80,6 +80,16 @@ def test_negative_reaction_raises_before_solving(scheme):
     spec = ProblemSpec(plain_coefficients(eps=1e-2, zeta=(-1.0, 0.0),
                                           gamma=-50.0), y_d=1.0)
     with pytest.raises(CoefficientError, match="reaction -50 is negative"):
+        solve(build_unit_square(4), spec, scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_nonpositive_diffusion_raises_before_solving(scheme, eps):
+    # the residual certificate cannot see a diffusion of the wrong sign
+    spec = ProblemSpec(plain_coefficients(eps=eps, zeta=(-1.0, 0.0)), y_d=1.0)
+    with pytest.raises(CoefficientError,
+                       match="sampled diffusion %g is not positive" % eps):
         solve(build_unit_square(4), spec, scheme)
 
 

@@ -194,7 +194,7 @@ def _general_system(beta):
     # nonzero f, g and Dirichlet traces: both right-hand side blocks are
     # nonzero, unlike the tracking problems, whose bottom block is zero
     coeff = CoefficientField(eps=1e-2, zeta=(-1.0, 0.5), gamma=1.0,
-                             beta=beta, div_zeta=0.0)
+                             beta=beta)
     problem = ProblemSpec(
         coeff, source=lambda x, y: (np.sin(3.0 * x) + y, np.cos(2.0 * y) - x),
         dirichlet_y=lambda x, y: 1.0 + x * y,
@@ -592,7 +592,7 @@ def test_krylov_iterations_do_not_grow_with_level():
     assert abs(counts[7] - counts[4]) <= 3
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
 def test_block_rejects_nonpositive_beta(beta):
     a = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(ValueError):
@@ -760,9 +760,17 @@ def test_block_requires_an_order_of_the_n_dofs():
     args = (system.A, system.M, system.rhs_top, system.rhs_bottom)
     with pytest.raises(TypeError, match="order"):
         BlockSaddleSystem(*args)  # keyword-only, with no default
-    for order in (None, np.arange(3), np.arange(4).reshape(2, 2)):
-        with pytest.raises(ValueError, match="order"):
+    for order in (None, np.arange(3), np.arange(4).reshape(2, 2),
+                  # not a permutation of 0, 1: a repeated index, floats,
+                  # an index out of range, a negative index that numpy
+                  # would wrap round to a valid one, and a boolean mask
+                  np.array([1, 1]), np.array([0.0, 1.0]), np.array([0, 2]),
+                  np.array([-1, 0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="order must be a permutation"):
             BlockSaddleSystem(*args, order=order)
+    for order in (np.array([1, 0]), np.array([0, 1], dtype=np.uint8)):
+        _, _, res = BlockSaddleSystem(*args, order=order).solve()
+        assert res <= 1e-10
 
 
 @pytest.mark.parametrize("scheme", ["eafe", "galerkin"])

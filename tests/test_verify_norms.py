@@ -104,8 +104,7 @@ def test_interpolant_metric_matches_matrix_norms():
     d = numeric - interpolate_nodal(mesh, field)
     m = assemble_mass(mesh).toarray()
     lap = assemble_galerkin_stiffness(
-        mesh, CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0,
-                               div_zeta=0.0)
+        mesh, CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0)
     ).toarray()
     assert l2 == pytest.approx(np.sqrt(d @ m @ d), rel=1e-12)
     assert h1 == pytest.approx(np.sqrt(d @ m @ d + d @ lap @ d), rel=1e-12)
@@ -160,8 +159,7 @@ def test_certify_rejects_positive_offdiagonal():
 
 
 def stability_coefficients():
-    return CoefficientField(eps=1e-9, zeta=(-1.0, 0.0), gamma=0.0,
-                            div_zeta=0.0)
+    return CoefficientField(eps=1e-9, zeta=(-1.0, 0.0), gamma=0.0)
 
 
 def test_certify_galerkin_fails_under_dominant_convection():
