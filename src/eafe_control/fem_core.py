@@ -332,13 +332,15 @@ def assemble_mass(mesh):
 
     The local block is area/12 * [[2,1,1],[1,2,1],[1,1,2]], so entry
     (i, j) of an edge is a twelfth of the area of its one or two
-    triangles (``edge_tris``), and the diagonal is half the lumped one.
-    Entries are nonnegative and row sums equal a third of the vertex
-    patch area.
+    triangles, summed over ``tri_edges`` in one ``np.bincount``, and the
+    diagonal is half the lumped one.  A sum of at most two areas is the
+    same in either order, so the entries do not depend on the triangle
+    numbering.  Entries are nonnegative and row sums equal a third of the
+    vertex patch area.
     """
     areas = signed_areas(mesh)
-    first, second = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-    off = (areas[first] + np.where(second >= 0, areas[second], 0.0)) / 12.0
+    off = np.bincount(mesh.tri_edges.ravel(), weights=np.repeat(areas, 3),
+                      minlength=mesh.num_edges) / 12.0
     return scatter_edges(mesh, 0.5 * lumped_mass_diagonal(mesh), off, off)
 
 
@@ -360,23 +362,32 @@ def assemble_galerkin_stiffness(mesh, coeff):
     quadrature row by :meth:`CoefficientField.samples`, which raises
     DataError on a non-finite sample and CoefficientError on a
     nonpositive diffusion or a negative reaction sample.
+
+    The six distinct gradient products grad phi_j . grad phi_i do not
+    depend on the point and are formed once, and the blocks are summed in
+    a contiguous (3, 3, M) array; every entry takes the same operations
+    in the same order as a sum of ``scale * (diff + lam_j conv_i + gamma
+    lam_i lam_j)`` over the rows, so the result is that sum bit for bit.
     """
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
-    local = np.zeros((mesh.num_triangles, 3, 3))
+    gx, gy = grads[:, :, 0].T, grads[:, :, 1].T
+    # a product and its transpose are the same bits: x*y == y*x in floats
+    dots = {}
+    for i in range(3):
+        for j in range(i, 3):
+            dots[i, j] = dots[j, i] = gx[j] * gx[i] + gy[j] * gy[i]
+    local = np.zeros((3, 3, mesh.num_triangles))
     for lam, w, xq, yq in quadrature_points(mesh):
         eps_q, zx, zy, gam = coeff.samples(xq, yq)
         scale = w * areas
         for i in range(3):
-            conv_i = zx * grads[:, i, 0] + zy * grads[:, i, 1]
+            conv_i = zx * gx[i] + zy * gy[i]
+            gam_i = gam * lam[i]
             for j in range(3):
-                diff = eps_q * (
-                    grads[:, j, 0] * grads[:, i, 0] + grads[:, j, 1] * grads[:, i, 1]
-                )
-                local[:, i, j] += scale * (
-                    diff + lam[j] * conv_i + gam * lam[i] * lam[j]
-                )
-    return scatter_edges(mesh, *fold_blocks(mesh, local))
+                local[i, j] += scale * (eps_q * dots[i, j] + lam[j] * conv_i
+                                        + gam_i * lam[j])
+    return scatter_edges(mesh, *fold_blocks(mesh, local.transpose(2, 0, 1)))
 
 
 def assemble_load(mesh, f):

@@ -2,7 +2,7 @@
 Structured conforming triangulations of the unit square.
 
 Meshes are stored as flat numpy arrays (vertices, triangles, edges) with
-full edge-to-triangle connectivity, so that edge-based schemes and the
+the triangle-to-edge map, so that edge-based schemes and the
 Delaunay/monotonicity checks can run without touching any geometry code
 again.  The structured family has one diagonal convention,
 :data:`DIAGONAL_CONVENTION`: every cell is split along its lower-left to
@@ -51,9 +51,6 @@ class TriMesh:
         Vertex indices per triangle, counterclockwise.
     edges : (E, 2) int32 array
         Unique edges as (i, j) with i < j, sorted by (i, j).
-    edge_tris : (E, 2) int32 array
-        Adjacent triangle indices per edge; second entry is -1 for
-        boundary edges.
     tri_edges : (M, 3) int32 array
         Edge index of each local edge (LOCAL_EDGES order).
     boundary_vertex : (N,) bool array
@@ -62,11 +59,16 @@ class TriMesh:
         Mesh size, max over triangles of their diameter: the longest edge.
 
     ``vertices`` and ``triangles`` are read-only copies of the inputs.
-    The four index arrays are int32, half the memory of int64: every
-    index is below the vertex, edge or triangle count, far below 2^31
-    under :data:`DEFAULT_VERTEX_CAP`.  Arithmetic on them that can leave
-    int32, such as the pair keys i * N + j of the connectivity, is done
-    in int64.
+    The edge-to-triangle adjacency of the connectivity
+    (:func:`_edge_connectivity`) marks the boundary edges, those with one
+    triangle, at construction and is then dropped: no assembly reads it,
+    and kept, it would sit beside the factor of every solve (1.5 MiB at
+    level 8).  The three index arrays and the nested-dissection order
+    are int32, half the memory of int64: every index is below the
+    vertex, edge or triangle count, far below 2^31 under
+    :data:`DEFAULT_VERTEX_CAP`.  Arithmetic on them that can leave int32,
+    such as the pair keys i * N + j of the connectivity, is done in
+    int64.
 
     What is computed from these arrays once and kept, read-only, is held
     under a key by :meth:`cached`: the signed areas, the
@@ -113,8 +115,8 @@ class TriMesh:
                 "triangle %d has non-positive signed area %g" % (bad, areas[bad])
             )
 
-        self.edges, self.edge_tris, self.tri_edges = _edge_connectivity(self.triangles)
-        boundary_edges = self.edge_tris[:, 1] < 0
+        self.edges, edge_tris, self.tri_edges = _edge_connectivity(self.triangles)
+        boundary_edges = edge_tris[:, 1] < 0
         flag = np.zeros(self.num_vertices, dtype=bool)
         flag[self.edges[boundary_edges].ravel()] = True
         self.boundary_vertex = flag
@@ -231,7 +233,8 @@ def nested_dissection_order(mesh):
     a cut touches a separator at that depth or above, and the vertices are
     numbered in postorder: each separator after its two halves (George,
     SIAM J. Numer. Anal. 10, 1973).  Valid on any mesh; graded meshes
-    give less balanced halves.
+    give less balanced halves.  The order is int32, like the mesh's
+    index arrays.
     """
     return mesh.cached("nd_order", lambda: _nested_dissection_order(mesh))
 
@@ -255,7 +258,7 @@ def _nested_dissection_order(mesh):
     np.minimum.at(depth, np.where(ci < cj, mesh.edges[:, 0], mesh.edges[:, 1])[cut],
                   d - np.frexp(ci[cut] ^ cj[cut])[1])
     subtree_end = ((code >> (d - depth)) + 1) << (d - depth)
-    return np.lexsort((-depth, subtree_end))
+    return np.lexsort((-depth, subtree_end)).astype(np.int32)
 
 
 def unit_square_vertex_count(level):

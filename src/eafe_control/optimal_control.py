@@ -16,6 +16,7 @@ nodal-interpolation lift whose contributions move to the right-hand side.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem_core
 from .eafe import assemble_eafe_stiffness
@@ -65,7 +66,8 @@ class SolutionPair:
 
     ``p_bar`` (adjoint), ``y_bar`` (state) and the recovered control
     ``u_bar = -p_bar / beta`` over all vertices; boundary nodes carry the
-    interpolated Dirichlet data.  ``residual`` is the certified relative
+    interpolated Dirichlet data, kept through the solve as boundary
+    values only.  ``residual`` is the certified relative
     residual of the interior linear solve, ``iterations`` its GMRES
     iteration count, ``fill`` the entries SuperLU stores for the sparse
     LU factor it used (``SuperLU.nnz``), ``precision`` that factor's dtype
@@ -77,7 +79,8 @@ class SolutionPair:
     in general mode).  It holds no matrix over all vertices: the full mass
     matrix is freed after assembly, before the factor, and the bound check
     (:func:`~eafe_control.verify_norms.check_desired_state_bounds`)
-    assembles its own.
+    assembles its own.  ``stiffness`` keeps the index arrays that the
+    solved system's A and M shared.
     """
 
     def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
@@ -119,7 +122,29 @@ def _lift_vector(mesh, field):
     return lift
 
 
+def _interior_blocks(a_full, m_full, keep):
+    """
+    The ``keep`` rows and columns of A and M, two matrices on one pair of
+    index arrays.  A and M come from one mesh, on the same edge pattern,
+    so the interior pattern is extracted once, as a matrix of slot
+    numbers, and each block gathers its data through it: the same
+    entries, explicit zeros included, as extracting each matrix by
+    itself.
+    """
+    slots = sp.csr_matrix(
+        (np.arange(a_full.nnz, dtype=a_full.indices.dtype), a_full.indices,
+         a_full.indptr), shape=a_full.shape)[keep][:, keep]
+    return tuple(sp.csr_matrix((full.data[slots.data], slots.indices,
+                                slots.indptr), shape=slots.shape)
+                 for full in (a_full, m_full))
+
+
 def _assemble_parts(mesh, spec, scheme, lump_reaction=True):
+    """
+    The interior :class:`BlockSaddleSystem`, the tracking load (None in
+    general mode), and the Dirichlet values of p and y on the boundary
+    vertices, in vertex order.
+    """
     a_full = assemble_stiffness(mesh, spec.coeff, scheme,
                                 lump_reaction=lump_reaction)
     m_full = fem_core.assemble_mass(mesh)
@@ -135,19 +160,19 @@ def _assemble_parts(mesh, spec, scheme, lump_reaction=True):
     p_lift = _lift_vector(mesh, spec.dirichlet_p)
     y_lift = _lift_vector(mesh, spec.dirichlet_y)
 
-    interior = mesh.interior_vertices
+    bnd = mesh.boundary_vertex
+    interior = ~bnd
     beta = spec.coeff.beta
     rhs_top = (f_full - a_full.T @ p_lift + m_full @ y_lift)[interior]
     rhs_bottom = (g_full + m_full @ p_lift + beta * (a_full @ y_lift))[interior]
 
-    a_int = a_full[interior][:, interior]
-    m_int = m_full[interior][:, interior]
+    a_int, m_int = _interior_blocks(a_full, m_full, interior)
     # the mesh order without its boundary vertices, renumbered to interior dofs
     order = nested_dissection_order(mesh)
-    dof = np.cumsum(~mesh.boundary_vertex) - 1
+    dof = np.cumsum(interior, dtype=np.int32) - 1
     system = BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom, beta=beta,
-                               order=dof[order[~mesh.boundary_vertex[order]]])
-    return system, tracking_load, p_lift, y_lift, interior
+                               order=dof[order[interior[order]]])
+    return system, tracking_load, p_lift[bnd], y_lift[bnd]
 
 
 def solve(mesh, spec, scheme, lump_reaction=True):
@@ -155,14 +180,15 @@ def solve(mesh, spec, scheme, lump_reaction=True):
     Solve the optimality system; returns a :class:`SolutionPair` whose
     boundary nodes carry the interpolated Dirichlet traces.
     """
-    system, tracking_load, p_lift, y_lift, interior = _assemble_parts(
+    system, tracking_load, p_bnd, y_bnd = _assemble_parts(
         mesh, spec, scheme, lump_reaction
     )
     p_int, y_int, res = system.solve()
-    p = p_lift.copy()
-    y = y_lift.copy()
-    p[interior] = p_int
-    y[interior] = y_int
+    bnd = mesh.boundary_vertex
+    p = np.empty(mesh.num_vertices)
+    y = np.empty(mesh.num_vertices)
+    p[bnd], y[bnd] = p_bnd, y_bnd
+    p[~bnd], y[~bnd] = p_int, y_int
     u = recover_control(p, spec.coeff.beta)
     return SolutionPair(p, y, u, res, scheme, system.A,
                         system.iterations, system.fill, system.precision,

@@ -285,9 +285,11 @@ class BlockSaddleSystem:
     float32 factor half the bytes of a float64 direction (see
     :meth:`solve`).  On the level-8 boundary layer at eps = 1e-2 it
     keeps 13 iterations and the same fill, and the peak RSS of
-    ``--levels 7..8`` (one thread) is 146-148 MB; with SuperLU's default
-    panels (see :func:`_factorize`) it was 152-160 MB, against 181 MB
-    with a float64 factor.
+    ``--levels 7..8`` (one thread) is 140-142 MB, with A and M on one
+    index pair as :func:`optimal_control.solve` builds them (146-148 MB
+    with a pair each); with SuperLU's default panels (see
+    :func:`_factorize`) it was 152-160 MB, against 181 MB with a float64
+    factor.
     """
 
     def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, *, order):

@@ -43,6 +43,14 @@ the way it did before:
   (2, nq, M) table, and ``table_load`` assembles a load vector from it
   with one ``np.bincount`` per point and corner.
 
+Two assemblies keep the arithmetic the package now reorders, so that the
+package must match them bit for bit:
+
+- ``edge_tris_mass`` takes the mass matrix's edge entries from the two
+  adjacent triangles of each edge, as the mesh kept them;
+- ``loop_galerkin_stiffness`` forms every gradient product again at
+  every quadrature row and sums into (M, 3, 3) blocks.
+
 ``assemble_system``, ``convergence_study``, ``smooth_case``,
 ``layer_profile`` and ``jittered_renumbered_mesh`` are shorthands for
 the tests: the interior saddle system alone, a one-region convergence
@@ -78,7 +86,10 @@ from eafe_control.fem_core import (
     QUADRATURE,
     EdgePattern,
     barycentric_gradient_table,
+    fold_blocks,
     lumped_mass_diagonal,
+    quadrature_points,
+    scatter_edges,
 )
 from eafe_control.mesh import (
     LOCAL_EDGES,
@@ -260,6 +271,42 @@ def coo_mass(mesh):
         signed_areas(mesh)[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0,
         (mesh.num_triangles, 3, 3))
     return _from_blocks(mesh, local)
+
+
+def edge_tris_mass(mesh):
+    """
+    Consistent P1 mass matrix with the edge entries (area[first] +
+    area[second]) / 12 of each edge's one or two adjacent triangles.
+    """
+    areas = signed_areas(mesh)
+    edge_tris = mesh_module._edge_connectivity(mesh.triangles)[1]
+    first, second = edge_tris[:, 0], edge_tris[:, 1]
+    off = (areas[first] + np.where(second >= 0, areas[second], 0.0)) / 12.0
+    return scatter_edges(mesh, 0.5 * lumped_mass_diagonal(mesh), off, off)
+
+
+def loop_galerkin_stiffness(mesh, coeff):
+    """
+    Standard P1 stiffness summed into (M, 3, 3) blocks, with every
+    gradient product and gamma * lam_i formed again for each quadrature
+    row and block entry.
+    """
+    grads = barycentric_gradient_table(mesh)
+    areas = signed_areas(mesh)
+    local = np.zeros((mesh.num_triangles, 3, 3))
+    for lam, w, xq, yq in quadrature_points(mesh):
+        eps_q, zx, zy, gam = coeff.samples(xq, yq)
+        scale = w * areas
+        for i in range(3):
+            conv_i = zx * grads[:, i, 0] + zy * grads[:, i, 1]
+            for j in range(3):
+                diff = eps_q * (
+                    grads[:, j, 0] * grads[:, i, 0] + grads[:, j, 1] * grads[:, i, 1]
+                )
+                local[:, i, j] += scale * (
+                    diff + lam[j] * conv_i + gam * lam[i] * lam[j]
+                )
+    return scatter_edges(mesh, *fold_blocks(mesh, local))
 
 
 def _quadrature_blocks(mesh, integrand):

@@ -22,6 +22,7 @@ from eafe_control.mesh import (
     LOCAL_EDGES,
     TriMesh,
     build_unit_square,
+    _edge_connectivity,
     delaunay_check,
 )
 from eafe_control.verify_norms import certify_m_matrix
@@ -219,7 +220,7 @@ def test_edge_data_structured_mesh():
     lengths = np.linalg.norm(tau, axis=1)
     diag = lengths > 0.3  # h = 0.25, diagonals have length h*sqrt(2)
     assert np.abs(data.weights[diag]).max() <= 1e-14
-    boundary = mesh.edge_tris[:, 1] < 0
+    boundary = _edge_connectivity(mesh.triangles)[1][:, 1] < 0
     assert data.weights[boundary & ~diag] == pytest.approx(0.5, rel=1e-13)
     assert data.weights[~boundary & ~diag] == pytest.approx(1.0, rel=1e-13)
     # orientation identity along each edge

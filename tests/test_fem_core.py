@@ -42,9 +42,11 @@ from reference import (
     coo_eafe,
     coo_galerkin,
     coo_mass,
+    edge_tris_mass,
     from_triplets,
     jittered_renumbered_mesh,
     layer_profile,
+    loop_galerkin_stiffness,
     quadrature_table,
     table_load,
 )
@@ -540,6 +542,28 @@ def test_pattern_assembly_equals_coo_reference(mesh_name, matrix):
     assert np.array_equal(a.indptr, ref.indptr)
     assert np.array_equal(a.indices, ref.indices)
     assert np.abs(a.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("mesh", [*PATTERN_MESHES.values(),
+                                  lambda: build_unit_square(8)],
+                         ids=[*PATTERN_MESHES, "level8"])
+def test_mass_equals_edge_triangle_reference_bit_for_bit(mesh):
+    # the edge entries summed over tri_edges are (area[first] +
+    # area[second]) / 12 of the adjacency the mesh no longer keeps
+    mesh = mesh()
+    got, ref = assemble_mass(mesh), edge_tris_mass(mesh)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("mesh_name", PATTERN_MESHES)
+def test_galerkin_equals_loop_reference_bit_for_bit(mesh_name):
+    mesh = PATTERN_MESHES[mesh_name]()
+    coeff = varying_coefficients()
+    got = assemble_galerkin_stiffness(mesh, coeff)
+    ref = loop_galerkin_stiffness(mesh, coeff)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_scatter_places_each_edge_value_in_its_slot():

@@ -24,6 +24,20 @@ from reference import (
 )
 
 
+def edge_tris_of(mesh):
+    """The adjacent triangles of each edge, which the mesh does not keep."""
+    return mesh_module._edge_connectivity(mesh.triangles)[1]
+
+
+def test_mesh_keeps_no_edge_triangle_adjacency():
+    mesh = build_unit_square(3)
+    assert not hasattr(mesh, "edge_tris")
+    # the boundary flags it was built for are those of the one-triangle edges
+    boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    boundary[mesh.edges[edge_tris_of(mesh)[:, 1] < 0].ravel()] = True
+    assert np.array_equal(mesh.boundary_vertex, boundary)
+
+
 def test_level1_counts():
     mesh = build_unit_square(1)
     assert mesh.num_vertices == 9
@@ -61,9 +75,10 @@ def test_euler_formula(level):
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_edge_triangle_adjacency(level):
     mesh = build_unit_square(level)
-    boundary = mesh.edge_tris[:, 1] < 0
+    edge_tris = edge_tris_of(mesh)
+    boundary = edge_tris[:, 1] < 0
     # interior edges touch exactly 2 triangles, boundary edges exactly 1
-    assert np.all(mesh.edge_tris[:, 0] >= 0)
+    assert np.all(edge_tris[:, 0] >= 0)
     n = 2**level
     assert boundary.sum() == 4 * n
 
@@ -79,9 +94,10 @@ def test_mesh_size_halves_per_level():
 def test_conforming_no_hanging_vertices():
     mesh = build_unit_square(3)
     # every vertex of an edge belongs to each adjacent triangle's vertex set
+    edge_tris = edge_tris_of(mesh)
     for e in range(mesh.num_edges):
         i, j = mesh.edges[e]
-        for t in mesh.edge_tris[e]:
+        for t in edge_tris[e]:
             if t >= 0:
                 tri = set(mesh.triangles[t])
                 assert i in tri and j in tri
@@ -317,12 +333,12 @@ def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():
         edge_tris[e, slot] = k % m
     assert np.array_equal(mesh.edges, edges)
     assert np.array_equal(mesh.tri_edges, inverse.reshape(3, m).T)
-    assert np.array_equal(mesh.edge_tris, edge_tris)
+    assert np.array_equal(edge_tris_of(mesh), edge_tris)
 
 
 def assert_connectivity_matches_reference(mesh):
     edges, edge_tris, tri_edges = edge_connectivity(mesh.triangles)
-    for got, want in ((mesh.edges, edges), (mesh.edge_tris, edge_tris),
+    for got, want in ((mesh.edges, edges), (edge_tris_of(mesh), edge_tris),
                       (mesh.tri_edges, tri_edges)):
         assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want)
@@ -404,6 +420,8 @@ def test_nested_dissection_order_is_a_cached_permutation(monkeypatch):
               uniform_refine(build_unit_square_upperleft(3))]
     for mesh in meshes:
         order = nested_dissection_order(mesh)
+        # int32, like the mesh's index arrays
+        assert order.dtype == np.int32
         assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
         assert nested_dissection_order(mesh) is order
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ from eafe_control.optimal_control import (
     SCHEMES,
     AssemblyError,
     ProblemSpec,
+    _assemble_parts,
+    assemble_stiffness,
     recover_control,
     solve,
     write_solution_csv,
@@ -204,18 +206,45 @@ def test_manufactured_forcing_matches_finite_differences():
         assert abs(g_fd - g_closed) <= 1e-4 * max(1.0, abs(g_closed))
 
 
+@pytest.mark.parametrize("lump_reaction", [True, False],
+                         ids=["lumped", "consistent"])
+@pytest.mark.parametrize("mode", ["tracking", "general"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_interior_blocks_share_one_index_pair(scheme, mode, lump_reaction):
+    # A and M of the interior system sit on one pair of index arrays, the
+    # entries of extracting each full matrix by itself, explicit zeros
+    # included; the lifts come back as their boundary values only
+    mesh = build_unit_square(4)
+    coeff = boundary_layer_case(1e-2).problem.coeff
+    data = {"y_d": 1.0} if mode == "tracking" else {"source": (1.0, 0.5)}
+    spec = ProblemSpec(coeff, dirichlet_y=lambda x, y: x + 2.0 * y,
+                       dirichlet_p=lambda x, y: 1.0 - x * y, **data)
+    system, _, p_bnd, y_bnd = _assemble_parts(mesh, spec, scheme,
+                                              lump_reaction)
+    assert np.shares_memory(system.A.indices, system.M.indices)
+    assert np.shares_memory(system.A.indptr, system.M.indptr)
+    interior = mesh.interior_vertices
+    full = (assemble_stiffness(mesh, coeff, scheme, lump_reaction),
+            fem_core.assemble_mass(mesh))
+    for block, matrix in zip((system.A, system.M), full):
+        ref = matrix[interior][:, interior]
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(block, name), getattr(ref, name))
+    bnd = mesh.boundary_vertex
+    assert np.array_equal(p_bnd, interpolate_nodal(mesh, spec.dirichlet_p)[bnd])
+    assert np.array_equal(y_bnd, interpolate_nodal(mesh, spec.dirichlet_y)[bnd])
+    assert system.order.dtype == np.int32
+
+
 def test_interpolant_residual_decreases_under_refinement():
     # consistency monitor: plugging the interpolant of the exact pair into
     # the discrete system gives residuals that shrink with h
-    from eafe_control.optimal_control import _assemble_parts
-
     case = smooth_case()
     norms = []
     for level in (2, 3, 4):
         mesh = build_unit_square(level)
-        system, _, _, _, interior = _assemble_parts(
-            mesh, case.problem, "eafe", True
-        )
+        system = _assemble_parts(mesh, case.problem, "eafe", True)[0]
+        interior = mesh.interior_vertices
         xi = np.concatenate([
             interpolate_nodal(mesh, case.exact_p)[interior],
             interpolate_nodal(mesh, case.exact_y)[interior],
