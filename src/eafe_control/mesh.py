@@ -362,15 +362,6 @@ def delaunay_check(mesh):
     return delaunay_report(mesh, triangle_edge_weights(mesh))[1]
 
 
-def text_block(fmt, *columns):
-    """
-    One text section: ``fmt`` applied to every row of the given equal-length
-    columns, converted to Python scalars first (``%r`` of a float is its
-    shortest round-trip repr).
-    """
-    return "".join(fmt % row for row in zip(*(c.tolist() for c in columns)))
-
-
 def _text_section(lines, rows, dtype):
     """``rows`` lines of three whitespace-separated numbers as one array."""
     table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)

@@ -22,7 +22,7 @@ from . import fem_core
 from .eafe import assemble_eafe_stiffness
 from .fem_core import (as_scalar_field, as_vector_field, assemble_load,
                        interpolate_nodal)
-from .mesh import nested_dissection_order, text_block, write_vtk
+from .mesh import nested_dissection_order, write_vtk
 from .sparse_linalg import BlockSaddleSystem
 
 SCHEMES = ("eafe", "galerkin")
@@ -196,12 +196,32 @@ def solve(mesh, spec, scheme, lump_reaction=True):
 
 
 def write_solution_csv(mesh, sol, path):
-    """Per-vertex dump: x, y, adjoint, state, control."""
+    """
+    Per-vertex dump: x, y, adjoint, state, control, one
+    ``"%r,%r,%r,%r,%r"`` line per vertex.
+
+    Each distinct float64 bit pattern of the five columns is formatted
+    once and gathered back into its cells, so the bytes are those of
+    ``%r`` on every value; deduplicating bits, not values, keeps ``-0.0``
+    apart from ``0.0``.  A pattern and its negation (u = -p when
+    beta = 1) share one ``repr`` call, the negative one prefixed with
+    ``-``; the ``repr`` of a NaN carries no sign.
+    """
     v = mesh.vertices
+    columns = np.concatenate((v[:, 0], v[:, 1], sol.p_bar, sol.y_bar,
+                              sol.u_bar), dtype=np.float64)
+    bits, inverse = np.unique(columns.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    magnitudes, which = np.unique(np.abs(values).view(np.int64),
+                                  return_inverse=True)
+    text = np.array(list(map(repr, magnitudes.view(np.float64).tolist())),
+                    dtype=object)[which]
+    negative = np.signbit(values) & ~np.isnan(values)
+    text[negative] = "-" + text[negative]
+    rows = zip(*text[inverse].reshape(5, -1).tolist())
     with open(path, "w") as fh:
         fh.write("x,y,p_h,y_h,u_h\n")
-        fh.write(text_block("%r,%r,%r,%r,%r\n", v[:, 0], v[:, 1],
-                            sol.p_bar, sol.y_bar, sol.u_bar))
+        fh.write("".join(map("%s,%s,%s,%s,%s\n".__mod__, rows)))
 
 
 def write_solution_vtk(mesh, sol, path, title="optimality system solution"):

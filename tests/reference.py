@@ -71,7 +71,10 @@ Test meshes and tables that no run of the package needs are made here:
   family along the other diagonal, upper-left to lower-right;
 - ``uniform_refine`` splits every triangle into four by edge midpoints;
 - ``write_node_ele`` writes the node/ele text file that
-  ``mesh.read_node_ele`` reads;
+  ``mesh.read_node_ele`` reads, by ``text_block``, which applies a
+  ``%`` format to every row of equal-length columns, value by value:
+  the reference for ``optimal_control.write_solution_csv``, which
+  formats each distinct bit pattern once;
 - ``table_row`` and ``same_table`` read one level of a
   ``ConvergenceTable`` and compare two tables' levels and errors.
 """
@@ -98,7 +101,6 @@ from eafe_control.mesh import (
     TriMesh,
     build_unit_square,
     signed_areas,
-    text_block,
 )
 from eafe_control import mesh as mesh_module, sparse_linalg
 from eafe_control.optimal_control import _assemble_parts, solve
@@ -580,6 +582,15 @@ def uniform_refine(mesh):
     children[2::4] = np.column_stack([m20, m12, t[:, 2]])
     children[3::4] = np.column_stack([m01, m12, m20])
     return TriMesh(vertices, children)
+
+
+def text_block(fmt, *columns):
+    """
+    One text section: ``fmt`` applied to every row of the given equal-length
+    columns, converted to Python scalars first (``%r`` of a float is its
+    shortest round-trip repr).
+    """
+    return "".join(fmt % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def write_node_ele(mesh, path):

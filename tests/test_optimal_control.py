@@ -10,12 +10,13 @@ from eafe_control.fem_core import (
     lumped_mass_diagonal,
 )
 from eafe_control import eafe, fem_core, mesh as mesh_module
-from eafe_control.experiments import boundary_layer_case
+from eafe_control.experiments import boundary_layer_case, stability_problem
 from eafe_control.mesh import TriMesh, build_unit_square, delaunay_check
 from eafe_control.optimal_control import (
     SCHEMES,
     AssemblyError,
     ProblemSpec,
+    SolutionPair,
     _assemble_parts,
     assemble_stiffness,
     recover_control,
@@ -30,6 +31,7 @@ from reference import (
     saddle_rhs,
     smooth_case,
     solve_direct,
+    text_block,
     uniform_refine,
 )
 
@@ -269,6 +271,43 @@ def test_solution_pair_holds_no_matrix_over_all_vertices(mode):
     assert all(np.ndim(value) <= 1 for value in vars(sol).values()
                if not sp.issparse(value))
     assert not hasattr(sol, "mass")
+
+
+def _value_by_value_csv(mesh, sol):
+    v = mesh.vertices
+    return "x,y,p_h,y_h,u_h\n" + text_block(
+        "%r,%r,%r,%r,%r\n", v[:, 0], v[:, 1], sol.p_bar, sol.y_bar,
+        sol.u_bar)
+
+
+def test_solution_csv_matches_value_by_value_repr(tmp_path):
+    # the writer formats each distinct bit pattern once, x and -x by one
+    # repr call; its bytes must be those of %r on every cell: -0.0 apart
+    # from 0.0, a value repeated within and across columns (0.5 is also a
+    # vertex coordinate), x and -x, the smallest subnormal, both sides of
+    # repr's switch to exponent notation, the infinities, and NaNs of two
+    # payloads and both signs (the repr of a NaN carries no sign)
+    mesh = build_unit_square(1)
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+    p = [0.0, -0.0, 0.1, 0.1, -0.1, 5e-324, 1e-05, 9.999e-05, 1e16]
+    y = [9999999999999998.0, np.inf, -np.inf, np.nan, -0.0, 0.0, 0.5,
+         1.0 / 3.0, -1.0 / 3.0]
+    u = [-5e-324, nan_payload, -np.nan, 0.5, -0.5, 1e-05, -1e16, 0.1, -0.0]
+    sol = SolutionPair(p, y, u, 0.0, "eafe", None, 0, 0, None)
+    path = tmp_path / "special.csv"
+    write_solution_csv(mesh, sol, path)
+    text = path.read_text()
+    assert text == _value_by_value_csv(mesh, sol)
+    assert text.splitlines()[1:4] == [
+        "0.0,0.0,0.0,9999999999999998.0,-5e-324",
+        "0.5,0.0,-0.0,inf,nan",
+        "1.0,0.0,0.1,-inf,nan"]
+    # level-5 stability solutions of both schemes, dominant convection
+    mesh = build_unit_square(5)
+    for scheme in SCHEMES:
+        sol = solve(mesh, stability_problem(1e-9), scheme)
+        write_solution_csv(mesh, sol, path)
+        assert path.read_text() == _value_by_value_csv(mesh, sol)
 
 
 def test_solution_export(tmp_path):
