@@ -218,10 +218,11 @@ def write_solution_csv(mesh, sol, path):
                     dtype=object)[which]
     negative = np.signbit(values) & ~np.isnan(values)
     text[negative] = "-" + text[negative]
-    rows = zip(*text[inverse].reshape(5, -1).tolist())
+    lines = ["x,y,p_h,y_h,u_h"]
+    lines += map(",".join, zip(*text[inverse].reshape(5, -1).tolist()))
     with open(path, "w") as fh:
-        fh.write("x,y,p_h,y_h,u_h\n")
-        fh.write("".join(map("%s,%s,%s,%s,%s\n".__mod__, rows)))
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def write_solution_vtk(mesh, sol, path, title="optimality system solution"):
