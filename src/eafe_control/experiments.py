@@ -3,8 +3,10 @@ Desk-scale benchmark experiments: a stability run checking the
 desired-state bounds under dominant convection, and manufactured
 convergence studies with boundary and interior layers.
 
-Every fact about an example is one entry of ``EXAMPLES``.  Each driver
-owns its level loop: mesh, solve, checks or error norms, and outputs.
+Every fact about an example is one entry of ``EXAMPLES``.  One driver,
+:func:`run`, owns the level loop of every example: one mesh per level,
+the solves of every requested scheme on it, then the bound checks or the
+error norms, and the outputs.
 
 The manufactured right-hand sides are composed in one place,
 :func:`manufactured_case`, by applying the strong operators to the
@@ -85,30 +87,6 @@ class ExperimentConfig:
 def _peak_rss_mb():
     """Peak resident set size of this process so far, in MB (ru_maxrss)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-class _Writer:
-    """Output-directory helper; inert when no directory is configured."""
-
-    def __init__(self, config):
-        self.dir = config.out_dir
-        self.log_lines = []
-        if self.dir is not None:
-            os.makedirs(self.dir, exist_ok=True)
-            with open(os.path.join(self.dir, "config.json"), "w") as fh:
-                json.dump(vars(config), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-
-    def path(self, name):
-        return None if self.dir is None else os.path.join(self.dir, name)
-
-    def log(self, line):
-        self.log_lines.append(line)
-
-    def finish(self):
-        if self.dir is not None:
-            with open(os.path.join(self.dir, "run.log"), "w") as fh:
-                fh.write("\n".join(self.log_lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -232,141 +210,145 @@ EXAMPLES = {
 
 
 # ----------------------------------------------------------------------
-# experiment drivers
+# the experiment driver
 
 
-def run_stability(config):
+def _stability_entry(config, problem, mesh, level, sol, t0):
     """
-    Solve the constant-desired-state tracking problem across levels and
-    check the desired-state bounds for every requested scheme.
-
-    Each level's mesh and solutions are built once, shared by the schemes
-    and freed before the next level builds its own mesh; ``run.log`` still
-    lists the lines scheme by scheme.  The first scheme's ``elapsed=``
-    includes the mesh build.  If a level raises, ``run.log`` keeps the
-    lines of the solves that finished and the exception propagates.
-
-    Returns {scheme: {level: {"bounds", "m_matrix"}}}.  A bound violation
-    by the unstabilized comparator is expected output; a violation while
+    The desired-state bounds and the M-matrix certificate of one stability
+    solve, its dumps and its ``run.log`` line, timed from ``t0``.  A bound
+    violation by the unstabilized comparator is expected output; one while
     the stiffness certifies as an M-matrix is an error.
     """
-    if config.example != "stability":
-        raise ValueError("run_stability requires a stability config")
-    writer = _Writer(config)
-    problem = stability_problem(config.eps, yd_const=config.yd_const)
-    results = {s: {} for s in config.schemes}
-    lines = {s: [] for s in config.schemes}
+    bounds = verify_norms.check_desired_state_bounds(mesh, sol, problem.y_d)
+    mreport = certify_m_matrix(sol.stiffness)
+    if mreport.ok and not bounds.ok:
+        raise RuntimeError(
+            "bound check failed although the stiffness certified as an "
+            "M-matrix (scheme=%s, level=%d)" % (sol.scheme, level)
+        )
+    margin = "none" if mreport.margin is None else "%.3e" % mreport.margin
+    line = ("stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
+            "m_margin=%s m_vector=%s iterations=%d factor=%s fill=%d "
+            "peak_rss_mb=%.1f elapsed=%.2fs"
+            % (sol.scheme, level, bounds.ok, bounds.worst_violation,
+               mreport.ok, margin, mreport.vector or "none", sol.iterations,
+               sol.precision or "none", sol.fill, _peak_rss_mb(),
+               time.perf_counter() - t0))
+    if config.out_dir is not None:
+        stem = "%s_%s_k%d" % (config.example, sol.scheme, level)
+        path = os.path.join(config.out_dir, stem)
+        bounds.dump(path + "_bounds.json")
+        write_solution_csv(mesh, sol, path + ".csv")
+        write_solution_vtk(mesh, sol, path + ".vtk", title=stem)
+    return {"bounds": bounds, "m_matrix": mreport}, line
+
+
+def _errors_entry(config, case, boxes, mesh, level, sol):
+    """The errors of one layer solve per box, its VTK dump and log line."""
+    if config.out_dir is not None:
+        stem = "%s_%s_k%d" % (config.example, sol.scheme, level)
+        write_solution_vtk(mesh, sol, os.path.join(config.out_dir,
+                                                   stem + ".vtk"), title=stem)
+    errors = {name: solution_errors(mesh, case, sol, region=box,
+                                    metric=config.metric)
+              for name, box in boxes.items()}
+    line = ("%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
+            "peak_rss_mb=%.1f iterations=%d factor=%s fill=%d"
+            % ((config.example, sol.scheme, level) + errors["global"]
+               + (_peak_rss_mb(), sol.iterations, sol.precision or "none",
+                  sol.fill)))
+    return errors, line
+
+
+def _tables(config, boxes, scheme, per_level):
+    """The convergence tables of one scheme per box, written out."""
+    tables = {
+        name: ConvergenceTable(config.levels, dict(zip(
+            ConvergenceTable.COLUMNS,
+            zip(*(per_level[level][name] for level in config.levels)))),
+            region=box)
+        for name, box in boxes.items()
+    }
+    if config.out_dir is not None:
+        for name, table in tables.items():
+            table.to_csv(os.path.join(config.out_dir, "%s_%s_%s.csv"
+                                      % (config.example, scheme, name)))
+    return tables
+
+
+def run(config):
+    """
+    Run the configured example: levels outer, schemes inner.  Each level
+    builds one mesh, which every requested scheme solves on, sharing the
+    assembly no scheme changes (:func:`optimal_control.solve_schemes`);
+    each solution is freed before the next scheme factors, and the mesh
+    before the next level builds its own.
+
+    The stability example checks the desired-state bounds and certifies
+    the interior stiffness of every solve, and returns
+    {scheme: {level: {"bounds", "m_matrix"}}}.  A layer example measures
+    the errors of every solve on the whole square and on its local box,
+    and returns {scheme: {"global": ConvergenceTable, "local":
+    ConvergenceTable}}, written out once the scheme's last level is solved.
+
+    ``run.log`` lists the lines scheme by scheme, a layer scheme's led by
+    a summary line with the time of all its levels; the first scheme's
+    time at a level includes the mesh build and the shared assembly.  If
+    a solve raises, ``run.log`` keeps the line of every solve that
+    finished and the exception propagates; a scheme whose last level did
+    not finish gets no summary line and no tables.
+    """
+    if config.example == "stability":
+        problem = stability_problem(config.eps, yd_const=config.yd_const)
+        case = None
+    else:
+        example = EXAMPLES[config.example]
+        case = example["case"](config.eps)
+        problem = case.problem
+        boxes = {"global": None, "local": example["region"]
+                 if config.region is None else config.region}
+    if config.out_dir is not None:
+        os.makedirs(config.out_dir, exist_ok=True)
+        with open(os.path.join(config.out_dir, "config.json"), "w") as fh:
+            json.dump(vars(config), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    results = {scheme: {} for scheme in config.schemes}
+    lines = {scheme: [] for scheme in config.schemes}
+    elapsed = dict.fromkeys(config.schemes, 0.0)
     try:
         for level in config.levels:
             t0 = time.perf_counter()
             mesh = build_unit_square(level)
-            for scheme in config.schemes:
-                sol = optimal_control.solve(
-                    mesh, problem, scheme, lump_reaction=config.lump_reaction
-                )
-                bounds = verify_norms.check_desired_state_bounds(
-                    mesh, sol, problem.y_d
-                )
-                mreport = certify_m_matrix(sol.stiffness)
-                if mreport.ok and not bounds.ok:
-                    raise RuntimeError(
-                        "bound check failed although the stiffness "
-                        "certified as an M-matrix (scheme=%s, level=%d)"
-                        % (scheme, level)
-                    )
-                results[scheme][level] = {"bounds": bounds,
-                                          "m_matrix": mreport}
-                margin = ("none" if mreport.margin is None
-                          else "%.3e" % mreport.margin)
-                lines[scheme].append(
-                    "stability scheme=%s level=%d ok=%s worst=%.3e "
-                    "m_matrix=%s m_margin=%s m_vector=%s iterations=%d "
-                    "factor=%s fill=%d peak_rss_mb=%.1f elapsed=%.2fs"
-                    % (scheme, level, bounds.ok, bounds.worst_violation,
-                       mreport.ok, margin, mreport.vector or "none",
-                       sol.iterations, sol.precision or "none", sol.fill,
-                       _peak_rss_mb(), time.perf_counter() - t0)
-                )
-                if writer.dir is not None:
-                    stem = "%s_%s_k%d" % (config.example, scheme, level)
-                    bounds.dump(writer.path(stem + "_bounds.json"))
-                    write_solution_csv(mesh, sol, writer.path(stem + ".csv"))
-                    write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
-                                       title=stem)
+            for sol in optimal_control.solve_schemes(
+                    mesh, problem, config.schemes,
+                    lump_reaction=config.lump_reaction):
+                scheme = sol.scheme
+                if case is None:
+                    entry, line = _stability_entry(config, problem, mesh,
+                                                   level, sol, t0)
+                else:
+                    entry, line = _errors_entry(config, case, boxes, mesh,
+                                                level, sol)
+                # freed here, before the next scheme factors
+                del sol
+                results[scheme][level] = entry
+                lines[scheme].append(line)
+                elapsed[scheme] += time.perf_counter() - t0
+                if case is not None and level == config.levels[-1]:
+                    results[scheme] = _tables(config, boxes, scheme,
+                                              results[scheme])
+                    lines[scheme].insert(0, (
+                        "%s scheme=%s levels=%s metric=%s elapsed=%.2fs"
+                        % (config.example, scheme, config.levels,
+                           config.metric, elapsed[scheme])))
                 t0 = time.perf_counter()
-            # free level k before level k + 1 builds its mesh
-            del mesh, sol
+            # free level k before level k + 1 builds its mesh, so that it
+            # is not alive beside the next level's factor
+            del mesh
     finally:
-        for scheme in config.schemes:
-            for line in lines[scheme]:
-                writer.log(line)
-        writer.finish()
+        if config.out_dir is not None:
+            with open(os.path.join(config.out_dir, "run.log"), "w") as fh:
+                fh.write("\n".join(line for scheme in config.schemes
+                                   for line in lines[scheme]) + "\n")
     return results
-
-
-def run_convergence(config):
-    """
-    Global and local convergence tables of a layer example for every
-    requested scheme, from one solve per level on the unit square.
-    Returns {scheme: {"global": ConvergenceTable, "local": ConvergenceTable}}.
-    If a level raises, ``run.log`` keeps the lines of the levels that
-    finished and the exception propagates.
-    """
-    if config.example == "stability":
-        raise ValueError("run_convergence requires a layer-example config")
-    example = EXAMPLES[config.example]
-    case = example["case"](config.eps)
-    region = example["region"] if config.region is None else config.region
-    boxes = {"global": None, "local": region}
-    writer = _Writer(config)
-    results = {}
-    try:
-        for scheme in config.schemes:
-            t0 = time.perf_counter()
-            summary_at = len(writer.log_lines)
-            errors = {name: [] for name in boxes}
-            for level in config.levels:
-                mesh = build_unit_square(level)
-                sol = optimal_control.solve(mesh, case.problem, scheme,
-                                            lump_reaction=config.lump_reaction)
-                if writer.dir is not None:
-                    stem = "%s_%s_k%d" % (config.example, scheme, level)
-                    write_solution_vtk(mesh, sol, writer.path(stem + ".vtk"),
-                                       title=stem)
-                for name, box in boxes.items():
-                    errors[name].append(solution_errors(
-                        mesh, case, sol, region=box, metric=config.metric))
-                writer.log(
-                    "%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s "
-                    "ep_h1=%s peak_rss_mb=%.1f iterations=%d factor=%s fill=%d"
-                    % ((config.example, scheme, level) + errors["global"][-1]
-                       + (_peak_rss_mb(), sol.iterations,
-                          sol.precision or "none", sol.fill))
-                )
-                # free level k before level k + 1 builds its mesh, so that it
-                # is not alive beside the next level's factor
-                del mesh, sol
-            # the scheme's summary line, with the time of all its levels, leads
-            writer.log_lines.insert(summary_at, (
-                "%s scheme=%s levels=%s metric=%s elapsed=%.2fs"
-                % (config.example, scheme, config.levels, config.metric,
-                   time.perf_counter() - t0)))
-            results[scheme] = {
-                name: ConvergenceTable(config.levels, dict(zip(
-                    ConvergenceTable.COLUMNS, zip(*rows))), region=boxes[name])
-                for name, rows in errors.items()
-            }
-            if writer.dir is not None:
-                for name, table in results[scheme].items():
-                    table.to_csv(writer.path("%s_%s_%s.csv"
-                                             % (config.example, scheme, name)))
-    finally:
-        writer.finish()
-    return results
-
-
-def run(config):
-    """Dispatch on the configured example id."""
-    if config.example == "stability":
-        return run_stability(config)
-    return run_convergence(config)

@@ -77,10 +77,11 @@ class SolutionPair:
     interior stiffness block A of the solved system and ``tracking_load``
     the load vector (y_d, phi_i) over all vertices in tracking mode (None
     in general mode).  It holds no matrix over all vertices: the full mass
-    matrix is freed after assembly, before the factor, and the bound check
+    matrix is freed before any factor, and the bound check
     (:func:`~eafe_control.verify_norms.check_desired_state_bounds`)
-    assembles its own.  ``stiffness`` keeps the index arrays that the
-    solved system's A and M shared.
+    assembles its own.  The solutions that one :func:`solve_schemes` call
+    yields share ``tracking_load`` and the index arrays of
+    ``stiffness``, which the solved systems' A and M shared.
     """
 
     def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
@@ -113,86 +114,105 @@ def assemble_stiffness(mesh, coeff, scheme, lump_reaction=True):
     raise ValueError("unknown scheme %r (expected one of %s)" % (scheme, SCHEMES))
 
 
-def _lift_vector(mesh, field):
-    """Nodal interpolation of boundary data, extended by zero inside."""
+def _lift_vector(mesh, values):
+    """Dirichlet lift: the boundary ``values``, extended by zero inside."""
     lift = np.zeros(mesh.num_vertices)
-    bnd = mesh.boundary_vertex
-    vals = interpolate_nodal(mesh, field)
-    lift[bnd] = vals[bnd]
+    lift[mesh.boundary_vertex] = values
     return lift
 
 
-def _interior_blocks(a_full, m_full, keep):
+def _interior_entries(full, keep):
     """
-    The ``keep`` rows and columns of A and M, two matrices on one pair of
-    index arrays.  A and M come from one mesh, on the same edge pattern,
-    so the interior pattern is extracted once, as a matrix of slot
-    numbers, and each block gathers its data through it: the same
-    entries, explicit zeros included, as extracting each matrix by
-    itself.
+    Mask of the stored entries of the CSR matrix ``full`` in ``keep`` rows
+    and columns: the entries of ``full[keep][:, keep]``, in its order,
+    since that extraction keeps the stored order of each row.
     """
-    slots = sp.csr_matrix(
-        (np.arange(a_full.nnz, dtype=a_full.indices.dtype), a_full.indices,
-         a_full.indptr), shape=a_full.shape)[keep][:, keep]
-    return tuple(sp.csr_matrix((full.data[slots.data], slots.indices,
-                                slots.indptr), shape=slots.shape)
-                 for full in (a_full, m_full))
+    return np.repeat(keep, np.diff(full.indptr)) & keep[full.indices]
 
 
-def _assemble_parts(mesh, spec, scheme, lump_reaction=True):
+def _assemble_parts(mesh, spec, schemes, lump_reaction=True):
     """
-    The interior :class:`BlockSaddleSystem`, the tracking load (None in
-    general mode), and the Dirichlet values of p and y on the boundary
-    vertices, in vertex order.
+    Yield, for each scheme of ``schemes`` in turn, the interior
+    :class:`BlockSaddleSystem`, the tracking load (None in general mode),
+    and the Dirichlet values of p and y on the boundary vertices, in
+    vertex order.
+
+    The parts no scheme changes are built once, after the first scheme's
+    stiffness, whose coefficient samples raise on bad data first: the
+    loads, the boundary values, M's interior block and boundary columns,
+    its interior entries and the interior order.  Every matrix of a mesh
+    sits on its edge pattern, so each stiffness gathers its interior block
+    through M's interior entries onto M's index pair, explicit zeros
+    included.  A lift is zero inside, and a sparse product's row sum,
+    which starts at +0, never changes on adding +0, so M times a lift is
+    M's boundary columns times the boundary values, bit for bit.  The full
+    mass matrix is dropped before any factor; between two schemes only
+    these parts stay alive, and beside the last scheme's factor only what
+    its system and solution need.
     """
-    a_full = assemble_stiffness(mesh, spec.coeff, scheme,
-                                lump_reaction=lump_reaction)
-    m_full = fem_core.assemble_mass(mesh)
-
-    tracking_load = None
-    if spec.mode == "tracking":
-        tracking_load = assemble_load(mesh, spec.y_d)
-        f_full = -tracking_load
-        g_full = np.zeros(mesh.num_vertices)
-    else:
-        f_full, g_full = assemble_load(mesh, spec.source)
-
-    p_lift = _lift_vector(mesh, spec.dirichlet_p)
-    y_lift = _lift_vector(mesh, spec.dirichlet_y)
-
     bnd = mesh.boundary_vertex
-    interior = ~bnd
     beta = spec.coeff.beta
-    rhs_top = (f_full - a_full.T @ p_lift + m_full @ y_lift)[interior]
-    rhs_bottom = (g_full + m_full @ p_lift + beta * (a_full @ y_lift))[interior]
+    for i, scheme in enumerate(schemes, 1):
+        a_full = assemble_stiffness(mesh, spec.coeff, scheme,
+                                    lump_reaction=lump_reaction)
+        if i == 1:
+            interior = ~bnd
+            tracking_load = loads = None
+            if spec.mode == "tracking":
+                tracking_load = assemble_load(mesh, spec.y_d)
+            else:
+                loads = assemble_load(mesh, spec.source)
+            p_bnd = interpolate_nodal(mesh, spec.dirichlet_p)[bnd]
+            y_bnd = interpolate_nodal(mesh, spec.dirichlet_y)[bnd]
+            m_full = fem_core.assemble_mass(mesh)
+            entries = _interior_entries(m_full, interior)
+            m_int, m_bnd = m_full[interior][:, interior], m_full[:, bnd]
+            del m_full
+            # the mesh order without its boundary vertices, renumbered to
+            # interior dofs
+            order = nested_dissection_order(mesh)
+            order = (np.cumsum(interior, dtype=np.int32) - 1)[
+                order[interior[order]]]
+        # in tracking mode f = -(y_d, phi_i) and g = 0, formed per scheme
+        f_full, g_full = loads or (-tracking_load,
+                                   np.zeros(mesh.num_vertices))
+        p_lift, y_lift = _lift_vector(mesh, p_bnd), _lift_vector(mesh, y_bnd)
+        rhs_top = (f_full - a_full.T @ p_lift + m_bnd @ y_bnd)[interior]
+        rhs_bottom = (g_full + m_bnd @ p_bnd
+                      + beta * (a_full @ y_lift))[interior]
+        a_int = sp.csr_matrix((a_full.data[entries], m_int.indices,
+                               m_int.indptr), shape=m_int.shape)
+        del a_full, f_full, g_full, p_lift, y_lift
+        if i == len(schemes):
+            del loads, entries, m_bnd, interior
+        yield (BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom,
+                                 beta=beta, order=order),
+               tracking_load, p_bnd, y_bnd)
 
-    a_int, m_int = _interior_blocks(a_full, m_full, interior)
-    # the mesh order without its boundary vertices, renumbered to interior dofs
-    order = nested_dissection_order(mesh)
-    dof = np.cumsum(interior, dtype=np.int32) - 1
-    system = BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom, beta=beta,
-                               order=dof[order[interior[order]]])
-    return system, tracking_load, p_lift[bnd], y_lift[bnd]
+
+def solve_schemes(mesh, spec, schemes, lump_reaction=True):
+    """
+    Solve the optimality system on one mesh for each scheme of
+    ``schemes`` in turn, building the parts no scheme changes once
+    (:func:`_assemble_parts`); yields one :class:`SolutionPair` per scheme,
+    whose boundary nodes carry the interpolated Dirichlet traces, and
+    keeps no reference to it once resumed.
+    """
+    bnd = mesh.boundary_vertex
+    for scheme, (system, tracking_load, p_bnd, y_bnd) in zip(
+            schemes, _assemble_parts(mesh, spec, schemes, lump_reaction)):
+        p_int, y_int, res = system.solve()
+        p, y = _lift_vector(mesh, p_bnd), _lift_vector(mesh, y_bnd)
+        p[~bnd], y[~bnd] = p_int, y_int
+        yield SolutionPair(p, y, recover_control(p, spec.coeff.beta), res,
+                           scheme, system.A, system.iterations, system.fill,
+                           system.precision, tracking_load)
+        del p, y, p_int, y_int
 
 
 def solve(mesh, spec, scheme, lump_reaction=True):
-    """
-    Solve the optimality system; returns a :class:`SolutionPair` whose
-    boundary nodes carry the interpolated Dirichlet traces.
-    """
-    system, tracking_load, p_bnd, y_bnd = _assemble_parts(
-        mesh, spec, scheme, lump_reaction
-    )
-    p_int, y_int, res = system.solve()
-    bnd = mesh.boundary_vertex
-    p = np.empty(mesh.num_vertices)
-    y = np.empty(mesh.num_vertices)
-    p[bnd], y[bnd] = p_bnd, y_bnd
-    p[~bnd], y[~bnd] = p_int, y_int
-    u = recover_control(p, spec.coeff.beta)
-    return SolutionPair(p, y, u, res, scheme, system.A,
-                        system.iterations, system.fill, system.precision,
-                        tracking_load)
+    """The :class:`SolutionPair` of one scheme (:func:`solve_schemes`)."""
+    return next(solve_schemes(mesh, spec, (scheme,), lump_reaction))
 
 
 def write_solution_csv(mesh, sol, path):

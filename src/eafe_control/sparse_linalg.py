@@ -33,10 +33,8 @@ GMRES_MARGIN = 1e-2
 #: pairs of A for which the PRESB factor is stored in float32.  On an EAFE
 #: edge the ratio is e^|s_E|, s_E the edge Peclet number, so this reads
 #: "edge Peclet <= 2".  Above it the factor decays along the streamlines
-#: into float32 subnormals, and the saddle solve with a float32 factor took
-#: 1.11-1.74 times as long as with a float64 one in all 7 measured cases
-#: (ratios >= 15.8, levels 6-8, one core); at ratios <= 3.3 it took
-#: 0.78-0.97 times as long in 16 of 17 cases.
+#: into float32 subnormals, which make the saddle solve with a float32
+#: factor slower than with a float64 one.
 SINGLE_PRECISION_ASYMMETRY = np.e**2
 
 
@@ -86,12 +84,8 @@ def _factorize(mat, order=None):
     ``panel_size * n`` words alive through the whole factorization
     (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20,
     1999); one column gives the same pivots and fill and, with diagonal
-    pivots in a fixed order, the same factor up to rounding order.  On
-    the level-9 boundary-layer F (eps = 1e-2, 23.7 M stored entries, one
-    BLAS thread) the factor step lifted the resident set by 185 MiB with
-    the default panels and by 141 MiB with one column, and reserved
-    44 MiB less address space; the factor took 0.94-1.12 s against
-    1.02-1.36 s.  At levels 7 and 8 the time is within noise.
+    pivots in a fixed order, the same factor up to rounding order, and
+    lifts the resident set less.
 
     SuperLU itself raises on an exactly zero pivot.  The factor's ``L``
     and ``U`` attributes are not read here: scipy builds CSC copies of
@@ -191,9 +185,7 @@ def _fgmres_cycle(matvec, psolve, direction, r, target):
         raise ResidualCertificationError("non-finite GMRES residual norm")
     # one array per vector, not a (restart + 1) x size block: the vectors
     # then fit in heap memory that the factorization before them freed,
-    # where a block maps fresh pages (level-8 boundary layer, with
-    # SuperLU's default panels: peak RSS 152-158 MB, against 167-169 MB
-    # with the basis in one block)
+    # where a block maps fresh pages
     v = [r / g[0]]
     z = []
     for j in range(restart):
@@ -257,10 +249,10 @@ class BlockSaddleSystem:
     below holds regardless.  F has a symmetric pattern and is factored
     with diagonal pivots in the symmetric ordering ``order``, a
     permutation of the n dofs, checked on construction (ValueError
-    otherwise; see :func:`_factorize`):
-    :func:`optimal_control.solve` passes the interior part of the mesh's
-    nested-dissection order, 4.94 M stored entries at level 8, against
-    9.6 M for COLAMD with partial pivoting.  ``fill`` records SuperLU's
+    otherwise; see :func:`_factorize`): :func:`optimal_control.solve_schemes`
+    passes the interior part of the mesh's nested-dissection order, 4.94 M
+    stored entries at level 8, against 9.6 M for COLAMD with partial
+    pivoting.  ``fill`` records SuperLU's
     stored count of the factor (``nnz``, slightly more than nnz(L) +
     nnz(U) of its CSC form).
     Every solution it returns is certified on the system above, with
@@ -283,13 +275,7 @@ class BlockSaddleSystem:
     2009; Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Each kept
     direction is the factor's two solutions in its precision, with a
     float32 factor half the bytes of a float64 direction (see
-    :meth:`solve`).  On the level-8 boundary layer at eps = 1e-2 it
-    keeps 13 iterations and the same fill, and the peak RSS of
-    ``--levels 7..8`` (one thread) is 140-142 MB, with A and M on one
-    index pair as :func:`optimal_control.solve` builds them (146-148 MB
-    with a pair each); with SuperLU's default panels (see
-    :func:`_factorize`) it was 152-160 MB, against 181 MB with a float64
-    factor.
+    :meth:`solve`).
     """
 
     def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, *, order):
@@ -402,7 +388,8 @@ class BlockSaddleSystem:
         SingularMatrixError
             If ``M + sqrt(beta) A`` has a zero pivot.
         ResourceLimitError
-            If its factor does not fit in memory.
+            If its factor, or the Krylov stage after it, does not fit in
+            memory; a ``MemoryError`` of the Krylov stage is its cause.
         ResidualCertificationError
             If the residual certificate cannot be met, GMRES meets a
             non-finite number, or the certified p or y, scaled back,
@@ -454,34 +441,40 @@ class BlockSaddleSystem:
             y, q = x[:n], x[n:]
             return np.concatenate([m @ y - s * (a.T @ q), s * (a @ y) + m @ q])
 
-        # op (p, y) - rhs = (r_y, s r_q) for the balanced residual
-        # (r_y, r_q) = (-rhs_top, -rhs_bottom / s) - balanced(y, q), so its
-        # norm is at most max(1, s) times the balanced one, and a balanced
-        # residual of at most target certifies rtol * GMRES_MARGIN
-        target = rtol * GMRES_MARGIN * bnorm / max(1.0, s)
-        x = np.zeros(2 * n)  # (y, q)
-        r = np.concatenate([-top, -bottom / s])
-        for _ in range(GMRES_CYCLES):
-            dx, k = _fgmres_cycle(balanced, presb, direction, r, target)
-            x += dx
-            self.iterations += k
-            y, p = x[:n], s * x[n:]
-            r_top = a.T @ p - m @ y - top
-            r_bottom = -(m @ p) - self.beta * (a @ y) - bottom
-            res = np.sqrt(_dot(r_top, r_top)
-                          + _dot(r_bottom, r_bottom)) / bnorm
-            if res <= rtol * GMRES_MARGIN:
-                break
-            r = np.concatenate([r_top, r_bottom / s])
-        if not res <= rtol:
-            raise ResidualCertificationError(
-                "relative residual %.3g exceeds certificate %.3g after %d "
-                "GMRES iterations" % (res, rtol, self.iterations)
-            )
-        with np.errstate(over="ignore"):
-            p, y = np.ldexp(p, e), np.ldexp(y, e)
-        if not (np.isfinite(p).all() and np.isfinite(y).all()):
-            raise ResidualCertificationError(
-                "the certified solution overflows float64 once scaled back "
-                "by 2^%d" % e)
-        return p, y, float(res)
+        try:
+            # op (p, y) - rhs = (r_y, s r_q) for the balanced residual
+            # (r_y, r_q) = (-rhs_top, -rhs_bottom / s) - balanced(y, q), so its
+            # norm is at most max(1, s) times the balanced one, and a balanced
+            # residual of at most target certifies rtol * GMRES_MARGIN
+            target = rtol * GMRES_MARGIN * bnorm / max(1.0, s)
+            x = np.zeros(2 * n)  # (y, q)
+            r = np.concatenate([-top, -bottom / s])
+            for _ in range(GMRES_CYCLES):
+                dx, k = _fgmres_cycle(balanced, presb, direction, r, target)
+                x += dx
+                self.iterations += k
+                y, p = x[:n], s * x[n:]
+                r_top = a.T @ p - m @ y - top
+                r_bottom = -(m @ p) - self.beta * (a @ y) - bottom
+                res = np.sqrt(_dot(r_top, r_top)
+                              + _dot(r_bottom, r_bottom)) / bnorm
+                if res <= rtol * GMRES_MARGIN:
+                    break
+                r = np.concatenate([r_top, r_bottom / s])
+            if not res <= rtol:
+                raise ResidualCertificationError(
+                    "relative residual %.3g exceeds certificate %.3g after %d "
+                    "GMRES iterations" % (res, rtol, self.iterations)
+                )
+            with np.errstate(over="ignore"):
+                p, y = np.ldexp(p, e), np.ldexp(y, e)
+            if not (np.isfinite(p).all() and np.isfinite(y).all()):
+                raise ResidualCertificationError(
+                    "the certified solution overflows float64 once scaled "
+                    "back by 2^%d" % e)
+            return p, y, float(res)
+        except MemoryError as exc:
+            raise ResourceLimitError(
+                "out of memory in the Krylov stage (%d interior dofs, %d "
+                "GMRES iterations so far): %s" % (n, self.iterations, exc)
+            ) from exc

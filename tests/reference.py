@@ -490,7 +490,7 @@ def presb_precision(a, m, s):
 
 def assemble_system(mesh, spec, scheme, lump_reaction=True):
     """Interior-dof saddle system with Dirichlet lifts on the right-hand side."""
-    return _assemble_parts(mesh, spec, scheme, lump_reaction)[0]
+    return next(_assemble_parts(mesh, spec, (scheme,), lump_reaction))[0]
 
 
 def convergence_study(case, scheme, levels, region=None, lump_reaction=True,

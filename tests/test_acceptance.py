@@ -22,7 +22,7 @@ from eafe_control.experiments import (
     ExperimentConfig,
     boundary_layer_case,
     interior_layer_case,
-    run_convergence,
+    run,
     stability_problem,
 )
 from eafe_control.fem_core import (
@@ -160,7 +160,7 @@ def run_boundary_config(out_dir):
         "boundary-layer", eps=1e-2, levels=[6, 7, 8], scheme="eafe",
         out_dir=str(out_dir), lump_reaction=False, metric="interpolant",
     )
-    return config, run_convergence(config)
+    return config, run(config)
 
 
 @pytest.fixture(scope="module")

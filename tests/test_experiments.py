@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,6 @@ from eafe_control.experiments import (
     coefficient_sets,
     interior_layer_case,
     run,
-    run_convergence,
-    run_stability,
     stability_problem,
 )
 from eafe_control.sparse_linalg import ResidualCertificationError
@@ -192,7 +191,7 @@ def test_config_defaults_and_validation():
 
 def test_stability_run_separates_schemes(tmp_path):
     config = ExperimentConfig("stability", levels=[3, 4], out_dir=str(tmp_path))
-    results = run_stability(config)
+    results = run(config)
     for level in (3, 4):
         assert results["eafe"][level]["bounds"].ok
         assert results["eafe"][level]["m_matrix"].ok
@@ -233,8 +232,8 @@ def test_stability_run_assembles_load_once_and_logs_margin(tmp_path,
     monkeypatch.setattr(fem_core, "assemble_load", counting)
     monkeypatch.setattr(optimal_control, "assemble_load", counting)
     config = ExperimentConfig("stability", levels=[3, 4], out_dir=str(tmp_path))
-    results = run_stability(config)
-    assert len(calls) == 4  # one per scheme and level
+    results = run(config)
+    assert len(calls) == 2  # one per level, shared by the schemes
     lines = (tmp_path / "run.log").read_text().splitlines()
     margin = results["eafe"][4]["m_matrix"].margin
     assert margin > 0.0
@@ -247,7 +246,7 @@ def test_stability_run_assembles_load_once_and_logs_margin(tmp_path,
 def test_stability_diffusion_dominated_both_schemes_clean():
     config = ExperimentConfig("stability", eps=1.0, levels=[3, 4],
                               scheme="both")
-    results = run_stability(config)
+    results = run(config)
     for scheme in ("eafe", "galerkin"):
         for level in (3, 4):
             assert results[scheme][level]["bounds"].ok
@@ -256,7 +255,7 @@ def test_stability_diffusion_dominated_both_schemes_clean():
 def test_custom_mirrored_desired_state():
     config = ExperimentConfig("stability", levels=[3], scheme="eafe",
                               yd_const=-1.0)
-    results = run_stability(config)
+    results = run(config)
     assert results["eafe"][3]["bounds"].ok
     assert results["eafe"][3]["bounds"].sign == "nonpos"
 
@@ -268,7 +267,7 @@ def test_boundary_layer_run_writes_deterministic_tables(tmp_path):
     for out in (dir_a, dir_b):
         config = ExperimentConfig("boundary-layer", levels=[2, 3, 4],
                                   scheme="eafe", out_dir=str(out))
-        results[out] = run_convergence(config)
+        results[out] = run(config)
     for name in ("boundary-layer_eafe_global.csv",
                  "boundary-layer_eafe_local.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
@@ -292,7 +291,7 @@ def test_convergence_log_records_factor_precision(tmp_path):
     # eps = 0.05: edge Peclet 3.5 at level 2, then 1.8 and 0.9
     config = ExperimentConfig("boundary-layer", eps=0.05, levels=[2, 3, 4],
                               scheme="eafe", out_dir=str(tmp_path))
-    run_convergence(config)
+    run(config)
     lines = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
              if " level=" in ln]
     factors = [ln.split(" factor=", 1)[1].split()[0] for ln in lines]
@@ -302,7 +301,7 @@ def test_convergence_log_records_factor_precision(tmp_path):
 def test_interior_layer_run_smoke(tmp_path):
     config = ExperimentConfig("interior-layer", levels=[2, 3], scheme="eafe",
                               out_dir=str(tmp_path))
-    results = run_convergence(config)
+    results = run(config)
     table = results["eafe"]["local"]
     assert table.region == (0.65, 1.0, 0.0, 1.0)
     assert None not in table.errors["ey_l2"]
@@ -316,7 +315,7 @@ def test_interior_layer_run_smoke(tmp_path):
 ], ids=["boundary-layer", "interior-layer"])
 def test_convergence_run_equals_the_reference_loop(example, levels, region):
     config = ExperimentConfig(example, levels=levels, scheme="eafe")
-    tables = run_convergence(config)["eafe"]
+    tables = run(config)["eafe"]
     case = EXAMPLES[example]["case"](config.eps)
     for name, box in (("global", None), ("local", region)):
         want = convergence_study(case, "eafe", levels, region=box,
@@ -330,11 +329,13 @@ def test_convergence_run_equals_the_reference_loop(example, levels, region):
         assert tables["local"].orders["ey_l2"] == [None, None, None]
 
 
-def test_runner_guards_example_kind():
-    with pytest.raises(ValueError):
-        run_convergence(ExperimentConfig("stability"))
-    with pytest.raises(ValueError):
-        run_stability(ExperimentConfig("interior-layer"))
+def test_run_dispatches_on_the_configured_example():
+    # one entry point: the config's example picks the checks and the result
+    stability = run(ExperimentConfig("stability", levels=[2], scheme="eafe"))
+    assert stability["eafe"][2].keys() == {"bounds", "m_matrix"}
+    layer = run(ExperimentConfig("interior-layer", levels=[2], scheme="eafe"))
+    assert layer["eafe"].keys() == {"global", "local"}
+    assert layer["eafe"]["local"].region == EXAMPLES["interior-layer"]["region"]
 
 
 def test_stability_problem_structure():
@@ -509,30 +510,67 @@ def test_readme_flags_match_the_parser():
     assert tuple(choices.split(",")) == tuple(EXAMPLES)
 
 
-def test_convergence_frees_each_level_before_the_next_mesh(monkeypatch):
-    # level k's mesh and solution are gone when level k + 1 builds its mesh,
-    # so they are not alive beside the next level's factor
-    from eafe_control import experiments, optimal_control
+def _recording(solve_schemes, solutions):
+    """
+    ``solve_schemes`` that appends weak references to each solution it
+    yields and to its nodal fields, with the id of its mesh, and holds no
+    reference to it once resumed.
+    """
+    def solving(mesh, *args, **kwargs):
+        for sol in solve_schemes(mesh, *args, **kwargs):
+            fields = sol, sol.p_bar, sol.y_bar, sol.u_bar
+            solutions.append(([weakref.ref(x) for x in fields], id(mesh)))
+            del fields
+            yield sol
+            del sol
 
-    earlier = []
-    build, solve = experiments.build_unit_square, optimal_control.solve
+    return solving
+
+
+def test_convergence_frees_each_level_before_the_next_mesh(monkeypatch):
+    # level k's mesh and solutions are gone when level k + 1 builds its
+    # mesh, and each solution is gone when the next scheme factors; no
+    # full mass matrix is alive beside a factor, nor the mask of its
+    # interior entries beside the level's last one
+    from eafe_control import (experiments, fem_core, optimal_control,
+                              sparse_linalg)
+
+    meshes, solutions, masses, entries, factors = [], [], [], [], []
+    build, factorize = experiments.build_unit_square, sparse_linalg._factorize
+
+    def alive(refs):
+        return [ref() for ref in refs if ref() is not None]
+
+    def recording(fn, refs):
+        def recorded(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+        return recorded
 
     def building(*args, **kwargs):
-        assert [ref() for ref in earlier] == [None] * len(earlier)
-        mesh = build(*args, **kwargs)
-        earlier.append(weakref.ref(mesh))
-        return mesh
+        assert alive(meshes) == []
+        assert alive([ref for refs, _ in solutions for ref in refs]) == []
+        factors.clear()
+        return recording(build, meshes)(*args, **kwargs)
 
-    def solving(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        earlier.append(weakref.ref(sol))
-        return sol
+    def factoring(*args, **kwargs):
+        factors.append(None)
+        assert alive([ref for refs, _ in solutions for ref in refs]) == []
+        assert alive(masses) == []
+        assert len(alive(entries)) == (1 if len(factors) == 1 else 0)
+        return factorize(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "build_unit_square", building)
-    monkeypatch.setattr(optimal_control, "solve", solving)
-    run_convergence(ExperimentConfig("boundary-layer", levels=[2, 3, 4],
-                                     scheme="both"))
-    assert len(earlier) == 2 * 2 * 3  # a mesh and a solution per level
+    monkeypatch.setattr(sparse_linalg, "_factorize", factoring)
+    monkeypatch.setattr(fem_core, "assemble_mass",
+                        recording(fem_core.assemble_mass, masses))
+    monkeypatch.setattr(optimal_control, "_interior_entries",
+                        recording(optimal_control._interior_entries, entries))
+    monkeypatch.setattr(optimal_control, "solve_schemes",
+                        _recording(optimal_control.solve_schemes, solutions))
+    run(ExperimentConfig("boundary-layer", levels=[2, 3, 4], scheme="both"))
+    assert (len(meshes), len(solutions), len(masses)) == (3, 6, 3)
 
 
 def test_stability_builds_one_mesh_per_level_and_frees_it(tmp_path,
@@ -541,8 +579,8 @@ def test_stability_builds_one_mesh_per_level_and_frees_it(tmp_path,
     # next level builds its own; run.log still lists scheme by scheme
     from eafe_control import experiments, optimal_control
 
-    built, solved_on = [], []
-    build, solve = experiments.build_unit_square, optimal_control.solve
+    built, solutions = [], []
+    build = experiments.build_unit_square
 
     def building(*args, **kwargs):
         assert [ref() for ref in built] == [None] * len(built)
@@ -550,21 +588,51 @@ def test_stability_builds_one_mesh_per_level_and_frees_it(tmp_path,
         built.append(weakref.ref(mesh))
         return mesh
 
-    def solving(mesh, *args, **kwargs):
-        solved_on.append(id(mesh))
-        return solve(mesh, *args, **kwargs)
-
     monkeypatch.setattr(experiments, "build_unit_square", building)
-    monkeypatch.setattr(optimal_control, "solve", solving)
-    run_stability(ExperimentConfig("stability", levels=[2, 3, 4],
-                                   scheme="both", out_dir=str(tmp_path)))
+    monkeypatch.setattr(optimal_control, "solve_schemes",
+                        _recording(optimal_control.solve_schemes, solutions))
+    run(ExperimentConfig("stability", levels=[2, 3, 4], scheme="both",
+                         out_dir=str(tmp_path)))
     assert len(built) == 3
+    solved_on = [mesh_id for _, mesh_id in solutions]
     assert len(solved_on) == 6
     assert solved_on[0::2] == solved_on[1::2]  # eafe, then galerkin
     lines = (tmp_path / "run.log").read_text().splitlines()
     assert [ln.split()[1:3] for ln in lines] == [
         ["scheme=%s" % scheme, "level=%d" % level]
         for scheme in ("eafe", "galerkin") for level in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("example, per_level", [
+    ("stability", {"mesh": 1, "mass": 3, "load": 1, "entries": 1}),
+    ("boundary-layer", {"mesh": 1, "mass": 1, "load": 1, "entries": 1}),
+])
+def test_each_level_builds_its_scheme_independent_parts_once(monkeypatch,
+                                                             example,
+                                                             per_level):
+    # both schemes share the level's mesh, mass matrix, load and interior
+    # entries; the stability bound check assembles one more mass per scheme
+    from eafe_control import experiments, fem_core, optimal_control
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    load = counting("load", fem_core.assemble_load)
+    monkeypatch.setattr(fem_core, "assemble_load", load)
+    monkeypatch.setattr(optimal_control, "assemble_load", load)
+    monkeypatch.setattr(fem_core, "assemble_mass",
+                        counting("mass", fem_core.assemble_mass))
+    monkeypatch.setattr(experiments, "build_unit_square",
+                        counting("mesh", experiments.build_unit_square))
+    monkeypatch.setattr(optimal_control, "_interior_entries",
+                        counting("entries", optimal_control._interior_entries))
+    run(ExperimentConfig(example, levels=[2, 3], scheme="both"))
+    assert calls == {name: 2 * n for name, n in per_level.items()}
 
 
 @pytest.mark.parametrize("example, levels, level_lines", [
@@ -605,14 +673,14 @@ def test_run_log_keeps_finished_levels_when_a_level_raises(tmp_path,
     from eafe_control.sparse_linalg import ResourceLimitError
 
     error = ResourceLimitError("level 4 does not fit")
-    solve = optimal_control.solve
+    solve_schemes = optimal_control.solve_schemes
 
     def solving(mesh, *args, **kwargs):
         if mesh.num_vertices == (2**4 + 1) ** 2:
             raise error
-        return solve(mesh, *args, **kwargs)
+        return solve_schemes(mesh, *args, **kwargs)
 
-    monkeypatch.setattr(optimal_control, "solve", solving)
+    monkeypatch.setattr(optimal_control, "solve_schemes", solving)
     # the stability example runs both schemes, boundary-layer only eafe
     config = ExperimentConfig(example, levels=[2, 3, 4], out_dir=str(tmp_path))
     with pytest.raises(ResourceLimitError) as raised:
@@ -622,3 +690,34 @@ def test_run_log_keeps_finished_levels_when_a_level_raises(tmp_path,
     assert [ln.split()[1:3] for ln in lines] == [
         ["scheme=%s" % scheme, "level=%d" % level]
         for scheme, level in finished]
+
+
+def test_a_finished_scheme_keeps_its_tables_when_a_later_scheme_raises(
+        tmp_path, monkeypatch):
+    # EAFE finishes its last level before Galerkin raises on it: EAFE's
+    # summary line and tables are written, Galerkin's are not
+    from eafe_control import optimal_control
+    from eafe_control.sparse_linalg import ResourceLimitError
+
+    error = ResourceLimitError("galerkin at level 3 does not fit")
+    solve_schemes = optimal_control.solve_schemes
+
+    def solving(mesh, *args, **kwargs):
+        for sol in solve_schemes(mesh, *args, **kwargs):
+            if sol.scheme == "galerkin" and mesh.num_vertices == 9 ** 2:
+                raise error
+            yield sol
+            del sol
+
+    monkeypatch.setattr(optimal_control, "solve_schemes", solving)
+    config = ExperimentConfig("boundary-layer", levels=[2, 3], scheme="both",
+                              out_dir=str(tmp_path))
+    with pytest.raises(ResourceLimitError) as raised:
+        run(config)
+    assert raised.value is error
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert [ln.split()[1:3] for ln in lines] == [
+        ["scheme=eafe", "levels=[2,"], ["scheme=eafe", "level=2"],
+        ["scheme=eafe", "level=3"], ["scheme=galerkin", "level=2"]]
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == [
+        "boundary-layer_eafe_global.csv", "boundary-layer_eafe_local.csv"]

@@ -1,0 +1,54 @@
+"""
+The ledger of each solve's deterministic cost: the stored entries of the
+PRESB factor, the GMRES iterations and the factor's precision, for every
+example and scheme at levels 3-6, the layer examples at their default eps
+and the stability example at eps 1e-9.  The numbers are those of numpy
+2.4.6 and scipy 1.17.1, the versions CI installs.  A change that moves one
+of them (the ordering, the precision rule, the preconditioner or the
+assembly) updates this table and says why.
+"""
+
+import pytest
+
+from eafe_control.experiments import EXAMPLES, stability_problem
+from eafe_control.mesh import build_unit_square
+from eafe_control.optimal_control import SCHEMES, solve_schemes
+
+#: (example, scheme, level): (fill, iterations, precision)
+LEDGER = {
+    ("stability", "eafe", 3): (934, 13, "float64"),
+    ("stability", "galerkin", 3): (934, 3, "float32"),
+    ("stability", "eafe", 4): (5594, 14, "float64"),
+    ("stability", "galerkin", 4): (5594, 3, "float32"),
+    ("stability", "eafe", 5): (33898, 14, "float64"),
+    ("stability", "galerkin", 5): (33898, 3, "float32"),
+    ("stability", "eafe", 6): (189602, 14, "float64"),
+    ("stability", "galerkin", 6): (189602, 3, "float32"),
+    ("boundary-layer", "eafe", 3): (934, 11, "float64"),
+    ("boundary-layer", "galerkin", 3): (934, 12, "float32"),
+    ("boundary-layer", "eafe", 4): (5594, 12, "float64"),
+    ("boundary-layer", "galerkin", 4): (5594, 12, "float32"),
+    ("boundary-layer", "eafe", 5): (33898, 12, "float64"),
+    ("boundary-layer", "galerkin", 5): (33898, 12, "float32"),
+    ("boundary-layer", "eafe", 6): (189602, 13, "float32"),
+    ("boundary-layer", "galerkin", 6): (189602, 13, "float32"),
+    ("interior-layer", "eafe", 3): (934, 11, "float64"),
+    ("interior-layer", "galerkin", 3): (934, 13, "float32"),
+    ("interior-layer", "eafe", 4): (5594, 12, "float64"),
+    ("interior-layer", "galerkin", 4): (5594, 12, "float64"),
+    ("interior-layer", "eafe", 5): (33898, 12, "float64"),
+    ("interior-layer", "galerkin", 5): (33898, 12, "float64"),
+    ("interior-layer", "eafe", 6): (189602, 11, "float32"),
+    ("interior-layer", "galerkin", 6): (189602, 11, "float32"),
+}
+
+
+@pytest.mark.parametrize("example", tuple(EXAMPLES))
+def test_fill_iterations_and_precision_match_the_ledger(example):
+    spec = (stability_problem(1e-9) if example == "stability"
+            else EXAMPLES[example]["case"](EXAMPLES[example]["eps"]).problem)
+    for level in (3, 4, 5, 6):
+        for sol in solve_schemes(build_unit_square(level), spec, SCHEMES):
+            cost = sol.fill, sol.iterations, sol.precision
+            assert cost == LEDGER[example, sol.scheme, level], (sol.scheme,
+                                                                level)

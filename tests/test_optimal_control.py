@@ -221,8 +221,10 @@ def test_interior_blocks_share_one_index_pair(scheme, mode, lump_reaction):
     data = {"y_d": 1.0} if mode == "tracking" else {"source": (1.0, 0.5)}
     spec = ProblemSpec(coeff, dirichlet_y=lambda x, y: x + 2.0 * y,
                        dirichlet_p=lambda x, y: 1.0 - x * y, **data)
-    system, _, p_bnd, y_bnd = _assemble_parts(mesh, spec, scheme,
-                                              lump_reaction)
+    parts = list(_assemble_parts(mesh, spec, SCHEMES, lump_reaction))
+    system, _, p_bnd, y_bnd = parts[SCHEMES.index(scheme)]
+    # the schemes of one mesh share M's interior block, and its index pair
+    assert parts[0][0].M is parts[1][0].M
     assert np.shares_memory(system.A.indices, system.M.indices)
     assert np.shares_memory(system.A.indptr, system.M.indptr)
     interior = mesh.interior_vertices
@@ -245,7 +247,7 @@ def test_interpolant_residual_decreases_under_refinement():
     norms = []
     for level in (2, 3, 4):
         mesh = build_unit_square(level)
-        system = _assemble_parts(mesh, case.problem, "eafe", True)[0]
+        system = next(_assemble_parts(mesh, case.problem, ("eafe",), True))[0]
         interior = mesh.interior_vertices
         xi = np.concatenate([
             interpolate_nodal(mesh, case.exact_p)[interior],

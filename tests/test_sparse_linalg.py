@@ -567,6 +567,25 @@ def test_krylov_solve_out_of_memory_raises_resource_limit_error(monkeypatch):
         system.solve()
 
 
+def test_krylov_stage_out_of_memory_raises_resource_limit_error(monkeypatch):
+    # numpy's MemoryError after the factor is typed as the factor's is,
+    # with the system's size and the iterations so far
+    system = assemble_system(build_unit_square(3), stability_problem(1e-9),
+                             "eafe")
+    error = MemoryError("Unable to allocate 2.00 MiB for an array")
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sparse_linalg, "_fgmres_cycle", failing)
+    message = (r"Krylov stage \(49 interior dofs, 0 GMRES iterations so "
+               r"far\): Unable to allocate")
+    with pytest.raises(ResourceLimitError, match=message) as raised:
+        system.solve()
+    assert raised.value.__cause__ is error
+    assert system.fill > 0
+
+
 def test_krylov_solve_unattainable_certificate_raises(monkeypatch):
     system = _stability_system("eafe", 3, 1.0)
     monkeypatch.setattr(sparse_linalg, "DEFAULT_SOLVE_RTOL", 1e-30)
