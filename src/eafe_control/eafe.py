@@ -30,7 +30,7 @@ from .fem_core import (
     quadrature_points,
     scatter_edges,
 )
-from .mesh import LOCAL_EDGES, delaunay_report, signed_areas
+from .mesh import LOCAL_EDGES, delaunay_report
 
 #: switch-over into the overflow-safe evaluation branch
 _BIG_ARG = 700.0
@@ -83,7 +83,7 @@ def triangle_edge_weights(mesh):
     which equals -area_T grad(lambda_a) . grad(lambda_b).  Summed over
     the one or two adjacent triangles these weights reproduce the P1
     Laplacian exactly on piecewise linears.  Only the vertices, the
-    triangles and the cached areas are read, so no barycentric gradient
+    triangles and the mesh's areas are read, so no barycentric gradient
     table (:func:`fem_core.barycentric_gradient_table`) is built.  On
     :func:`mesh.build_unit_square` meshes every coordinate difference and
     area is an integer times a power of two, so this form and the
@@ -209,7 +209,7 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     if lump_reaction:
         diag += data.gamma_v * lumped_mass_diagonal(mesh)
     else:
-        areas = signed_areas(mesh)
+        areas = mesh.areas
         local = np.zeros((mesh.num_triangles, 3, 3))
         for lam, w, xq, yq in quadrature_points(mesh):
             scale = w * areas * coeff.samples(xq, yq)[3]

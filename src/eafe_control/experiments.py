@@ -245,14 +245,14 @@ def _stability_entry(config, problem, mesh, level, sol, t0):
 
 
 def _errors_entry(config, case, boxes, mesh, level, sol):
-    """The errors of one layer solve per box, its VTK dump and log line."""
+    """The errors of one layer solve on all boxes, its VTK dump and log line."""
     if config.out_dir is not None:
         stem = "%s_%s_k%d" % (config.example, sol.scheme, level)
         write_solution_vtk(mesh, sol, os.path.join(config.out_dir,
                                                    stem + ".vtk"), title=stem)
-    errors = {name: solution_errors(mesh, case, sol, region=box,
-                                    metric=config.metric)
-              for name, box in boxes.items()}
+    errors = dict(zip(boxes, solution_errors(mesh, case, sol,
+                                             tuple(boxes.values()),
+                                             config.metric)))
     line = ("%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
             "peak_rss_mb=%.1f iterations=%d factor=%s fill=%d"
             % ((config.example, sol.scheme, level) + errors["global"]

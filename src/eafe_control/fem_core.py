@@ -14,7 +14,7 @@ from collections import namedtuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import LOCAL_EDGES, GeometryError, signed_areas
+from .mesh import LOCAL_EDGES, GeometryError
 
 DEGENERATE_AREA = 1e-16
 #: triangles per block of the load pass (:func:`assemble_load`)
@@ -162,37 +162,17 @@ QUADRATURE = _seven_point_rule()
 def barycentric_gradient_table(mesh):
     """
     Gradients of the three barycentric coordinates on every triangle,
-    shape (M, 3, 2), read-only and computed once per mesh, by its first
-    caller: Galerkin assembly or the error norms.  EAFE assembly takes its
-    edge weights from the areas (:func:`eafe.triangle_edge_weights`) and
-    does not build it.  Gradient of coordinate c is perpendicular to the
-    opposite edge, scaled by 1 / (2 area).
-
-    Raises
-    ------
-    GeometryError
-        On every call, if a triangle's area is at most DEGENERATE_AREA.
-    """
-    return mesh.cached("gradients", lambda: _barycentric_gradients(mesh))
-
-
-def nondegenerate_areas(mesh):
-    """
-    :func:`mesh.signed_areas`, checked on every call.
+    shape (M, 3, 2), built anew on each call: by Galerkin assembly and by
+    each error norm.  EAFE assembly takes its edge weights from the areas
+    (:func:`eafe.triangle_edge_weights`) and does not build it.  Gradient
+    of coordinate c is perpendicular to the opposite edge, scaled by
+    1 / (2 area).
 
     Raises
     ------
     GeometryError
         If a triangle's area is at most DEGENERATE_AREA.
     """
-    areas = signed_areas(mesh)
-    if np.any(areas <= DEGENERATE_AREA):
-        bad = int(np.argmin(areas))
-        raise GeometryError("triangle %d is degenerate (area %g)" % (bad, areas[bad]))
-    return areas
-
-
-def _barycentric_gradients(mesh):
     p = np.take(mesh.vertices, mesh.triangles, axis=0)
     areas = nondegenerate_areas(mesh)
     grads = np.empty((mesh.num_triangles, 3, 2))
@@ -202,6 +182,22 @@ def _barycentric_gradients(mesh):
         grads[:, c, 1] = opp[:, 0]
     grads /= (2.0 * areas)[:, None, None]
     return grads
+
+
+def nondegenerate_areas(mesh):
+    """
+    ``mesh.areas``, checked on every call.
+
+    Raises
+    ------
+    GeometryError
+        If a triangle's area is at most DEGENERATE_AREA.
+    """
+    areas = mesh.areas
+    if np.any(areas <= DEGENERATE_AREA):
+        bad = int(np.argmin(areas))
+        raise GeometryError("triangle %d is degenerate (area %g)" % (bad, areas[bad]))
+    return areas
 
 
 def quadrature_points(mesh):
@@ -338,7 +334,7 @@ def assemble_mass(mesh):
     numbering.  Entries are nonnegative and row sums equal a third of the
     vertex patch area.
     """
-    areas = signed_areas(mesh)
+    areas = mesh.areas
     off = np.bincount(mesh.tri_edges.ravel(), weights=np.repeat(areas, 3),
                       minlength=mesh.num_edges) / 12.0
     return scatter_edges(mesh, 0.5 * lumped_mass_diagonal(mesh), off, off)
@@ -346,7 +342,7 @@ def assemble_mass(mesh):
 
 def lumped_mass_diagonal(mesh):
     """Row-sum (patch-area / 3) lumping of the P1 mass matrix."""
-    areas = signed_areas(mesh)
+    areas = mesh.areas
     return np.bincount(mesh.triangles.T.ravel(), weights=np.tile(areas / 3.0, 3),
                        minlength=mesh.num_vertices)
 
@@ -370,7 +366,7 @@ def assemble_galerkin_stiffness(mesh, coeff):
     lam_i lam_j)`` over the rows, so the result is that sum bit for bit.
     """
     grads = barycentric_gradient_table(mesh)
-    areas = signed_areas(mesh)
+    areas = mesh.areas
     gx, gy = grads[:, :, 0].T, grads[:, :, 1].T
     # a product and its transpose are the same bits: x*y == y*x in floats
     dots = {}
@@ -405,7 +401,7 @@ def assemble_load(mesh, f):
     sample of ``f`` raises DataError.
     """
     f = as_scalar_field(f)
-    areas = signed_areas(mesh)
+    areas = mesh.areas
     m = mesh.num_triangles
     corners = None
     for lam, w, xq, yq in quadrature_points(mesh):

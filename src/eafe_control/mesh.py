@@ -10,10 +10,10 @@ upper-right diagonal.  A mesh holds geometry only; it carries no level
 or diagonal label.
 
 A built mesh is immutable, and this is enforced: its vertex and triangle
-arrays are private read-only copies, so what a mesh caches (signed areas
-and the nested-dissection vertex order here, the gradient table in
-``fem_core``) can never go stale.  The edge-graph CSR pattern is not
-cached: ``fem_core.edge_pattern`` builds it for each assembly.
+arrays are private read-only copies, and so are the signed areas it
+computes when it is built.  Nothing else is kept on a mesh: the
+nested-dissection vertex order, the gradient table (``fem_core``) and the
+edge-graph CSR pattern are built by each call that reads them.
 """
 
 import numpy as np
@@ -57,6 +57,8 @@ class TriMesh:
         True for vertices lying on the domain boundary.
     h : float
         Mesh size, max over triangles of their diameter: the longest edge.
+    areas : (M,) float array
+        Signed area of every triangle, all positive, read-only.
 
     ``vertices`` and ``triangles`` are read-only copies of the inputs.
     The edge-to-triangle adjacency of the connectivity
@@ -70,12 +72,6 @@ class TriMesh:
     such as the pair keys i * N + j of the connectivity, is done in
     int64.
 
-    What is computed from these arrays once and kept, read-only, is held
-    under a key by :meth:`cached`: the signed areas, the
-    nested-dissection order and the barycentric gradient table.  The
-    edge-graph CSR pattern is not among them; ``fem_core.edge_pattern``
-    builds it from the sorted ``edges`` on each call.
-
     Raises
     ------
     GeometryError
@@ -88,7 +84,6 @@ class TriMesh:
     def __init__(self, vertices, triangles):
         self.vertices = _readonly(np.array(vertices, dtype=float, order="C"))
         t = np.asarray(triangles, dtype=np.int64)
-        self._geometry = {}
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise GeometryError("vertices must be an (N, 2) array, got shape %s"
                                 % (self.vertices.shape,))
@@ -108,7 +103,7 @@ class TriMesh:
             raise GeometryError("vertex %d has non-finite coordinates (%r, %r)"
                                 % (bad, *self.vertices[bad].tolist()))
 
-        areas = signed_areas(self)
+        self.areas = areas = _readonly(signed_areas(self))
         if not np.all(areas > 0.0):
             bad = int(np.argmin(areas > 0.0))
             raise GeometryError(
@@ -121,18 +116,6 @@ class TriMesh:
         flag[self.edges[boundary_edges].ravel()] = True
         self.boundary_vertex = flag
         self.h = _longest_edge(self.vertices, self.edges)
-
-    def cached(self, key, build):
-        """
-        Read-only geometry under ``key``, from the first ``build()`` that
-        returns: an array, or a tuple of arrays.
-        """
-        if key not in self._geometry:
-            value = build()
-            for array in value if isinstance(value, tuple) else (value,):
-                _readonly(array)
-            self._geometry[key] = value
-        return self._geometry[key]
 
     @property
     def num_vertices(self):
@@ -209,11 +192,10 @@ def _readonly(array):
 
 
 def signed_areas(mesh):
-    """Signed area of every triangle (positive for counterclockwise), read-only."""
-    return mesh.cached("areas", lambda: _signed_areas(mesh))
-
-
-def _signed_areas(mesh):
+    """
+    Signed area of every triangle (positive for counterclockwise), computed
+    from the vertices; a built mesh keeps them as ``mesh.areas``.
+    """
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     t0, t1, t2 = mesh.triangles.T
     d1x, d1y = x[t1] - x[t0], y[t1] - y[t0]
@@ -223,7 +205,7 @@ def _signed_areas(mesh):
 
 def nested_dissection_order(mesh):
     """
-    Fill-reducing vertex order by geometric nested dissection, read-only.
+    Fill-reducing vertex order by geometric nested dissection.
 
     The bounding box is bisected alternately in x and in y, d times, with
     d = ceil(log2(N / ND_LEAF_SIZE)); each vertex's d-bit cell code
@@ -234,12 +216,8 @@ def nested_dissection_order(mesh):
     numbered in postorder: each separator after its two halves (George,
     SIAM J. Numer. Anal. 10, 1973).  Valid on any mesh; graded meshes
     give less balanced halves.  The order is int32, like the mesh's
-    index arrays.
+    index arrays, and is built anew on each call.
     """
-    return mesh.cached("nd_order", lambda: _nested_dissection_order(mesh))
-
-
-def _nested_dissection_order(mesh):
     v = mesh.vertices
     n = mesh.num_vertices
     d = max(int(np.ceil(np.log2(n / ND_LEAF_SIZE))), 0)

@@ -26,7 +26,6 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from . import fem_core, sparse_linalg
 from .fem_core import as_scalar_field, as_vector_field
-from .mesh import signed_areas
 
 CSV_HEADER = "k,ey_l2,ey_order,ey_h1,ey_h1_order,ep_l2,ep_order,ep_h1,ep_h1_order"
 
@@ -36,10 +35,6 @@ OFFDIAG_RTOL = 1e-14
 
 class DesiredStateSignError(ValueError):
     """Desired state does not have the declared sign everywhere."""
-
-
-class EmptyRegionError(ValueError):
-    """Requested sub-box contains no whole element."""
 
 
 class BoundReport:
@@ -155,22 +150,23 @@ def _region_mask(mesh, region):
     return inside[mesh.triangles].all(axis=1)
 
 
-def _selected_triangles(mesh, region):
-    """
-    Triangle selector (a slice or a mask) and the vertex triples of the
-    triangles that lie in ``region``, all of them for None.
+def _region_masks(mesh, regions):
+    """Triangle mask of each region; None for the region None, all of them."""
+    return [None if region is None else _region_mask(mesh, region)
+            for region in regions]
 
-    Raises
-    ------
-    EmptyRegionError
-        If the region excludes every element.
-    """
-    if region is None:
-        return slice(None), mesh.triangles
-    mask = _region_mask(mesh, region)
-    if not mask.any():
-        raise EmptyRegionError("region %s contains no whole element" % (region,))
-    return mask, mesh.triangles[mask]
+
+def _region_sums(terms, masks):
+    """The per-triangle ``terms`` summed over each mask, over all for None."""
+    return np.array([np.sum(terms if mask is None else terms[mask])
+                     for mask in masks])
+
+
+def _region_norms(masks, l2_sq, h1_semi_sq):
+    """(L2, full H1) of each region; None where its mask is empty."""
+    return [None if mask is not None and not mask.any()
+            else (math.sqrt(l2), math.sqrt(l2 + h1))
+            for mask, l2, h1 in zip(masks, l2_sq, h1_semi_sq)]
 
 
 def _p1_gradients(nodal, grads):
@@ -179,47 +175,43 @@ def _p1_gradients(nodal, grads):
             np.einsum("mc,mc->m", nodal, grads[:, :, 1]))
 
 
-def error_norms(mesh, numeric, exact, exact_grad, region=None):
+def error_norms(mesh, numeric, exact, exact_grad, regions=(None,)):
     """
     L2 and full H1 errors of a nodal field against an exact solution,
-    integrated with QUADRATURE.
+    integrated with QUADRATURE, on each region of ``regions``: one
+    ``(l2, h1)`` pair per region, in order.
 
-    The H1 value is the full norm sqrt(L2^2 + |grad error|^2).  With a
-    ``region`` box (x0, x1, y0, y1) only elements whose three vertices lie
-    in the closed box contribute.
-
-    Raises
-    ------
-    EmptyRegionError
-        If the region excludes every element.
+    The H1 value is the full norm sqrt(L2^2 + |grad error|^2).  The
+    region None is the whole mesh; on a box (x0, x1, y0, y1) only the
+    elements whose three vertices lie in the closed box contribute, and a
+    box with no whole element gets None.  Every per-triangle term is
+    formed once over all triangles, then summed over each region's
+    elements, point by point.
     """
     numeric = np.asarray(numeric, dtype=float)
     exact = as_scalar_field(exact)
     exact_grad = as_vector_field(exact_grad)
-
-    sel, tri = _selected_triangles(mesh, region)
-    areas = signed_areas(mesh)[sel]
-    nodal = numeric[tri]  # (m, 3)
+    masks = _region_masks(mesh, regions)
+    nodal = numeric[mesh.triangles]  # (M, 3)
     gx_h, gy_h = _p1_gradients(nodal,
-                               fem_core.barycentric_gradient_table(mesh)[sel])
+                               fem_core.barycentric_gradient_table(mesh))
 
-    l2_sq = 0.0
-    h1_semi_sq = 0.0
+    l2_sq = h1_semi_sq = 0.0
     for lam, w, x, y in fem_core.quadrature_points(mesh):
-        xq, yq = x[sel], y[sel]
-        uh = nodal @ lam
-        diff = uh - np.asarray(exact(xq, yq), dtype=float)
-        gx, gy = exact_grad(xq, yq)
-        l2_sq += np.sum(w * areas * diff * diff)
-        h1_semi_sq += np.sum(w * areas * ((gx_h - gx) ** 2 + (gy_h - gy) ** 2))
-    l2 = math.sqrt(l2_sq)
-    return l2, math.sqrt(l2_sq + h1_semi_sq)
+        diff = nodal @ lam - np.asarray(exact(x, y), dtype=float)
+        gx, gy = exact_grad(x, y)
+        scale = w * mesh.areas
+        l2_sq = l2_sq + _region_sums(scale * diff * diff, masks)
+        h1_semi_sq = h1_semi_sq + _region_sums(
+            scale * ((gx_h - gx) ** 2 + (gy_h - gy) ** 2), masks)
+    return _region_norms(masks, l2_sq, h1_semi_sq)
 
 
-def interpolant_error_norms(mesh, numeric, exact, region=None):
+def interpolant_error_norms(mesh, numeric, exact, regions=(None,)):
     """
     Nodal-interpolant error metric: L2 and full H1 norms of the piecewise
-    linear difference u_h - I_h(u), where I_h is nodal interpolation.
+    linear difference u_h - I_h(u), where I_h is nodal interpolation, on
+    each region of ``regions`` as in :func:`error_norms`.
 
     Unlike :func:`error_norms` this discrete measure cancels sub-grid
     content that no piecewise linear function could represent, so it stays
@@ -230,18 +222,16 @@ def interpolant_error_norms(mesh, numeric, exact, region=None):
     element formulas, without quadrature points: with vertex values d_c
     on a triangle, L2^2 = area / 12 * (sum d_c^2 + (sum d_c)^2), and the
     H1 seminorm integrates the constant gradient sum d_c grad(lambda_c).
-    ``region`` selects elements as in :func:`error_norms`, and raises
-    EmptyRegionError alike.
     """
     diff = np.asarray(numeric, dtype=float) - fem_core.interpolate_nodal(mesh, exact)
-    sel, tri = _selected_triangles(mesh, region)
-    areas = signed_areas(mesh)[sel]
-    d = diff[tri]  # (m, 3)
-    l2_sq = np.sum(areas / 12.0 * (np.einsum("mc,mc->m", d, d)
-                                   + d.sum(axis=1) ** 2))
-    gx, gy = _p1_gradients(d, fem_core.barycentric_gradient_table(mesh)[sel])
-    h1_semi_sq = np.sum(areas * (gx * gx + gy * gy))
-    return math.sqrt(l2_sq), math.sqrt(l2_sq + h1_semi_sq)
+    masks = _region_masks(mesh, regions)
+    areas = mesh.areas
+    d = diff[mesh.triangles]  # (M, 3)
+    l2_sq = _region_sums(areas / 12.0 * (np.einsum("mc,mc->m", d, d)
+                                         + d.sum(axis=1) ** 2), masks)
+    gx, gy = _p1_gradients(d, fem_core.barycentric_gradient_table(mesh))
+    return _region_norms(masks, l2_sq,
+                         _region_sums(areas * (gx * gx + gy * gy), masks))
 
 
 class MMatrixReport:
@@ -427,14 +417,24 @@ class ConvergenceTable:
 
     @classmethod
     def from_csv(cls, path):
+        """
+        Read a :meth:`to_csv` table.  A header other than ``CSV_HEADER``, a
+        row without one cell per column (named by its line) or a cell that
+        is not a number raises ValueError.
+        """
+        width = CSV_HEADER.count(",") + 1
         with open(path) as fh:
             header = fh.readline().strip()
             if header != CSV_HEADER:
                 raise ValueError("unexpected table header %r" % header)
             levels = []
             errors = {c: [] for c in cls.COLUMNS}
-            for line in fh:
+            for lineno, line in enumerate(fh, 2):
                 cells = line.rstrip("\n").split(",")
+                if len(cells) != width:
+                    raise ValueError("line %d of %s holds %d cells, expected "
+                                     "%d: %r" % (lineno, path, len(cells),
+                                                 width, line))
                 levels.append(int(cells[0]))
                 for ci, c in enumerate(cls.COLUMNS):
                     cell = cells[1 + 2 * ci]
@@ -449,22 +449,21 @@ class ConvergenceTable:
 METRICS = ("quadrature", "interpolant")
 
 
-def solution_errors(mesh, case, sol, region=None, metric="quadrature"):
-    """(ey_l2, ey_h1, ep_l2, ep_h1) of a solution pair; None on empty region."""
-    try:
-        if metric == "quadrature":
-            ey = error_norms(mesh, sol.y_bar, case.exact_y, case.exact_grad_y,
-                             region=region)
-            ep = error_norms(mesh, sol.p_bar, case.exact_p, case.exact_grad_p,
-                             region=region)
-        elif metric == "interpolant":
-            ey = interpolant_error_norms(mesh, sol.y_bar, case.exact_y,
-                                         region=region)
-            ep = interpolant_error_norms(mesh, sol.p_bar, case.exact_p,
-                                         region=region)
-        else:
-            raise ValueError("unknown metric %r (expected one of %s)"
-                             % (metric, METRICS))
-    except EmptyRegionError:
-        return (None, None, None, None)
-    return (ey[0], ey[1], ep[0], ep[1])
+def solution_errors(mesh, case, sol, regions, metric):
+    """
+    (ey_l2, ey_h1, ep_l2, ep_h1) of a solution pair on each region of
+    ``regions`` (see :func:`error_norms`), from one norm call per field;
+    four Nones on a region with no whole element.
+    """
+    if metric == "quadrature":
+        ey = error_norms(mesh, sol.y_bar, case.exact_y, case.exact_grad_y,
+                         regions)
+        ep = error_norms(mesh, sol.p_bar, case.exact_p, case.exact_grad_p,
+                         regions)
+    elif metric == "interpolant":
+        ey = interpolant_error_norms(mesh, sol.y_bar, case.exact_y, regions)
+        ep = interpolant_error_norms(mesh, sol.p_bar, case.exact_p, regions)
+    else:
+        raise ValueError("unknown metric %r (expected one of %s)"
+                         % (metric, METRICS))
+    return [(None,) * 4 if y is None else y + p for y, p in zip(ey, ep)]

@@ -233,7 +233,7 @@ def gradient_edge_weights(mesh):
     """
     Per-triangle edge weights in their gradient form: local edge (a, b)
     of triangle T weighs -area_T grad(lambda_a) . grad(lambda_b), from
-    the cached barycentric gradient table.
+    the barycentric gradient table.
     """
     grads = barycentric_gradient_table(mesh)
     areas = signed_areas(mesh)
@@ -500,8 +500,7 @@ def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
     for k in levels:
         mesh = build_unit_square(k)
         sol = solve(mesh, case.problem, scheme, lump_reaction=lump_reaction)
-        rows.append(solution_errors(mesh, case, sol, region=region,
-                                    metric=metric))
+        rows.append(solution_errors(mesh, case, sol, (region,), metric)[0])
     return ConvergenceTable(levels, dict(zip(ConvergenceTable.COLUMNS,
                                              zip(*rows))), region=region)
 

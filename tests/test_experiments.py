@@ -603,15 +603,25 @@ def test_stability_builds_one_mesh_per_level_and_frees_it(tmp_path,
         for scheme in ("eafe", "galerkin") for level in (2, 3, 4)]
 
 
-@pytest.mark.parametrize("example, per_level", [
-    ("stability", {"mesh": 1, "mass": 3, "load": 1, "entries": 1}),
-    ("boundary-layer", {"mesh": 1, "mass": 1, "load": 1, "entries": 1}),
+@pytest.mark.parametrize("example, per_level, scheme", [
+    ("stability", {"mesh": 1, "mass": 3, "load": 1, "entries": 1, "order": 1,
+                   "gradients": 1}, "both"),
+    ("boundary-layer", {"mesh": 1, "mass": 1, "load": 1, "entries": 1,
+                        "order": 1, "gradients": 5, "interpolations": 4},
+     "both"),
+    ("boundary-layer", {"mesh": 1, "mass": 1, "load": 1, "entries": 1,
+                        "order": 1, "gradients": 2, "interpolations": 2},
+     "eafe"),
 ])
 def test_each_level_builds_its_scheme_independent_parts_once(monkeypatch,
                                                              example,
-                                                             per_level):
-    # both schemes share the level's mesh, mass matrix, load and interior
-    # entries; the stability bound check assembles one more mass per scheme
+                                                             per_level,
+                                                             scheme):
+    # both schemes share the level's mesh, mass matrix, load, interior
+    # entries and nested-dissection order; the stability bound check
+    # assembles one more mass per scheme.  The gradient table is built by
+    # Galerkin assembly, never by EAFE's, and by each field's error norms;
+    # the norms interpolate each exact field once, whatever the boxes
     from eafe_control import experiments, fem_core, optimal_control
 
     calls = Counter()
@@ -631,8 +641,18 @@ def test_each_level_builds_its_scheme_independent_parts_once(monkeypatch,
                         counting("mesh", experiments.build_unit_square))
     monkeypatch.setattr(optimal_control, "_interior_entries",
                         counting("entries", optimal_control._interior_entries))
-    run(ExperimentConfig(example, levels=[2, 3], scheme="both"))
-    assert calls == {name: 2 * n for name, n in per_level.items()}
+    monkeypatch.setattr(optimal_control, "nested_dissection_order",
+                        counting("order",
+                                 optimal_control.nested_dissection_order))
+    monkeypatch.setattr(fem_core, "barycentric_gradient_table",
+                        counting("gradients",
+                                 fem_core.barycentric_gradient_table))
+    # the exact fields, read through fem_core; the Dirichlet traces are
+    # interpolated by assembly, which imports the function by name
+    monkeypatch.setattr(fem_core, "interpolate_nodal",
+                        counting("interpolations", fem_core.interpolate_nodal))
+    run(ExperimentConfig(example, levels=[2, 3], scheme=scheme))
+    assert calls == Counter({name: 2 * n for name, n in per_level.items()})
 
 
 @pytest.mark.parametrize("example, levels, level_lines", [

@@ -54,9 +54,10 @@ from reference import (
 
 def count_builders(monkeypatch):
     """
-    Count the calls of the private geometry builders behind the mesh
-    cache, and of ``quadrature_points``, which maps the points anew on
-    each call.
+    Count the calls of the geometry builders, none of which keeps its
+    result on the mesh: the signed areas (called by the mesh constructor),
+    the gradient table, ``quadrature_points`` and ``interpolate_nodal``,
+    as read through ``fem_core``.
     """
     counts = collections.Counter()
 
@@ -64,14 +65,15 @@ def count_builders(monkeypatch):
         build = getattr(module, name)
 
         def counted(*args):
-            counts[key(*args)] += 1
+            counts[key] += 1
             return build(*args)
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(mesh_module, "_signed_areas", lambda mesh: "areas")
-    counting(fem_core, "_barycentric_gradients", lambda mesh: "gradients")
-    counting(fem_core, "quadrature_points", lambda mesh: "quadrature")
+    counting(mesh_module, "signed_areas", "areas")
+    counting(fem_core, "barycentric_gradient_table", "gradients")
+    counting(fem_core, "quadrature_points", "quadrature")
+    counting(fem_core, "interpolate_nodal", "interpolations")
     return counts
 
 
@@ -140,21 +142,15 @@ def test_gradient_magnitude_right_isoceles():
     assert np.linalg.norm(g[0]) == pytest.approx(np.sqrt(2.0) / h, rel=1e-13)
 
 
-def test_degenerate_triangle_raises(monkeypatch):
+def test_degenerate_triangle_raises():
     with pytest.raises(GeometryError):
         TriMesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]])
-    # positively oriented but below the degeneracy floor
+    # positively oriented but below the degeneracy floor: the gradient
+    # table and the EAFE edge weights, which do not build it, both check it
     squashed = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-18]], [[0, 1, 2]])
-    counts = count_builders(monkeypatch)
-    # a failed check caches nothing: every call checks again
-    for calls in (1, 2):
-        with pytest.raises(GeometryError):
-            barycentric_gradient_table(squashed)
-        assert counts["gradients"] == calls
-    # the EAFE edge weights check the same floor without the table
-    with pytest.raises(GeometryError):
-        triangle_edge_weights(squashed)
-    assert counts["gradients"] == 2
+    for build in (barycentric_gradient_table, triangle_edge_weights):
+        with pytest.raises(GeometryError, match="triangle 0 is degenerate"):
+            build(squashed)
 
 
 def test_local_mass_reference_triangle():
@@ -415,29 +411,31 @@ def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
     counts = count_builders(monkeypatch)
     case = boundary_layer_case(1e-2)
     mesh = build_unit_square(4)
+    # the constructor computes the areas, and nothing computes them again
+    assert counts["areas"] == 1 and mesh.areas.shape == (mesh.num_triangles,)
     sol = solve(mesh, case.problem, "eafe")
     solved = counts.copy()
-    # EAFE assembly takes its edge weights from the areas; the first
-    # consumer of gradients is the error norms
-    assert solved["gradients"] == 0
-    # both right-hand sides come from one load pass
-    assert solved["quadrature"] == 1
-    for region in (None, EXAMPLES["boundary-layer"]["region"]):
-        solution_errors(mesh, case, sol, region=region, metric=metric)
-    assert counts["areas"] == 1 and counts["gradients"] == 1
-    # quadrature points are not cached: the quadrature metric maps them once
-    # per error_norms call (state and adjoint, two regions), the
-    # interpolant metric never
-    mapped = counts["quadrature"] - solved["quadrature"]
-    assert mapped == (4 if metric == "quadrature" else 0)
+    # EAFE assembly takes its edge weights from the areas, and both
+    # right-hand sides come from one load pass
+    assert solved["gradients"] == 0 and solved["quadrature"] == 1
+    solution_errors(mesh, case, sol,
+                    (None, EXAMPLES["boundary-layer"]["region"]), metric)
+    # one pass per field (state, adjoint) measures both regions: one
+    # gradient table each, and the quadrature points mapped (quadrature)
+    # or the exact field interpolated (interpolant) once each
+    pass_work = "quadrature" if metric == "quadrature" else "interpolations"
+    assert counts - solved == collections.Counter({"gradients": 2,
+                                                   pass_work: 2})
 
 
 def test_cached_geometry_equals_fresh_computation():
     mesh = jittered_renumbered_mesh(4, seed=7)
     solve(mesh, boundary_layer_case(1e-2).problem, "galerkin")
-    assert np.array_equal(signed_areas(mesh), mesh_module._signed_areas(mesh))
-    assert np.array_equal(barycentric_gradient_table(mesh),
-                          fem_core._barycentric_gradients(mesh))
+    assert np.array_equal(mesh.areas, signed_areas(mesh))
+    # the gradient table is built anew on each call: equal, not shared
+    grads = barycentric_gradient_table(mesh)
+    again = barycentric_gradient_table(mesh)
+    assert np.array_equal(grads, again) and not np.shares_memory(grads, again)
     table = quadrature_table(mesh)
     rows = list(quadrature_points(mesh))
     assert len(rows) == QUADRATURE.weights.size
@@ -461,8 +459,7 @@ def test_mesh_arrays_and_cached_geometry_are_read_only():
     triangles[0] = 0
     assert mesh.vertices[0].tolist() == [0.0, 0.0]
     assert mesh.triangles[0].tolist() == [0, 1, 2]
-    for array in (mesh.vertices, mesh.triangles, signed_areas(mesh),
-                  barycentric_gradient_table(mesh),
+    for array in (mesh.vertices, mesh.triangles, mesh.areas,
                   *(a for row in quadrature_points(mesh) for a in row[2:]),
                   QUADRATURE.points, QUADRATURE.weights):
         with pytest.raises(ValueError):
@@ -521,9 +518,13 @@ def test_edge_pattern_equals_argsort_reference(mesh):
 @pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
 def test_mesh_holds_no_edge_pattern_after_solve(scheme):
     mesh = build_unit_square(4)
-    solve(mesh, boundary_layer_case(1e-2).problem, scheme)
-    # what the mesh caches after a solve; the pattern is not among it
-    assert set(mesh._geometry) <= {"areas", "gradients", "nd_order"}
+    before = dict(vars(mesh))
+    case = boundary_layer_case(1e-2)
+    sol = solve(mesh, case.problem, scheme)
+    solution_errors(mesh, case, sol, (None,), "quadrature")
+    # no edge pattern, order or gradient table is left on the mesh
+    assert vars(mesh).keys() == before.keys()
+    assert all(vars(mesh)[name] is value for name, value in before.items())
 
 
 @pytest.mark.parametrize("matrix", ASSEMBLERS)

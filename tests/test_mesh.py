@@ -411,11 +411,7 @@ def test_nonfinite_vertex_raises(tmp_path, bad):
         read_node_ele(path)
 
 
-def test_nested_dissection_order_is_a_cached_permutation(monkeypatch):
-    built = []
-    build = mesh_module._nested_dissection_order
-    monkeypatch.setattr(mesh_module, "_nested_dissection_order",
-                        lambda mesh: built.append(mesh) or build(mesh))
+def test_nested_dissection_order_is_a_permutation_built_per_call():
     meshes = [build_unit_square(1), build_unit_square(5),
               uniform_refine(build_unit_square_upperleft(3))]
     for mesh in meshes:
@@ -423,10 +419,10 @@ def test_nested_dissection_order_is_a_cached_permutation(monkeypatch):
         # int32, like the mesh's index arrays
         assert order.dtype == np.int32
         assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
-        assert nested_dissection_order(mesh) is order
-        with pytest.raises(ValueError):
-            order[0] = 1
-    assert built == meshes
+        # the mesh keeps no order: each call builds an equal, fresh one
+        again = nested_dissection_order(mesh)
+        assert np.array_equal(again, order)
+        assert not np.shares_memory(again, order)
     # 9 vertices fit in one leaf: the order keeps the numbering
     assert nested_dissection_order(meshes[0]).tolist() == list(range(9))
 

@@ -9,7 +9,7 @@ from eafe_control.fem_core import (
     interpolate_nodal,
     lumped_mass_diagonal,
 )
-from eafe_control import eafe, fem_core, mesh as mesh_module
+from eafe_control import eafe, fem_core, optimal_control
 from eafe_control.experiments import boundary_layer_case, stability_problem
 from eafe_control.mesh import TriMesh, build_unit_square, delaunay_check
 from eafe_control.optimal_control import (
@@ -21,6 +21,7 @@ from eafe_control.optimal_control import (
     assemble_stiffness,
     recover_control,
     solve,
+    solve_schemes,
     write_solution_csv,
     write_solution_vtk,
 )
@@ -392,13 +393,17 @@ def test_solution_invariant_under_vertex_renumbering(scheme):
         assert np.linalg.norm(b[perm] - a) <= 1e-10 * np.linalg.norm(a)
 
 
-def test_solves_on_one_mesh_compute_its_order_once(monkeypatch):
+def test_solve_schemes_computes_the_order_once_per_call(monkeypatch):
     built = []
-    build = mesh_module._nested_dissection_order
-    monkeypatch.setattr(mesh_module, "_nested_dissection_order",
+    build = optimal_control.nested_dissection_order
+    monkeypatch.setattr(optimal_control, "nested_dissection_order",
                         lambda mesh: built.append(mesh) or build(mesh))
     mesh = build_unit_square(4)
     problem = boundary_layer_case(1e-2).problem
+    # the schemes of one solve_schemes call share the order; the mesh
+    # keeps none, so each separate solve builds its own
+    assert len(list(solve_schemes(mesh, problem, SCHEMES))) == len(SCHEMES)
+    assert built == [mesh]
     for scheme in SCHEMES:
         solve(mesh, problem, scheme)
-    assert built == [mesh]
+    assert built == [mesh] * (1 + len(SCHEMES))

@@ -18,7 +18,6 @@ from eafe_control.verify_norms import (
     CSV_HEADER,
     ConvergenceTable,
     DesiredStateSignError,
-    EmptyRegionError,
     certify_m_matrix,
     check_desired_state_bounds,
     error_norms,
@@ -39,13 +38,14 @@ def test_error_norms_interpolated_affine_is_exact():
     field = lambda x, y: 1.0 + 2.0 * x - 0.5 * y
     grad = lambda x, y: (np.full_like(x, 2.0), np.full_like(x, -0.5))
     numeric = interpolate_nodal(mesh, field)
-    l2, h1 = error_norms(mesh, numeric, field, grad)
+    [(l2, h1)] = error_norms(mesh, numeric, field, grad)
     assert l2 <= 1e-13 and h1 <= 1e-13
 
 
 def test_error_norms_zero_against_one():
     mesh = build_unit_square(2)
-    l2, h1 = error_norms(mesh, np.zeros(mesh.num_vertices), 1.0, (0.0, 0.0))
+    [(l2, h1)] = error_norms(mesh, np.zeros(mesh.num_vertices), 1.0,
+                             (0.0, 0.0))
     assert l2 == pytest.approx(1.0, abs=1e-13)
     assert h1 == pytest.approx(1.0, abs=1e-13)
 
@@ -54,23 +54,43 @@ def test_error_norms_region_monotonicity():
     mesh = build_unit_square(3)
     rng = np.random.default_rng(31)
     numeric = rng.standard_normal(mesh.num_vertices)
-    glob = error_norms(mesh, numeric, 0.0, (0.0, 0.0))
-    loc = error_norms(mesh, numeric, 0.0, (0.0, 0.0),
-                      region=(0.25, 0.75, 0.25, 0.75))
+    glob, loc = error_norms(mesh, numeric, 0.0, (0.0, 0.0),
+                            (None, (0.25, 0.75, 0.25, 0.75)))
     assert glob[0] >= loc[0]
     assert glob[1] >= loc[1]
 
 
-def test_error_norms_empty_region():
-    mesh = build_unit_square(3)
+def check_empty_region(norms):
+    """
+    ``norms(mesh, numeric, regions)`` gives None on a box with no whole
+    element, beside the pairs of the other regions, and one pass over
+    several regions gives what one pass per region gives, bit for bit.
+    """
+    box = (0.4, 0.6, 0.4, 0.6)
+    rng = np.random.default_rng(13)
     # with full-containment inclusion the box holds no whole element yet
-    with pytest.raises(EmptyRegionError):
-        error_norms(mesh, np.zeros(mesh.num_vertices), 0.0, (0.0, 0.0),
-                    region=(0.4, 0.6, 0.4, 0.6))
+    mesh = build_unit_square(3)
+    numeric = rng.standard_normal(mesh.num_vertices)
+    whole, empty, again = norms(mesh, numeric, (None, box, None))
+    assert empty is None and whole[0] > 0.0
+    assert whole == again == norms(mesh, numeric, (None,))[0]
     # one refinement later it does
     fine = build_unit_square(4)
-    error_norms(fine, np.zeros(fine.num_vertices), 0.0, (0.0, 0.0),
-                region=(0.4, 0.6, 0.4, 0.6))
+    numeric = rng.standard_normal(fine.num_vertices)
+    both = norms(fine, numeric, (None, box))
+    assert both == [norms(fine, numeric, (region,))[0]
+                    for region in (None, box)]
+    assert 0.0 < both[1][0] < both[0][0]
+
+
+def test_error_norms_empty_region():
+    check_empty_region(lambda mesh, numeric, regions: error_norms(
+        mesh, numeric, 0.0, (0.0, 0.0), regions))
+
+
+def test_interpolant_metric_empty_region():
+    check_empty_region(lambda mesh, numeric, regions: interpolant_error_norms(
+        mesh, numeric, 0.0, regions))
 
 
 @pytest.mark.parametrize("region", [None, (0.25, 0.75, 0.3, 0.9)],
@@ -81,16 +101,9 @@ def test_exact_interpolant_metric_equals_quadrature_of_the_difference(region):
     numeric = rng.standard_normal(mesh.num_vertices)
     field = lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y)
     diff = numeric - interpolate_nodal(mesh, field)
-    exact = interpolant_error_norms(mesh, numeric, field, region=region)
-    quadrature = error_norms(mesh, diff, 0.0, (0.0, 0.0), region=region)
+    [exact] = interpolant_error_norms(mesh, numeric, field, (region,))
+    [quadrature] = error_norms(mesh, diff, 0.0, (0.0, 0.0), (region,))
     assert exact == pytest.approx(quadrature, rel=1e-13, abs=0.0)
-
-
-def test_interpolant_metric_empty_region():
-    mesh = build_unit_square(3)
-    with pytest.raises(EmptyRegionError):
-        interpolant_error_norms(mesh, np.zeros(mesh.num_vertices), 0.0,
-                                region=(0.4, 0.6, 0.4, 0.6))
 
 
 def test_interpolant_metric_matches_matrix_norms():
@@ -98,7 +111,7 @@ def test_interpolant_metric_matches_matrix_norms():
     rng = np.random.default_rng(41)
     numeric = rng.standard_normal(mesh.num_vertices)
     field = lambda x, y: np.sin(x) * np.cos(y)
-    l2, h1 = interpolant_error_norms(mesh, numeric, field)
+    [(l2, h1)] = interpolant_error_norms(mesh, numeric, field)
     from eafe_control.fem_core import assemble_mass
 
     d = numeric - interpolate_nodal(mesh, field)
@@ -143,6 +156,15 @@ def test_csv_round_trip_lossless(tmp_path):
     back = ConvergenceTable.from_csv(path)
     assert same_table(back, table)
     assert back.orders == table.orders
+
+
+@pytest.mark.parametrize("row", ["3,0.5,,0.25", "3" + ",0.5" * 9],
+                         ids=["short", "long"])
+def test_csv_row_of_the_wrong_width_is_a_value_error(tmp_path, row):
+    path = tmp_path / "table.csv"
+    path.write_text(CSV_HEADER + "\n2" + ",0.5" * 8 + "\n" + row + "\n")
+    with pytest.raises(ValueError, match="line 3 of .* expected 9"):
+        ConvergenceTable.from_csv(path)
 
 
 def test_certify_identity_matrix():
@@ -402,4 +424,4 @@ def test_unknown_metric_rejected():
     case = smooth_case()
     sol = solve(mesh, case.problem, "eafe")
     with pytest.raises(ValueError):
-        solution_errors(mesh, case, sol, metric="nodal-max")
+        solution_errors(mesh, case, sol, (None,), "nodal-max")
