@@ -174,8 +174,8 @@ class EdgeData:
 
 def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     """
-    Edge-averaged stiffness matrix over all dofs, as a CSR matrix on
-    :func:`fem_core.edge_pattern`.
+    Edge-averaged stiffness matrix over all dofs, as a CSR matrix from
+    :func:`fem_core.scatter_edges`.
 
     The Bernoulli flux pair of :func:`edge_flux_coefficients` is evaluated
     once per mesh edge (:class:`EdgeData`) and weighted by the summed edge

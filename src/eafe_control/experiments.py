@@ -51,14 +51,14 @@ class ExperimentConfig:
         self.eps = float(defaults["eps"] if eps is None else eps)
         if not 0.0 < self.eps < np.inf:
             raise ValueError("eps must be positive and finite")
-        self.levels = [int(k) for k in (defaults["levels"] if levels is None
-                                        else levels)]
+        levels = list(defaults["levels"] if levels is None else levels)
+        for level in levels:
+            # MeshCapacityError, a ValueError, before any level runs
+            unit_square_vertex_count(level)
+        self.levels = [int(k) for k in levels]
         if not self.levels or sorted(set(self.levels)) != self.levels:
             raise ValueError("levels must be a nonempty strictly ascending "
                              "sequence")
-        for level in self.levels:
-            # MeshCapacityError, a ValueError, before any level runs
-            unit_square_vertex_count(level)
         self.scheme = defaults["scheme"] if scheme is None else scheme
         if self.scheme not in ("eafe", "galerkin", "both"):
             raise ValueError("scheme must be eafe, galerkin, or both")

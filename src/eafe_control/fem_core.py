@@ -1,15 +1,13 @@
 """
 P1 Lagrange ingredients shared by the standard Galerkin and the
 edge-averaged paths: barycentric gradients, the quadrature rule QUADRATURE,
-the edge-graph CSR pattern every matrix is assembled on, mass and
-stiffness assembly, load vectors, and nodal interpolation.
+the one constructor call every matrix is built by (:func:`scatter_edges`),
+mass and stiffness assembly, load vectors, and nodal interpolation.
 
 Scalar fields are callables ``f(x, y) -> array`` accepting numpy arrays;
 vector fields return a pair ``(fx, fy)``.  Plain numbers / pairs are
 accepted everywhere and wrapped into constant fields.
 """
-
-from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -223,77 +221,25 @@ def quadrature_points(mesh):
         yield lam, w, x, y
 
 
-#: the edge-graph CSR pattern of a mesh and where each entry lives in it
-EdgePattern = namedtuple("EdgePattern", "indptr indices diag ij ji")
-
-
-def edge_pattern(mesh):
-    """
-    CSR pattern of every matrix assembled on ``mesh``: the diagonal and
-    both directions (i, j), (j, i) of every edge, column indices sorted
-    within each row.
-
-    A P1 or edge-averaged matrix couples exactly the two ends of an edge,
-    so this is the canonical CSR of all of them, explicit zeros included;
-    the sparse LU ordering sees this pattern.  Besides ``indptr`` and
-    ``indices`` the :class:`EdgePattern` holds slot maps into the data
-    array: ``diag`` (N,) of entry (i, i), and ``ij``, ``ji`` (E,) of
-    entries (i, j) and (j, i) of edge (i, j), i < j.  Index arrays are
-    int32 while the entry count allows.
-
-    Each call builds fresh, writable arrays in O(N + E), and the mesh
-    keeps none of them: only assembly reads the pattern, so a cached one
-    would stay alive beside the factor (3.8 MiB at level 8).  The mesh
-    edges come sorted by (i, j), so they are already the CSR of the
-    strict upper triangle, one entry per edge holding its number; one
-    counting pass (``tocsc``) sorts them by (j, i) into the strict lower
-    triangle.  Row r of the pattern is its lower part, then the
-    diagonal, then its upper part, so every slot follows from the two
-    row counts without a sort.
-    """
-    n, ne = mesh.num_vertices, mesh.num_edges
-    index = np.int32 if n + 2 * ne <= np.iinfo(np.int32).max else np.int64
-    i, j = mesh.edges.T
-    rows = np.arange(n + 1, dtype=index)
-    upper_ptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(i, minlength=n), out=upper_ptr[1:])
-    # entry (j, i) of the strict lower triangle holds the number of edge (i, j)
-    lower = sp.csr_matrix((np.arange(ne, dtype=index), j, upper_ptr),
-                          shape=(n, n)).tocsc()
-    # row r starts after r diagonals and the lower and upper entries of
-    # the rows above it
-    indptr = upper_ptr + lower.indptr + rows
-    diag = indptr[:-1] + np.diff(lower.indptr)
-    # edge k is the (k - upper_ptr[i])-th upper entry of row i, after the
-    # diagonal; lower entry p of row r lies p - lower.indptr[r] slots
-    # after the row start
-    ij = (diag - upper_ptr[:-1])[i] + np.arange(1, ne + 1, dtype=index)
-    below = np.arange(ne, dtype=index) + np.repeat((upper_ptr + rows)[:-1],
-                                                   np.diff(lower.indptr))
-    ji = np.empty(ne, dtype=index)
-    ji[lower.data] = below
-    indices = np.empty(n + 2 * ne, dtype=index)
-    indices[diag] = rows[:-1]
-    indices[ij] = j
-    indices[below] = lower.indices
-    return EdgePattern(indptr, indices, diag, ij, ji)
-
-
 def scatter_edges(mesh, diag, ij, ji):
     """
-    CSR matrix on :func:`edge_pattern` with ``diag`` (N,) on the diagonal
-    and ``ij``, ``ji`` (E,) at entries (i, j) and (j, i) of every edge
-    (i, j), i < j.  Every matrix of the package is built here; the
-    pattern is built for this call, and the result takes its index
-    arrays without a copy.
+    CSR matrix with ``diag`` (N,) on the diagonal and ``ij``, ``ji`` (E,)
+    at entries (i, j) and (j, i) of every edge (i, j), i < j: the
+    pattern of every matrix of the package, explicit zeros included,
+    which the sparse LU ordering sees.  Every matrix is built here, by
+    scipy's coordinate constructor.
+
+    Each position is given exactly once, so the conversion sums nothing:
+    every value lands in its slot bit for bit, zeros and -0.0 included,
+    the column indices come sorted within each row, and the index arrays
+    keep the int32 of ``mesh.edges``.
     """
-    pattern = edge_pattern(mesh)
-    data = np.empty(pattern.indices.size)
-    data[pattern.diag] = diag
-    data[pattern.ij] = ij
-    data[pattern.ji] = ji
     n = mesh.num_vertices
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    i, j = mesh.edges.T
+    r = np.arange(n, dtype=mesh.edges.dtype)
+    return sp.csr_matrix((np.concatenate((diag, ij, ji)),
+                          (np.concatenate((r, i, j)), np.concatenate((r, j, i)))),
+                         shape=(n, n))
 
 
 def fold_blocks(mesh, local):
@@ -324,7 +270,7 @@ def fold_blocks(mesh, local):
 def assemble_mass(mesh):
     """
     Consistent P1 mass matrix over all dofs (exact integration), as a CSR
-    matrix on :func:`edge_pattern`.
+    matrix from :func:`scatter_edges`.
 
     The local block is area/12 * [[2,1,1],[1,2,1],[1,1,2]], so entry
     (i, j) of an edge is a twelfth of the area of its one or two
@@ -353,8 +299,8 @@ def assemble_galerkin_stiffness(mesh, coeff):
     reaction form over all dofs: entry (i, j) is the bilinear form applied
     to (trial phi_j, test phi_i), integrated with :data:`QUADRATURE`.
     The (M, 3, 3) element blocks are folded onto the mesh edges
-    (:func:`fold_blocks`) and returned as a CSR matrix on
-    :func:`edge_pattern`.  The coefficients are sampled once per
+    (:func:`fold_blocks`) and returned as a CSR matrix from
+    :func:`scatter_edges`.  The coefficients are sampled once per
     quadrature row by :meth:`CoefficientField.samples`, which raises
     DataError on a non-finite sample and CoefficientError on a
     nonpositive diffusion or a negative reaction sample.

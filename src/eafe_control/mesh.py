@@ -12,9 +12,12 @@ or diagonal label.
 A built mesh is immutable, and this is enforced: its vertex and triangle
 arrays are private read-only copies, and so are the signed areas it
 computes when it is built.  Nothing else is kept on a mesh: the
-nested-dissection vertex order, the gradient table (``fem_core``) and the
-edge-graph CSR pattern are built by each call that reads them.
+nested-dissection vertex order and the gradient table (``fem_core``) are
+built by each call that reads them, and every matrix on the mesh's edge
+graph by one scipy constructor call (``fem_core.scatter_edges``).
 """
+
+import operator
 
 import numpy as np
 
@@ -61,16 +64,13 @@ class TriMesh:
         Signed area of every triangle, all positive, read-only.
 
     ``vertices`` and ``triangles`` are read-only copies of the inputs.
-    The edge-to-triangle adjacency of the connectivity
-    (:func:`_edge_connectivity`) marks the boundary edges, those with one
-    triangle, at construction and is then dropped: no assembly reads it,
-    and kept, it would sit beside the factor of every solve (1.5 MiB at
-    level 8).  The three index arrays and the nested-dissection order
-    are int32, half the memory of int64: every index is below the
-    vertex, edge or triangle count, far below 2^31 under
-    :data:`DEFAULT_VERTEX_CAP`.  Arithmetic on them that can leave int32,
-    such as the pair keys i * N + j of the connectivity, is done in
-    int64.
+    The boundary edges, those with one triangle, only set
+    ``boundary_vertex``; no edge-to-triangle table is kept.  The three
+    index arrays and the nested-dissection order are int32, half the
+    memory of int64: every index is below the vertex, edge or triangle
+    count, far below 2^31 under :data:`DEFAULT_VERTEX_CAP`.  Arithmetic
+    on them that can leave int32, such as the pair keys i * N + j of
+    the connectivity, is done in int64.
 
     Raises
     ------
@@ -110,8 +110,8 @@ class TriMesh:
                 "triangle %d has non-positive signed area %g" % (bad, areas[bad])
             )
 
-        self.edges, edge_tris, self.tri_edges = _edge_connectivity(self.triangles)
-        boundary_edges = edge_tris[:, 1] < 0
+        self.edges, boundary_edges, self.tri_edges = _edge_connectivity(
+            self.triangles)
         flag = np.zeros(self.num_vertices, dtype=bool)
         flag[self.edges[boundary_edges].ravel()] = True
         self.boundary_vertex = flag
@@ -144,15 +144,15 @@ class TriMesh:
 
 def _edge_connectivity(triangles):
     """
-    Unique (i<j) edges, their adjacent triangles, and the tri->edge map,
-    all int32.
+    Unique (i<j) edges and the tri->edge map, both int32, and the (E,)
+    boundary-edge mask.
 
     Pair k * M + t is local edge k of triangle t.  One stable sort of the
     pair keys i * N + j, i < j, gives everything: each run of equal keys
     is one edge (runs come in lexicographic edge order), the run's index
-    is the edge index of each of its pairs, and the triangles of the
-    run's first and second pair fill the edge's two slots.  The keys are
-    int64: i * N + j leaves int32 from N = 46 341 on (level 8).
+    is the edge index of each of its pairs, and a run of one pair is a
+    boundary edge.  The keys are int64: i * N + j leaves int32 from
+    N = 46 341 on (level 8).
     """
     m = triangles.shape[0]
     tails = triangles.T.ravel()
@@ -171,11 +171,8 @@ def _edge_connectivity(triangles):
     inverse[order] = np.cumsum(first) - 1
 
     head = order[start]
-    last = order[start + size - 1]  # the run's second pair, or its only one
     edges = np.stack([lo[head], hi[head]], axis=1)
-    edge_tris = np.stack([head % m, np.where(size == 2, last % m, -1)],
-                         axis=1).astype(np.int32)
-    return edges, edge_tris, inverse.reshape(3, m).T.copy()
+    return edges, size == 1, inverse.reshape(3, m).T.copy()
 
 
 def _longest_edge(vertices, edges):
@@ -246,9 +243,15 @@ def unit_square_vertex_count(level):
     Raises
     ------
     MeshCapacityError
-        If level < 1 or the vertex count would exceed
-        :data:`DEFAULT_VERTEX_CAP`, read at call time.
+        If level is not an integer (numpy integers pass), level < 1, or
+        the vertex count would exceed :data:`DEFAULT_VERTEX_CAP`, read at
+        call time.
     """
+    try:
+        level = operator.index(level)
+    except TypeError:
+        raise MeshCapacityError("level must be an integer, got %r"
+                                % (level,)) from None
     if level < 1:
         raise MeshCapacityError("level must be >= 1, got %d" % level)
     nv = (2**level + 1) ** 2
@@ -271,10 +274,9 @@ def build_unit_square(level):
     Raises
     ------
     MeshCapacityError
-        If level < 1 or the vertex count would exceed
-        :data:`DEFAULT_VERTEX_CAP`.
+        If level is not an integer, level < 1, or the vertex count would
+        exceed :data:`DEFAULT_VERTEX_CAP`.
     """
-    level = int(level)
     unit_square_vertex_count(level)
     n = 2**level
 

@@ -141,14 +141,15 @@ def _assemble_parts(mesh, spec, schemes, lump_reaction=True):
     stiffness, whose coefficient samples raise on bad data first: the
     loads, the boundary values, M's interior block and boundary columns,
     its interior entries and the interior order.  Every matrix of a mesh
-    sits on its edge pattern, so each stiffness gathers its interior block
-    through M's interior entries onto M's index pair, explicit zeros
-    included.  A lift is zero inside, and a sparse product's row sum,
-    which starts at +0, never changes on adding +0, so M times a lift is
-    M's boundary columns times the boundary values, bit for bit.  The full
-    mass matrix is dropped before any factor; between two schemes only
-    these parts stay alive, and beside the last scheme's factor only what
-    its system and solution need.
+    has one canonical pattern, the diagonal and both directions of every
+    edge (:func:`fem_core.scatter_edges`), so each stiffness gathers its
+    interior block through M's interior entries onto M's index pair,
+    explicit zeros included.  A lift is zero inside, and a sparse
+    product's row sum, which starts at +0, never changes on adding +0,
+    so M times a lift is M's boundary columns times the boundary values,
+    bit for bit.  The full mass matrix is dropped before any factor;
+    between two schemes only these parts stay alive, and beside the last
+    scheme's factor only what its system and solution need.
     """
     bnd = mesh.boundary_vertex
     beta = spec.coeff.beta

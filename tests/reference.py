@@ -35,8 +35,6 @@ the way it did before:
 
 - ``edge_connectivity`` finds the unique edges by ``np.unique`` and the
   two triangles of each edge by a second stable ``argsort``;
-- ``argsort_edge_pattern`` sorts the 2E + N int64 keys i * N + j of the
-  diagonal and both directions of every edge into the CSR edge pattern;
 - ``longest_side`` is the mesh size as the largest side norm of any
   triangle;
 - ``quadrature_table`` maps every quadrature point at once into one
@@ -47,7 +45,8 @@ Two assemblies keep the arithmetic the package now reorders, so that the
 package must match them bit for bit:
 
 - ``edge_tris_mass`` takes the mass matrix's edge entries from the two
-  adjacent triangles of each edge, as the mesh kept them;
+  adjacent triangles of each edge (``edge_connectivity``), as the mesh
+  once kept them;
 - ``loop_galerkin_stiffness`` forms every gradient product again at
   every quadrature row and sums into (M, 3, 3) blocks.
 
@@ -87,7 +86,6 @@ from eafe_control.eafe import EdgeData
 from eafe_control.experiments import _layer_terms, manufactured_case
 from eafe_control.fem_core import (
     QUADRATURE,
-    EdgePattern,
     barycentric_gradient_table,
     fold_blocks,
     lumped_mass_diagonal,
@@ -194,27 +192,6 @@ def edge_connectivity(triangles):
             tri_edges.astype(np.int32))
 
 
-def argsort_edge_pattern(mesh):
-    """
-    ``fem_core.edge_pattern`` by one ``argsort`` of the keys i * N + j of
-    the diagonal and both directions of every edge: the slot of each
-    entry is its rank.
-    """
-    n = mesh.num_vertices
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    rows = np.concatenate([np.arange(n), i, j])
-    cols = np.concatenate([np.arange(n), j, i])
-    order = np.argsort(rows * n + cols)
-    index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
-    slot = np.empty(order.size, dtype=index)
-    slot[order] = np.arange(order.size, dtype=index)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    ne = mesh.num_edges
-    return EdgePattern(indptr, cols[order].astype(index), slot[:n],
-                       slot[n:n + ne], slot[n + ne:])
-
-
 def longest_side(mesh):
     """Mesh size: the largest side norm over all triangles."""
     p = mesh.vertices[mesh.triangles]
@@ -281,7 +258,7 @@ def edge_tris_mass(mesh):
     area[second]) / 12 of each edge's one or two adjacent triangles.
     """
     areas = signed_areas(mesh)
-    edge_tris = mesh_module._edge_connectivity(mesh.triangles)[1]
+    edge_tris = edge_connectivity(mesh.triangles)[1]
     first, second = edge_tris[:, 0], edge_tris[:, 1]
     off = (areas[first] + np.where(second >= 0, areas[second], 0.0)) / 12.0
     return scatter_edges(mesh, 0.5 * lumped_mass_diagonal(mesh), off, off)

@@ -220,7 +220,7 @@ def test_edge_data_structured_mesh():
     lengths = np.linalg.norm(tau, axis=1)
     diag = lengths > 0.3  # h = 0.25, diagonals have length h*sqrt(2)
     assert np.abs(data.weights[diag]).max() <= 1e-14
-    boundary = _edge_connectivity(mesh.triangles)[1][:, 1] < 0
+    boundary = _edge_connectivity(mesh.triangles)[1]
     assert data.weights[boundary & ~diag] == pytest.approx(0.5, rel=1e-13)
     assert data.weights[~boundary & ~diag] == pytest.approx(1.0, rel=1e-13)
     # orientation identity along each edge

@@ -183,6 +183,13 @@ def test_config_defaults_and_validation():
     for levels in ([4, 3], [3, 3], []):
         with pytest.raises(ValueError):
             ExperimentConfig("stability", levels=levels)
+    for levels, bad in (([3.5, 4.9], "3.5"), ([3, 4.0], "4.0")):
+        with pytest.raises(ValueError, match="^level must be an integer, got %s$"
+                           % re.escape(bad)):
+            ExperimentConfig("stability", levels=levels)
+    config = ExperimentConfig("stability", levels=np.arange(3, 5))
+    assert config.levels == [3, 4]
+    assert all(type(level) is int for level in config.levels)
     with pytest.raises(ValueError):
         ExperimentConfig("stability", scheme="dg")
     with pytest.raises(ValueError):

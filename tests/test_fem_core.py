@@ -16,7 +16,6 @@ from eafe_control.fem_core import (
     assemble_load,
     assemble_mass,
     barycentric_gradient_table,
-    edge_pattern,
     interpolate_nodal,
     lumped_mass_diagonal,
     quadrature_points,
@@ -37,13 +36,11 @@ from eafe_control.mesh import (
 from eafe_control.optimal_control import solve
 from eafe_control.verify_norms import solution_errors
 from reference import (
-    argsort_edge_pattern,
     build_unit_square_upperleft,
     coo_eafe,
     coo_galerkin,
     coo_mass,
     edge_tris_mass,
-    from_triplets,
     jittered_renumbered_mesh,
     layer_profile,
     loop_galerkin_stiffness,
@@ -503,15 +500,25 @@ def varying_coefficients():
     lambda: jittered_renumbered_mesh(5, seed=3),
 ], ids=[*("level%d" % k for k in range(1, 7)), "upperleft",
         "jittered-renumbered-4", "jittered-renumbered-5"])
-def test_edge_pattern_equals_argsort_reference(mesh):
+def test_scatter_pattern_equals_row_by_row_reference(mesh):
+    # row r holds r and its edge neighbours, in ascending order
     mesh = mesh()
-    pattern = edge_pattern(mesh)
-    for built, ref in zip(pattern, argsort_edge_pattern(mesh)):
-        assert built.dtype == ref.dtype
-        assert np.array_equal(built, ref)
-    # every call builds fresh, writable arrays
-    again = edge_pattern(mesh)
-    for built, other in zip(pattern, again):
+    n = mesh.num_vertices
+    rows = [{r} for r in range(n)]
+    for i, j in mesh.edges.tolist():
+        rows[i].add(j)
+        rows[j].add(i)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = [c for row in rows for c in sorted(row)]
+    a = scatter_edges(mesh, np.ones(n), np.ones(mesh.num_edges),
+                      np.ones(mesh.num_edges))
+    assert a.indptr.dtype == a.indices.dtype == np.int32
+    assert np.array_equal(a.indptr, indptr)
+    assert np.array_equal(a.indices, indices)
+    # every call builds fresh, writable index arrays
+    again = scatter_edges(mesh, np.ones(n), np.ones(mesh.num_edges),
+                          np.ones(mesh.num_edges))
+    for built, other in ((a.indptr, again.indptr), (a.indices, again.indices)):
         assert built.flags.writeable and not np.shares_memory(built, other)
 
 
@@ -570,21 +577,28 @@ def test_galerkin_equals_loop_reference_bit_for_bit(mesh_name):
 def test_scatter_places_each_edge_value_in_its_slot():
     mesh = jittered_renumbered_mesh(3, seed=5)
     n, ne = mesh.num_vertices, mesh.num_edges
-    diag = np.arange(1.0, n + 1.0)
-    ij = -np.arange(1.0, ne + 1.0)
-    ji = 0.5 * ij
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    ref = from_triplets(n, n, (np.concatenate([np.arange(n), i, j]),
-                               np.concatenate([np.arange(n), j, i]),
-                               np.concatenate([diag, ij, ji])))
-    a = scatter_edges(mesh, diag, ij, ji)
-    assert np.array_equal(a.indptr, ref.indptr)
-    assert np.array_equal(a.indices, ref.indices)
-    assert np.array_equal(a.data, ref.data)
-    assert a.has_canonical_format
-    # the matrix takes the writable index arrays of a pattern built for
-    # the call, which no other matrix shares
-    b = scatter_edges(mesh, diag, ij, ji)
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    # the slot of each entry is the rank of its key r * N + c
+    order = np.argsort(rows * n + cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    distinct = (np.arange(1.0, n + 1.0), -np.arange(1.0, ne + 1.0),
+                -0.5 * np.arange(1.0, ne + 1.0))
+    # explicit zeros of both signs: a conversion that pruned them would
+    # drop entries, and one that summed them onto +0 would flip -0.0
+    zeros = (np.arange(1.0, n + 1.0), np.resize([0.0, -0.0, -1.5], ne),
+             np.resize([-0.0, -2.5, 0.0], ne))
+    for diag, ij, ji in (distinct, zeros):
+        a = scatter_edges(mesh, diag, ij, ji)
+        assert a.nnz == n + 2 * ne
+        assert np.array_equal(a.indptr, indptr)
+        assert np.array_equal(a.indices, cols[order])
+        want = np.concatenate([diag, ij, ji])[order]
+        assert np.array_equal(a.data.view(np.int64), want.view(np.int64))
+        assert a.has_canonical_format
+    # each matrix has writable index arrays of its own
+    b = scatter_edges(mesh, *distinct)
     assert not np.shares_memory(a.indices, b.indices)
     assert not np.shares_memory(a.indptr, b.indptr)
     a.indices[0] = a.indices[0]

@@ -11,6 +11,7 @@ from eafe_control.mesh import (
     nested_dissection_order,
     read_node_ele,
     signed_areas,
+    unit_square_vertex_count,
     write_vtk,
 )
 from legacy_vtk import read_legacy_vtk, same_bits
@@ -26,15 +27,22 @@ from reference import (
 
 def edge_tris_of(mesh):
     """The adjacent triangles of each edge, which the mesh does not keep."""
+    return edge_connectivity(mesh.triangles)[1]
+
+
+def boundary_edges_of(mesh):
+    """The package's boundary-edge mask, which the mesh does not keep."""
     return mesh_module._edge_connectivity(mesh.triangles)[1]
 
 
 def test_mesh_keeps_no_edge_triangle_adjacency():
     mesh = build_unit_square(3)
     assert not hasattr(mesh, "edge_tris")
-    # the boundary flags it was built for are those of the one-triangle edges
+    # the boundary edges are the one-triangle edges, and the boundary
+    # flags are their ends
+    assert np.array_equal(boundary_edges_of(mesh), edge_tris_of(mesh)[:, 1] < 0)
     boundary = np.zeros(mesh.num_vertices, dtype=bool)
-    boundary[mesh.edges[edge_tris_of(mesh)[:, 1] < 0].ravel()] = True
+    boundary[mesh.edges[boundary_edges_of(mesh)].ravel()] = True
     assert np.array_equal(mesh.boundary_vertex, boundary)
 
 
@@ -108,6 +116,15 @@ def test_capacity_errors():
         build_unit_square(0)
     with pytest.raises(MeshCapacityError):
         build_unit_square(12)  # (2^12+1)^2 > 10^6
+    for level in (2.7, 3.0, np.float64(2.0), "3"):
+        message = "level must be an integer, got %r" % (level,)
+        for call in (build_unit_square, unit_square_vertex_count):
+            with pytest.raises(MeshCapacityError) as exc:
+                call(level)
+            assert str(exc.value) == message
+    # numpy integers are integers
+    assert build_unit_square(np.int64(2)).num_vertices == 25
+    assert unit_square_vertex_count(np.int32(3)) == 81
 
 
 def test_refine_counts_and_boundary():
@@ -334,14 +351,15 @@ def test_edge_connectivity_matches_lexicographic_unique_on_renumbered_mesh():
     assert np.array_equal(mesh.edges, edges)
     assert np.array_equal(mesh.tri_edges, inverse.reshape(3, m).T)
     assert np.array_equal(edge_tris_of(mesh), edge_tris)
+    assert np.array_equal(boundary_edges_of(mesh), edge_tris[:, 1] < 0)
 
 
 def assert_connectivity_matches_reference(mesh):
     edges, edge_tris, tri_edges = edge_connectivity(mesh.triangles)
-    for got, want in ((mesh.edges, edges), (edge_tris_of(mesh), edge_tris),
-                      (mesh.tri_edges, tri_edges)):
+    for got, want in ((mesh.edges, edges), (mesh.tri_edges, tri_edges)):
         assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want)
+    assert np.array_equal(boundary_edges_of(mesh), edge_tris[:, 1] < 0)
     assert mesh.h == longest_side(mesh)
 
 
