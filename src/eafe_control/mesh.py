@@ -243,11 +243,13 @@ def unit_square_vertex_count(level):
     Raises
     ------
     MeshCapacityError
-        If level is not an integer (numpy integers pass), level < 1, or
-        the vertex count would exceed :data:`DEFAULT_VERTEX_CAP`, read at
-        call time.
+        If level is not an integer (numpy integers pass; a bool, Python's
+        or numpy's, does not), level < 1, or the vertex count would exceed
+        :data:`DEFAULT_VERTEX_CAP`, read at call time.
     """
     try:
+        if isinstance(level, bool):  # operator.index(True) is 1
+            raise TypeError
         level = operator.index(level)
     except TypeError:
         raise MeshCapacityError("level must be an integer, got %r"

@@ -22,9 +22,16 @@ DEFAULT_SOLVE_RTOL = 1e-10
 #: bound on ||M - M^T||_F / (max|M_ij| sqrt(nnz M)) of a symmetric mass block
 SYM_RTOL = 1e-14
 
-#: Krylov dimension per GMRES cycle, and the cycles allowed per solve
-GMRES_RESTART = 40
-GMRES_CYCLES = 4
+#: Krylov dimension per GMRES cycle, and the cycles allowed per solve.
+#: PRESB puts the preconditioned spectrum in [1/2, 1], where the best
+#: degree-k residual polynomial with p(0) = 1 has size 1/T_k(3) (Chebyshev,
+#: (1 + 1/2) / (1 - 1/2) = 3), for a normal operator.  One 4-step cycle thus
+#: contracts by up to 1/T_4(3) = 1/577, and the 12 digits of
+#: ``DEFAULT_SOLVE_RTOL * GMRES_MARGIN`` take about 5 cycles; a longer
+#: cycle saves few iterations and keeps more basis vectors and directions
+#: beside the factor.  The budget is 4 x 40 = 160 iterations.
+GMRES_RESTART = 4
+GMRES_CYCLES = 40
 #: GMRES aims at ``DEFAULT_SOLVE_RTOL * GMRES_MARGIN``: for up to three more
 #: iterations the certificate holds with room to spare, and the iterate
 #: lies within about 1e-12 (relative) of the direct solution
@@ -359,8 +366,16 @@ class BlockSaddleSystem:
 
         must not exceed ``rtol``, :data:`DEFAULT_SOLVE_RTOL` read at call
         time; it is computed by blocks after every GMRES cycle, and a
-        cycle restarts from the current iterate until it is at most
-        ``rtol * GMRES_MARGIN``, at most ``GMRES_CYCLES - 1`` times.
+        cycle restarts from the current iterate, at most
+        ``GMRES_CYCLES - 1`` times, until a cycle's residual ``res``
+
+        - is at most ``rtol * GMRES_MARGIN``,
+        - is not below the residual ``prev`` of the cycle before it (no
+          progress; this includes a non-finite residual), or
+        - is at most ``rtol`` with ``2 res > prev`` (certified, and gaining
+          less than a factor 2, as below the residual's rounding floor).
+
+        The last residual then certifies or raises.
         ``iterations`` counts the GMRES iterations, one PRESB application
         each.  A zero right-hand side returns zeros without factoring
         anything (``fill`` 0, ``precision`` None).
@@ -449,6 +464,7 @@ class BlockSaddleSystem:
             target = rtol * GMRES_MARGIN * bnorm / max(1.0, s)
             x = np.zeros(2 * n)  # (y, q)
             r = np.concatenate([-top, -bottom / s])
+            prev = np.inf
             for _ in range(GMRES_CYCLES):
                 dx, k = _fgmres_cycle(balanced, presb, direction, r, target)
                 x += dx
@@ -458,8 +474,12 @@ class BlockSaddleSystem:
                 r_bottom = -(m @ p) - self.beta * (a @ y) - bottom
                 res = np.sqrt(_dot(r_top, r_top)
                               + _dot(r_bottom, r_bottom)) / bnorm
-                if res <= rtol * GMRES_MARGIN:
+                # the target is met, or a cycle stopped paying for itself:
+                # no progress, or certified and gaining less than a factor 2
+                if (res <= rtol * GMRES_MARGIN or not res < prev
+                        or (res <= rtol and 2.0 * res > prev)):
                     break
+                prev = res
                 r = np.concatenate([r_top, r_bottom / s])
             if not res <= rtol:
                 raise ResidualCertificationError(

@@ -183,7 +183,8 @@ def test_config_defaults_and_validation():
     for levels in ([4, 3], [3, 3], []):
         with pytest.raises(ValueError):
             ExperimentConfig("stability", levels=levels)
-    for levels, bad in (([3.5, 4.9], "3.5"), ([3, 4.0], "4.0")):
+    for levels, bad in (([3.5, 4.9], "3.5"), ([3, 4.0], "4.0"),
+                        ([True, 2], "True")):
         with pytest.raises(ValueError, match="^level must be an integer, got %s$"
                            % re.escape(bad)):
             ExperimentConfig("stability", levels=levels)

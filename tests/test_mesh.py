@@ -116,7 +116,7 @@ def test_capacity_errors():
         build_unit_square(0)
     with pytest.raises(MeshCapacityError):
         build_unit_square(12)  # (2^12+1)^2 > 10^6
-    for level in (2.7, 3.0, np.float64(2.0), "3"):
+    for level in (2.7, 3.0, np.float64(2.0), "3", True, np.True_):
         message = "level must be an integer, got %r" % (level,)
         for call in (build_unit_square, unit_square_vertex_count):
             with pytest.raises(MeshCapacityError) as exc:

@@ -255,24 +255,59 @@ def test_krylov_directions_are_kept_in_the_factor_precision(
     problem = (boundary_layer_case(1e-2).problem if example == "boundary-layer"
                else stability_problem(1e-9))
     system = assemble_system(build_unit_square(level), problem, "eafe")
-    kept = []
+    cycles = _record_cycles(monkeypatch)
+    p, y, res = system.solve()
+    assert system.precision == precision
+    assert res <= 1e-10
+    # the solve restarts, and no cycle keeps more than GMRES_RESTART
+    # directions beside the factor
+    assert len(cycles) > 1
+    assert all(0 < len(kept) <= sparse_linalg.GMRES_RESTART
+               for kept in cycles)
+    assert sum(map(len, cycles)) == system.iterations
+    for kept in cycles:
+        for z, q in kept:
+            for half in (z, q):
+                assert half.shape == (system.n,) and half.dtype == precision
+
+
+def _record_cycles(monkeypatch):
+    """One list per GMRES cycle of the directions it kept."""
+    cycles = []
     cycle = sparse_linalg._fgmres_cycle
 
     def recording(matvec, psolve, direction, r, target):
+        cycles.append([])
+
         def keeping(v):
-            kept.append(psolve(v))
-            return kept[-1]
+            cycles[-1].append(psolve(v))
+            return cycles[-1][-1]
 
         return cycle(matvec, keeping, direction, r, target)
 
     monkeypatch.setattr(sparse_linalg, "_fgmres_cycle", recording)
+    return cycles
+
+
+def test_krylov_solve_stops_when_a_cycle_gains_too_little():
+    # near the residual's rounding floor a certified cycle gains less than
+    # a factor 2, and the solve stops there rather than run one-iteration
+    # cycles until its budget is spent
+    system = _stability_system("galerkin", 6, 1e3)
     p, y, res = system.solve()
-    assert system.precision == precision
     assert res <= 1e-10
-    assert len(kept) == system.iterations > 0
-    for z, q in kept:
-        for half in (z, q):
-            assert half.shape == (system.n,) and half.dtype == precision
+    assert system.iterations <= 9
+
+
+def test_krylov_solve_stops_when_a_cycle_makes_no_progress(monkeypatch):
+    # PRESB's hypothesis fails and the residual grows: the solve raises
+    # after the first cycle that does not lower it, not after 160 iterations
+    system = _stability_system("galerkin", 6, 1e6)
+    cycles = _record_cycles(monkeypatch)
+    with pytest.raises(ResidualCertificationError, match="exceeds certificate"):
+        system.solve()
+    assert len(cycles) <= 2
+    assert system.iterations <= 2 * sparse_linalg.GMRES_RESTART
 
 
 @pytest.mark.parametrize("top, bottom", [([0.0, 3.0], [0.0, 0.0]),
@@ -297,19 +332,23 @@ def test_krylov_exact_preconditioner_breaks_down_after_one_iteration(top,
 @pytest.mark.parametrize("example", ["stability", "boundary-layer"])
 def test_krylov_solve_restarts_to_the_unrestarted_solution(monkeypatch,
                                                            example):
-    # cycles of 5 iterations end before the certificate, so the solve
-    # restarts from the residual of its iterate
+    # cycles of GMRES_RESTART iterations end before the certificate, so the
+    # solve restarts from the residual of its iterate; the reference runs
+    # one cycle long enough to need no restart
     problem = (boundary_layer_case(1e-2).problem if example == "boundary-layer"
                else stability_problem(1e-9))
     system = assemble_system(build_unit_square(4), problem, "eafe")
+    cycles = _record_cycles(monkeypatch)
     p, y, res = system.solve()
     assert res <= 1e-10
-    monkeypatch.setattr(sparse_linalg, "GMRES_RESTART", 5)
-    p5, y5, res5 = system.solve()
-    assert res5 <= 1e-10
-    assert system.iterations > 5
-    x, x5 = np.concatenate([p, y]), np.concatenate([p5, y5])
-    assert np.linalg.norm(x5 - x) <= 1e-9 * np.linalg.norm(x)
+    assert len(cycles) > 1
+    cycles.clear()
+    monkeypatch.setattr(sparse_linalg, "GMRES_RESTART", 40)
+    p_ref, y_ref, res_ref = system.solve()
+    assert res_ref <= 1e-10
+    assert len(cycles) == 1
+    x, x_ref = np.concatenate([p, y]), np.concatenate([p_ref, y_ref])
+    assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
 
 def test_krylov_solve_factors_one_n_by_n_matrix(monkeypatch):
