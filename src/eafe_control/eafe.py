@@ -23,10 +23,10 @@ import warnings
 import numpy as np
 
 from .fem_core import (
+    CoefficientError,
     DataError,
     fold_blocks,
     lumped_mass_diagonal,
-    nondegenerate_areas,
     quadrature_points,
     scatter_edges,
 )
@@ -87,14 +87,10 @@ def triangle_edge_weights(mesh):
     table (:func:`fem_core.barycentric_gradient_table`) is built.  On
     :func:`mesh.build_unit_square` meshes every coordinate difference and
     area is an integer times a power of two, so this form and the
-    gradient form are both exact and give equal values.
-
-    Raises
-    ------
-    GeometryError
-        If a triangle's area is at most ``fem_core.DEGENERATE_AREA``.
+    gradient form are both exact and give equal values.  Every area is
+    above :data:`mesh.DEGENERATE_AREA`, checked when the mesh is built.
     """
-    quad_areas = 4.0 * nondegenerate_areas(mesh)
+    quad_areas = 4.0 * mesh.areas
     # corner coordinates, (M, 3) each
     x = np.take(mesh.vertices[:, 0], mesh.triangles)
     y = np.take(mesh.vertices[:, 1], mesh.triangles)
@@ -115,10 +111,15 @@ def edge_flux_coefficients(eps_e, zeta_e, x_i, x_j):
     (the downwind one underflows to exactly 0 once the edge Peclet number
     leaves the representable exponential range) and they satisfy
     c_ij - c_ji = zeta_e . (x_j - x_i).
+
+    Raises
+    ------
+    CoefficientError
+        If an edge diffusion is not positive.
     """
     eps_e = np.asarray(eps_e, dtype=float)
     if np.any(eps_e <= 0.0):
-        raise ValueError("edge diffusion must be positive")
+        raise CoefficientError("edge diffusion must be positive")
     zeta_e = np.asarray(zeta_e, dtype=float)
     tau = np.asarray(x_j, dtype=float) - np.asarray(x_i, dtype=float)
     s = (zeta_e * tau).sum(axis=-1) / eps_e
@@ -127,63 +128,20 @@ def edge_flux_coefficients(eps_e, zeta_e, x_i, x_j):
     return c_ij, c_ji
 
 
-class EdgeData:
-    """
-    Per-edge quantities of a mesh/coefficient pair, canonical orientation
-    i < j; what the edge-averaged assembly is built from.
-
-    Attributes
-    ----------
-    eps_e, zeta_e : midpoint-averaged diffusion / convection per edge
-    gamma_v : (N,) reaction at the vertices, for the lumped reaction
-    tri_weights : (M, 3) edge weights per triangle, LOCAL_EDGES order,
-        half cotangents (:func:`triangle_edge_weights`); no barycentric
-        gradient table is built for them
-    weights : (E,) edge weights summed over adjacent triangles
-    delaunay : DelaunayReport of the summed weights
-    c_ij, c_ji : flux coefficients (c_ij multiplies the head value)
-
-    The coefficients are sampled once, at the vertices, by
-    :meth:`fem_core.CoefficientField.samples`.
-
-    Raises
-    ------
-    DataError
-        If a coefficient sample is not finite.
-    CoefficientError
-        If a diffusion sample is not positive (the exponential fitting
-        divides by the edge-averaged diffusion) or a reaction sample is
-        negative.
-    """
-
-    def __init__(self, mesh, coeff):
-        eps_v, zx_v, zy_v, self.gamma_v = coeff.samples(mesh.vertices[:, 0],
-                                                        mesh.vertices[:, 1])
-        i = mesh.edges[:, 0]
-        j = mesh.edges[:, 1]
-        self.eps_e = 0.5 * (eps_v[i] + eps_v[j])
-        self.zeta_e = np.column_stack(
-            [0.5 * (zx_v[i] + zx_v[j]), 0.5 * (zy_v[i] + zy_v[j])]
-        )
-        self.tri_weights = triangle_edge_weights(mesh)
-        self.weights, self.delaunay = delaunay_report(mesh, self.tri_weights)
-        self.c_ij, self.c_ji = edge_flux_coefficients(
-            self.eps_e, self.zeta_e, mesh.vertices[i], mesh.vertices[j]
-        )
-
-
 def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     """
     Edge-averaged stiffness matrix over all dofs, as a CSR matrix from
     :func:`fem_core.scatter_edges`.
 
+    The vertex samples of eps and zeta are averaged onto each mesh edge
+    (i, j), i < j, as the means eps_E and zeta_E of its endpoint values.
     The Bernoulli flux pair of :func:`edge_flux_coefficients` is evaluated
-    once per mesh edge (:class:`EdgeData`) and weighted by the summed edge
-    weight omega_E, the sum over adjacent triangles of half the cotangent
-    of the angle opposite E (:func:`triangle_edge_weights`): edge (i, j),
-    i < j, gives entries -omega_E c_ij at (i, j) and -omega_E c_ji at
-    (j, i), and their negatives on the diagonals (j, j) and (i, i),
-    summed by ``np.bincount``.  The reaction
+    once per mesh edge and weighted by the summed edge weight omega_E, the
+    sum over adjacent triangles of half the cotangent of the angle
+    opposite E (:func:`triangle_edge_weights`, summed by
+    :func:`mesh.delaunay_report`): edge (i, j) gives entries -omega_E c_ij
+    at (i, j) and -omega_E c_ji at (j, i), and their negatives on the
+    diagonals (j, j) and (i, i), summed by ``np.bincount``.  The reaction
     term enters as a lumped diagonal gamma(x_i) * patch_area / 3 by default
     (preserving the M-matrix sign pattern); ``lump_reaction=False`` uses
     the consistent mass weighted by gamma instead, integrated with
@@ -193,21 +151,31 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     A failed edge-weight (Delaunay) check of the summed weights does not
     abort assembly; it is raised as a MonotonicityLossWarning so the
     verification layer can decide.  The coefficients are sampled at the
-    vertices (:class:`EdgeData`) and, for the consistent reaction, once
-    per quadrature row, each time by
-    :meth:`fem_core.CoefficientField.samples`: a non-finite sample raises
-    DataError, a nonpositive diffusion or negative reaction sample
-    CoefficientError.
+    vertices and, for the consistent reaction, once per quadrature row,
+    each time by :meth:`fem_core.CoefficientField.samples`: a non-finite
+    sample raises DataError, a nonpositive diffusion or negative reaction
+    sample CoefficientError.
     """
-    data = EdgeData(mesh, coeff)
+    eps_v, zx_v, zy_v, gamma_v = coeff.samples(mesh.vertices[:, 0],
+                                               mesh.vertices[:, 1])
+    i, j = mesh.edges.T
+    eps_e = 0.5 * (eps_v[i] + eps_v[j])
+    zeta_e = np.column_stack(
+        [0.5 * (zx_v[i] + zx_v[j]), 0.5 * (zy_v[i] + zy_v[j])]
+    )
+    weights, delaunay = delaunay_report(mesh, triangle_edge_weights(mesh))
+    c_ij, c_ji = edge_flux_coefficients(eps_e, zeta_e, mesh.vertices[i],
+                                        mesh.vertices[j])
+    # freed here: kept to the end, they lift the bl-conv-l8 peak by 1.5 MB
+    del eps_v, zx_v, zy_v
     n = mesh.num_vertices
-    ij = -data.weights * data.c_ij
-    ji = -data.weights * data.c_ji
-    diag = -(np.bincount(mesh.edges[:, 0], weights=ji, minlength=n)
-             + np.bincount(mesh.edges[:, 1], weights=ij, minlength=n))
+    ij = -weights * c_ij
+    ji = -weights * c_ji
+    diag = -(np.bincount(i, weights=ji, minlength=n)
+             + np.bincount(j, weights=ij, minlength=n))
 
     if lump_reaction:
-        diag += data.gamma_v * lumped_mass_diagonal(mesh)
+        diag += gamma_v * lumped_mass_diagonal(mesh)
     else:
         areas = mesh.areas
         local = np.zeros((mesh.num_triangles, 3, 3))
@@ -220,11 +188,11 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
             total += part
 
     mat = scatter_edges(mesh, diag, ij, ji)
-    if not data.delaunay.ok:
+    if not delaunay.ok:
         warnings.warn(
             "edge-weight condition violated on %d edge(s); the assembled "
             "matrix may lose the M-matrix sign pattern"
-            % len(data.delaunay.violating_edges),
+            % len(delaunay.violating_edges),
             MonotonicityLossWarning,
             stacklevel=2,
         )

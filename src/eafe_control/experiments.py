@@ -33,6 +33,7 @@ from .fem_core import CoefficientField
 from .mesh import (DIAGONAL_CONVENTION, build_unit_square,
                    unit_square_vertex_count)
 from .optimal_control import ProblemSpec, write_solution_csv, write_solution_vtk
+from .sparse_linalg import ResourceLimitError
 from .verify_norms import (ConvergenceTable, ManufacturedCase,
                            certify_m_matrix, solution_errors)
 
@@ -297,7 +298,9 @@ def run(config):
     time at a level includes the mesh build and the shared assembly.  If
     a solve raises, ``run.log`` keeps the line of every solve that
     finished and the exception propagates; a scheme whose last level did
-    not finish gets no summary line and no tables.
+    not finish gets no summary line and no tables.  A ``MemoryError``
+    outside the solver becomes a ``ResourceLimitError`` naming the level
+    and its vertex count; the solver's own propagates as it is.
     """
     if config.example == "stability":
         problem = stability_problem(config.eps, yd_const=config.yd_const)
@@ -346,6 +349,13 @@ def run(config):
             # free level k before level k + 1 builds its mesh, so that it
             # is not alive beside the next level's factor
             del mesh
+    except MemoryError as exc:
+        if isinstance(exc, ResourceLimitError):  # the solver named its stage
+            raise
+        raise ResourceLimitError(
+            "out of memory at level %d (%d vertices)%s"
+            % (level, unit_square_vertex_count(level),
+               str(exc) and ": %s" % exc)) from exc
     finally:
         if config.out_dir is not None:
             with open(os.path.join(config.out_dir, "run.log"), "w") as fh:

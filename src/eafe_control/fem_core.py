@@ -12,9 +12,8 @@ accepted everywhere and wrapped into constant fields.
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import LOCAL_EDGES, GeometryError
+from .mesh import LOCAL_EDGES
 
-DEGENERATE_AREA = 1e-16
 #: triangles per block of the load pass (:func:`assemble_load`)
 LOAD_BLOCK = 16384
 
@@ -164,38 +163,17 @@ def barycentric_gradient_table(mesh):
     each error norm.  EAFE assembly takes its edge weights from the areas
     (:func:`eafe.triangle_edge_weights`) and does not build it.  Gradient
     of coordinate c is perpendicular to the opposite edge, scaled by
-    1 / (2 area).
-
-    Raises
-    ------
-    GeometryError
-        If a triangle's area is at most DEGENERATE_AREA.
+    1 / (2 area); the mesh rejected every area at or below
+    :data:`mesh.DEGENERATE_AREA` when it was built.
     """
     p = np.take(mesh.vertices, mesh.triangles, axis=0)
-    areas = nondegenerate_areas(mesh)
     grads = np.empty((mesh.num_triangles, 3, 2))
     for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
         opp = p[:, k] - p[:, j]
         grads[:, c, 0] = -opp[:, 1]
         grads[:, c, 1] = opp[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
+    grads /= (2.0 * mesh.areas)[:, None, None]
     return grads
-
-
-def nondegenerate_areas(mesh):
-    """
-    ``mesh.areas``, checked on every call.
-
-    Raises
-    ------
-    GeometryError
-        If a triangle's area is at most DEGENERATE_AREA.
-    """
-    areas = mesh.areas
-    if np.any(areas <= DEGENERATE_AREA):
-        bad = int(np.argmin(areas))
-        raise GeometryError("triangle %d is degenerate (area %g)" % (bad, areas[bad]))
-    return areas
 
 
 def quadrature_points(mesh):

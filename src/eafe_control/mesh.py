@@ -33,6 +33,9 @@ ND_LEAF_SIZE = 16
 #: local edges of a triangle (v0,v1,v2), each ordered tail -> head
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
+#: a built mesh rejects every triangle whose signed area is at most this
+DEGENERATE_AREA = 1e-16
+
 
 class MeshCapacityError(ValueError):
     """Requested mesh exceeds the configured vertex budget."""
@@ -61,7 +64,8 @@ class TriMesh:
     h : float
         Mesh size, max over triangles of their diameter: the longest edge.
     areas : (M,) float array
-        Signed area of every triangle, all positive, read-only.
+        Signed area of every triangle, each above :data:`DEGENERATE_AREA`,
+        read-only; the gradients and edge weights divide by them unchecked.
 
     ``vertices`` and ``triangles`` are read-only copies of the inputs.
     The boundary edges, those with one triangle, only set
@@ -77,8 +81,9 @@ class TriMesh:
     GeometryError
         If the vertices are not an (N, 2) or the triangles not an (M, 3)
         array, there are no triangles, a triangle names a vertex outside
-        [0, N), a vertex coordinate is not finite, a signed area is not
-        positive, or an edge has more than two triangles.
+        [0, N), a vertex coordinate is not finite, a signed area is at
+        most :data:`DEGENERATE_AREA`, or an edge has more than two
+        triangles.
     """
 
     def __init__(self, vertices, triangles):
@@ -104,10 +109,11 @@ class TriMesh:
                                 % (bad, *self.vertices[bad].tolist()))
 
         self.areas = areas = _readonly(signed_areas(self))
-        if not np.all(areas > 0.0):
-            bad = int(np.argmin(areas > 0.0))
+        if not np.all(areas > DEGENERATE_AREA):
+            bad = int(np.argmin(areas > DEGENERATE_AREA))
             raise GeometryError(
-                "triangle %d has non-positive signed area %g" % (bad, areas[bad])
+                "triangle %d is degenerate or inverted (signed area %g)"
+                % (bad, areas[bad])
             )
 
         self.edges, boundary_edges, self.tri_edges = _edge_connectivity(

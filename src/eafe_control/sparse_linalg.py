@@ -33,8 +33,9 @@ SYM_RTOL = 1e-14
 GMRES_RESTART = 4
 GMRES_CYCLES = 40
 #: GMRES aims at ``DEFAULT_SOLVE_RTOL * GMRES_MARGIN``: for up to three more
-#: iterations the certificate holds with room to spare, and the iterate
-#: lies within about 1e-12 (relative) of the direct solution
+#: iterations the certificate holds with room to spare.  The margin does
+#: not bound the iterate's distance from the direct solution: that was
+#: 5.7e-12 (relative) on the level-8 interior layer at eps 1e-2
 GMRES_MARGIN = 1e-2
 #: largest max(|A_ij|, |A_ji|) / min(|A_ij|, |A_ji|) over the off-diagonal
 #: pairs of A for which the PRESB factor is stored in float32.  On an EAFE
@@ -111,20 +112,25 @@ def _factorize(mat, order=None):
         If the factorization encounters a zero pivot.
     ResourceLimitError
         On a ``MemoryError``, or a SuperLU ``RuntimeError`` that names a
-        failed malloc or missing memory (``SUPERLU_MALLOC fails ...``).
+        failed malloc or missing memory (``SUPERLU_MALLOC fails ...``); its
+        message names the matrix order and stored entries, and keeps
+        SuperLU's text, if any.
     """
     permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
+    n, nnz = mat.shape[0], mat.nnz
     try:
         mat = mat.tocsc() if order is None else mat[order].tocsc()[:, order]
         return spla.splu(mat, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                          panel_size=1)
-    except MemoryError as exc:
-        raise ResourceLimitError(str(exc)) from exc
-    except RuntimeError as exc:  # SuperLU signals singularity and failed mallocs
+    except (MemoryError, RuntimeError) as exc:
+        # SuperLU signals singularity and failed mallocs as RuntimeError
         message = str(exc)
-        if "malloc" in message.lower() or "memory" in message.lower():
-            raise ResourceLimitError(message) from exc
-        raise SingularMatrixError(message) from exc
+        if isinstance(exc, RuntimeError) and not (
+                "malloc" in message.lower() or "memory" in message.lower()):
+            raise SingularMatrixError(message) from exc
+        raise ResourceLimitError(
+            "out of memory in the sparse LU of order %d with %d stored "
+            "entries%s" % (n, nnz, message and ": " + message)) from exc
 
 
 def _transpose_slots(mat):

@@ -82,7 +82,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from eafe_control.eafe import EdgeData
+from eafe_control.eafe import edge_flux_coefficients
 from eafe_control.experiments import _layer_terms, manufactured_case
 from eafe_control.fem_core import (
     QUADRATURE,
@@ -322,18 +322,24 @@ def coo_eafe(mesh, coeff, lump_reaction=True):
     Edge-averaged stiffness from per-triangle triplets: local edge (i, j)
     of a triangle with weight omega adds omega * c_ij at (j, j), -omega *
     c_ji at (j, i), -omega * c_ij at (i, j) and omega * c_ji at (i, i),
-    with the flux pair oriented from i to j.
+    with the flux pair oriented from i to j.  The weights are the
+    gradient form (:func:`gradient_edge_weights`), and the flux pair is
+    formed from the means of the coefficient fields at i and j, evaluated
+    here and not through ``CoefficientField.samples``.
     """
-    data = EdgeData(mesh, coeff)
+    w = gradient_edge_weights(mesh)
+    xv, yv = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    eps = np.broadcast_to(coeff.eps(xv, yv), xv.shape)
+    zx, zy = (np.broadcast_to(c, xv.shape) for c in coeff.zeta(xv, yv))
     t = mesh.triangles
     rows, cols, vals = [], [], []
     for k, (a, b) in enumerate(LOCAL_EDGES):
         i, j = t[:, a], t[:, b]
-        e = mesh.tri_edges[:, k]
-        forward = i < j
-        c_ij = np.where(forward, data.c_ij[e], data.c_ji[e])
-        c_ji = np.where(forward, data.c_ji[e], data.c_ij[e])
-        omega = data.tri_weights[:, k]
+        c_ij, c_ji = edge_flux_coefficients(
+            0.5 * (eps[i] + eps[j]),
+            np.column_stack([0.5 * (zx[i] + zx[j]), 0.5 * (zy[i] + zy[j])]),
+            mesh.vertices[i], mesh.vertices[j])
+        omega = w[:, k]
         rows += [j, j, i, i]
         cols += [j, i, j, i]
         vals += [omega * c_ij, -omega * c_ji, -omega * c_ij, omega * c_ji]

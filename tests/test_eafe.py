@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eafe_control.eafe import (
-    EdgeData,
     MonotonicityLossWarning,
     assemble_eafe_stiffness,
     bernoulli,
@@ -12,6 +11,7 @@ from eafe_control.eafe import (
     triangle_edge_weights,
 )
 from eafe_control.fem_core import (
+    CoefficientError,
     CoefficientField,
     DataError,
     assemble_galerkin_stiffness,
@@ -24,6 +24,7 @@ from eafe_control.mesh import (
     build_unit_square,
     _edge_connectivity,
     delaunay_check,
+    delaunay_report,
 )
 from eafe_control.verify_norms import certify_m_matrix
 from reference import gradient_edge_weights, jittered_renumbered_mesh
@@ -205,27 +206,31 @@ def test_flux_positivity_and_difference_identity():
 
 
 def test_flux_rejects_nonpositive_diffusion():
-    with pytest.raises(ValueError):
+    # a CoefficientError, which is a ValueError, like every other path
+    with pytest.raises(CoefficientError):
         edge_flux_coefficients(0.0, (1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
 
 
-def test_edge_data_structured_mesh():
+def test_edge_weights_and_flux_pairs_on_structured_mesh():
     mesh = build_unit_square(2)
-    coeff = CoefficientField(eps=1e-3, zeta=(-1.0, 0.0), gamma=0.0)
-    data = EdgeData(mesh, coeff)
-    assert np.all(data.eps_e > 0.0)
-    assert np.all(data.c_ij > 0.0) and np.all(data.c_ji > 0.0)
-    # summed weights: diagonal edges 0, interior legs 1, boundary legs 1/2
     tau = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    lengths = np.linalg.norm(tau, axis=1)
-    diag = lengths > 0.3  # h = 0.25, diagonals have length h*sqrt(2)
-    assert np.abs(data.weights[diag]).max() <= 1e-14
+    # summed weights: diagonal edges 0, interior legs 1, boundary legs 1/2
+    weights, report = delaunay_report(mesh, triangle_edge_weights(mesh))
+    assert report.ok
+    diag = np.linalg.norm(tau, axis=1) > 0.3  # h = 0.25, diagonals h*sqrt(2)
+    assert np.abs(weights[diag]).max() <= 1e-14
     boundary = _edge_connectivity(mesh.triangles)[1]
-    assert data.weights[boundary & ~diag] == pytest.approx(0.5, rel=1e-13)
-    assert data.weights[~boundary & ~diag] == pytest.approx(1.0, rel=1e-13)
-    # orientation identity along each edge
-    s = np.einsum("ed,ed->e", data.zeta_e, tau)
-    assert data.c_ij - data.c_ji == pytest.approx(s, rel=1e-12, abs=1e-14)
+    assert weights[boundary & ~diag] == pytest.approx(0.5, rel=1e-13)
+    assert weights[~boundary & ~diag] == pytest.approx(1.0, rel=1e-13)
+    # one flux pair per edge, both positive, with the orientation identity
+    eps_e = np.full(mesh.num_edges, 1e-3)
+    zeta_e = np.tile([-1.0, 0.0], (mesh.num_edges, 1))
+    c_ij, c_ji = edge_flux_coefficients(eps_e, zeta_e,
+                                        mesh.vertices[mesh.edges[:, 0]],
+                                        mesh.vertices[mesh.edges[:, 1]])
+    assert np.all(c_ij > 0.0) and np.all(c_ji > 0.0)
+    s = np.einsum("ed,ed->e", zeta_e, tau)
+    assert c_ij - c_ji == pytest.approx(s, rel=1e-12, abs=1e-14)
 
 
 # ----------------------------------------------------------------------

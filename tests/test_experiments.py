@@ -720,6 +720,34 @@ def test_run_log_keeps_finished_levels_when_a_level_raises(tmp_path,
         for scheme, level in finished]
 
 
+@pytest.mark.parametrize("example", ["stability", "boundary-layer"])
+def test_out_of_memory_in_the_mesh_build_names_its_level(tmp_path,
+                                                         monkeypatch,
+                                                         example):
+    # numpy's out-of-memory error carries no level; the driver, which owns
+    # the level, raises it typed and chained, and run.log keeps level 2
+    from eafe_control import experiments
+    from eafe_control.sparse_linalg import ResourceLimitError
+
+    error = MemoryError()
+    build = experiments.build_unit_square
+
+    def building(level):
+        if level == 3:
+            raise error
+        return build(level)
+
+    monkeypatch.setattr(experiments, "build_unit_square", building)
+    config = ExperimentConfig(example, levels=[2, 3], out_dir=str(tmp_path))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^out of memory at level 3 \(81 vertices\)$"
+                       ) as raised:
+        run(config)
+    assert raised.value.__cause__ is error
+    lines = (tmp_path / "run.log").read_text().splitlines()
+    assert [ln.split()[2] for ln in lines] == ["level=2"] * len(config.schemes)
+
+
 def test_a_finished_scheme_keeps_its_tables_when_a_later_scheme_raises(
         tmp_path, monkeypatch):
     # EAFE finishes its last level before Galerkin raises on it: EAFE's

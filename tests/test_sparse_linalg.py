@@ -492,8 +492,12 @@ def test_factor_allocation_failure_raises_resource_limit_error(monkeypatch,
 
     monkeypatch.setattr(sparse_linalg.spla, "splu", failing)
     a = from_triplets(2, 2, [(0, 0, 2.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 2.0)])
-    with pytest.raises(ResourceLimitError):
+    # SuperLU's MemoryError() carries no text: the message names the
+    # matrix, and keeps SuperLU's text where there is one
+    with pytest.raises(ResourceLimitError,
+                       match=r"order 2 with 4 stored entries") as info:
         sparse_linalg._factorize(a, **mode)
+    assert str(failure) in str(info.value)
 
 
 @pytest.mark.parametrize("mode", FACTOR_MODES)
