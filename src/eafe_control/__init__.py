@@ -18,7 +18,7 @@ from .fem_core import (
     interpolate_nodal,
 )
 from .mesh import TriMesh, build_unit_square, delaunay_check
-from .optimal_control import ProblemSpec, SolutionPair, recover_control, solve
+from .optimal_control import ProblemSpec, SolutionPair, solve
 from .sparse_linalg import BlockSaddleSystem
 from .verify_norms import (
     ConvergenceTable,
@@ -50,6 +50,5 @@ __all__ = [
     "error_norms",
     "interpolate_nodal",
     "interpolant_error_norms",
-    "recover_control",
     "solve",
 ]

@@ -231,11 +231,11 @@ def _stability_entry(config, problem, mesh, level, sol, t0):
     margin = "none" if mreport.margin is None else "%.3e" % mreport.margin
     line = ("stability scheme=%s level=%d ok=%s worst=%.3e m_matrix=%s "
             "m_margin=%s m_vector=%s iterations=%d factor=%s fill=%d "
-            "peak_rss_mb=%.1f elapsed=%.2fs"
+            "residual=%.3e peak_rss_mb=%.1f elapsed=%.2fs"
             % (sol.scheme, level, bounds.ok, bounds.worst_violation,
                mreport.ok, margin, mreport.vector or "none", sol.iterations,
-               sol.precision or "none", sol.fill, _peak_rss_mb(),
-               time.perf_counter() - t0))
+               sol.precision or "none", sol.fill, sol.residual,
+               _peak_rss_mb(), time.perf_counter() - t0))
     if config.out_dir is not None:
         stem = "%s_%s_k%d" % (config.example, sol.scheme, level)
         path = os.path.join(config.out_dir, stem)
@@ -255,10 +255,10 @@ def _errors_entry(config, case, boxes, mesh, level, sol):
                                              tuple(boxes.values()),
                                              config.metric)))
     line = ("%s scheme=%s level=%d ey_l2=%s ey_h1=%s ep_l2=%s ep_h1=%s "
-            "peak_rss_mb=%.1f iterations=%d factor=%s fill=%d"
+            "peak_rss_mb=%.1f iterations=%d factor=%s fill=%d residual=%.3e"
             % ((config.example, sol.scheme, level) + errors["global"]
                + (_peak_rss_mb(), sol.iterations, sol.precision or "none",
-                  sol.fill)))
+                  sol.fill, sol.residual)))
     return errors, line
 
 

@@ -67,18 +67,12 @@ class CoefficientField:
         Convection field.
     gamma : scalar field or number
         Nonnegative reaction coefficient.
-    beta : float
-        Control-cost weight, positive and finite (kept at 1 for the
-        discrete optimality system).
     """
 
-    def __init__(self, eps, zeta, gamma, beta=1.0):
+    def __init__(self, eps, zeta, gamma):
         self.eps = as_scalar_field(eps)
         self.zeta = as_vector_field(zeta)
         self.gamma = as_scalar_field(gamma)
-        self.beta = float(beta)
-        if not 0.0 < self.beta < np.inf:
-            raise ValueError("beta must be positive and finite")
 
     def samples(self, x, y):
         """

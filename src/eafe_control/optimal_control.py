@@ -3,12 +3,12 @@ Assembly and solution of the discrete first-order optimality system.
 
 The constrained problem minimizes the usual tracking functional subject
 to a convection-diffusion-reaction state equation; eliminating the
-control with the optimality relation p + beta*u = 0 leaves a coupled
-saddle-point system in the adjoint p and state y.  Over interior dofs
-(strong Dirichlet elimination) it reads
+control with the optimality relation p + u = 0 (control-cost weight 1)
+leaves a coupled saddle-point system in the adjoint p and state y.  Over
+interior dofs (strong Dirichlet elimination) it reads
 
-    A^T p - M y = rhs_top        rhs_top    = -(y_d, phi_i)  or  (f, phi_i)
-    -M p - beta A y = rhs_bottom rhs_bottom = 0              or  (g, phi_i)
+    A^T p - M y = rhs_top      rhs_top    = -(y_d, phi_i)  or  (f, phi_i)
+    -M p - A y = rhs_bottom    rhs_bottom = 0              or  (g, phi_i)
 
 with A the chosen stiffness (edge-averaged or standard Galerkin) and M
 the consistent mass matrix.  Nonzero Dirichlet traces are imposed by a
@@ -65,7 +65,7 @@ class SolutionPair:
     Nodal solution of the optimality system.
 
     ``p_bar`` (adjoint), ``y_bar`` (state) and the recovered control
-    ``u_bar = -p_bar / beta`` over all vertices; boundary nodes carry the
+    ``u_bar = -p_bar`` over all vertices; boundary nodes carry the
     interpolated Dirichlet data, kept through the solve as boundary
     values only.  ``residual`` is the certified relative
     residual of the interior linear solve, ``iterations`` its GMRES
@@ -96,13 +96,6 @@ class SolutionPair:
         self.fill = int(fill)
         self.precision = precision
         self.tracking_load = tracking_load
-
-
-def recover_control(p_bar, beta):
-    """Optimality relation: u = -p / beta."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError("beta must be positive and finite")
-    return -np.asarray(p_bar, dtype=float) / float(beta)
 
 
 def assemble_stiffness(mesh, coeff, scheme, lump_reaction=True):
@@ -152,7 +145,6 @@ def _assemble_parts(mesh, spec, schemes, lump_reaction=True):
     scheme's factor only what its system and solution need.
     """
     bnd = mesh.boundary_vertex
-    beta = spec.coeff.beta
     for i, scheme in enumerate(schemes, 1):
         a_full = assemble_stiffness(mesh, spec.coeff, scheme,
                                     lump_reaction=lump_reaction)
@@ -181,15 +173,14 @@ def _assemble_parts(mesh, spec, schemes, lump_reaction=True):
                                    np.zeros(mesh.num_vertices))
         p_lift, y_lift = _lift_vector(mesh, p_bnd), _lift_vector(mesh, y_bnd)
         rhs_top = (f_full - a_full.T @ p_lift + m_bnd @ y_bnd)[interior]
-        rhs_bottom = (g_full + m_bnd @ p_bnd
-                      + beta * (a_full @ y_lift))[interior]
+        rhs_bottom = (g_full + m_bnd @ p_bnd + a_full @ y_lift)[interior]
         a_int = sp.csr_matrix((a_full.data[entries], m_int.indices,
                                m_int.indptr), shape=m_int.shape)
         del a_full, f_full, g_full, p_lift, y_lift
         if i == len(schemes):
             del loads, entries, m_bnd, interior
         yield (BlockSaddleSystem(a_int, m_int, rhs_top, rhs_bottom,
-                                 beta=beta, order=order),
+                                 order=order),
                tracking_load, p_bnd, y_bnd)
 
 
@@ -207,9 +198,8 @@ def solve_schemes(mesh, spec, schemes, lump_reaction=True):
         p_int, y_int, res = system.solve()
         p, y = _lift_vector(mesh, p_bnd), _lift_vector(mesh, y_bnd)
         p[~bnd], y[~bnd] = p_int, y_int
-        yield SolutionPair(p, y, recover_control(p, spec.coeff.beta), res,
-                           scheme, system.A, system.iterations, system.fill,
-                           system.precision, tracking_load)
+        yield SolutionPair(p, y, -p, res, scheme, system.A, system.iterations,
+                           system.fill, system.precision, tracking_load)
         del p, y, p_int, y_int
 
 
@@ -226,9 +216,9 @@ def write_solution_csv(mesh, sol, path):
     Each distinct float64 bit pattern of the five columns is formatted
     once and gathered back into its cells, so the bytes are those of
     ``%r`` on every value; deduplicating bits, not values, keeps ``-0.0``
-    apart from ``0.0``.  A pattern and its negation (u = -p when
-    beta = 1) share one ``repr`` call, the negative one prefixed with
-    ``-``; the ``repr`` of a NaN carries no sign.
+    apart from ``0.0``.  A pattern and its negation (u = -p) share one
+    ``repr`` call, the negative one prefixed with ``-``; the ``repr`` of a
+    NaN carries no sign.
     """
     v = mesh.vertices
     columns = np.concatenate((v[:, 0], v[:, 1], sol.p_bar, sol.y_bar,

@@ -75,13 +75,12 @@ def _factorize(mat, order=None):
     The factor is for matrices that need no pivoting: nonsingular
     M-matrices, whose LU without pivoting is stable with positive pivots
     (Funderlic & Plemmons, LAA 41, 1981), and matrices with a positive
-    definite symmetric part, for which it exists.  The PRESB matrix
-    M + sqrt(beta) A has one when the symmetric part of A is positive
-    semidefinite, the hypothesis of the PRESB bound; nothing checks it at
-    run time.  Its two callers check their results on the computed
+    definite symmetric part, for which it exists.  The PRESB matrix M + A
+    has one when the symmetric part of A is positive semidefinite, the
+    hypothesis of the PRESB bound; nothing checks it at run time.  Its two callers check their results on the computed
     solution, so no certificate rests on the pivots.  :meth:`BlockSaddleSystem.solve` certifies
 
-        ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
+        ||(A^T p - M y - rhs_top, -M p - A y - rhs_bottom)||_2
             <= rtol ||(rhs_top, rhs_bottom)||_2
 
     on the whole saddle system, and
@@ -103,7 +102,7 @@ def _factorize(mat, order=None):
     The CSC matrix SuperLU reads, ``mat[order]`` converted and then
     column-permuted, is built in one expression and rebound to ``mat``.
     A caller that passes a temporary, as :meth:`BlockSaddleSystem.solve`
-    passes ``M + sqrt(beta) A``, thereby leaves that CSC as the only copy
+    passes ``M + A``, thereby leaves that CSC as the only copy
     of the matrix alive during the factorization.
 
     Raises
@@ -232,28 +231,27 @@ class BlockSaddleSystem:
     """
     Discrete first-order optimality system over interior dofs:
 
-        [ A^T  -M      ] [p]   [rhs_top   ]
-        [ -M   -beta A ] [y] = [rhs_bottom]
+        [ A^T  -M ] [p]   [rhs_top   ]
+        [ -M   -A ] [y] = [rhs_bottom]
 
     A is the (convection-diffusion-reaction) stiffness matrix, M the
-    consistent mass matrix; beta, positive and finite, defaults to 1,
-    matching the normalized control-cost weight used throughout.  A and
-    M are kept as passed, canonical CSR on one structurally symmetric
+    consistent mass matrix; the control-cost weight is 1.  A and M are
+    kept as passed, canonical CSR on one structurally symmetric
     pattern as assembled on a mesh, and M symmetric to within ``SYM_RTOL``
     (ValueError otherwise; :func:`_one_pattern`).
 
-    :meth:`solve` scales the adjoint, ``p = sqrt(beta) q``, and with
-    ``K = sqrt(beta) A`` solves the balanced form
+    :meth:`solve` solves the same system with its blocks reordered and
+    negated,
 
-        [ M  -K^T ] [y]   [-rhs_top              ]
-        [ K   M   ] [q] = [-rhs_bottom / sqrt(beta)]
+        [ M  -A^T ] [y]   [-rhs_top   ]
+        [ A   M   ] [p] = [-rhs_bottom]
 
     by flexible GMRES, right-preconditioned by PRESB (preconditioned
     square block).  The operator is applied by its blocks, four sparse
     products with A, A^T (a transposed view, not a copy) and M, so the
     2n x 2n matrix is never built.  The preconditioner
-    ``[[M, -K^T], [K, M + K + K^T]]`` is applied exactly with one sparse
-    LU of ``F = M + K``, used plain and transposed.  Its eigenvalues lie
+    ``[[M, -A^T], [A, M + A + A^T]]`` is applied exactly with one sparse
+    LU of ``F = M + A``, used plain and transposed.  Its eigenvalues lie
     in [1/2, 1], so the iteration count depends on neither h nor eps
     (Axelsson, Farouq & Neytcheva, Numer. Algorithms 2016), under that
     bound's hypothesis that the symmetric part of A is positive
@@ -271,7 +269,7 @@ class BlockSaddleSystem:
     Every solution it returns is certified on the system above, with
     ``rtol`` = :data:`DEFAULT_SOLVE_RTOL`:
 
-        ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
+        ||(A^T p - M y - rhs_top, -M p - A y - rhs_bottom)||_2
             <= rtol ||(rhs_top, rhs_bottom)||_2.
 
     The factor is stored in float32 where the operator is resolved, and
@@ -291,16 +289,13 @@ class BlockSaddleSystem:
     :meth:`solve`).
     """
 
-    def __init__(self, a, m, rhs_top, rhs_bottom, beta=1.0, *, order):
+    def __init__(self, a, m, rhs_top, rhs_bottom, *, order):
         n = a.shape[0]
         if a.shape != (n, n) or m.shape != (n, n):
             raise ValueError("block system needs square A, M of equal order")
         self.A, self.M, self.n = a, m, n
         self.rhs_top = np.asarray(rhs_top, dtype=float)
         self.rhs_bottom = np.asarray(rhs_bottom, dtype=float)
-        self.beta = float(beta)
-        if not 0.0 < self.beta < np.inf:
-            raise ValueError("beta must be positive and finite")
         if self.rhs_top.shape != (n,) or self.rhs_bottom.shape != (n,):
             raise ValueError("right-hand side blocks have wrong length")
         self.order = np.asarray(order)  #: symmetric ordering of F's factor
@@ -328,9 +323,9 @@ class BlockSaddleSystem:
         #: ``"float32"`` or ``"float64"``; None while nothing is factored
         self.precision = None
 
-    def _presb_matrix(self, s):
+    def _presb_matrix(self):
         """
-        ``F = M + s A`` in the precision of its factor, recorded as
+        ``F = M + A`` in the precision of its factor, recorded as
         :attr:`precision` (see the class docstring).  F is M's and A's
         data added on the pattern they share (:func:`_one_pattern`),
         explicit zeros included.
@@ -350,7 +345,7 @@ class BlockSaddleSystem:
         pairs_resolved = bool(np.all(mag <= 0.0))
         del mag, partner  # not alive beside F's data
 
-        data = m.data + s * a.data
+        data = m.data + a.data
         single = np.finfo(np.float32)
         entries = np.abs(data)
         if (pairs_resolved
@@ -367,7 +362,7 @@ class BlockSaddleSystem:
         """
         Returns (p, y, certified relative residual).  The residual
 
-            ||(A^T p - M y - rhs_top, -M p - beta A y - rhs_bottom)||_2
+            ||(A^T p - M y - rhs_top, -M p - A y - rhs_bottom)||_2
                 / ||(rhs_top, rhs_bottom)||_2
 
         must not exceed ``rtol``, :data:`DEFAULT_SOLVE_RTOL` read at call
@@ -375,13 +370,14 @@ class BlockSaddleSystem:
         cycle restarts from the current iterate, at most
         ``GMRES_CYCLES - 1`` times, until a cycle's residual ``res``
 
-        - is at most ``rtol * GMRES_MARGIN``,
+        - is at most ``rtol * GMRES_MARGIN``, the target of GMRES, which
+          minimizes this residual with its blocks reordered and negated, or
         - is not below the residual ``prev`` of the cycle before it (no
-          progress; this includes a non-finite residual), or
-        - is at most ``rtol`` with ``2 res > prev`` (certified, and gaining
-          less than a factor 2, as below the residual's rounding floor).
+          progress, as on a rounding floor; this includes a non-finite
+          residual).
 
-        The last residual then certifies or raises.
+        The last residual, computed by its own formula as a check on the
+        operator and the iterate, then certifies or raises.
         ``iterations`` counts the GMRES iterations, one PRESB application
         each.  A zero right-hand side returns zeros without factoring
         anything (``fill`` 0, ``precision`` None).
@@ -393,7 +389,7 @@ class BlockSaddleSystem:
         no 2-norm of it overflows or underflows on a right-hand side near
         the ends of float64's range.
 
-        ``F = M + sqrt(beta) A`` from :meth:`_presb_matrix` is passed to
+        ``F = M + A`` from :meth:`_presb_matrix` is passed to
         :func:`_factorize` as a temporary, so only its CSC is alive while
         SuperLU factors it.  The two right-hand sides of each PRESB
         application are cast to F's precision, and its two solutions
@@ -407,7 +403,7 @@ class BlockSaddleSystem:
         Raises
         ------
         SingularMatrixError
-            If ``M + sqrt(beta) A`` has a zero pivot.
+            If ``M + A`` has a zero pivot.
         ResourceLimitError
             If its factor, or the Krylov stage after it, does not fit in
             memory; a ``MemoryError`` of the Krylov stage is its cause.
@@ -429,16 +425,15 @@ class BlockSaddleSystem:
         if bnorm == 0.0:
             return np.zeros(n), np.zeros(n), 0.0
 
-        s = np.sqrt(self.beta)
-        # F = M + K is a temporary: _factorize drops it once its CSC is built
-        lu = _factorize(self._presb_matrix(s), order=self.order)
+        # F = M + A is a temporary: _factorize drops it once its CSC is built
+        lu = _factorize(self._presb_matrix(), order=self.order)
         o = self.order
         self.fill = lu.nnz
         # SuperLU solves only with right-hand sides of its factor's dtype
         dtype = self.precision
 
         def presb(r):
-            # [[M, -K^T], [K, M + K + K^T]] (y, q) = (f, g):
+            # [[M, -A^T], [A, M + A + A^T]] (y, q) = (f, g):
             # F z = f + g, F^T q = M z - f, y = z - q; (z, q) is kept in
             # F's precision and in natural order, y is formed by direction
             f = r[:n]
@@ -458,35 +453,28 @@ class BlockSaddleSystem:
             d[n:] = q
             return d
 
-        def balanced(x):
-            y, q = x[:n], x[n:]
-            return np.concatenate([m @ y - s * (a.T @ q), s * (a @ y) + m @ q])
+        def operator(x):
+            y, p = x[:n], x[n:]
+            return np.concatenate([m @ y - a.T @ p, a @ y + m @ p])
 
         try:
-            # op (p, y) - rhs = (r_y, s r_q) for the balanced residual
-            # (r_y, r_q) = (-rhs_top, -rhs_bottom / s) - balanced(y, q), so its
-            # norm is at most max(1, s) times the balanced one, and a balanced
-            # residual of at most target certifies rtol * GMRES_MARGIN
-            target = rtol * GMRES_MARGIN * bnorm / max(1.0, s)
-            x = np.zeros(2 * n)  # (y, q)
-            r = np.concatenate([-top, -bottom / s])
+            target = rtol * GMRES_MARGIN * bnorm
+            x = np.zeros(2 * n)  # (y, p)
+            r = np.concatenate([-top, -bottom])
             prev = np.inf
             for _ in range(GMRES_CYCLES):
-                dx, k = _fgmres_cycle(balanced, presb, direction, r, target)
+                dx, k = _fgmres_cycle(operator, presb, direction, r, target)
                 x += dx
                 self.iterations += k
-                y, p = x[:n], s * x[n:]
+                y, p = x[:n], x[n:]
                 r_top = a.T @ p - m @ y - top
-                r_bottom = -(m @ p) - self.beta * (a @ y) - bottom
+                r_bottom = -(m @ p) - a @ y - bottom
                 res = np.sqrt(_dot(r_top, r_top)
                               + _dot(r_bottom, r_bottom)) / bnorm
-                # the target is met, or a cycle stopped paying for itself:
-                # no progress, or certified and gaining less than a factor 2
-                if (res <= rtol * GMRES_MARGIN or not res < prev
-                        or (res <= rtol and 2.0 * res > prev)):
+                if res <= rtol * GMRES_MARGIN or not res < prev:
                     break
                 prev = res
-                r = np.concatenate([r_top, r_bottom / s])
+                r = np.concatenate([r_top, r_bottom])
             if not res <= rtol:
                 raise ResidualCertificationError(
                     "relative residual %.3g exceeds certificate %.3g after %d "

@@ -23,7 +23,7 @@ diagonal-pivot factor:
 The set-up checks of ``BlockSaddleSystem`` have union-pattern
 references, the rules the package applied before it read them from the
 data arrays: ``mass_is_symmetric`` forms ``M - M^T``, and
-``presb_precision`` forms ``|A| - e^2 |A|^T`` and ``F = M + s A``.  Both
+``presb_precision`` forms ``|A| - e^2 |A|^T`` and ``F = M + A``.  Both
 take a pair on any patterns.  ``BlockSaddleSystem`` takes only a pair
 on one structurally symmetric pattern, as assembled on a mesh, so the
 tests store each hand-built pair on the union of the patterns of A,
@@ -401,9 +401,9 @@ def solve_direct(mat, b, rtol=DEFAULT_SOLVE_RTOL):
 
 
 def saddle_operator(system):
-    """Monolithic 2n x 2n operator [[A^T, -M], [-M, -beta A]] of a system."""
+    """Monolithic 2n x 2n operator [[A^T, -M], [-M, -A]] of a system."""
     a, m = system.A, system.M
-    return sp.bmat([[a.T, -m], [-m, -system.beta * a]], format="csr")
+    return sp.bmat([[a.T, -m], [-m, -a]], format="csr")
 
 
 def saddle_rhs(system):
@@ -453,14 +453,14 @@ def mass_is_symmetric(m):
     return not asym > sparse_linalg.SYM_RTOL * scale * np.sqrt(max(m.nnz, 1))
 
 
-def presb_precision(a, m, s):
+def presb_precision(a, m):
     """
-    Precision of the PRESB factor of ``F = M + s A`` by the union-pattern
+    Precision of the PRESB factor of ``F = M + A`` by the union-pattern
     rule: "float32" when ``|A| - e^2 |A|^T`` has no positive entry and
     every nonzero of F lies in float32's normal range, else "float64".
     ``SINGLE_PRECISION_ASYMMETRY`` is read at call time.
     """
-    f = m + s * a
+    f = m + a
     mag = abs(a)
     single = np.finfo(np.float32)
     entries = np.abs(f.data[f.data != 0.0])

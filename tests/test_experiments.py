@@ -251,6 +251,35 @@ def test_stability_run_assembles_load_once_and_logs_margin(tmp_path,
     assert " m_matrix=False m_margin=none m_vector=none " in galerkin
 
 
+def test_stability_run_certifies_level_7_through_the_lu_fallback(
+        tmp_path, monkeypatch):
+    # at eps 1e-2 the Gauss-Seidel sweep certifies level 6 (margin
+    # 2.80e-13) but not level 7, whose certificate is x = A^{-1} 1 from
+    # the minimum-degree LU of _factorize, called with no order
+    from eafe_control import sparse_linalg
+
+    orders = []
+    factorize = sparse_linalg._factorize
+
+    def recording(mat, **kwargs):
+        orders.append(kwargs.get("order", "minimum degree"))
+        return factorize(mat, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "_factorize", recording)
+    results = run(ExperimentConfig("stability", eps=1e-2, levels=[6, 7],
+                                   scheme="eafe", out_dir=str(tmp_path)))
+    sweep, fallback = (results["eafe"][level]["m_matrix"] for level in (6, 7))
+    assert sweep.ok and sweep.vector == "sweep"
+    assert fallback.ok and fallback.vector == "inverse"
+    assert fallback.margin > 0.0 and results["eafe"][7]["bounds"].ok
+    # one PRESB factor per level in the mesh order, and the certificate's
+    # minimum-degree LU at level 7 only
+    assert [isinstance(o, str) for o in orders] == [False, False, True]
+    (line,) = [ln for ln in (tmp_path / "run.log").read_text().splitlines()
+               if " level=7 " in ln]
+    assert " m_matrix=True " in line and " m_vector=inverse " in line
+
+
 def test_stability_diffusion_dominated_both_schemes_clean():
     config = ExperimentConfig("stability", eps=1.0, levels=[3, 4],
                               scheme="both")
@@ -287,7 +316,8 @@ def test_boundary_layer_run_writes_deterministic_tables(tmp_path):
     assert (dir_a / "boundary-layer_eafe_k3.vtk").exists()
     # the solve's counts go to run.log, one line per level, not to the CSVs
     lines = (dir_a / "run.log").read_text().splitlines()
-    fills = [int(ln.rsplit(" fill=", 1)[1]) for ln in lines if " level=" in ln]
+    fills = [int(ln.split(" fill=", 1)[1].split()[0])
+             for ln in lines if " level=" in ln]
     assert len(fills) == 3 and fills == sorted(fills) and fills[0] > 0
     assert all(" iterations=" in ln for ln in lines if " level=" in ln)
     # edge Peclet 17.7, 8.8 and 4.4 at levels 2-4: all beyond 2
@@ -681,9 +711,15 @@ def test_run_log_level_lines_record_peak_rss(tmp_path, example, levels,
     # ru_maxrss of the process so far: positive and never falling
     assert len(peaks) == level_lines
     assert peaks[0] > 0.0 and peaks == sorted(peaks)
+    # every level line carries the certified residual of its solve, and
+    # the convergence lines end on it, after the fill
+    residuals = [float(ln.split(" residual=", 1)[1].split()[0])
+                 for ln in lines]
+    assert all(0.0 < res <= 1e-10 for res in residuals)
     if example != "stability":
-        # the convergence lines still end on the fill
-        assert all(int(ln.rsplit(" fill=", 1)[1]) > 0 for ln in lines)
+        assert all(ln.split()[-1].startswith("residual=") for ln in lines)
+        assert all(int(ln.split(" fill=", 1)[1].split()[0]) > 0
+                   for ln in lines)
     # timings and memory stay out of the deterministic tables
     for table in tmp_path.glob("*.csv"):
         text = table.read_text()

@@ -395,12 +395,6 @@ def test_constant_nonpositive_diffusion_raises(path, eps):
         assemble(build_unit_square(2), coeff)
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan])
-def test_coefficient_field_rejects_nonpositive_or_nonfinite_beta(beta):
-    with pytest.raises(ValueError, match="beta must be positive and finite"):
-        CoefficientField(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, beta=beta)
-
-
 @pytest.mark.parametrize("metric", ["quadrature", "interpolant"])
 def test_solve_and_errors_compute_geometry_once(monkeypatch, metric):
     counts = count_builders(monkeypatch)

@@ -19,7 +19,6 @@ from eafe_control.optimal_control import (
     SolutionPair,
     _assemble_parts,
     assemble_stiffness,
-    recover_control,
     solve,
     solve_schemes,
     write_solution_csv,
@@ -37,19 +36,8 @@ from reference import (
 )
 
 
-def plain_coefficients(eps=1.0, zeta=(0.0, 0.0), gamma=0.0, beta=1.0):
-    return CoefficientField(eps=eps, zeta=zeta, gamma=gamma, beta=beta)
-
-
-def test_recover_control_examples():
-    assert recover_control(np.zeros(3), 1.0) == pytest.approx(np.zeros(3))
-    assert recover_control(np.array([-1.0, 2.0]), 1.0) == pytest.approx(
-        [1.0, -2.0]
-    )
-    assert recover_control(np.ones(4), 2.0) == pytest.approx(-0.5 * np.ones(4))
-    for beta in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="beta must be positive and finite"):
-            recover_control(np.ones(2), beta)
+def plain_coefficients(eps=1.0, zeta=(0.0, 0.0), gamma=0.0):
+    return CoefficientField(eps=eps, zeta=zeta, gamma=gamma)
 
 
 def test_problem_spec_needs_exactly_one_mode():
@@ -140,10 +128,10 @@ def test_affine_exact_pair_reproduced_with_dirichlet_lift():
 
 def test_solution_pair_invariants():
     mesh = build_unit_square(3)
-    spec = ProblemSpec(plain_coefficients(beta=2.0), y_d=1.0)
+    spec = ProblemSpec(plain_coefficients(), y_d=1.0)
     sol = solve(mesh, spec, "eafe")
     assert sol.residual <= 1e-10
-    assert sol.u_bar == pytest.approx(-sol.p_bar / 2.0)
+    assert np.array_equal(sol.u_bar, -sol.p_bar)
     assert sol.scheme == "eafe"
     bnd = mesh.boundary_vertex
     assert np.abs(sol.y_bar[bnd]).max() == 0.0

@@ -11,7 +11,7 @@ from eafe_control.fem_core import (
     interpolate_nodal,
 )
 from eafe_control.mesh import build_unit_square
-from eafe_control.optimal_control import ProblemSpec, solve
+from eafe_control.optimal_control import ProblemSpec, solve, solve_schemes
 from eafe_control import sparse_linalg
 from eafe_control.sparse_linalg import SingularMatrixError
 from eafe_control.verify_norms import (
@@ -370,6 +370,31 @@ def test_bound_check_sign_precondition():
     sol = solve(mesh, spec, "eafe")
     with pytest.raises(DesiredStateSignError):
         check_desired_state_bounds(mesh, sol, lambda x, y: x - 0.5)
+
+
+def double_glazing_wind(x, y):
+    """The recirculating wind (2Y(1 - X^2), -2X(1 - Y^2)), X = 2x - 1, Y = 2y - 1."""
+    cx, cy = 2.0 * x - 1.0, 2.0 * y - 1.0
+    return 2.0 * cy * (1.0 - cx**2), -2.0 * cx * (1.0 - cy**2)
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_bounds_fail_under_a_recirculating_wind_although_eafe_certifies(
+        level):
+    # the desired-state bound is a property of the data, not of the
+    # M-matrix alone: under the double-glazing wind both schemes converge
+    # to a state above y_d = 1 (max y_h 1.195 and 1.147 for EAFE, 1.140
+    # and 1.132 for Galerkin at levels 4 and 5), while EAFE's stiffness
+    # certifies; experiments.run would raise on these data
+    mesh = build_unit_square(level)
+    spec = ProblemSpec(CoefficientField(eps=1e-2, zeta=double_glazing_wind,
+                                        gamma=0.0), y_d=1.0)
+    for sol in solve_schemes(mesh, spec, ("eafe", "galerkin")):
+        if sol.scheme == "eafe":
+            mreport = certify_m_matrix(sol.stiffness)
+            assert mreport.ok and mreport.vector == "inverse"
+        assert not check_desired_state_bounds(mesh, sol, 1.0).ok
+        assert sol.y_bar.max() > 1.1, sol.scheme
 
 
 @pytest.mark.parametrize("scheme", ["eafe", "galerkin"])
