@@ -94,7 +94,7 @@ def _peak_rss_mb():
 # exact solutions and forcing terms of the manufactured cases
 
 
-def manufactured_case(name, eps, zeta, gamma, y, p, lift=False):
+def manufactured_case(eps, zeta, gamma, y, p, lift=False):
     """
     The manufactured case of the exact pair ``(y, p)`` under constant
     ``eps``, ``zeta`` and ``gamma``, whose forcing is the one ``source``
@@ -120,9 +120,8 @@ def manufactured_case(name, eps, zeta, gamma, y, p, lift=False):
     coeff = CoefficientField(eps=eps, zeta=zeta, gamma=gamma)
     traces = {"dirichlet_y": exact_y, "dirichlet_p": exact_p} if lift else {}
     problem = ProblemSpec(coeff, source=source, **traces)
-    return ManufacturedCase(name, problem, exact_y,
-                            lambda x1, x2: y(x1, x2)[1], exact_p,
-                            lambda x1, x2: p(x1, x2)[1])
+    return ManufacturedCase(problem, exact_y, lambda x1, x2: y(x1, x2)[1],
+                            exact_p, lambda x1, x2: p(x1, x2)[1])
 
 
 def _layer_terms(z, eps):
@@ -161,7 +160,7 @@ def boundary_layer_case(eps):
         return m1 * m2, (-d1 * m2, -m1 * d2), dd1 * m2 + m1 * dd2
 
     # the exact traces vanish
-    return manufactured_case("boundary-layer", eps, (-s2, -s2), 1.0, y, p)
+    return manufactured_case(eps, (-s2, -s2), 1.0, y, p)
 
 
 def interior_layer_case(eps):
@@ -184,8 +183,7 @@ def interior_layer_case(eps):
                 -2.0 * x2 * (1.0 - x2) - 2.0 * x1 * (1.0 - x1))
 
     # the exact state has nonzero traces; lift both fields from their traces
-    return manufactured_case("interior-layer", eps, (-1.0, 0.0), 1.0, y, p,
-                             lift=True)
+    return manufactured_case(eps, (-1.0, 0.0), 1.0, y, p, lift=True)
 
 
 def coefficient_sets():
@@ -267,9 +265,8 @@ def _tables(config, boxes, scheme, per_level):
     tables = {
         name: ConvergenceTable(config.levels, dict(zip(
             ConvergenceTable.COLUMNS,
-            zip(*(per_level[level][name] for level in config.levels)))),
-            region=box)
-        for name, box in boxes.items()
+            zip(*(per_level[level][name] for level in config.levels)))))
+        for name in boxes
     }
     if config.out_dir is not None:
         for name, table in tables.items():

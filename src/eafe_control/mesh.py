@@ -61,8 +61,6 @@ class TriMesh:
         Edge index of each local edge (LOCAL_EDGES order).
     boundary_vertex : (N,) bool array
         True for vertices lying on the domain boundary.
-    h : float
-        Mesh size, max over triangles of their diameter: the longest edge.
     areas : (M,) float array
         Signed area of every triangle, each above :data:`DEGENERATE_AREA`,
         read-only; the gradients and edge weights divide by them unchecked.
@@ -79,16 +77,21 @@ class TriMesh:
     Raises
     ------
     GeometryError
-        If the vertices are not an (N, 2) or the triangles not an (M, 3)
-        array, there are no triangles, a triangle names a vertex outside
-        [0, N), a vertex coordinate is not finite, a signed area is at
-        most :data:`DEGENERATE_AREA`, or an edge has more than two
+        If the triangles are not integers (a float or bool array is not
+        cast), the vertices are not an (N, 2) or the triangles not an
+        (M, 3) array, there are no triangles, a triangle names a vertex
+        outside [0, N), a vertex coordinate is not finite, a signed area
+        is at most :data:`DEGENERATE_AREA`, or an edge has more than two
         triangles.
     """
 
     def __init__(self, vertices, triangles):
         self.vertices = _readonly(np.array(vertices, dtype=float, order="C"))
-        t = np.asarray(triangles, dtype=np.int64)
+        t = np.asarray(triangles)
+        if t.dtype.kind not in "iu":  # a cast would truncate floats and bools
+            raise GeometryError("triangle vertex indices must be integers, "
+                                "got dtype %s" % t.dtype)
+        t = t.astype(np.int64, copy=False)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise GeometryError("vertices must be an (N, 2) array, got shape %s"
                                 % (self.vertices.shape,))
@@ -121,7 +124,6 @@ class TriMesh:
         flag = np.zeros(self.num_vertices, dtype=bool)
         flag[self.edges[boundary_edges].ravel()] = True
         self.boundary_vertex = flag
-        self.h = _longest_edge(self.vertices, self.edges)
 
     @property
     def num_vertices(self):
@@ -141,11 +143,8 @@ class TriMesh:
         return np.flatnonzero(~self.boundary_vertex)
 
     def __repr__(self):
-        return "TriMesh(vertices=%d, triangles=%d, h=%.4g)" % (
-            self.num_vertices,
-            self.num_triangles,
-            self.h,
-        )
+        return "TriMesh(vertices=%d, triangles=%d)" % (self.num_vertices,
+                                                       self.num_triangles)
 
 
 def _edge_connectivity(triangles):
@@ -179,14 +178,6 @@ def _edge_connectivity(triangles):
     head = order[start]
     edges = np.stack([lo[head], hi[head]], axis=1)
     return edges, size == 1, inverse.reshape(3, m).T.copy()
-
-
-def _longest_edge(vertices, edges):
-    """Length of the longest edge: the largest triangle diameter of the mesh."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    i, j = edges[:, 0], edges[:, 1]
-    dx, dy = x[j] - x[i], y[j] - y[i]
-    return float(np.sqrt((dx * dx + dy * dy).max()))
 
 
 def _readonly(array):

@@ -297,7 +297,9 @@ def certify_m_matrix(a):
     and one solve, checked the same way.  For a Z-matrix that is not an
     M-matrix no candidate passes, so the cheap path cannot accept one.
     The tests check the verdict against an independent column-by-column
-    scan of A^{-1} in ``tests/reference.py``.
+    scan of A^{-1} in ``tests/reference.py``.  ``a`` is left as given: a
+    CSR input with unsorted or duplicate column indices is certified
+    through a canonical copy.
 
     Raises
     ------
@@ -309,6 +311,10 @@ def certify_m_matrix(a):
     if n != ncols:
         raise ValueError("M-matrix check needs a square matrix")
     a = sp.csr_matrix(a)  # rows are read from indptr; no copy for CSR input
+    if not a.has_canonical_format:
+        # Z shares a's index arrays, and abs(Z) would sort them in place
+        a = a.copy()
+        a.sum_duplicates()
     diag = a.diagonal()
     min_diag = diag.min() if diag.size else 0.0
     diag_ok = min_diag > 0.0
@@ -363,9 +369,7 @@ def _sweep(z, diag):
 class ManufacturedCase:
     """Problem data together with the exact solution pair it was built from."""
 
-    def __init__(self, name, problem, exact_y, exact_grad_y, exact_p,
-                 exact_grad_p):
-        self.name = name
+    def __init__(self, problem, exact_y, exact_grad_y, exact_p, exact_grad_p):
         self.problem = problem
         self.exact_y = as_scalar_field(exact_y)
         self.exact_grad_y = as_vector_field(exact_grad_y)
@@ -385,10 +389,9 @@ class ConvergenceTable:
 
     COLUMNS = ("ey_l2", "ey_h1", "ep_l2", "ep_h1")
 
-    def __init__(self, levels, errors, region=None):
+    def __init__(self, levels, errors):
         self.levels = [int(k) for k in levels]
         self.errors = {c: list(errors[c]) for c in self.COLUMNS}
-        self.region = region
         self.orders = {c: self._orders(self.errors[c]) for c in self.COLUMNS}
 
     @staticmethod

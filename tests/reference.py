@@ -35,8 +35,6 @@ the way it did before:
 
 - ``edge_connectivity`` finds the unique edges by ``np.unique`` and the
   two triangles of each edge by a second stable ``argsort``;
-- ``longest_side`` is the mesh size as the largest side norm of any
-  triangle;
 - ``quadrature_table`` maps every quadrature point at once into one
   (2, nq, M) table, and ``table_load`` assembles a load vector from it
   with one ``np.bincount`` per point and corner.
@@ -190,20 +188,6 @@ def edge_connectivity(triangles):
     edge_tris[sorted_edges[second], 1] = sorted_tris[second]
     return (edges.astype(np.int32), edge_tris.astype(np.int32),
             tri_edges.astype(np.int32))
-
-
-def longest_side(mesh):
-    """Mesh size: the largest side norm over all triangles."""
-    p = mesh.vertices[mesh.triangles]
-    side = np.stack(
-        [
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-        ],
-        axis=1,
-    )
-    return float(side.max())
 
 
 def gradient_edge_weights(mesh):
@@ -485,7 +469,7 @@ def convergence_study(case, scheme, levels, region=None, lump_reaction=True,
         sol = solve(mesh, case.problem, scheme, lump_reaction=lump_reaction)
         rows.append(solution_errors(mesh, case, sol, (region,), metric)[0])
     return ConvergenceTable(levels, dict(zip(ConvergenceTable.COLUMNS,
-                                             zip(*rows))), region=region)
+                                             zip(*rows))))
 
 
 def table_row(table, k):
@@ -603,7 +587,7 @@ def _smooth_field(x1, x2):
 
 def smooth_case():
     """Layer-free manufactured pair (diffusion-dominated sanity case)."""
-    return manufactured_case("smooth", 1.0, (1.0, 1.0), 1.0, _smooth_field,
+    return manufactured_case(1.0, (1.0, 1.0), 1.0, _smooth_field,
                              _smooth_field)
 
 

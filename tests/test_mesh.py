@@ -19,7 +19,6 @@ from reference import (
     build_unit_square_upperleft,
     edge_connectivity,
     jittered_renumbered_mesh,
-    longest_side,
     uniform_refine,
     write_node_ele,
 )
@@ -50,7 +49,6 @@ def test_level1_counts():
     mesh = build_unit_square(1)
     assert mesh.num_vertices == 9
     assert mesh.num_triangles == 8
-    assert mesh.h == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-15)
 
 
 def test_level3_counts():
@@ -89,14 +87,6 @@ def test_edge_triangle_adjacency(level):
     assert np.all(edge_tris[:, 0] >= 0)
     n = 2**level
     assert boundary.sum() == 4 * n
-
-
-def test_mesh_size_halves_per_level():
-    h1 = build_unit_square(1).h
-    for level in [2, 3, 4]:
-        assert build_unit_square(level).h == pytest.approx(
-            2.0 ** (1 - level) * h1, rel=1e-14
-        )
 
 
 def test_conforming_no_hanging_vertices():
@@ -360,7 +350,6 @@ def assert_connectivity_matches_reference(mesh):
         assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want)
     assert np.array_equal(boundary_edges_of(mesh), edge_tris[:, 1] < 0)
-    assert mesh.h == longest_side(mesh)
 
 
 @pytest.mark.parametrize("build", [build_unit_square,
@@ -411,10 +400,34 @@ def test_mesh_without_triangles_raises():
     (SQUARE, [0, 1, 2], r"triangles .* got shape \(3,\)"),
     ([[x, y, 0.0] for x, y in SQUARE], [[0, 1, 2], [0, 2, 3]],
      r"vertices .* got shape \(4, 3\)"),
-], ids=["triangles-m2", "triangles-m4", "triangles-flat", "vertices-n3"])
+    # a cast would truncate these to the valid [[0, 1, 2], [0, 2, 3]]
+    (SQUARE, np.array([[0.0, 1.9, 2.2], [0.4, 2.0, 3.0]]),
+     "must be integers, got dtype float64"),
+    (SQUARE, np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 3.0]]),
+     "must be integers, got dtype float64"),
+    (SQUARE, np.array([[False, True, True], [False, True, True]]),
+     "must be integers, got dtype bool"),
+    # wraps negative in the int64 cast, which the range check then sees
+    (SQUARE, np.array([[0, 1, 2**63 + 2]], dtype=np.uint64),
+     r"must lie in \[0, 4\)"),
+], ids=["triangles-m2", "triangles-m4", "triangles-flat", "vertices-n3",
+        "triangles-float", "triangles-integral-float", "triangles-bool",
+        "triangles-uint64-past-int64"])
 def test_misshapen_arrays_raise(vertices, triangles, message):
     with pytest.raises(GeometryError, match=message):
         TriMesh(vertices, triangles)
+
+
+def test_integer_triangles_of_any_width_build_one_mesh():
+    want = TriMesh(SQUARE, [[0, 1, 2], [0, 2, 3]])
+    assert repr(want) == "TriMesh(vertices=4, triangles=2)"
+    for dtype in (np.int32, np.int64, np.uint64):
+        mesh = TriMesh(SQUARE, np.array(want.triangles, dtype=dtype))
+        for name in ("vertices", "triangles", "edges", "tri_edges",
+                     "boundary_vertex", "areas"):
+            got, ref = getattr(mesh, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eafe_control.eafe import assemble_eafe_stiffness
 from eafe_control.fem_core import (
@@ -10,7 +11,7 @@ from eafe_control.fem_core import (
     assemble_load,
     interpolate_nodal,
 )
-from eafe_control.mesh import build_unit_square
+from eafe_control.mesh import build_unit_square, nested_dissection_order
 from eafe_control.optimal_control import ProblemSpec, solve, solve_schemes
 from eafe_control import sparse_linalg
 from eafe_control.sparse_linalg import SingularMatrixError
@@ -256,6 +257,42 @@ def test_certificate_reads_any_sparse_format():
     assert want["ok"]
     for other in (a.tocsc(), a.tocoo()):
         assert vars(certify_m_matrix(other)) == want
+
+
+def _nd_permuted_interior_eafe_block():
+    """The level-3 stability interior stiffness in the solver's interior
+    ND order: A[o][:, o] leaves each row's column indices unsorted."""
+    mesh = build_unit_square(3)
+    interior = ~mesh.boundary_vertex
+    nd = nested_dissection_order(mesh)
+    o = (np.cumsum(interior) - 1)[nd[interior[nd]]]
+    return _interior_eafe_block(stability_coefficients(), 3)[o][:, o]
+
+
+def _duplicate_entry_m_matrix():
+    """tridiag(-1, 2, -1) of order 3, its (0, 1) entry stored as two -0.5."""
+    data = np.array([2.0, -0.5, -0.5, -1.0, 2.0, -1.0, -1.0, 2.0])
+    return sp.csr_matrix((data, np.array([0, 1, 1, 0, 1, 2, 1, 2]),
+                          np.array([0, 3, 6, 8])), shape=(3, 3))
+
+
+@pytest.mark.parametrize("build", [_nd_permuted_interior_eafe_block,
+                                   _duplicate_entry_m_matrix],
+                         ids=["unsorted-indices", "duplicate-entries"])
+def test_certificate_of_non_canonical_csr_leaves_the_input_untouched(build):
+    # the certificate's Z shares the input's index arrays, and scipy's
+    # abs(Z) sorts and sums a non-canonical pattern in place
+    a = build()
+    assert not a.has_canonical_format
+    arrays = [x.copy() for x in (a.data, a.indices, a.indptr)]
+    canonical = build()
+    canonical.sum_duplicates()
+    want = vars(certify_m_matrix(canonical))
+    assert want["ok"]
+    assert vars(certify_m_matrix(a)) == want
+    for got, before in zip((a.data, a.indices, a.indptr), arrays):
+        assert got.dtype == before.dtype
+        assert np.array_equal(got, before)
 
 
 def test_certificate_singular_z_matrix_raises():
