@@ -30,7 +30,7 @@ from .fem_core import (
     quadrature_points,
     scatter_edges,
 )
-from .mesh import LOCAL_EDGES, delaunay_report
+from .mesh import delaunay_report
 
 #: switch-over into the overflow-safe evaluation branch
 _BIG_ARG = 700.0
@@ -71,37 +71,6 @@ def bernoulli(x):
     return out[0] if scalar else out
 
 
-def triangle_edge_weights(mesh):
-    """
-    Edge weights of every triangle, shape (M, 3) in LOCAL_EDGES order.
-
-    The weight of local edge k = (a, b) in triangle T is half the
-    cotangent of the angle at the opposite corner c = 3 - a - b,
-
-        w[T, k] = (p_a - p_c) . (p_b - p_c) / (4 area_T),
-
-    which equals -area_T grad(lambda_a) . grad(lambda_b).  Summed over
-    the one or two adjacent triangles these weights reproduce the P1
-    Laplacian exactly on piecewise linears.  Only the vertices, the
-    triangles and the mesh's areas are read, so no barycentric gradient
-    table (:func:`fem_core.barycentric_gradient_table`) is built.  On
-    :func:`mesh.build_unit_square` meshes every coordinate difference and
-    area is an integer times a power of two, so this form and the
-    gradient form are both exact and give equal values.  Every area is
-    above :data:`mesh.DEGENERATE_AREA`, checked when the mesh is built.
-    """
-    quad_areas = 4.0 * mesh.areas
-    # corner coordinates, (M, 3) each
-    x = np.take(mesh.vertices[:, 0], mesh.triangles)
-    y = np.take(mesh.vertices[:, 1], mesh.triangles)
-    w = np.empty((mesh.num_triangles, 3))
-    for k, (a, b) in enumerate(LOCAL_EDGES):
-        c = 3 - a - b
-        w[:, k] = ((x[:, a] - x[:, c]) * (x[:, b] - x[:, c])
-                   + (y[:, a] - y[:, c]) * (y[:, b] - y[:, c])) / quad_areas
-    return w
-
-
 def edge_flux_coefficients(eps_e, zeta_e, x_i, x_j):
     """
     Exponentially fitted two-point flux coefficients of one edge.
@@ -138,7 +107,7 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     The Bernoulli flux pair of :func:`edge_flux_coefficients` is evaluated
     once per mesh edge and weighted by the summed edge weight omega_E, the
     sum over adjacent triangles of half the cotangent of the angle
-    opposite E (:func:`triangle_edge_weights`, summed by
+    opposite E (:func:`mesh.triangle_edge_weights`, summed by
     :func:`mesh.delaunay_report`): edge (i, j) gives entries -omega_E c_ij
     at (i, j) and -omega_E c_ji at (j, i), and their negatives on the
     diagonals (j, j) and (i, i), summed by ``np.bincount``.  The reaction
@@ -163,7 +132,7 @@ def assemble_eafe_stiffness(mesh, coeff, lump_reaction=True):
     zeta_e = np.column_stack(
         [0.5 * (zx_v[i] + zx_v[j]), 0.5 * (zy_v[i] + zy_v[j])]
     )
-    weights, delaunay = delaunay_report(mesh, triangle_edge_weights(mesh))
+    weights, delaunay = delaunay_report(mesh)
     c_ij, c_ji = edge_flux_coefficients(eps_e, zeta_e, mesh.vertices[i],
                                         mesh.vertices[j])
     # freed here: kept to the end, they lift the bl-conv-l8 peak by 1.5 MB

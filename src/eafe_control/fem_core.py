@@ -155,7 +155,7 @@ def barycentric_gradient_table(mesh):
     Gradients of the three barycentric coordinates on every triangle,
     shape (M, 3, 2), built anew on each call: by Galerkin assembly and by
     each error norm.  EAFE assembly takes its edge weights from the areas
-    (:func:`eafe.triangle_edge_weights`) and does not build it.  Gradient
+    (:func:`mesh.triangle_edge_weights`) and does not build it.  Gradient
     of coordinate c is perpendicular to the opposite edge, scaled by
     1 / (2 area); the mesh rejected every area at or below
     :data:`mesh.DEGENERATE_AREA` when it was built.

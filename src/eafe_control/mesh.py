@@ -12,9 +12,13 @@ or diagonal label.
 A built mesh is immutable, and this is enforced: its vertex and triangle
 arrays are private read-only copies, and so are the signed areas it
 computes when it is built.  Nothing else is kept on a mesh: the
-nested-dissection vertex order and the gradient table (``fem_core``) are
-built by each call that reads them, and every matrix on the mesh's edge
-graph by one scipy constructor call (``fem_core.scatter_edges``).
+nested-dissection vertex order, the half-cotangent edge weights and the
+gradient table (``fem_core``) are built by each call that reads them,
+and every matrix on the mesh's edge graph by one scipy constructor call
+(``fem_core.scatter_edges``).
+
+This is the bottom layer, importing nothing from the package, and the
+one owner of the Delaunay rule (:func:`delaunay_report`).
 """
 
 import operator
@@ -80,9 +84,9 @@ class TriMesh:
         If the triangles are not integers (a float or bool array is not
         cast), the vertices are not an (N, 2) or the triangles not an
         (M, 3) array, there are no triangles, a triangle names a vertex
-        outside [0, N), a vertex coordinate is not finite, a signed area
-        is at most :data:`DEGENERATE_AREA`, or an edge has more than two
-        triangles.
+        outside [0, N), a vertex belongs to no triangle, a vertex
+        coordinate is not finite, a signed area is at most
+        :data:`DEGENERATE_AREA`, or an edge has more than two triangles.
     """
 
     def __init__(self, vertices, triangles):
@@ -105,6 +109,11 @@ class TriMesh:
                                 % self.num_vertices)
         # checked in int64 first, so no out-of-range index wraps into range
         self.triangles = _readonly(t.astype(np.int32, order="C"))
+        used = np.zeros(self.num_vertices, dtype=bool)
+        used[self.triangles.ravel()] = True
+        if not used.all():  # it would be a dof with an empty matrix row
+            raise GeometryError("vertex %d belongs to no triangle"
+                                % int(np.argmin(used)))
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -299,6 +308,37 @@ def build_unit_square(level):
     return TriMesh(vertices, triangles)
 
 
+def triangle_edge_weights(mesh):
+    """
+    Edge weights of every triangle, shape (M, 3) in LOCAL_EDGES order.
+
+    The weight of local edge k = (a, b) in triangle T is half the
+    cotangent of the angle at the opposite corner c = 3 - a - b,
+
+        w[T, k] = (p_a - p_c) . (p_b - p_c) / (4 area_T),
+
+    which equals -area_T grad(lambda_a) . grad(lambda_b).  Summed over
+    the one or two adjacent triangles these weights reproduce the P1
+    Laplacian exactly on piecewise linears.  Only the vertices, the
+    triangles and the mesh's areas are read, so no barycentric gradient
+    table (:func:`fem_core.barycentric_gradient_table`) is built.  On
+    :func:`build_unit_square` meshes every coordinate difference and
+    area is an integer times a power of two, so this form and the
+    gradient form are both exact and give equal values.  Every area is
+    above :data:`DEGENERATE_AREA`, checked when the mesh is built.
+    """
+    quad_areas = 4.0 * mesh.areas
+    # corner coordinates, (M, 3) each
+    x = np.take(mesh.vertices[:, 0], mesh.triangles)
+    y = np.take(mesh.vertices[:, 1], mesh.triangles)
+    w = np.empty((mesh.num_triangles, 3))
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        c = 3 - a - b
+        w[:, k] = ((x[:, a] - x[:, c]) * (x[:, b] - x[:, c])
+                   + (y[:, a] - y[:, c]) * (y[:, b] - y[:, c])) / quad_areas
+    return w
+
+
 class DelaunayReport:
     """Outcome of the edge-weight (Delaunay) check."""
 
@@ -315,9 +355,9 @@ class DelaunayReport:
         )
 
 
-def delaunay_report(mesh, w):
+def delaunay_report(mesh):
     """
-    Sum per-triangle edge weights ``w`` ((M, 3), LOCAL_EDGES order) over
+    Sum the per-triangle edge weights (:func:`triangle_edge_weights`) over
     the mesh edges and check their nonnegativity; returns the (E,) sums
     and a :class:`DelaunayReport`.
 
@@ -327,6 +367,7 @@ def delaunay_report(mesh, w):
     weight magnitude.  This is exactly the condition under which the
     edge-averaged stiffness matrix keeps nonpositive off-diagonal entries.
     """
+    w = triangle_edge_weights(mesh)
     sums = np.bincount(mesh.tri_edges.ravel(), weights=w.ravel(),
                        minlength=mesh.num_edges)
     tol = 1e-12 * max(np.abs(w).max(), 1e-300)
@@ -336,9 +377,7 @@ def delaunay_report(mesh, w):
 
 def delaunay_check(mesh):
     """Edge-weight (Delaunay) check of a mesh; see :func:`delaunay_report`."""
-    from .eafe import triangle_edge_weights
-
-    return delaunay_report(mesh, triangle_edge_weights(mesh))[1]
+    return delaunay_report(mesh)[1]
 
 
 def _text_section(lines, rows, dtype):
@@ -364,8 +403,8 @@ def read_node_ele(path):
         If the header does not hold two integers, a vertex or triangle
         line does not hold three numbers (triangles: integers), a line is
         blank, or the file ends early; GeometryError (a ValueError) if a
-        triangle names a vertex outside [0, N) or is degenerate, or a
-        vertex coordinate is not finite.
+        triangle names a vertex outside [0, N) or is degenerate, a vertex
+        belongs to no triangle, or a vertex coordinate is not finite.
     """
     with open(path) as fh:
         nv, nt = (int(s) for s in fh.readline().split())

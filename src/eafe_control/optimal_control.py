@@ -64,10 +64,10 @@ class SolutionPair:
     """
     Nodal solution of the optimality system.
 
-    ``p_bar`` (adjoint), ``y_bar`` (state) and the recovered control
-    ``u_bar = -p_bar`` over all vertices; boundary nodes carry the
-    interpolated Dirichlet data, kept through the solve as boundary
-    values only.  ``residual`` is the certified relative
+    ``p_bar`` (adjoint) and ``y_bar`` (state) over all vertices, and the
+    control ``u_bar = -p_bar``, a read-only property; boundary nodes
+    carry the interpolated Dirichlet data, kept through the solve as
+    boundary values only.  ``residual`` is the certified relative
     residual of the interior linear solve, ``iterations`` its GMRES
     iteration count, ``fill`` the entries SuperLU stores for the sparse
     LU factor it used (``SuperLU.nnz``), ``precision`` that factor's dtype
@@ -84,11 +84,10 @@ class SolutionPair:
     ``stiffness``, which the solved systems' A and M shared.
     """
 
-    def __init__(self, p_bar, y_bar, u_bar, residual, scheme, stiffness,
+    def __init__(self, p_bar, y_bar, residual, scheme, stiffness,
                  iterations, fill, precision, tracking_load=None):
         self.p_bar = np.asarray(p_bar, dtype=float)
         self.y_bar = np.asarray(y_bar, dtype=float)
-        self.u_bar = np.asarray(u_bar, dtype=float)
         self.residual = float(residual)
         self.scheme = scheme
         self.stiffness = stiffness
@@ -96,6 +95,11 @@ class SolutionPair:
         self.fill = int(fill)
         self.precision = precision
         self.tracking_load = tracking_load
+
+    @property
+    def u_bar(self):
+        """The control -p_bar (control-cost weight 1), derived on each read."""
+        return -self.p_bar
 
 
 def assemble_stiffness(mesh, coeff, scheme, lump_reaction=True):
@@ -198,7 +202,7 @@ def solve_schemes(mesh, spec, schemes, lump_reaction=True):
         p_int, y_int, res = system.solve()
         p, y = _lift_vector(mesh, p_bnd), _lift_vector(mesh, y_bnd)
         p[~bnd], y[~bnd] = p_int, y_int
-        yield SolutionPair(p, y, -p, res, scheme, system.A, system.iterations,
+        yield SolutionPair(p, y, res, scheme, system.A, system.iterations,
                            system.fill, system.precision, tracking_load)
         del p, y, p_int, y_int
 

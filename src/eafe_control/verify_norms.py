@@ -1,7 +1,10 @@
 """
 Verification layer: M-matrix certification, desired-state bound checks,
 L2/H1 error norms (global and on sub-boxes), and convergence tables.  It
-checks and measures what it is given: it builds no mesh, calls no solver.
+checks and measures what it is given and builds no mesh.  It solves only
+inside the certificate, when the sweep's candidate fails (one SuperLU LU
+and one solve, :func:`sparse_linalg._factorize`), and the bound check
+assembles the mass matrix again (:func:`fem_core.assemble_mass`).
 
 The M-matrix certificate checks the sign pattern, then proves the inverse
 nonnegative at every order: a Z-matrix A with some x > 0 and A x > 0

@@ -8,7 +8,6 @@ from eafe_control.eafe import (
     assemble_eafe_stiffness,
     bernoulli,
     edge_flux_coefficients,
-    triangle_edge_weights,
 )
 from eafe_control.fem_core import (
     CoefficientError,
@@ -25,6 +24,7 @@ from eafe_control.mesh import (
     _edge_connectivity,
     delaunay_check,
     delaunay_report,
+    triangle_edge_weights,
 )
 from eafe_control.verify_norms import certify_m_matrix
 from reference import gradient_edge_weights, jittered_renumbered_mesh
@@ -215,7 +215,7 @@ def test_edge_weights_and_flux_pairs_on_structured_mesh():
     mesh = build_unit_square(2)
     tau = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
     # summed weights: diagonal edges 0, interior legs 1, boundary legs 1/2
-    weights, report = delaunay_report(mesh, triangle_edge_weights(mesh))
+    weights, report = delaunay_report(mesh)
     assert report.ok
     diag = np.linalg.norm(tau, axis=1) > 0.3  # h = 0.25, diagonals h*sqrt(2)
     assert np.abs(weights[diag]).max() <= 1e-14
@@ -336,6 +336,28 @@ def test_edge_path_matches_per_triangle_reference_on_renumbered_mesh():
     scale = np.abs(ref).max()
     assert np.abs(a - ref).max() <= 1e-14 * scale
     assert np.abs(a[np.ix_(inv, inv)] - a_orig).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("lump_reaction", [True, False])
+def test_assembly_evaluates_bernoulli_twice_per_mesh_edge(monkeypatch,
+                                                          lump_reaction):
+    # one flux pair per mesh edge, not one per local edge of a triangle
+    # (6 M: 192 at level 2, 12288 at level 5)
+    from eafe_control import eafe
+
+    sizes = []
+    monkeypatch.setattr(eafe, "bernoulli",
+                        lambda x: sizes.append(np.size(x)) or bernoulli(x))
+    coeff = CoefficientField(eps=1e-2, zeta=(-1.0, 0.5), gamma=1.0)
+    for mesh, count in ((build_unit_square(2), 112),
+                        (build_unit_square(5), 6272),
+                        (jittered_renumbered_mesh(4, seed=7), 1600)):
+        sizes.clear()
+        with warnings.catch_warnings():  # the jitter breaks the Delaunay rule
+            warnings.simplefilter("ignore", MonotonicityLossWarning)
+            assemble_eafe_stiffness(mesh, coeff, lump_reaction=lump_reaction)
+        assert sizes == [mesh.num_edges, mesh.num_edges]
+        assert sum(sizes) == count
 
 
 @pytest.mark.parametrize(

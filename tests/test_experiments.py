@@ -553,7 +553,7 @@ def _recording(solve_schemes, solutions):
     """
     def solving(mesh, *args, **kwargs):
         for sol in solve_schemes(mesh, *args, **kwargs):
-            fields = sol, sol.p_bar, sol.y_bar, sol.u_bar
+            fields = sol, sol.p_bar, sol.y_bar
             solutions.append(([weakref.ref(x) for x in fields], id(mesh)))
             del fields
             yield sol

@@ -442,6 +442,25 @@ def test_nonfinite_vertex_raises(tmp_path, bad):
         read_node_ele(path)
 
 
+def test_vertex_in_no_triangle_raises(tmp_path):
+    # a free vertex would be an interior dof with an empty matrix row, and
+    # the solve would end in an exactly singular factor
+    base = build_unit_square(3)
+    free = [[0.5, 0.53125], [0.25, 0.53125]]
+    with pytest.raises(GeometryError, match="^vertex 81 belongs to no triangle"):
+        TriMesh(np.vstack([base.vertices, free]), base.triangles)
+    with pytest.raises(GeometryError, match="^vertex 0 belongs to no triangle"):
+        TriMesh(np.vstack([free[:1], base.vertices]), base.triangles + 1)
+    path = tmp_path / "mesh.txt"
+    write_node_ele(base, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = "82 %d\n" % base.num_triangles
+    lines.insert(82, "0.5 0.53125 0\n")
+    path.write_text("".join(lines))
+    with pytest.raises(GeometryError, match="^vertex 81 belongs to no triangle"):
+        read_node_ele(path)
+
+
 def test_nested_dissection_order_is_a_permutation_built_per_call():
     meshes = [build_unit_square(1), build_unit_square(5),
               uniform_refine(build_unit_square_upperleft(3))]

@@ -277,22 +277,26 @@ def test_solution_csv_matches_value_by_value_repr(tmp_path):
     # from 0.0, a value repeated within and across columns (0.5 is also a
     # vertex coordinate), x and -x, the smallest subnormal, both sides of
     # repr's switch to exponent notation, the infinities, and NaNs of two
-    # payloads and both signs (the repr of a NaN carries no sign)
+    # payloads and both signs (the repr of a NaN carries no sign); the
+    # control column is u = -p, so p's values reach it negated
     mesh = build_unit_square(1)
     nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
-    p = [0.0, -0.0, 0.1, 0.1, -0.1, 5e-324, 1e-05, 9.999e-05, 1e16]
-    y = [9999999999999998.0, np.inf, -np.inf, np.nan, -0.0, 0.0, 0.5,
+    p = [5e-324, nan_payload, 0.1, 0.1, 0.5, -0.0, 1e-05, 9.999e-05, 1e16]
+    y = [9999999999999998.0, np.inf, -np.inf, np.nan, -np.nan, 0.0, 0.5,
          1.0 / 3.0, -1.0 / 3.0]
-    u = [-5e-324, nan_payload, -np.nan, 0.5, -0.5, 1e-05, -1e16, 0.1, -0.0]
-    sol = SolutionPair(p, y, u, 0.0, "eafe", None, 0, 0, None)
+    sol = SolutionPair(p, y, 0.0, "eafe", None, 0, 0, None)
     path = tmp_path / "special.csv"
     write_solution_csv(mesh, sol, path)
     text = path.read_text()
     assert text == _value_by_value_csv(mesh, sol)
-    assert text.splitlines()[1:4] == [
-        "0.0,0.0,0.0,9999999999999998.0,-5e-324",
-        "0.5,0.0,-0.0,inf,nan",
-        "1.0,0.0,0.1,-inf,nan"]
+    assert text.splitlines()[1:7] == [
+        "0.0,0.0,5e-324,9999999999999998.0,-5e-324",
+        "0.5,0.0,nan,inf,nan",
+        "1.0,0.0,0.1,-inf,-0.1",
+        "0.0,0.5,0.1,nan,-0.1",
+        "0.5,0.5,0.5,nan,-0.5",
+        "1.0,0.5,-0.0,0.0,0.0"]
+    assert np.signbit(sol.u_bar[1]) and np.signbit(y[4])
     # level-5 stability solutions of both schemes, dominant convection
     mesh = build_unit_square(5)
     for scheme in SCHEMES:

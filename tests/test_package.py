@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).parents[1] / "src" / "eafe_control"
+PACKAGE = "eafe_control"
+SRC = Path(__file__).parents[1] / "src" / PACKAGE
 
 
 def test_every_module_function_is_referenced_in_src():
@@ -46,3 +47,20 @@ def test_every_module_import_is_used():
                    if isinstance(node, (ast.Import, ast.ImportFrom))
                    for name in _bound_names(node) if name not in used}
     assert unused == set()
+
+
+def _imports_package(node):
+    """Whether an import statement names the package, or is relative."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == PACKAGE
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == PACKAGE for alias in node.names)
+    return False
+
+
+def test_mesh_imports_nothing_from_the_package():
+    # mesh is the bottom layer (mesh -> fem_core -> eafe): an import of the
+    # package from it, at module level or inside a function, is a back edge
+    tree = ast.parse((SRC / "mesh.py").read_text())
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if _imports_package(node)] == []
