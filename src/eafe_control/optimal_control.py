@@ -166,12 +166,11 @@ def _assemble_parts(mesh, spec, schemes, lump_reaction=True):
             m_int, m_bnd = m_full[interior][:, interior], m_full[:, bnd]
             del m_full
             # the mesh order without its boundary vertices, renumbered to
-            # interior dofs; the full order ``nd`` is kept until the last
-            # scheme is solved: freed before the factor, its 1 MiB leaves
-            # a hole in the heap that lifts the level-9 VmHWM by 2 MiB
+            # interior dofs
             nd = nested_dissection_order(mesh)
             order = (np.cumsum(interior, dtype=np.int32) - 1)[
                 nd[interior[nd]]]
+            del nd
         # in tracking mode f = -(y_d, phi_i) and g = 0, formed per scheme
         f_full, g_full = loads or (-tracking_load,
                                    np.zeros(mesh.num_vertices))

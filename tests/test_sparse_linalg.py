@@ -1,3 +1,5 @@
+import ctypes
+import platform
 import warnings
 
 import numpy as np
@@ -30,6 +32,7 @@ from reference import (
     saddle_rhs,
     solve_direct,
 )
+from test_verify_norms import double_glazing_wind
 
 
 def test_duplicates_summed():
@@ -857,3 +860,60 @@ def test_assembled_pair_is_kept_as_passed(monkeypatch, scheme):
     ((system, a, m),) = passed
     assert system.A is a and system.M is m
     assert sol.stiffness is a
+
+
+def _rotating_wind_system():
+    """
+    The level-4 EAFE tracking system under the double-glazing wind at eps
+    1e-2, y_d = 1: its stiffness is an M-matrix that the certificate's
+    Gauss-Seidel sweep does not certify, so both factor paths run on it.
+    """
+    spec = ProblemSpec(CoefficientField(eps=1e-2, zeta=double_glazing_wind,
+                                        gamma=0.0), y_d=1.0)
+    return assemble_system(build_unit_square(4), spec, "eafe")
+
+
+def test_every_factor_trims_the_heap_once_just_before_superlu(monkeypatch):
+    events = []
+    splu = spla.splu
+
+    def trim(pad):
+        events.append(("trim", pad))
+        return 1
+
+    def recording(mat, **kwargs):
+        events.append(("splu", kwargs["permc_spec"]))
+        return splu(mat, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "_malloc_trim", trim)
+    monkeypatch.setattr(sparse_linalg.spla, "splu", recording)
+    system = _rotating_wind_system()
+    _, _, res = system.solve()
+    assert res <= 1e-10
+    assert events == [("trim", 0), ("splu", "NATURAL")]
+    events.clear()
+    report = certify_m_matrix(system.A)
+    assert report.ok and report.vector == "inverse"
+    assert events == [("trim", 0), ("splu", "MMD_AT_PLUS_A")]
+
+
+def test_factors_without_malloc_trim_give_the_same_bits(monkeypatch):
+    # where the C library has no malloc_trim the binding is None
+    system = _rotating_wind_system()
+    want = system.solve()
+    want_report = vars(certify_m_matrix(system.A))
+    monkeypatch.setattr(sparse_linalg, "_malloc_trim", None)
+    got = system.solve()
+    assert got[2] == want[2] <= 1e-10
+    for x, y in zip(got[:2], want[:2]):
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+    assert vars(certify_m_matrix(system.A)) == want_report
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc_trim is a glibc function")
+def test_malloc_trim_is_bound_under_glibc():
+    trim = sparse_linalg._malloc_trim
+    assert trim is not None
+    assert trim.argtypes == [ctypes.c_size_t] and trim.restype is ctypes.c_int
+    assert trim(0) in (0, 1)
